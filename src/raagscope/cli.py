@@ -26,9 +26,9 @@ from .obstructions import (
     verify_obstruction,
 )
 from .ops import (
-    clique_separators,
     co_contract,
     complement,
+    iter_clique_splits,
     join,
     simplicial_extension,
 )
@@ -147,6 +147,9 @@ def _print_verdict(verdict: Verdict) -> None:
 
 
 def cmd_classify(args) -> int:
+    if args.budget < 1:
+        print("error: --budget must be at least 1, got %d" % args.budget, file=sys.stderr)
+        return EXIT_PARSE
     try:
         extra = _load_extra_catalog(args.catalog)
     except (CatalogError, OSError) as exc:
@@ -155,7 +158,6 @@ def cmd_classify(args) -> int:
     params = {
         "budget": args.budget,
         "cocontract_depth": args.cocontract_depth,
-        "threads": args.threads,
         "catalog": args.catalog or os.environ.get("RAAGSCOPE_CATALOG") or None,
     }
 
@@ -163,8 +165,7 @@ def cmd_classify(args) -> int:
         timings: dict = {}
         t0 = time.perf_counter()
         verdict = classify(g, budget=args.budget, cocontract_depth=args.cocontract_depth,
-                           catalog=extra, threads=args.threads,
-                           cross_check=args.cross_check, timings=timings)
+                           catalog=extra, cross_check=args.cross_check, timings=timings)
         timings["total"] = time.perf_counter() - t0
         return _VERDICT_EXIT[verdict.status], verdict, _report(g, verdict, params, timings)
 
@@ -239,7 +240,7 @@ def cmd_ops(args) -> int:
             out, _ = simplicial_extension(_load_graph(args.graph, args.format))
         elif args.op == "separators":
             g = _load_graph(args.graph, args.format)
-            splits = clique_separators(g)
+            splits = list(iter_clique_splits(g))
             if args.json:
                 print(json.dumps([{
                     "separator": sorted(s.separator),
@@ -347,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cocontract-depth", type=int, default=2)
     p.add_argument("--catalog", default=None, help="extra forbidden-graph catalog (JSON)")
     p.add_argument("--json", action="store_true", help="emit the full JSON report")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--batch", action="store_true",
                    help="treat stdin/file as one graph6 value per line")
     p.add_argument("--cross-check", action="store_true",

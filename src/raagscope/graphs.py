@@ -35,7 +35,7 @@ class Graph:
     :func:`new_graph` for user input.
     """
 
-    __slots__ = ("vertices", "edge_pairs", "_edgeset", "_adj", "_hash", "_canon")
+    __slots__ = ("vertices", "edge_pairs", "_adj", "_hash", "_canon")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]]):
         vlist = [_check_name(v) for v in vertices]
@@ -52,7 +52,6 @@ class Graph:
             pairs.add((u, v) if u < v else (v, u))
         object.__setattr__(self, "vertices", tuple(sorted(vlist)))
         object.__setattr__(self, "edge_pairs", tuple(sorted(pairs)))
-        object.__setattr__(self, "_edgeset", frozenset(pairs))
         adj = {v: set() for v in vlist}
         for u, v in pairs:
             adj[u].add(v)
@@ -76,7 +75,7 @@ class Graph:
         return v in self._adj
 
     def has_edge(self, u: str, v: str) -> bool:
-        return (u, v) in self._edgeset if u < v else (v, u) in self._edgeset
+        return v in self._adj.get(u, ())
 
     def adj(self, v: str) -> frozenset[str]:
         try:
@@ -90,12 +89,12 @@ class Graph:
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.vertices == other.vertices and self._edgeset == other._edgeset
+        return self.vertices == other.vertices and self.edge_pairs == other.edge_pairs
 
     def __hash__(self):
         h = object.__getattribute__(self, "_hash")
         if h is None:
-            h = hash((self.vertices, self._edgeset))
+            h = hash((self.vertices, self.edge_pairs))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -427,5 +426,5 @@ def graph_to_json(g: Graph) -> dict:
 def graph_from_json(obj: dict) -> Graph:
     try:
         return Graph(obj["vertices"], [tuple(e) for e in obj["edges"]])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise GraphError("bad graph object: %s" % exc) from None

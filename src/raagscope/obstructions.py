@@ -302,11 +302,16 @@ def obstruction_to_json(o: Obstruction) -> dict:
 
 def obstruction_from_json(obj: dict) -> Obstruction:
     try:
-        return Obstruction(
+        o = Obstruction(
             kind=obj["kind"],
             entry=obj["entry"],
             embedding=_embedding(dict(obj["embedding"])),
-            trail=tuple((p[0], p[1]) for p in obj["trail"]),
+            trail=tuple(tuple(p) for p in obj["trail"]),
         )
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CatalogError("bad obstruction object: %s" % exc) from None
+    if any(len(pair) != 2 for pair in o.trail):
+        raise CatalogError("bad obstruction object: a trail step must name two vertices")
+    if not all(isinstance(name, str) for pair in o.embedding + o.trail for name in pair):
+        raise CatalogError("bad obstruction object: embedding and trail names must be strings")
+    return o

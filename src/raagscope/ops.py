@@ -1,6 +1,6 @@
 """Graph operations underlying the classification rules.
 
-Complement, join, links, simplicial and bisimplicial tests, maximal cliques,
+Complement, join, simplicial and bisimplicial tests, maximal cliques,
 clique separators, the simplicial extension, and co-contraction. All functions
 are pure; derived vertices get reserved "$"-prefixed names so they can never
 collide with user input.
@@ -21,14 +21,12 @@ __all__ = [
     "induced",
     "join",
     "disjoint_union",
-    "link",
     "is_complete",
     "is_clique",
     "is_simplicial_vertex",
     "is_bisimplicial_edge",
     "remove_edge_interior",
     "maximal_cliques",
-    "clique_separators",
     "iter_clique_splits",
     "validate_clique_split",
     "simplicial_extension",
@@ -67,10 +65,6 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
     if shared:
         raise GraphError("vertex name collision in union: %r" % (sorted(shared),))
     return Graph(g.vertices + h.vertices, list(g.edge_pairs) + list(h.edge_pairs))
-
-
-def link(g: Graph, v: str) -> frozenset[str]:
-    return g.adj(v)
 
 
 def is_clique(g: Graph, s: Iterable[str]) -> bool:
@@ -201,10 +195,6 @@ def iter_clique_splits(g: Graph) -> Iterator[CliqueSplit]:
                     continue
                 emitted.add(key)
                 yield CliqueSplit(induced(g, left_set), induced(g, right_set), frozenset(sep))
-
-
-def clique_separators(g: Graph) -> list[CliqueSplit]:
-    return list(iter_clique_splits(g))
 
 
 def validate_clique_split(g: Graph, split: CliqueSplit) -> bool:

@@ -6,17 +6,17 @@ co-contractions combine or transform derived graphs. Membership in the
 derived family implies there is no relative embedding of a compact hyperbolic
 surface group, hence no closed hyperbolic surface subgroup.
 
-The prover searches rules in a fixed order (complete base, amalgam split at
-the first minimal clique separator, bisimplicial edge removal, join
-decomposition) with memoization by isomorphism class. It never guesses
-co-contraction preimages; that rule exists only in the checker, so externally
-supplied derivations using it still validate.
+The prover is one sequential depth-first search over the rules in a fixed
+order (complete base, amalgam split at the first minimal clique separator,
+bisimplicial edge removal, join decomposition) with memoization by isomorphism
+class. A two-part rule searches its right part only after its left part
+closed, so node counts, budget verdicts and memo contents are deterministic.
+It never guesses co-contraction preimages; that rule exists only in the
+checker, so externally supplied derivations using it still validate.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Optional, Sequence
@@ -165,141 +165,15 @@ def _check_node(node: Derivation) -> bool:
 
 
 @dataclass
-class ProverReport:
-    nodes_expanded: int = 0
-    budget: int = DEFAULT_BUDGET
-    budget_exhausted: bool = False
-    rules_attempted: tuple[str, ...] = ()
-    stuck: tuple[str, ...] = ()
-
-
-class _BudgetExhausted(Exception):
-    pass
-
-
-class _Counter:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-        self._lock = threading.Lock()
-
-    def tick(self) -> None:
-        with self._lock:
-            self.used += 1
-            if self.used > self.limit:
-                raise _BudgetExhausted
-
-
-class _Search:
-    def __init__(self, memo: dict, counter: _Counter, threads: int):
-        self.memo = memo
-        self.counter = counter
-        self.threads = threads
-        self.rules_attempted: set[str] = set()
-        self.stuck: list[str] = []
-
-    def run(self, h: Graph, depth: int = 0) -> Optional[Derivation]:
-        key, order = canonical_form(h)
-        hit = self.memo.get(key)
-        if hit is not None:
-            status, canon = hit
-            if status != "ok":
-                return None
-            mapping = {"c%d" % i: order[i] for i in range(len(order))}
-            return rename_derivation(canon, mapping)
-        self.counter.tick()
-        d = self._expand(h, depth)
-        if d is None:
-            self.memo[key] = ("fail", None)
-            if len(self.stuck) < 32:
-                self.stuck.append("no rule closed a graph with %d vertices, %d edges"
-                                  % (h.n, h.m))
-            return None
-        mapping = {order[i]: "c%d" % i for i in range(len(order))}
-        self.memo[key] = ("ok", rename_derivation(d, mapping))
-        return d
-
-    def _pair(self, left: Graph, right: Graph, depth: int):
-        if depth == 0 and self.threads > 1:
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                fl = pool.submit(self.run, left, depth + 1)
-                fr = pool.submit(self.run, right, depth + 1)
-                return fl.result(), fr.result()
-        dl = self.run(left, depth + 1)
-        dr = self.run(right, depth + 1) if dl is not None else None
-        return dl, dr
-
-    def _expand(self, h: Graph, depth: int) -> Optional[Derivation]:
-        if is_complete(h):
-            return Derivation(RULE_COMPLETE, h)
-        split = next(iter_clique_splits(h), None)
-        if split is not None:
-            # first minimal separator only; no backtracking across separators
-            self.rules_attempted.add(RULE_AMALGAM)
-            dl, dr = self._pair(split.left, split.right, depth)
-            if dl is not None and dr is not None:
-                return Derivation(RULE_AMALGAM, h, (dl, dr), separator=split.separator)
-        for e in h.edge_pairs:
-            if not is_bisimplicial_edge(h, e):
-                continue
-            self.rules_attempted.add(RULE_BISIMP)
-            child = self.run(remove_edge_interior(h, e), depth + 1)
-            if child is not None:
-                return Derivation(RULE_BISIMP, h, (child,), edge=e)
-        comp_parts = connected_components(complement(h))
-        if len(comp_parts) > 1:
-            self.rules_attempted.add(RULE_JOIN)
-            a = frozenset(comp_parts[0])
-            b = frozenset(h.vertices) - a
-            dl, dr = self._pair(induced(h, a), induced(h, b), depth)
-            if dl is not None and dr is not None:
-                return Derivation(RULE_JOIN, h, (dl, dr), bipartition=(a, b))
-        return None
-
-
-def _prove(g: Graph, budget: int = DEFAULT_BUDGET, threads: int = 1,
-           cache: Optional[dict] = None) -> tuple[Optional[Derivation], ProverReport]:
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    memo = cache if cache is not None else {}
-    counter = _Counter(budget)
-    search = _Search(memo, counter, threads)
-    exhausted = False
-    try:
-        d = search.run(g)
-    except _BudgetExhausted:
-        d = None
-        exhausted = True
-    report = ProverReport(
-        nodes_expanded=counter.used,
-        budget=budget,
-        budget_exhausted=exhausted,
-        rules_attempted=tuple(sorted(search.rules_attempted)),
-        stuck=tuple(search.stuck),
-    )
-    return d, report
-
-
-def prove_in_f(g: Graph, budget: int = DEFAULT_BUDGET, threads: int = 1,
-               cache: Optional[dict] = None) -> Optional[Derivation]:
-    """Search for a derivation concluding a graph isomorphic to g; None on
-    exhaustion or budget. Absence of a derivation is not a negative result."""
-    d, _ = _prove(g, budget, threads, cache)
-    return d
-
-
-# ---------------------------------------------------------------------------
-# classification
-
-
-@dataclass
 class UnknownReport:
+    """What the derivation search did; the report of an unknown verdict."""
+
     nodes_expanded: int
     budget: int
     budget_exhausted: bool
     rules_attempted: tuple[str, ...]
-    cocontract_depth: int
     stuck: tuple[str, ...] = ()
+    cocontract_depth: int = 0
 
     def to_json(self) -> dict:
         return {
@@ -312,6 +186,108 @@ class UnknownReport:
         }
 
 
+class _BudgetExhausted(Exception):
+    pass
+
+
+class _Search:
+    def __init__(self, memo: dict, budget: int):
+        self.memo = memo
+        self.budget = budget
+        self.nodes = 0
+        self.rules_attempted: set[str] = set()
+        self.stuck: list[str] = []
+
+    def run(self, h: Graph) -> Optional[Derivation]:
+        key, order = canonical_form(h)
+        hit = self.memo.get(key)
+        if hit is not None:
+            status, canon = hit
+            if status != "ok":
+                return None
+            mapping = {"c%d" % i: order[i] for i in range(len(order))}
+            return rename_derivation(canon, mapping)
+        self.nodes += 1
+        if self.nodes > self.budget:
+            raise _BudgetExhausted
+        d = self._expand(h)
+        if d is None:
+            self.memo[key] = ("fail", None)
+            if len(self.stuck) < 32:
+                self.stuck.append("no rule closed a graph with %d vertices, %d edges"
+                                  % (h.n, h.m))
+            return None
+        mapping = {order[i]: "c%d" % i for i in range(len(order))}
+        self.memo[key] = ("ok", rename_derivation(d, mapping))
+        return d
+
+    def _pair(self, left: Graph, right: Graph):
+        dl = self.run(left)
+        dr = self.run(right) if dl is not None else None
+        return dl, dr
+
+    def _expand(self, h: Graph) -> Optional[Derivation]:
+        if is_complete(h):
+            return Derivation(RULE_COMPLETE, h)
+        split = next(iter_clique_splits(h), None)
+        if split is not None:
+            # first minimal separator only; no backtracking across separators
+            self.rules_attempted.add(RULE_AMALGAM)
+            dl, dr = self._pair(split.left, split.right)
+            if dl is not None and dr is not None:
+                return Derivation(RULE_AMALGAM, h, (dl, dr), separator=split.separator)
+        for e in h.edge_pairs:
+            if not is_bisimplicial_edge(h, e):
+                continue
+            self.rules_attempted.add(RULE_BISIMP)
+            child = self.run(remove_edge_interior(h, e))
+            if child is not None:
+                return Derivation(RULE_BISIMP, h, (child,), edge=e)
+        comp_parts = connected_components(complement(h))
+        if len(comp_parts) > 1:
+            self.rules_attempted.add(RULE_JOIN)
+            a = frozenset(comp_parts[0])
+            b = frozenset(h.vertices) - a
+            dl, dr = self._pair(induced(h, a), induced(h, b))
+            if dl is not None and dr is not None:
+                return Derivation(RULE_JOIN, h, (dl, dr), bipartition=(a, b))
+        return None
+
+
+def _prove(g: Graph, budget: int = DEFAULT_BUDGET,
+           cache: Optional[dict] = None) -> tuple[Optional[Derivation], UnknownReport]:
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+    memo = cache if cache is not None else {}
+    search = _Search(memo, budget)
+    exhausted = False
+    try:
+        d = search.run(g)
+    except _BudgetExhausted:
+        d = None
+        exhausted = True
+    report = UnknownReport(
+        nodes_expanded=search.nodes,
+        budget=budget,
+        budget_exhausted=exhausted,
+        rules_attempted=tuple(sorted(search.rules_attempted)),
+        stuck=tuple(search.stuck),
+    )
+    return d, report
+
+
+def prove_in_f(g: Graph, budget: int = DEFAULT_BUDGET,
+               cache: Optional[dict] = None) -> Optional[Derivation]:
+    """Search for a derivation concluding a graph isomorphic to g; None on
+    exhaustion or budget. Absence of a derivation is not a negative result."""
+    d, _ = _prove(g, budget, cache)
+    return d
+
+
+# ---------------------------------------------------------------------------
+# classification
+
+
 @dataclass
 class Verdict:
     status: str
@@ -322,8 +298,7 @@ class Verdict:
 
 def classify(g: Graph, budget: int = DEFAULT_BUDGET,
              cocontract_depth: int = DEFAULT_COCONTRACT_DEPTH,
-             catalog: Sequence[ForbiddenEntry] = (), threads: int = 1,
-             cross_check: bool = False, cache: Optional[dict] = None,
+             catalog: Sequence[ForbiddenEntry] = (), cross_check: bool = False, cache: Optional[dict] = None,
              timings: Optional[dict] = None) -> Verdict:
     """Run the obstruction search and the derivation search, verify whichever
     certificates come back with the independent checkers, and pick a verdict.
@@ -339,7 +314,7 @@ def classify(g: Graph, budget: int = DEFAULT_BUDGET,
     if obs is not None and not verify_obstruction(g, obs, catalog):
         raise SoundnessError("obstruction search emitted an invalid certificate")
     t1 = perf_counter()
-    deriv, stats = _prove(g, budget, threads, cache)
+    deriv, report = _prove(g, budget, cache)
     if deriv is not None and not check_derivation(deriv, g):
         raise SoundnessError("prover emitted an invalid derivation")
     t2 = perf_counter()
@@ -359,14 +334,7 @@ def classify(g: Graph, budget: int = DEFAULT_BUDGET,
         return Verdict(HAS_SURFACE, obstruction=obs)
     if deriv is not None:
         return Verdict(NO_SURFACE, derivation=deriv)
-    report = UnknownReport(
-        nodes_expanded=stats.nodes_expanded,
-        budget=budget,
-        budget_exhausted=stats.budget_exhausted,
-        rules_attempted=stats.rules_attempted,
-        cocontract_depth=cocontract_depth,
-        stuck=stats.stuck,
-    )
+    report.cocontract_depth = cocontract_depth
     return Verdict(UNKNOWN, report=report)
 
 

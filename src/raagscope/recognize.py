@@ -1,9 +1,18 @@
 """Chordal and chordal-bipartite recognition with checkable certificates.
 
 Positive answers come with an elimination order that can be replayed; negative
-answers come with an induced cycle (or triangle) witness. Decisions never rely
-on the greedy certificate construction: the negative side is an exhaustive
-induced-cycle search, so a stuck greedy pass can always fall back.
+answers come with an induced cycle (or triangle) witness. Both greedy passes
+are complete, so neither needs a fallback search:
+
+- a graph with no simplicial vertex has an induced cycle C of length >= 4; for
+  v on C, its neighbours x, y on C are nonadjacent and the rest of C joins
+  them avoiding N[v] minus {x, y}, so a shortest such path exists, is induced,
+  and closes with v to an induced cycle of length >= 4;
+- every chordal bipartite graph with an edge has a bisimplicial edge
+  (Golumbic and Goss, Perfect elimination and chordal bipartite graphs,
+  J. Graph Theory 1978), and deleting any one keeps the graph chordal
+  bipartite (see is_chordal_bipartite), so greedy edge elimination never
+  stalls.
 """
 
 from __future__ import annotations
@@ -137,9 +146,8 @@ def is_chordal(g: Graph) -> Union[ChordalCertificate, CycleWitness]:
 
 
 def _induced_long_cycle(stuck: Graph) -> CycleWitness:
-    # a graph with no simplicial vertex is not chordal, so a cycle exists;
-    # try the cheap route (path between nonadjacent neighbors avoiding the
-    # rest of the closed neighborhood) before exhaustive search
+    # a shortest path between nonadjacent neighbours x, y of v avoiding the
+    # rest of N[v] closes an induced cycle; one exists (module docstring)
     for v in stuck.vertices:
         nb = sorted(stuck.adj(v))
         for i in range(len(nb)):
@@ -151,14 +159,11 @@ def _induced_long_cycle(stuck: Graph) -> CycleWitness:
                 keep = [u for u in stuck.vertices if u not in banned]
                 path = _shortest_path(induced(stuck, keep), x, y)
                 if path is not None:
-                    cycle = [v] + path
-                    wit = CycleWitness(tuple(cycle))
-                    if validate_cycle_witness(stuck, wit, 4):
-                        return wit
-    wit = find_induced_cycle(stuck, 4)
-    if wit is None:
-        raise AssertionError("no simplicial vertex but also no induced cycle")
-    return wit
+                    wit = CycleWitness(tuple([v] + path))
+                    if not validate_cycle_witness(stuck, wit, 4):
+                        raise AssertionError("shortest path did not close an induced cycle")
+                    return wit
+    raise AssertionError("no simplicial vertex but also no induced cycle")
 
 
 def _shortest_path(g: Graph, src: str, dst: str) -> Optional[list[str]]:
@@ -195,9 +200,11 @@ def is_chordal_bipartite(g: Graph) -> Union[EdgeEliminationOrder, CycleWitness]:
     """Decide by definition (no triangle, no induced cycle of length >= 5),
     then build the bisimplicial elimination order as the positive certificate.
 
-    Greedy elimination is not known to be complete, so a stuck greedy pass
-    falls back to backtracking over removable edges; the verdict itself never
-    depends on either.
+    The greedy elimination never stalls: a bisimplicial edge exists (Golumbic
+    and Goss), and deleting it keeps the graph bipartite and creates no induced
+    cycle of length >= 6, since such a cycle would pass through both
+    endpoints, each of whose neighbours is adjacent to every neighbour of the
+    other, giving a chord.
     """
     tri = find_induced_cycle(g, 3)
     if tri is not None and len(tri.vertices) == 3:
@@ -206,8 +213,6 @@ def is_chordal_bipartite(g: Graph) -> Union[EdgeEliminationOrder, CycleWitness]:
     if long_cycle is not None:
         return long_cycle
     order = _greedy_bisimplicial(g)
-    if order is None:
-        order = _backtrack_bisimplicial(g)
     if order is None:
         raise AssertionError("chordal bipartite graph without an edge elimination order")
     return EdgeEliminationOrder(tuple(order))
@@ -228,23 +233,3 @@ def _greedy_bisimplicial(g: Graph) -> Optional[list[tuple[str, str]]]:
         current = remove_edge_interior(current, pick)
     return order
 
-
-def _backtrack_bisimplicial(g: Graph) -> Optional[list[tuple[str, str]]]:
-    dead: set[frozenset] = set()
-
-    def search(current: Graph) -> Optional[list[tuple[str, str]]]:
-        if current.m == 0:
-            return []
-        state = frozenset(current.edge_pairs)
-        if state in dead:
-            return None
-        for e in current.edge_pairs:
-            if not is_bisimplicial_edge(current, e):
-                continue
-            rest = search(remove_edge_interior(current, e))
-            if rest is not None:
-                return [e] + rest
-        dead.add(state)
-        return None
-
-    return search(g)

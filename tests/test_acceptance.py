@@ -5,10 +5,12 @@ Everything here goes through public entry points and independent validators;
 expected values come from exhaustive oracles or fixed worked examples.
 """
 
+import json
 import random
 import time
 from contextlib import contextmanager
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +21,7 @@ from raagscope.generate import (
     random_chordal,
     random_graph,
 )
-from raagscope.graphs import is_isomorphic, new_graph, standard_graph
+from raagscope.graphs import emit_graph6, is_isomorphic, new_graph, standard_graph
 from raagscope.obstructions import (
     KIND_INDUCED,
     KIND_TRAIL,
@@ -159,6 +161,17 @@ def test_criterion_5_soundness_sweep_seven_vertices():
         codes_a = [_EXIT[classify(g, cache={}).status] for g in graphs]
         codes_b = [_EXIT[classify(g, cache={}).status] for g in graphs]
         assert codes_a == codes_b
+        # the census golden pins every verdict on 6 and 7 vertices
+        golden = json.loads((Path(__file__).parent / "data" / "census7.json").read_text())
+        six = nonisomorphic_graphs(6)
+        census = {6: (six, [_EXIT[classify(g, cache={}).status] for g in six]),
+                  7: (graphs, codes_a)}
+        for n, (sample, codes) in census.items():
+            counts = {status: codes.count(code) for status, code in _EXIT.items()}
+            unknown = sorted(emit_graph6(g).decode() for g, c in zip(sample, codes)
+                             if c == _EXIT[UNKNOWN])
+            assert counts == golden[str(n)]["counts"]
+            assert unknown == golden[str(n)]["unknown_graph6"]
         assert time.perf_counter() - t0 < 600.0
 
 

@@ -215,3 +215,45 @@ def test_catalog_env_var(capsys, tmp_path, monkeypatch):
     # classify picks the env catalog up as well
     code, out, _ = run(capsys, "classify", "--json", C5_G6)
     assert json.loads(out)["parameters"]["catalog"] == str(extra)
+
+
+def test_classify_rejects_nonpositive_budget(capsys):
+    for budget in ("0", "-3"):
+        code, out, err = run(capsys, "classify", P4_G6, "--budget", budget)
+        assert code == 64
+        assert out == "" and err.count("\n") == 1 and "--budget" in err
+
+
+def _verify_doctored(capsys, tmp_path, g6, doctor):
+    code, out, _ = run(capsys, "classify", "--json", g6)
+    cert = json.loads(out)["certificate"]
+    doctor(cert)
+    path = tmp_path / "doctored.json"
+    path.write_text(json.dumps(cert))
+    return run(capsys, "verify", g6, str(path))
+
+
+def test_verify_derivation_edge_with_three_names_is_malformed(capsys, tmp_path):
+    def doctor(cert):
+        cert["root"]["graph"]["edges"][0].append("v3")
+
+    code, out, err = _verify_doctored(capsys, tmp_path, P4_G6, doctor)
+    assert code == 65 and out == "" and "malformed certificate" in err
+
+
+def test_verify_embedding_pair_with_one_name_is_malformed(capsys, tmp_path):
+    def doctor(cert):
+        cert["embedding"] = [["v1"]]
+
+    code, out, err = _verify_doctored(capsys, tmp_path, C5_G6, doctor)
+    assert code == 65 and out == "" and "malformed certificate" in err
+
+
+def test_verify_bad_trail_steps_are_malformed(capsys, tmp_path):
+    for step in ([["v1"], "v2"], ["v1", "v2", "v3"]):
+        def doctor(cert):
+            cert["kind"] = "CoContractionTrail"
+            cert["trail"] = [step]
+
+        code, out, err = _verify_doctored(capsys, tmp_path, C5_G6, doctor)
+        assert code == 65 and out == "" and "malformed certificate" in err

@@ -27,6 +27,15 @@ def test_new_graph_basic():
     assert g.n == 3 and g.m == 2
     assert g.has_edge("a", "b") and g.has_edge("c", "b")
     assert not g.has_edge("a", "c")
+    assert not g.has_edge("a", "zz") and not g.has_edge("zz", "a") and not g.has_edge("a", "a")
+    assert g.adj("b") == frozenset({"a", "c"})
+    with pytest.raises(GraphError):
+        g.adj("zz")
+    h = new_graph(["c", "b", "a"], [("b", "a"), ("c", "b")])
+    assert g == h and hash(g) == hash(h)
+    assert g != new_graph(["a", "b", "c"], [("a", "b")])
+    assert g != new_graph(["a", "b", "d"], [("a", "b"), ("b", "d")])
+    assert len({g, h, new_graph(["a", "b", "c"], [])}) == 2
 
 
 def test_new_graph_single_vertex():

@@ -8,7 +8,6 @@ from raagscope.generate import random_graph
 from raagscope.ops import (
     CliqueSplit,
     add_edge,
-    clique_separators,
     co_contract,
     co_contract_edge,
     complement,
@@ -20,8 +19,8 @@ from raagscope.ops import (
     is_complete,
     is_connected,
     is_simplicial_vertex,
+    iter_clique_splits,
     join,
-    link,
     maximal_cliques,
     remove_edge_interior,
     simplicial_extension,
@@ -72,15 +71,6 @@ def test_join_union_complement_duality():
         h = Graph(["u_" + v for v in h.vertices],
                   [("u_" + a, "u_" + b) for a, b in h.edge_pairs])
         assert complement(join(g, h)) == disjoint_union(complement(g), complement(h))
-
-
-def test_link():
-    assert link(P3, "b") == frozenset({"a", "c"})
-    k4 = standard_graph("complete", 4)
-    assert link(k4, "v2") == frozenset({"v1", "v3", "v4"})
-    assert link(standard_graph("discrete", 3), "v1") == frozenset()
-    with pytest.raises(GraphError):
-        link(P3, "zz")
 
 
 def test_simplicial():
@@ -145,29 +135,29 @@ def test_maximal_cliques_brute_force():
 
 
 def test_clique_separators_examples():
-    splits = clique_separators(P3)
+    splits = list(iter_clique_splits(P3))
     assert splits[0].separator == frozenset({"b"})
     assert splits[0].left.vertices == ("a", "b") and splits[0].right.vertices == ("b", "c")
-    assert clique_separators(standard_graph("complete", 4)) == []
-    assert clique_separators(standard_graph("cycle", 4)) == []  # no clique disconnects C4
+    assert list(iter_clique_splits(standard_graph("complete", 4))) == []
+    assert list(iter_clique_splits(standard_graph("cycle", 4))) == []  # no clique disconnects C4
 
 
 def test_clique_separators_validate_and_disconnected():
     two = disjoint_union(standard_graph("complete", 2),
                          Graph(["z1", "z2"], [("z1", "z2")]))
-    splits = clique_separators(two)
+    splits = list(iter_clique_splits(two))
     assert splits and splits[0].separator == frozenset()
     for s in splits:
         assert validate_clique_split(two, s)
     rng = random.Random(4)
     for _ in range(25):
         g = random_graph(rng.randint(2, 7), rng.random(), rng)
-        for s in clique_separators(g):
+        for s in iter_clique_splits(g):
             assert validate_clique_split(g, s)
 
 
 def test_validate_clique_split_rejects_bad():
-    splits = clique_separators(P3)
+    splits = list(iter_clique_splits(P3))
     good = splits[0]
     bad = CliqueSplit(good.left, good.right, frozenset({"a", "c"}))  # not a clique
     assert not validate_clique_split(P3, bad)
@@ -298,7 +288,7 @@ def test_amalgam_extension_property():
     done = 0
     while done < 30:
         g = random_graph(rng.randint(3, 7), rng.random(), rng)
-        splits = clique_separators(g)
+        splits = list(iter_clique_splits(g))
         if not splits:
             continue
         split = splits[rng.randrange(len(splits))]

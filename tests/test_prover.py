@@ -4,9 +4,9 @@ import random
 import pytest
 
 from raagscope.generate import random_chordal, random_graph
-from raagscope.graphs import Graph, new_graph, standard_graph
+from raagscope.graphs import Graph, canonical_key, new_graph, standard_graph
 from raagscope.obstructions import entry_graph
-from raagscope.ops import add_edge, co_contract, remove_edge_interior
+from raagscope.ops import add_edge, co_contract, iter_clique_splits, remove_edge_interior
 from raagscope.prover import (
     HAS_SURFACE,
     NO_SURFACE,
@@ -130,13 +130,6 @@ def test_prover_memoization_is_deterministic():
     assert derivation_to_json(d3) == derivation_to_json(d4) == derivation_to_json(d1)
 
 
-def test_prover_threads_match_sequential():
-    g = random_chordal(8, random.Random(77))
-    d1 = prove_in_f(g, threads=1)
-    d2 = prove_in_f(g, threads=2)
-    assert derivation_to_json(d1) == derivation_to_json(d2)
-
-
 def test_budget_exhaustion_returns_none():
     g = entry_graph("Q1(9)")
     with pytest.raises(ValueError):
@@ -211,3 +204,18 @@ def test_prover_handles_disconnected_graphs():
     d = prove_in_f(g)
     assert d is not None and d.rule == RULE_AMALGAM and d.separator == frozenset()
     assert check_derivation(d, g)
+
+
+def test_amalgam_skips_right_part_when_left_part_fails():
+    # a pentagon and a hexagon glued at a1: the pentagon (left part) has no
+    # derivation, so the hexagon is never searched
+    pentagon = [("a%d" % i, "a%d" % (i % 5 + 1)) for i in range(1, 6)]
+    hexagon = [("a1", "b1"), ("b1", "b2"), ("b2", "b3"), ("b3", "b4"), ("b4", "b5"), ("b5", "a1")]
+    g = Graph(["a%d" % i for i in range(1, 6)] + ["b%d" % i for i in range(1, 6)],
+              pentagon + hexagon)
+    split = next(iter_clique_splits(g))
+    assert split.separator == frozenset({"a1"}) and split.left.vertices[-1] == "a5"
+    memo = {}
+    assert prove_in_f(g, cache=memo) is None
+    assert set(memo) == {canonical_key(g), canonical_key(split.left)}
+    assert canonical_key(split.right) not in memo

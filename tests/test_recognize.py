@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -72,6 +73,18 @@ def test_is_chordal_agrees_with_cycle_search_all_seven_vertex_graphs():
             else:
                 assert has_cycle
                 assert validate_cycle_witness(g, verdict, 4)
+            # chordal bipartite: no triangle and no induced cycle of length >= 5
+            has_triangle = any(g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)
+                               for a, b, c in combinations(g.vertices, 3))
+            has_long_cycle = find_induced_cycle(g, 5) is not None
+            verdict = is_chordal_bipartite(g)
+            if isinstance(verdict, EdgeEliminationOrder):
+                assert not has_triangle and not has_long_cycle
+                assert validate_edge_elimination(g, verdict)
+            else:
+                assert has_triangle or has_long_cycle
+                assert len(verdict.vertices) == 3 or len(verdict.vertices) >= 5
+                assert validate_cycle_witness(g, verdict, 3)
     assert count == 1 + 2 + 4 + 11 + 34 + 156 + 1044
 
 
