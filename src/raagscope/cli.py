@@ -150,6 +150,10 @@ def cmd_classify(args) -> int:
     if args.budget < 1:
         print("error: --budget must be at least 1, got %d" % args.budget, file=sys.stderr)
         return EXIT_PARSE
+    if args.cocontract_depth < 0:
+        print("error: --cocontract-depth must be at least 0, got %d" % args.cocontract_depth,
+              file=sys.stderr)
+        return EXIT_PARSE
     try:
         extra = _load_extra_catalog(args.catalog)
     except (CatalogError, OSError) as exc:

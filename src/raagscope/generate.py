@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
-from .graphs import Graph, canonical_key, standard_graph
+from .graphs import Graph, _from_rows, canonical_key, standard_graph
 from .ops import maximal_cliques
 
 
@@ -53,11 +53,10 @@ def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
     fresh = "v%d" % n
     seen = {}
     for g in smaller:
-        base_vertices = list(g.vertices) + [fresh]
+        names = g.vertices + (fresh,)
         for mask in range(1 << (n - 1)):
-            edges = list(g.edge_pairs)
-            edges += [(fresh, g.vertices[i]) for i in range(n - 1) if mask >> i & 1]
-            h = Graph(base_vertices, edges)
+            rows = tuple(r | (mask >> i & 1) << (n - 1) for i, r in enumerate(g.rows))
+            h = _from_rows(names, rows + (mask,))
             key = canonical_key(h)
             if key not in seen:
                 seen[key] = h

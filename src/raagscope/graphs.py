@@ -3,12 +3,23 @@
 Everything downstream (group-theoretic classification, certificates) keys on
 vertex names, so graphs are immutable, vertices are kept in sorted order, and
 every operation that returns a collection returns it in a deterministic order.
-Target scale is at most a dozen or so vertices; algorithms are exact
-backtracking searches, not clever.
+
+A graph is its sorted tuple of names plus one adjacency row per vertex: a
+Python int whose bit j is set when the vertex is adjacent to the j-th name.
+Edge pairs, neighbourhoods and degrees are derived from the rows; library
+code works on the rows directly, as mask arithmetic.
+
+Canonical labeling is individualization-refinement (McKay, Practical graph
+isomorphism, 1981; McKay and Piperno, Practical graph isomorphism II, JSC
+2014): refine to the coarsest equitable ordered partition, branch on the
+first smallest non-singleton cell, and keep the leaf whose relabelled
+adjacency matrix is least. Twins and automorphisms found from equal leaves
+prune the branching. Target scale is a few dozen vertices at most.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Optional
 
@@ -22,9 +33,39 @@ class GraphError(ValueError):
 def _check_name(name: str) -> str:
     if not isinstance(name, str) or not name:
         raise GraphError("vertex name must be a nonempty string: %r" % (name,))
-    if any(ch.isspace() for ch in name):
+    if name.split() != [name]:
         raise GraphError("vertex name may not contain whitespace: %r" % (name,))
     return name
+
+
+@lru_cache(maxsize=512)
+def _shared(value):
+    # one stored copy of an immutable value, such as a name tuple or a
+    # separator: the graphs and derivations a search keeps hold many equal
+    # copies of few values
+    return value
+
+
+@lru_cache(maxsize=64)
+def _name_index(vertices: tuple[str, ...]) -> dict[str, int]:
+    # name -> position, shared by every graph on these names; never mutated
+    return {v: i for i, v in enumerate(vertices)}
+
+
+@lru_cache(maxsize=64)
+def _standard_names(n: int) -> tuple[str, ...]:
+    # v1..vn, shared by every graph read from graph6 or built by standard_graph
+    return tuple("v%d" % (i + 1) for i in range(n))
+
+
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 class Graph:
@@ -32,33 +73,35 @@ class Graph:
 
     The constructor validates structure (no loops, no dangling endpoints,
     no duplicate names) but accepts reserved "$"-prefixed names; use
-    :func:`new_graph` for user input.
+    :func:`new_graph` for user input. ``rows[i]`` is the neighbourhood of
+    ``vertices[i]`` as a bitmask over positions in ``vertices``.
+
+    Lookups by name go through a name -> position dict. A graph from this
+    constructor keeps its own; a graph the library derives looks it up in a
+    bounded shared table instead, so the many graphs a derivation keeps hold
+    none.
     """
 
-    __slots__ = ("vertices", "edge_pairs", "_adj", "_hash", "_canon")
+    __slots__ = ("vertices", "rows", "_index")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]]):
         vlist = [_check_name(v) for v in vertices]
-        vset = set(vlist)
-        if len(vset) != len(vlist):
+        names = _shared(tuple(sorted(vlist)))
+        index = _name_index(names)
+        if len(index) != len(vlist):
             raise GraphError("duplicate vertex name")
-        pairs = set()
+        rows = [0] * len(names)
         for e in edges:
             u, v = e
             if u == v:
                 raise GraphError("loop edge at %r" % (u,))
-            if u not in vset or v not in vset:
+            iu = index.get(u)
+            iv = index.get(v)
+            if iu is None or iv is None:
                 raise GraphError("edge endpoint not in vertex list: %r" % ((u, v),))
-            pairs.add((u, v) if u < v else (v, u))
-        object.__setattr__(self, "vertices", tuple(sorted(vlist)))
-        object.__setattr__(self, "edge_pairs", tuple(sorted(pairs)))
-        adj = {v: set() for v in vlist}
-        for u, v in pairs:
-            adj[u].add(v)
-            adj[v].add(u)
-        object.__setattr__(self, "_adj", {v: frozenset(s) for v, s in adj.items()})
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_canon", None)
+            rows[iu] |= 1 << iv
+            rows[iv] |= 1 << iu
+        _init(self, names, tuple(rows), index)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -69,47 +112,125 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return len(self.edge_pairs)
+        return sum(r.bit_count() for r in self.rows) // 2
 
-    def has_vertex(self, v: str) -> bool:
-        return v in self._adj
+    @property
+    def edge_pairs(self) -> tuple[tuple[str, str], ...]:
+        """Edges as (u, v) with u < v, sorted."""
+        vs = self.vertices
+        out = []
+        for i, row in enumerate(self.rows):
+            for j in _bits(row >> (i + 1)):
+                out.append((vs[i], vs[i + 1 + j]))
+        return tuple(out)
 
-    def has_edge(self, u: str, v: str) -> bool:
-        return v in self._adj.get(u, ())
-
-    def adj(self, v: str) -> frozenset[str]:
+    def index(self, v: str) -> int:
+        """Position of v in ``vertices``."""
         try:
-            return self._adj[v]
+            return (self._index or _name_index(self.vertices))[v]
         except KeyError:
             raise GraphError("unknown vertex %r" % (v,)) from None
 
+    def mask(self, names: Iterable[str]) -> int:
+        """Bitmask of the named vertices."""
+        out = 0
+        for v in names:
+            out |= 1 << self.index(v)
+        return out
+
+    def names(self, mask: int) -> tuple[str, ...]:
+        """Names of the vertices in a bitmask, sorted."""
+        vs = self.vertices
+        return tuple(vs[i] for i in _bits(mask))
+
+    def has_vertex(self, v: str) -> bool:
+        return v in (self._index or _name_index(self.vertices))
+
+    def has_edge(self, u: str, v: str) -> bool:
+        index = self._index or _name_index(self.vertices)
+        try:
+            return self.rows[index[u]] >> index[v] & 1 == 1
+        except KeyError:
+            return False
+
+    def adj(self, v: str) -> frozenset[str]:
+        return frozenset(self.names(self.rows[self.index(v)]))
+
     def degree(self, v: str) -> int:
-        return len(self.adj(v))
+        return self.rows[self.index(v)].bit_count()
+
+    def subgraph(self, mask: int) -> "Graph":
+        """Induced subgraph on a vertex bitmask."""
+        keep = _bits(mask)
+        pos = {old: new for new, old in enumerate(keep)}
+        rows = self.rows
+        new_rows = []
+        for i in keep:
+            r = 0
+            for j in _bits(rows[i] & mask):
+                r |= 1 << pos[j]
+            new_rows.append(r)
+        vs = self.vertices
+        return _from_sorted(tuple(vs[i] for i in keep), tuple(new_rows))
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.vertices == other.vertices and self.edge_pairs == other.edge_pairs
+        return self.vertices == other.vertices and self.rows == other.rows
 
     def __hash__(self):
-        h = object.__getattribute__(self, "_hash")
-        if h is None:
-            h = hash((self.vertices, self.edge_pairs))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.vertices, self.rows))
 
     def __repr__(self):
         return "Graph(%d vertices, %d edges)" % (self.n, self.m)
 
-    def bit_rows(self) -> list[int]:
-        """Adjacency as bitmasks over the sorted-vertex index."""
-        index = {v: i for i, v in enumerate(self.vertices)}
-        rows = [0] * self.n
-        for u, v in self.edge_pairs:
-            iu, iv = index[u], index[v]
-            rows[iu] |= 1 << iv
-            rows[iv] |= 1 << iu
-        return rows
+
+_set_vertices = Graph.vertices.__set__
+_set_rows = Graph.rows.__set__
+_set_index = Graph._index.__set__
+
+
+def _init(g: Graph, names: tuple[str, ...], rows: tuple[int, ...],
+          index: Optional[dict[str, int]]) -> None:
+    _set_vertices(g, names)
+    _set_rows(g, rows)
+    _set_index(g, index)
+
+
+def _from_rows(names: tuple[str, ...], rows: tuple[int, ...]) -> Graph:
+    """Trusted constructor for library code that derives a graph from another.
+
+    ``names`` must be distinct valid vertex names and ``rows`` symmetric,
+    loop-free bitmasks over positions in ``names``; neither is checked. Names
+    out of sorted order are sorted and the rows permuted to match.
+    """
+    order = sorted(range(len(names)), key=names.__getitem__)
+    if any(i != k for i, k in enumerate(order)):
+        pos = [0] * len(order)
+        for new, old in enumerate(order):
+            pos[old] = new
+        permuted = []
+        for old in order:
+            r = 0
+            for j in _bits(rows[old]):
+                r |= 1 << pos[j]
+            permuted.append(r)
+        names = tuple(names[i] for i in order)
+        rows = tuple(permuted)
+    return _from_sorted(names, rows)
+
+
+def _from_sorted(names: tuple[str, ...], rows: tuple[int, ...]) -> Graph:
+    # _from_rows for names already in sorted order
+    g = object.__new__(Graph)
+    _init(g, _shared(names), rows, None)
+    return g
+
+
+def _relabel(g: Graph, mapping: dict[str, str]) -> Graph:
+    """The graph with every vertex v renamed to mapping[v]; trusted like
+    _from_rows, so mapping must be injective onto valid names."""
+    return _from_rows(tuple(mapping[v] for v in g.vertices), g.rows)
 
 
 def new_graph(vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> Graph:
@@ -129,7 +250,7 @@ def standard_graph(kind: str, n: int) -> Graph:
     """Build complete/cycle/path/discrete graphs on canonical names v1..vn."""
     if n < 1:
         raise GraphError("n must be positive")
-    names = ["v%d" % (i + 1) for i in range(n)]
+    names = _standard_names(n)
     if kind == "complete":
         edges = list(combinations(names, 2))
     elif kind == "cycle":
@@ -161,10 +282,10 @@ def find_induced(pattern: Graph, host: Graph) -> Optional[dict[str, str]]:
         return None
     pv = pattern.vertices
     hv = host.vertices
-    prows = pattern.bit_rows()
-    hrows = host.bit_rows()
-    pdeg = [bin(r).count("1") for r in prows]
-    hdeg = [bin(r).count("1") for r in hrows]
+    prows = pattern.rows
+    hrows = host.rows
+    pdeg = [r.bit_count() for r in prows]
+    hdeg = [r.bit_count() for r in hrows]
     assigned = [-1] * np_
 
     def extend(k: int, used: int) -> bool:
@@ -203,7 +324,7 @@ def is_isomorphic(g: Graph, h: Graph) -> Optional[dict[str, str]]:
     """
     if g.n != h.n or g.m != h.m:
         return None
-    if sorted(g.degree(v) for v in g.vertices) != sorted(h.degree(v) for v in h.vertices):
+    if sorted(r.bit_count() for r in g.rows) != sorted(r.bit_count() for r in h.rows):
         return None
     return find_induced(g, h)
 
@@ -225,70 +346,214 @@ def verify_vertex_map(pattern: Graph, host: Graph, mapping: dict[str, str]) -> b
 
 # ---------------------------------------------------------------------------
 # canonical form (memoization key for isomorphism classes)
+#
+# An ordered partition is a list of cells, each a bitmask of vertices; a
+# cell's position is the number of vertices in the cells before it. Every step
+# below depends only on positions, sizes and adjacency counts, never on vertex
+# numbers, so relabelling the graph relabels the whole search tree.
 
 
-def _minimal_adjacency(rows: list[int], n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Lexicographically least column-wise adjacency string over all vertex
-    orders, plus an order achieving it.
+def _refine(rows: tuple[int, ...], cells: list[int], pending: set[int]) -> list[int]:
+    """Coarsest equitable ordered partition finer than cells.
 
-    Exhaustive search with two sound prunings: only candidates producing the
-    least next column are expanded, and interchangeable twins (equal
-    neighborhoods off each other) are expanded once.
+    pending holds the cells not yet used as splitters; the partition must
+    already be equitable with respect to every other cell (or union of cells
+    formed by splitting). Each step takes the first pending cell in partition
+    order and splits every cell by its members' neighbour counts in it,
+    fragments ordered by ascending count and kept in place. Of the fragments of
+    a cell that was not pending, all but the first largest become pending
+    (Hopcroft's rule); singletons never move.
     """
-
-    def rec(order: list[int], used: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        k = len(order)
-        if k == n:
-            return (), ()
-        cols = {}
-        for v in range(n):
-            if used >> v & 1:
-                continue
-            c = 0
-            for i in range(k):
-                c = (c << 1) | ((rows[order[i]] >> v) & 1)
-            cols[v] = c
-        m = min(cols.values())
-        cands = sorted(v for v, c in cols.items() if c == m)
-        kept: list[int] = []
-        for v in cands:
-            twin = False
-            for w in kept:
-                mask = ~((1 << v) | (1 << w))
-                if rows[v] & mask == rows[w] & mask:
-                    twin = True
+    n = len(rows)
+    while pending and len(cells) < n:
+        for w in cells:
+            if w in pending:
+                break
+        pending.discard(w)
+        # bit-sliced neighbour counts into w: bit v of planes[k] is bit k of
+        # |N(v) & w|
+        planes: list[int] = []
+        for u in _bits(w):
+            carry = rows[u]
+            for k, p in enumerate(planes):
+                planes[k] = p ^ carry
+                carry &= p
+                if not carry:
                     break
-            if not twin:
-                kept.append(v)
-        best = None
-        best_order = None
-        for v in kept:
-            order.append(v)
-            sub, suborder = rec(order, used | (1 << v))
-            order.pop()
-            if best is None or sub < best:
-                best = sub
-                best_order = (v,) + suborder
-        return (m,) + best, best_order
+            else:
+                if carry:
+                    planes.append(carry)
+        if not planes:
+            continue
+        planes.reverse()
+        out: list[int] = []
+        for x in cells:
+            if not x & (x - 1):
+                out.append(x)
+                continue
+            frags = [x]
+            for p in planes:
+                hit = p & x
+                if not hit or hit == x:
+                    continue
+                split = []
+                for f in frags:
+                    hi = f & p
+                    if hi and hi != f:
+                        split.append(f ^ hi)
+                        split.append(hi)
+                    else:
+                        split.append(f)
+                frags = split
+            out.extend(frags)
+            if len(frags) > 1:
+                if x in pending:
+                    pending.discard(x)
+                    pending.update(frags)
+                else:
+                    sizes = [f.bit_count() for f in frags]
+                    largest = sizes.index(max(sizes))
+                    pending.update(f for k, f in enumerate(frags) if k != largest)
+        cells = out
+    return cells
 
+
+def _orbit_roots(n: int, gens: list[list[int]], path: tuple[int, ...]) -> list[int]:
+    """Least member of each vertex's orbit under the automorphisms in gens
+    that fix every vertex of path."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for gamma in gens:
+        if any(gamma[v] != v for v in path):
+            continue
+        for a in range(n):
+            ra, rb = find(a), find(gamma[a])
+            if ra < rb:
+                parent[rb] = ra
+            elif rb < ra:
+                parent[ra] = rb
+    return [find(x) for x in range(n)]
+
+
+def _canonical_labeling(rows: tuple[int, ...]) -> tuple[int, list[int]]:
+    """(certificate, order): order lists the vertices at canonical positions,
+    and the certificate packs the adjacency rows of the graph relabelled by
+    order, n bits per row. Isomorphic graphs get equal certificates.
+
+    The search tree's nodes are sequences of individualized vertices; a leaf
+    is a node whose refined partition is discrete. The canonical leaf is the
+    one with the least certificate. A branch is skipped when it is the image of
+    an explored branch under an automorphism fixing the node's sequence:
+    - a twin (same neighbours apart from each other) of an earlier candidate,
+      since swapping twins is an automorphism;
+    - a candidate in the orbit of an earlier one under the automorphisms
+      found so far that fix the node's sequence;
+    - on reaching a leaf whose certificate equals the first or the best
+      leaf's, the map between the two leaves is an automorphism carrying the
+      explored leaf's branch onto the current one, so the search returns to
+      the node where the two paths part.
+    """
+    n = len(rows)
     if n == 0:
-        return (), ()
-    key, order = rec([], 0)
-    return key, order
+        return 0, []
+    gens: list[list[int]] = []
+    first: Optional[tuple[int, list[int], tuple[int, ...]]] = None
+    best = first
+
+    def leaf(cells: list[int], path: tuple[int, ...]) -> int:
+        nonlocal first, best
+        order = [c.bit_length() - 1 for c in cells]
+        pos = [0] * n
+        for i, v in enumerate(order):
+            pos[v] = i
+        cert = 0
+        shift = 0
+        for v in order:
+            r = 0
+            for u in _bits(rows[v]):
+                r |= 1 << pos[u]
+            cert |= r << shift
+            shift += n
+        if first is None:
+            first = best = (cert, order, path)
+            return len(path) - 1
+        for ref_cert, ref_order, ref_path in (first, best):
+            if cert == ref_cert:
+                gamma = [0] * n
+                for a, b in zip(ref_order, order):
+                    gamma[a] = b
+                gens.append(gamma)
+                k = 0
+                while path[k] == ref_path[k]:
+                    k += 1
+                return k
+        if cert < best[0]:
+            best = (cert, order, path)
+        return len(path) - 1
+
+    def search(cells: list[int], path: tuple[int, ...]) -> int:
+        """Explore the subtree of the node path; return the level of the node
+        whose loop continues next."""
+        target = -1
+        size = n + 1
+        for i, c in enumerate(cells):
+            if c & (c - 1):
+                s = c.bit_count()
+                if s < size:
+                    target, size = i, s
+                    if s == 2:
+                        break
+        if target < 0:
+            return leaf(cells, path)
+        level = len(path)
+        cell = cells[target]
+        before, after = cells[:target], cells[target + 1:]
+        open_seen: set[int] = set()
+        closed_seen: set[int] = set()
+        roots: Optional[list[int]] = None
+        known = 0
+        for v in _bits(cell):
+            low = 1 << v
+            r = rows[v]
+            if r in open_seen or r | low in closed_seen:
+                continue
+            open_seen.add(r)
+            closed_seen.add(r | low)
+            if gens:
+                if len(gens) != known:
+                    roots = _orbit_roots(n, gens, path)
+                    known = len(gens)
+                if roots[v] < v:
+                    continue
+            child = _refine(rows, before + [low, cell ^ low] + after, {low})
+            back = search(child, path + (v,))
+            if back < level:
+                return back
+        return level - 1
+
+    root = (1 << n) - 1
+    search(_refine(rows, [root], {root}), ())
+    return best[0], best[1]
 
 
-def canonical_form(g: Graph) -> tuple[tuple[int, ...], tuple[str, ...]]:
-    """(key, vertex order) where key is equal exactly for isomorphic graphs."""
-    cached = object.__getattribute__(g, "_canon")
-    if cached is not None:
-        return cached
-    key, order = _minimal_adjacency(g.bit_rows(), g.n)
-    result = ((g.n,) + key, tuple(g.vertices[i] for i in order))
-    object.__setattr__(g, "_canon", result)
-    return result
+def canonical_form(g: Graph) -> tuple[tuple[int, int], tuple[str, ...]]:
+    """(key, vertex order) where key is equal exactly for isomorphic graphs.
+
+    The key is (n, certificate): the adjacency matrix of g with its vertices
+    renamed to positions in the order.
+    """
+    cert, order = _canonical_labeling(g.rows)
+    vs = g.vertices
+    return (g.n, cert), tuple(vs[i] for i in order)
 
 
-def canonical_key(g: Graph) -> tuple[int, ...]:
+def canonical_key(g: Graph) -> tuple[int, int]:
     return canonical_form(g)[0]
 
 
@@ -304,7 +569,7 @@ def emit_graph6(g: Graph) -> bytes:
     if n > 62:
         raise GraphError("graph6 emitter supports at most 62 vertices")
     out = [n + 63]
-    rows = g.bit_rows()
+    rows = g.rows
     bits: list[int] = []
     for j in range(1, n):
         for i in range(j):
@@ -341,7 +606,7 @@ def parse_graph6(data: bytes) -> Graph:
             raise GraphError("graph6 byte out of range: %r" % (b,))
         v = b - 63
         bits.extend((v >> k) & 1 for k in range(5, -1, -1))
-    names = ["v%d" % (i + 1) for i in range(n)]
+    names = _standard_names(n)
     edges = []
     t = 0
     for j in range(1, n):

@@ -16,12 +16,22 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .graphs import Graph, canonical_key, find_induced, is_isomorphic, standard_graph, verify_vertex_map
+from .graphs import (
+    Graph,
+    _bits,
+    _standard_names,
+    canonical_key,
+    find_induced,
+    is_isomorphic,
+    standard_graph,
+    verify_vertex_map,
+)
 from .ops import co_contract_edge, complement
 from .recognize import find_induced_cycle
 
@@ -43,7 +53,7 @@ class ForbiddenEntry:
     provenance: str
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=True, slots=True)
 class Obstruction:
     kind: str
     entry: str
@@ -176,25 +186,42 @@ def load_catalog(path: str) -> list[ForbiddenEntry]:
     return out
 
 
+def _cycle_family(name: str) -> Optional[tuple[bool, int]]:
+    """(complemented, n) for the family names Cn and coCn with n >= 5, else
+    None. An n of more than 18 digits past its leading zeros exceeds any
+    graph's order and reads as sys.maxsize (int() refuses a few thousand)."""
+    m = _CYCLE_RE.match(name) or _COCYCLE_RE.match(name)
+    if m is None:
+        return None
+    digits = m.group(1).lstrip("0")
+    n = int(digits or "0") if len(digits) <= 18 else sys.maxsize
+    return (m.re is _COCYCLE_RE, n) if n >= 5 else None
+
+
+def _named_entry(name: str, extra: Sequence[ForbiddenEntry]) -> ForbiddenEntry:
+    for e in list(_fixed_entries()) + list(extra):
+        if e.name == name:
+            return e
+    raise CatalogError("unknown catalog entry name %r" % (name,))
+
+
+def _entry_order(name: str, extra: Sequence[ForbiddenEntry] = ()) -> int:
+    """Vertex count of a catalog entry; for the cycle families it is read
+    from the name, so no graph is built."""
+    family = _cycle_family(name)
+    if family is not None:
+        return family[1]
+    return _named_entry(name, extra).graph.n
+
+
 def entry_graph(name: str, extra: Sequence[ForbiddenEntry] = ()) -> Graph:
     """Resolve a catalog entry name to its graph; cycle families are generated."""
-    m = _CYCLE_RE.match(name)
-    if m:
-        n = int(m.group(1))
-        if n >= 5:
-            return standard_graph("cycle", n)
-    m = _COCYCLE_RE.match(name)
-    if m:
-        n = int(m.group(1))
-        if n >= 5:
-            return complement(standard_graph("cycle", n))
-    for e in _fixed_entries():
-        if e.name == name:
-            return e.graph
-    for e in extra:
-        if e.name == name:
-            return e.graph
-    raise CatalogError("unknown catalog entry name %r" % (name,))
+    family = _cycle_family(name)
+    if family is not None:
+        complemented, n = family
+        cycle = standard_graph("cycle", n)
+        return complement(cycle) if complemented else cycle
+    return _named_entry(name, extra).graph
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +246,10 @@ def find_forbidden_induced(g: Graph,
                    key=lambda e: (e.graph.n, e.name))
     for size in range(5, n + 1):
         if cyc is not None and len(cyc.vertices) == size:
-            mapping = {"v%d" % (i + 1): cyc.vertices[i] for i in range(size)}
+            mapping = dict(zip(_standard_names(size), cyc.vertices))
             return Obstruction(KIND_INDUCED, "C%d" % size, _embedding(mapping))
         if cocyc is not None and len(cocyc.vertices) == size and size >= 6:
-            mapping = {"v%d" % (i + 1): cocyc.vertices[i] for i in range(size)}
+            mapping = dict(zip(_standard_names(size), cocyc.vertices))
             return Obstruction(KIND_INDUCED, "coC%d" % size, _embedding(mapping))
         for e in fixed:
             if e.graph.n != size:
@@ -251,11 +278,10 @@ def find_cocontraction_witness(g: Graph, max_depth: int,
         if len(trail) >= max_depth:
             continue
         verts = current.vertices
-        for i in range(len(verts)):
-            for j in range(i + 1, len(verts)):
+        full = (1 << len(verts)) - 1
+        for i, row in enumerate(current.rows):
+            for j in _bits(full & ~row & ~((2 << i) - 1)):
                 u, v = verts[i], verts[j]
-                if current.has_edge(u, v):
-                    continue
                 child = co_contract_edge(current, (u, v))
                 key = canonical_key(child)
                 if key in seen:
@@ -268,12 +294,14 @@ def find_cocontraction_witness(g: Graph, max_depth: int,
 def verify_obstruction(g: Graph, o: Obstruction,
                        extra: Sequence[ForbiddenEntry] = ()) -> bool:
     """Independent certificate check: replay the trail, then re-validate the
-    induced embedding against the named entry. Unknown entry names raise."""
+    induced embedding against the named entry. Unknown entry names raise; an
+    entry with more vertices than the graph at the end of the trail is
+    rejected before its graph is built."""
     if o.kind not in (KIND_INDUCED, KIND_TRAIL):
         return False
     if (o.kind == KIND_INDUCED) != (len(o.trail) == 0):
         return False
-    pattern = entry_graph(o.entry, extra)
+    order = _entry_order(o.entry, extra)
     current = g
     for pair in o.trail:
         if len(pair) != 2:
@@ -284,7 +312,10 @@ def verify_obstruction(g: Graph, o: Obstruction,
         if u == v or current.has_edge(u, v):
             return False
         current = co_contract_edge(current, (u, v))
-    return verify_vertex_map(pattern, current, dict(o.embedding))
+    # an entry larger than the graph cannot embed; never build it
+    if order > current.n:
+        return False
+    return verify_vertex_map(entry_graph(o.entry, extra), current, dict(o.embedding))
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,9 @@ collide with user input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator
 
-from .graphs import Graph, GraphError
+from .graphs import Graph, GraphError, _bits, _from_rows, _from_sorted, _shared
 
 __all__ = [
     "CliqueSplit",
@@ -38,41 +37,39 @@ __all__ = [
 
 
 def complement(g: Graph) -> Graph:
-    edges = [(u, v) for u, v in combinations(g.vertices, 2) if not g.has_edge(u, v)]
-    return Graph(g.vertices, edges)
+    full = (1 << g.n) - 1
+    return _from_sorted(g.vertices, tuple(full ^ r ^ (1 << i) for i, r in enumerate(g.rows)))
 
 
 def induced(g: Graph, s: Iterable[str]) -> Graph:
-    keep = set(s)
-    for v in keep:
-        if not g.has_vertex(v):
-            raise GraphError("unknown vertex %r" % (v,))
-    edges = [(u, v) for u, v in g.edge_pairs if u in keep and v in keep]
-    return Graph(sorted(keep), edges)
+    return g.subgraph(g.mask(s))
+
+
+def _combine(g: Graph, h: Graph, what: str, joined: bool) -> Graph:
+    common = set(g.vertices) & set(h.vertices)
+    if common:
+        raise GraphError("vertex name collision in %s: %r" % (what, sorted(common)))
+    k = g.n
+    low = (1 << k) - 1 if joined else 0
+    high = ((1 << h.n) - 1) << k if joined else 0
+    rows = tuple(r | high for r in g.rows) + tuple(r << k | low for r in h.rows)
+    return _from_rows(g.vertices + h.vertices, rows)
 
 
 def join(g: Graph, h: Graph) -> Graph:
-    shared = set(g.vertices) & set(h.vertices)
-    if shared:
-        raise GraphError("vertex name collision in join: %r" % (sorted(shared),))
-    edges = list(g.edge_pairs) + list(h.edge_pairs)
-    edges += [(u, v) for u in g.vertices for v in h.vertices]
-    return Graph(g.vertices + h.vertices, edges)
+    return _combine(g, h, "join", True)
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
-    shared = set(g.vertices) & set(h.vertices)
-    if shared:
-        raise GraphError("vertex name collision in union: %r" % (sorted(shared),))
-    return Graph(g.vertices + h.vertices, list(g.edge_pairs) + list(h.edge_pairs))
+    return _combine(g, h, "union", False)
+
+
+def _is_clique_mask(rows: tuple[int, ...], mask: int) -> bool:
+    return all((rows[i] | 1 << i) & mask == mask for i in _bits(mask))
 
 
 def is_clique(g: Graph, s: Iterable[str]) -> bool:
-    vs = sorted(set(s))
-    for v in vs:
-        if not g.has_vertex(v):
-            raise GraphError("unknown vertex %r" % (v,))
-    return all(g.has_edge(u, v) for u, v in combinations(vs, 2))
+    return _is_clique_mask(g.rows, g.mask(s))
 
 
 def is_complete(g: Graph) -> bool:
@@ -80,82 +77,88 @@ def is_complete(g: Graph) -> bool:
 
 
 def is_simplicial_vertex(g: Graph, v: str) -> bool:
-    return is_clique(g, g.adj(v))
+    return _is_clique_mask(g.rows, g.rows[g.index(v)])
+
+
+def _edge_indices(g: Graph, e: tuple[str, str]) -> tuple[int, int]:
+    a, b = e
+    if not g.has_edge(a, b):
+        raise GraphError("%r is not an edge" % ((a, b),))
+    return g.index(a), g.index(b)
 
 
 def is_bisimplicial_edge(g: Graph, e: tuple[str, str]) -> bool:
     """True iff every neighbor of one endpoint is equal or adjacent to every
     neighbor of the other."""
-    a, b = e
-    if not g.has_edge(a, b):
-        raise GraphError("%r is not an edge" % ((a, b),))
-    for u in g.adj(a):
-        for w in g.adj(b):
-            if u != w and not g.has_edge(u, w):
-                return False
-    return True
+    a, b = _edge_indices(g, e)
+    rows = g.rows
+    nb = rows[b]
+    return all(not nb & ~(rows[u] | 1 << u) for u in _bits(rows[a]))
 
 
 def remove_edge_interior(g: Graph, e: tuple[str, str]) -> Graph:
     """Delete the edge but keep both endpoints."""
-    a, b = e
-    if not g.has_edge(a, b):
-        raise GraphError("%r is not an edge" % ((a, b),))
-    pair = (a, b) if a < b else (b, a)
-    return Graph(g.vertices, [p for p in g.edge_pairs if p != pair])
+    a, b = _edge_indices(g, e)
+    rows = list(g.rows)
+    rows[a] ^= 1 << b
+    rows[b] ^= 1 << a
+    return _from_sorted(g.vertices, tuple(rows))
 
 
 def add_edge(g: Graph, e: tuple[str, str]) -> Graph:
     a, b = e
     if g.has_edge(a, b):
         raise GraphError("%r is already an edge" % ((a, b),))
-    return Graph(g.vertices, list(g.edge_pairs) + [(a, b)])
+    return Graph(g.vertices, g.edge_pairs + ((a, b),))
+
+
+def _component_masks(rows: tuple[int, ...], within: int) -> list[int]:
+    """Connected components of the subgraph induced on a vertex mask, ordered
+    by least member."""
+    comps = []
+    while within:
+        comp = frontier = within & -within
+        while frontier:
+            reach = 0
+            for v in _bits(frontier):
+                reach |= rows[v]
+            frontier = reach & within & ~comp
+            comp |= frontier
+        comps.append(comp)
+        within &= ~comp
+    return comps
 
 
 def connected_components(g: Graph) -> list[tuple[str, ...]]:
     """Components as sorted vertex tuples, ordered by least member."""
-    seen: set[str] = set()
-    comps = []
-    for start in g.vertices:
-        if start in seen:
-            continue
-        stack = [start]
-        comp = {start}
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            for w in g.adj(v):
-                if w not in comp:
-                    comp.add(w)
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(tuple(sorted(comp)))
-    return comps
+    return [g.names(c) for c in _component_masks(g.rows, (1 << g.n) - 1)]
 
 
 def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) <= 1
+    return len(_component_masks(g.rows, (1 << g.n) - 1)) <= 1
 
 
 def maximal_cliques(g: Graph) -> list[frozenset[str]]:
     """All maximal cliques, Bron-Kerbosch with pivoting, sorted by
     (size, members) for stable downstream numbering."""
-    if g.n == 0:
-        return []
-    found: list[frozenset[str]] = []
+    rows = g.rows
+    found: list[int] = []
 
-    def bk(r: set[str], p: set[str], x: set[str]) -> None:
+    def bk(r: int, p: int, x: int) -> None:
         if not p and not x:
-            found.append(frozenset(r))
+            found.append(r)
             return
-        pivot = max(sorted(p | x), key=lambda u: len(g.adj(u) & p))
-        for v in sorted(p - g.adj(pivot)):
-            bk(r | {v}, p & g.adj(v), x & g.adj(v))
-            p.remove(v)
-            x.add(v)
+        # pivot: the first vertex with the most neighbours in p
+        pivot = max(_bits(p | x), key=lambda u: (rows[u] & p).bit_count())
+        for v in _bits(p & ~rows[pivot]):
+            bk(r | 1 << v, p & rows[v], x & rows[v])
+            p &= ~(1 << v)
+            x |= 1 << v
 
-    bk(set(), set(g.vertices), set())
-    return sorted(found, key=lambda c: (len(c), tuple(sorted(c))))
+    if g.n:
+        bk(0, (1 << g.n) - 1, 0)
+    cliques = [g.names(c) for c in found]
+    return [frozenset(c) for c in sorted(cliques, key=lambda c: (len(c), c))]
 
 
 @dataclass(frozen=True)
@@ -167,34 +170,46 @@ class CliqueSplit:
     separator: frozenset[str]
 
 
+def _cliques_of_size(rows: tuple[int, ...], size: int, n: int):
+    """Cliques with `size` members as bitmasks, in lexicographic order of
+    their ascending member lists (the order of itertools.combinations)."""
+
+    def extend(clique: int, cand: int, need: int):
+        if not need:
+            yield clique
+            return
+        for v in _bits(cand):
+            yield from extend(clique | 1 << v, cand & rows[v] & ~((2 << v) - 1), need - 1)
+
+    yield from extend(0, (1 << n) - 1, size)
+
+
 def iter_clique_splits(g: Graph) -> Iterator[CliqueSplit]:
     """All ways to write g as a complete-graph amalgamation of two proper
-    induced subgraphs, smallest separators first.
+    induced subgraphs, smallest separators first, and separators of one size
+    in lexicographic order.
 
     The empty separator (a disconnected graph) counts: the empty graph is a
     complete graph here.
     """
-    verts = g.vertices
-    n = len(verts)
+    n = g.n
+    rows = g.rows
+    full = (1 << n) - 1
     for size in range(0, max(n - 1, 0)):
-        for sep in combinations(verts, size):
-            if not is_clique(g, sep):
-                continue
-            rest = [v for v in verts if v not in sep]
-            if not rest:
-                continue
-            comps = connected_components(induced(g, rest))
+        for sep in _cliques_of_size(rows, size, n):
+            comps = _component_masks(rows, full & ~sep)
             if len(comps) <= 1:
                 continue
-            emitted: set[frozenset[str]] = set()
+            emitted: set[frozenset[int]] = set()
+            separator = _shared(frozenset(g.names(sep)))
             for comp in comps:
-                left_set = frozenset(comp) | frozenset(sep)
-                right_set = frozenset(verts) - frozenset(comp)
-                key = frozenset((left_set, right_set))
+                left = comp | sep
+                right = full & ~comp
+                key = frozenset((left, right))
                 if key in emitted:
                     continue
                 emitted.add(key)
-                yield CliqueSplit(induced(g, left_set), induced(g, right_set), frozenset(sep))
+                yield CliqueSplit(g.subgraph(left), g.subgraph(right), separator)
 
 
 def validate_clique_split(g: Graph, split: CliqueSplit) -> bool:
@@ -261,24 +276,30 @@ def co_contract(g: Graph, b: Iterable[str]) -> Graph:
     bset = frozenset(b)
     if not bset:
         raise GraphError("co-contraction set must be nonempty")
-    for v in bset:
-        if not g.has_vertex(v):
-            raise GraphError("unknown vertex %r" % (v,))
-    if not is_connected(complement(induced(g, bset))):
+    bm = g.mask(bset)
+    rows = g.rows
+    co_rows = tuple(~r & bm & ~(1 << i) for i, r in enumerate(rows))
+    if len(_component_masks(co_rows, bm)) > 1:
         raise GraphError("complement of the induced subgraph on %r is disconnected"
                          % (sorted(bset),))
     if len(bset) == 1:
         return g
     fresh = "$co(%s)" % ",".join(sorted(bset))
-    rest = [v for v in g.vertices if v not in bset]
-    if fresh in rest:
+    rest = ((1 << g.n) - 1) & ~bm
+    if g.has_vertex(fresh) and not bm >> g.index(fresh) & 1:
         raise GraphError("fresh vertex name collision: %r" % (fresh,))
-    common = set(rest)
-    for v in bset:
-        common &= g.adj(v)
-    edges = [(u, v) for u, v in g.edge_pairs if u not in bset and v not in bset]
-    edges += [(fresh, w) for w in sorted(common)]
-    return Graph(rest + [fresh], edges)
+    common = rest
+    for v in _bits(bm):
+        common &= rows[v]
+    sub = g.subgraph(rest)
+    k = sub.n
+    keep = _bits(rest)
+    link = 0
+    for new, old in enumerate(keep):
+        if common >> old & 1:
+            link |= 1 << new
+    new_rows = tuple(r | (link >> i & 1) << k for i, r in enumerate(sub.rows)) + (link,)
+    return _from_rows(sub.vertices + (fresh,), new_rows)
 
 
 def co_contract_edge(g: Graph, pair: tuple[str, str]) -> Graph:

@@ -18,10 +18,20 @@ checker, so externally supplied derivations using it still validate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from time import perf_counter
 from typing import Optional, Sequence
 
-from .graphs import Graph, GraphError, canonical_form, graph_from_json, graph_to_json, is_isomorphic
+from .graphs import (
+    Graph,
+    GraphError,
+    _relabel,
+    _shared,
+    canonical_form,
+    graph_from_json,
+    graph_to_json,
+    is_isomorphic,
+)
 from .obstructions import (
     ForbiddenEntry,
     Obstruction,
@@ -62,7 +72,7 @@ class SoundnessError(RuntimeError):
     invalid certificate. Signals a bug, never a valid state."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Derivation:
     rule: str
     conclusion: Graph
@@ -79,17 +89,22 @@ class Derivation:
         return out
 
 
-def _rename_graph(g: Graph, mapping: dict[str, str]) -> Graph:
-    return Graph([mapping[v] for v in g.vertices],
-                 [(mapping[u], mapping[v]) for u, v in g.edge_pairs])
+@lru_cache(maxsize=256)
+def _leaf(g: Graph) -> Derivation:
+    # complete-graph leaves recur across derivations (K1 and K2 on the same
+    # names above all), so one copy of each is kept
+    return Derivation(RULE_COMPLETE, g)
 
 
 def rename_derivation(d: Derivation, mapping: dict[str, str]) -> Derivation:
+    if d.rule == RULE_COMPLETE and d == Derivation(RULE_COMPLETE, d.conclusion):
+        return _leaf(_relabel(d.conclusion, mapping))
     return Derivation(
         rule=d.rule,
-        conclusion=_rename_graph(d.conclusion, mapping),
+        conclusion=_relabel(d.conclusion, mapping),
         children=tuple(rename_derivation(ch, mapping) for ch in d.children),
-        separator=frozenset(mapping[v] for v in d.separator) if d.separator is not None else None,
+        separator=_shared(frozenset(mapping[v] for v in d.separator))
+        if d.separator is not None else None,
         edge=(mapping[d.edge[0]], mapping[d.edge[1]]) if d.edge is not None else None,
         bipartition=tuple(frozenset(mapping[v] for v in part) for part in d.bipartition)
         if d.bipartition is not None else None,
@@ -164,7 +179,7 @@ def _check_node(node: Derivation) -> bool:
 # prover
 
 
-@dataclass
+@dataclass(slots=True)
 class UnknownReport:
     """What the derivation search did; the report of an unknown verdict."""
 
@@ -228,7 +243,7 @@ class _Search:
 
     def _expand(self, h: Graph) -> Optional[Derivation]:
         if is_complete(h):
-            return Derivation(RULE_COMPLETE, h)
+            return _leaf(h)
         split = next(iter_clique_splits(h), None)
         if split is not None:
             # first minimal separator only; no backtracking across separators
@@ -288,7 +303,7 @@ def prove_in_f(g: Graph, budget: int = DEFAULT_BUDGET,
 # classification
 
 
-@dataclass
+@dataclass(slots=True)
 class Verdict:
     status: str
     obstruction: Optional[Obstruction] = None

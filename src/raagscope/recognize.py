@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .graphs import Graph
+from .graphs import Graph, _bits
 from .ops import induced, is_bisimplicial_edge, is_simplicial_vertex, remove_edge_interior
 
 
@@ -57,39 +57,38 @@ def find_induced_cycle(g: Graph, min_len: int) -> Optional[CycleWitness]:
     if min_len < 3:
         raise ValueError("min_len must be at least 3")
     n = g.n
-    verts = g.vertices
+    rows = g.rows
     for target in range(min_len, n + 1):
-        for start_idx, start in enumerate(verts):
-            later = [v for v in verts[start_idx + 1:]]
-            path = [start]
-            found = _extend_cycle(g, path, set(later), start, target)
+        for start in range(n):
+            later = ((1 << n) - 1) & ~((2 << start) - 1)
+            found = _extend_cycle(rows, [start], 0, later, start, target)
             if found is not None:
-                return CycleWitness(tuple(found))
+                return CycleWitness(tuple(g.vertices[v] for v in found))
     return None
 
 
-def _extend_cycle(g, path, allowed, start, target):
-    # invariant: path is an induced path whose interior (positions >= 2) is
-    # nonadjacent to start; closing requires the last vertex adjacent to start
+def _extend_cycle(rows, path, interior, allowed, start, target):
+    # invariant: path is an induced path of vertex positions, interior is the
+    # mask of path[1:-1], and no interior vertex is adjacent to start; closing
+    # requires the last vertex adjacent to start
     k = len(path)
     last = path[-1]
-    for v in sorted(allowed):
-        if not g.has_edge(last, v):
-            continue
+    for v in _bits(rows[last] & allowed):
         # no chords back to the path interior (start handled separately)
-        if any(g.has_edge(v, p) for p in path[1:-1]):
+        if rows[v] & interior:
             continue
-        adj_start = g.has_edge(v, start)
+        adj_start = rows[v] >> start & 1
         if k + 1 == target:
             if not adj_start:
                 continue
             if not path[1] < v:
                 continue  # each cycle once: fix the orientation
-            return list(path) + [v]
+            return path + [v]
         if k >= 2 and adj_start:
             continue  # would chord back to start
         path.append(v)
-        got = _extend_cycle(g, path, allowed - {v}, start, target)
+        got = _extend_cycle(rows, path, interior | (1 << last if k >= 2 else 0),
+                            allowed & ~(1 << v), start, target)
         path.pop()
         if got is not None:
             return got

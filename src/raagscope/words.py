@@ -10,12 +10,14 @@ canonical forms coincide.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .graphs import Graph
 
 Letter = tuple[str, int]
 Word = tuple[Letter, ...]
+Commutation = dict[str, frozenset[str]]
 
 DEFAULT_MAX_LETTERS = 512
 
@@ -61,21 +63,29 @@ def power(w: Word, k: int) -> Word:
     return concat(*([w] * k)) if k else ()
 
 
-def _check_letters(graph: Graph, w: Word, max_letters: int) -> None:
+@lru_cache(maxsize=32)
+def _commutation(graph: Graph) -> Commutation:
+    """Each generator's closed neighbourhood: the generators it commutes with.
+
+    Public functions look it up once per call and the helpers below take it
+    in place of the graph. Graphs are immutable and hash by value, so equal
+    graphs share one table; no caller mutates it.
+    """
+    return {v: frozenset(graph.names(r | 1 << i))
+            for i, (v, r) in enumerate(zip(graph.vertices, graph.rows))}
+
+
+def _check_letters(commutes: Commutation, w: Word, max_letters: int) -> None:
     if len(w) > max_letters:
         raise WordError("word has %d letters, cap is %d" % (len(w), max_letters))
     for g, s in w:
         if s not in (1, -1):
             raise WordError("bad letter sign %r" % (s,))
-        if not graph.has_vertex(g):
+        if g not in commutes:
             raise WordError("unknown generator %r" % (g,))
 
 
-def _commute(graph: Graph, a: str, b: str) -> bool:
-    return a == b or graph.has_edge(a, b)
-
-
-def _reduce_full(graph: Graph, letters: list[Letter]) -> list[Letter]:
+def _reduce_full(commutes: Commutation, letters: list[Letter]) -> list[Letter]:
     # delete x ... x^-1 pairs separated only by letters commuting with x;
     # a word admitting no such deletion is reduced in the group
     changed = True
@@ -84,6 +94,7 @@ def _reduce_full(graph: Graph, letters: list[Letter]) -> list[Letter]:
         n = len(letters)
         for i in range(n):
             gi, si = letters[i]
+            star = commutes[gi]
             for j in range(i + 1, n):
                 gj, sj = letters[j]
                 if gj == gi and sj == -si:
@@ -91,7 +102,7 @@ def _reduce_full(graph: Graph, letters: list[Letter]) -> list[Letter]:
                     del letters[i]
                     changed = True
                     break
-                if not _commute(graph, gi, gj):
+                if gj not in star:
                     break
             if changed:
                 break
@@ -103,7 +114,7 @@ def _letter_key(letter: Letter) -> tuple[str, int]:
     return (g, 0 if s > 0 else 1)
 
 
-def _canonical_sort(graph: Graph, letters: list[Letter]) -> list[Letter]:
+def _canonical_sort(commutes: Commutation, letters: list[Letter]) -> list[Letter]:
     # lexicographically least shuffle of a reduced word: repeatedly extract
     # the least letter every earlier letter commutes with (greedy adjacent
     # bubbling alone can stall in a local minimum); commutations preserve
@@ -116,7 +127,7 @@ def _canonical_sort(graph: Graph, letters: list[Letter]) -> list[Letter]:
         seen: set[str] = set()
         for i, letter in enumerate(remaining):
             gen = letter[0]
-            if all(_commute(graph, h, gen) for h in seen):
+            if seen <= commutes[gen]:
                 k = _letter_key(letter)
                 if best_key is None or k < best_key:
                     best_key = k
@@ -126,42 +137,51 @@ def _canonical_sort(graph: Graph, letters: list[Letter]) -> list[Letter]:
     return out
 
 
+def _normal_form(commutes: Commutation, w: Word, max_letters: int) -> Word:
+    _check_letters(commutes, w, max_letters)
+    letters = _reduce_full(commutes, list(w))
+    return tuple(_canonical_sort(commutes, letters))
+
+
 def normal_form(graph: Graph, w: Word, max_letters: int = DEFAULT_MAX_LETTERS) -> Word:
     """Canonical representative; equal normal forms iff equal group elements."""
-    _check_letters(graph, w, max_letters)
-    letters = _reduce_full(graph, list(w))
-    return tuple(_canonical_sort(graph, letters))
+    return _normal_form(_commutation(graph), w, max_letters)
+
+
+def _is_trivial(commutes: Commutation, w: Word, max_letters: int) -> bool:
+    _check_letters(commutes, w, max_letters)
+    return not _reduce_full(commutes, list(w))
 
 
 def is_trivial(graph: Graph, w: Word, max_letters: int = DEFAULT_MAX_LETTERS) -> bool:
-    _check_letters(graph, w, max_letters)
-    return not _reduce_full(graph, list(w))
+    return _is_trivial(_commutation(graph), w, max_letters)
 
 
 def are_equal(graph: Graph, u: Word, v: Word, max_letters: int = DEFAULT_MAX_LETTERS) -> bool:
     return is_trivial(graph, concat(u, inverse(v)), max_letters=2 * max_letters)
 
 
-def _cyclic_reduce(graph: Graph, w: Word, max_letters: int):
+def _cyclic_reduce(commutes: Commutation, w: Word, max_letters: int):
     """(cyclically reduced word, conjugator c) with c^-1 w c = result."""
-    _check_letters(graph, w, max_letters)
-    current = list(_reduce_full(graph, list(w)))
+    _check_letters(commutes, w, max_letters)
+    current = list(_reduce_full(commutes, list(w)))
     conj: list[Letter] = []
     while True:
         hit = None
         n = len(current)
         for i in range(n):
             gi, si = current[i]
-            if not all(_commute(graph, gi, current[p][0]) for p in range(i)):
+            star = commutes[gi]
+            if not all(current[p][0] in star for p in range(i)):
                 continue
             for j in range(n - 1, i, -1):
                 gj, sj = current[j]
                 if gj == gi and sj == -si:
-                    if all(_commute(graph, gi, current[q][0]) for q in range(j + 1, n)):
+                    if all(current[q][0] in star for q in range(j + 1, n)):
                         hit = (i, j)
                     break
                 # scanning from the back: every letter after j must commute
-                if not _commute(graph, gi, gj):
+                if gj not in star:
                     break
             if hit:
                 break
@@ -171,24 +191,24 @@ def _cyclic_reduce(graph: Graph, w: Word, max_letters: int):
         conj.append(current[i])
         del current[j]
         del current[i]
-        current = _reduce_full(graph, current)
+        current = _reduce_full(commutes, current)
 
 
 def cyclic_normal_form(graph: Graph, w: Word, max_letters: int = DEFAULT_MAX_LETTERS) -> Word:
     """Shortest conjugacy-class representative reachable by reduction and
     cyclic permutation, deterministically chosen."""
-    word, _ = _cyclic_with_conjugator(graph, w, max_letters)
+    word, _ = _cyclic_with_conjugator(_commutation(graph), w, max_letters)
     return word
 
 
-def _cyclic_with_conjugator(graph: Graph, w: Word, max_letters: int = DEFAULT_MAX_LETTERS):
-    reduced, conj = _cyclic_reduce(graph, w, max_letters)
+def _cyclic_with_conjugator(commutes: Commutation, w: Word, max_letters: int):
+    reduced, conj = _cyclic_reduce(commutes, w, max_letters)
     if not reduced:
         return (), tuple(conj)
     best = None
     best_rot = 0
     for k in range(len(reduced)):
-        rot = normal_form(graph, reduced[k:] + reduced[:k], max_letters)
+        rot = _normal_form(commutes, reduced[k:] + reduced[:k], max_letters)
         key = tuple(_letter_key(l) for l in rot)
         if best is None or key < best[0]:
             best = (key, rot)
@@ -204,14 +224,13 @@ def conjugate_into_clique(graph: Graph, w: Word,
     A hit means w is conjugate into the free abelian subgroup on the returned
     clique; the implied conjugation is re-verified before returning.
     """
-    nf, conj = _cyclic_with_conjugator(graph, w, max_letters)
+    commutes = _commutation(graph)
+    nf, conj = _cyclic_with_conjugator(commutes, w, max_letters)
     support = frozenset(g for g, _ in nf)
-    for u in sorted(support):
-        for v in sorted(support):
-            if u < v and not graph.has_edge(u, v):
-                return None
-    check = concat(conj, nf, inverse(conj))
-    if not are_equal(graph, check, w, max_letters=4 * max_letters + len(w)):
+    if not all(support <= commutes[g] for g in support):
+        return None
+    check = concat(conj, nf, inverse(conj), inverse(w))
+    if not _is_trivial(commutes, check, 2 * (4 * max_letters + len(w))):
         raise AssertionError("cyclic reduction produced an invalid conjugator")
     return support
 
@@ -385,11 +404,12 @@ def kernel_search(graph: Graph, pres: SurfacePresentation, images: dict[str, Wor
         return None
     image_cap = max(DEFAULT_MAX_LETTERS,
                     max_len * max((len(w) for w in images.values()), default=1) + 1)
+    commutes = _commutation(graph)
     for word in _iter_reduced_words(gens, max_len):
         if m == 0 and _dehn_trivial(pres.genus, word):
             continue  # trivial in the surface group, not a kernel witness
         img = concat(*(images[g] if s > 0 else inverse(images[g]) for g, s in word))
-        if is_trivial(graph, img, max_letters=image_cap):
+        if _is_trivial(commutes, img, image_cap):
             return word
     return None
 

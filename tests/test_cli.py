@@ -1,4 +1,5 @@
 import json
+import time
 
 from raagscope.cli import main
 from raagscope.graphs import emit_edgelist, emit_graph6, is_isomorphic, parse_edgelist, parse_graph6, standard_graph
@@ -222,6 +223,25 @@ def test_classify_rejects_nonpositive_budget(capsys):
         code, out, err = run(capsys, "classify", P4_G6, "--budget", budget)
         assert code == 64
         assert out == "" and err.count("\n") == 1 and "--budget" in err
+
+
+def test_classify_rejects_negative_cocontract_depth(capsys):
+    code, out, err = run(capsys, "classify", P4_G6, "--cocontract-depth", "-5")
+    assert code == 64
+    assert out == "" and err.count("\n") == 1 and "--cocontract-depth" in err
+
+
+def test_verify_rejects_entry_larger_than_graph_without_building_it(capsys, tmp_path):
+    # building C999999999 would take minutes and gigabytes; the entry is
+    # refused from its name, as it cannot embed in a 5-vertex graph
+    for entry in ("C999999999", "coC1000000", "C" + "9" * 5000):
+        def doctor(cert):
+            cert["entry"] = entry
+
+        t0 = time.process_time()
+        code, out, err = _verify_doctored(capsys, tmp_path, C5_G6, doctor)
+        assert code == 1 and out == "invalid\n" and err == ""
+        assert time.process_time() - t0 < 0.5
 
 
 def _verify_doctored(capsys, tmp_path, g6, doctor):

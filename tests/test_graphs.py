@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -6,6 +7,7 @@ from conftest import brute_induced
 from raagscope.graphs import (
     Graph,
     GraphError,
+    canonical_form,
     canonical_key,
     emit_dot,
     emit_edgelist,
@@ -218,4 +220,75 @@ def test_canonical_key_invariant_under_relabeling():
 
 
 def test_nonisomorphic_counts():
-    assert [len(nonisomorphic_graphs(n)) for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
+    assert [len(nonisomorphic_graphs(n)) for n in range(1, 8)] == [1, 2, 4, 11, 34, 156, 1044]
+
+
+def _from_networkx(nx_graph, names):
+    return Graph([names[v] for v in nx_graph], [(names[u], names[v]) for u, v in nx_graph.edges])
+
+
+def test_canonical_key_separates_the_graph_atlas():
+    nx = pytest.importorskip("networkx")
+    atlas = nx.graph_atlas_g()
+    assert len(atlas) == 1253
+    keys = {canonical_key(_from_networkx(G, {v: "a%d" % v for v in G})) for G in atlas}
+    assert len(keys) == len(atlas)
+
+
+def test_canonical_key_agrees_with_networkx_isomorphism():
+    # pairs on 8-16 vertices under random names: a relabelled copy, a copy
+    # with one degree-preserving edge swap, or an independent draw with as many
+    # edges; equal keys exactly when networkx finds the graphs isomorphic
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(2014)
+    isomorphic = 0
+    for trial in range(200):
+        n = rng.randint(8, 16)
+        G = nx.gnp_random_graph(n, rng.uniform(0.15, 0.85), seed=rng.randrange(10**9))
+        kind = ("copy", "swap", "draw")[trial % 3]
+        if kind == "copy":
+            H = G.copy()
+        elif kind == "swap":
+            H = G.copy()
+            if H.number_of_edges() >= 2:
+                nx.double_edge_swap(H, nswap=1, max_tries=1000, seed=rng.randrange(10**9))
+        else:
+            H = nx.gnm_random_graph(n, G.number_of_edges(), seed=rng.randrange(10**9))
+        perm = list(H)
+        rng.shuffle(perm)
+        g = _from_networkx(G, {v: "g%d" % v for v in G})
+        h = _from_networkx(H, {v: "h%d" % perm[v] for v in H})
+        (key_g, order_g), (key_h, order_h) = canonical_form(g), canonical_form(h)
+        iso = nx.is_isomorphic(G, H)
+        assert (key_g == key_h) == iso
+        if iso:
+            isomorphic += 1
+            assert verify_vertex_map(g, h, dict(zip(order_g, order_h)))
+    # every copy is isomorphic; most swaps and draws are not
+    assert 67 <= isomorphic < 100
+
+
+def test_canonical_form_is_fast_on_symmetric_graphs():
+    # graphs with large automorphism groups, where a search without orbit
+    # pruning branches on every symmetric choice
+    nx = pytest.importorskip("networkx")
+    cases = {
+        "8K2": nx.disjoint_union_all([nx.complete_graph(2)] * 8),
+        "4C4": nx.disjoint_union_all([nx.cycle_graph(4)] * 4),
+        "3C5": nx.disjoint_union_all([nx.cycle_graph(5)] * 3),
+        "Q4": nx.hypercube_graph(4),
+        "K4xK4": nx.cartesian_product(nx.complete_graph(4), nx.complete_graph(4)),
+        "C16": nx.cycle_graph(16),
+        "coC16": nx.complement(nx.cycle_graph(16)),
+        "K16": nx.complete_graph(16),
+        "E16": nx.empty_graph(16),
+        # no twins here, so only orbit pruning keeps these fast
+        "4Petersen": nx.disjoint_union_all([nx.petersen_graph()] * 4),
+        "6C5": nx.disjoint_union_all([nx.cycle_graph(5)] * 6),
+    }
+    for name, G in cases.items():
+        g = _from_networkx(G, {v: "x%d" % k for k, v in enumerate(G)})
+        t0 = time.process_time()
+        key, order = canonical_form(g)
+        assert time.process_time() - t0 < 0.1, name
+        assert key[0] == g.n and sorted(order) == list(g.vertices)
