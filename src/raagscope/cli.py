@@ -3,7 +3,7 @@ graph operations and the word engine.
 
 Exit codes for classify: 0 no surface subgroup, 1 surface subgroup found,
 2 unknown. 64 marks unparseable input, 65 a malformed certificate, 70 an
-internal soundness violation.
+internal soundness violation, 74 a standard output closed by its reader.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ EXIT_UNKNOWN = 2
 EXIT_PARSE = 64
 EXIT_CERT = 65
 EXIT_SOUNDNESS = 70
+EXIT_IOERR = 74
 
 _VERDICT_EXIT = {NO_SURFACE: EXIT_NO, HAS_SURFACE: EXIT_HAS, UNKNOWN: EXIT_UNKNOWN}
 
@@ -191,11 +192,7 @@ def cmd_classify(args) -> int:
     except GraphError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
-    try:
-        code, verdict, report = run_one(g)
-    except SoundnessError as exc:
-        print("internal soundness violation: %s" % exc, file=sys.stderr)
-        return EXIT_SOUNDNESS
+    code, verdict, report = run_one(g)
     if args.json:
         print(json.dumps(report, indent=2))
     else:
@@ -409,10 +406,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except SoundnessError as exc:
         print("internal soundness violation: %s" % exc, file=sys.stderr)
         return EXIT_SOUNDNESS
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; that flush goes to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_IOERR
 
 
 if __name__ == "__main__":

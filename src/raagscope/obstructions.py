@@ -40,6 +40,7 @@ KIND_TRAIL = "CoContractionTrail"
 
 _CYCLE_RE = re.compile(r"^C(\d+)$")
 _COCYCLE_RE = re.compile(r"^coC(\d+)$")
+_MAX_LISTED_CYCLE = 9
 
 
 class CatalogError(ValueError):
@@ -136,16 +137,16 @@ def _scan_entries() -> tuple[ForbiddenEntry, ...]:
     return _fixed_entries()[:1]
 
 
-def builtin_catalog(max_cycle: int = 9) -> list[ForbiddenEntry]:
+def builtin_catalog() -> list[ForbiddenEntry]:
     """The shipped entries: cycles and cycle complements from 5 up to
-    max_cycle (deduplicating the self-complementary 5-cycle), plus the fixed
-    trio. Searches extend the cycle families dynamically past max_cycle."""
+    _MAX_LISTED_CYCLE (deduplicating the self-complementary 5-cycle), plus the
+    fixed trio. Searches extend the cycle families dynamically past it."""
     entries: list[ForbiddenEntry] = []
-    for n in range(5, max_cycle + 1):
+    for n in range(5, _MAX_LISTED_CYCLE + 1):
         entries.append(ForbiddenEntry(
             "C%d" % n, standard_graph("cycle", n),
             "induced cycle of length >= 5 forces a hyperbolic surface subgroup"))
-    for n in range(6, max_cycle + 1):
+    for n in range(6, _MAX_LISTED_CYCLE + 1):
         entries.append(ForbiddenEntry(
             "coC%d" % n, complement(standard_graph("cycle", n)),
             "complement of a cycle of length >= 5 forces a hyperbolic surface subgroup"))

@@ -9,8 +9,12 @@ surface group, hence no closed hyperbolic surface subgroup.
 The prover is one sequential depth-first search over the rules in a fixed
 order (complete base, amalgam split at the first minimal clique separator,
 bisimplicial edge removal, join decomposition) with memoization by isomorphism
-class. A two-part rule searches its right part only after its left part
-closed, so node counts, budget verdicts and memo contents are deterministic.
+class. A memo entry holds None for a class that failed, else the derivation
+of the first graph of the class, in that graph's names, and that graph's
+canonical order; a later graph of the class renames it once into its own
+names, position by position along the two canonical orders. A two-part rule
+searches its right part only after its left part closed, so node counts,
+budget verdicts and memo contents are deterministic.
 It never guesses co-contraction preimages; that rule exists only in the
 checker, so externally supplied derivations using it still validate.
 """
@@ -215,25 +219,23 @@ class _Search:
 
     def run(self, h: Graph) -> Optional[Derivation]:
         key, order = canonical_form(h)
-        hit = self.memo.get(key)
-        if hit is not None:
-            status, canon = hit
-            if status != "ok":
+        if key in self.memo:
+            hit = self.memo[key]
+            if hit is None:
                 return None
-            mapping = {"c%d" % i: order[i] for i in range(len(order))}
-            return rename_derivation(canon, mapping)
+            d, found_order = hit
+            return rename_derivation(d, dict(zip(found_order, order)))
         self.nodes += 1
         if self.nodes > self.budget:
             raise _BudgetExhausted
         d = self._expand(h)
         if d is None:
-            self.memo[key] = ("fail", None)
+            self.memo[key] = None
             if len(self.stuck) < 32:
                 self.stuck.append("no rule closed a graph with %d vertices, %d edges"
                                   % (h.n, h.m))
             return None
-        mapping = {order[i]: "c%d" % i for i in range(len(order))}
-        self.memo[key] = ("ok", rename_derivation(d, mapping))
+        self.memo[key] = (d, order)
         return d
 
     def _pair(self, left: Graph, right: Graph):

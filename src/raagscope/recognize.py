@@ -81,8 +81,7 @@ def _extend_cycle(rows, path, interior, allowed, start, target):
         if k + 1 == target:
             if not adj_start:
                 continue
-            if not path[1] < v:
-                continue  # each cycle once: fix the orientation
+            # no orientation filter: a cycle's reverse, from the smaller neighbour, closes first
             return path + [v]
         if k >= 2 and adj_start:
             continue  # would chord back to start

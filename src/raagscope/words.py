@@ -85,28 +85,27 @@ def _check_letters(commutes: Commutation, w: Word, max_letters: int) -> None:
             raise WordError("unknown generator %r" % (g,))
 
 
-def _reduce_full(commutes: Commutation, letters: list[Letter]) -> list[Letter]:
-    # delete x ... x^-1 pairs separated only by letters commuting with x;
-    # a word admitting no such deletion is reduced in the group
-    changed = True
-    while changed:
-        changed = False
-        n = len(letters)
-        for i in range(n):
-            gi, si = letters[i]
-            star = commutes[gi]
-            for j in range(i + 1, n):
-                gj, sj = letters[j]
-                if gj == gi and sj == -si:
-                    del letters[j]
-                    del letters[i]
-                    changed = True
-                    break
-                if gj not in star:
-                    break
-            if changed:
+def _reduce_full(commutes: Commutation, letters: Word) -> list[Letter]:
+    # delete x ... x^-1 pairs separated only by letters commuting with x; a
+    # word admitting no such deletion is reduced in the group. The output stays
+    # reduced: if u is and u x^e is not, u = v x^-e w with w commuting with x,
+    # and a cancelling pair in v w would already cancel in u, x commuting with
+    # every letter it has to cross
+    out: list[Letter] = []
+    for letter in letters:
+        g, s = letter
+        star = commutes[g]
+        for j in range(len(out) - 1, -1, -1):
+            gj, sj = out[j]
+            if gj == g and sj == -s:
+                del out[j]
                 break
-    return letters
+            if gj not in star:
+                out.append(letter)
+                break
+        else:
+            out.append(letter)
+    return out
 
 
 def _letter_key(letter: Letter) -> tuple[str, int]:
@@ -139,7 +138,7 @@ def _canonical_sort(commutes: Commutation, letters: list[Letter]) -> list[Letter
 
 def _normal_form(commutes: Commutation, w: Word, max_letters: int) -> Word:
     _check_letters(commutes, w, max_letters)
-    letters = _reduce_full(commutes, list(w))
+    letters = _reduce_full(commutes, w)
     return tuple(_canonical_sort(commutes, letters))
 
 
@@ -150,7 +149,7 @@ def normal_form(graph: Graph, w: Word, max_letters: int = DEFAULT_MAX_LETTERS) -
 
 def _is_trivial(commutes: Commutation, w: Word, max_letters: int) -> bool:
     _check_letters(commutes, w, max_letters)
-    return not _reduce_full(commutes, list(w))
+    return not _reduce_full(commutes, w)
 
 
 def is_trivial(graph: Graph, w: Word, max_letters: int = DEFAULT_MAX_LETTERS) -> bool:
@@ -164,7 +163,7 @@ def are_equal(graph: Graph, u: Word, v: Word, max_letters: int = DEFAULT_MAX_LET
 def _cyclic_reduce(commutes: Commutation, w: Word, max_letters: int):
     """(cyclically reduced word, conjugator c) with c^-1 w c = result."""
     _check_letters(commutes, w, max_letters)
-    current = list(_reduce_full(commutes, list(w)))
+    current = _reduce_full(commutes, w)
     conj: list[Letter] = []
     while True:
         hit = None
@@ -191,7 +190,6 @@ def _cyclic_reduce(commutes: Commutation, w: Word, max_letters: int):
         conj.append(current[i])
         del current[j]
         del current[i]
-        current = _reduce_full(commutes, current)
 
 
 def cyclic_normal_form(graph: Graph, w: Word, max_letters: int = DEFAULT_MAX_LETTERS) -> Word:
@@ -342,16 +340,6 @@ def _surface_relator_word(genus: int) -> Word:
     return concat(*parts)
 
 
-def _free_reduce(w: Word) -> Word:
-    out: list[Letter] = []
-    for letter in w:
-        if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)
-
-
 def _dehn_trivial(genus: int, w: Word) -> bool:
     """Word problem for the closed genus-g surface group (g >= 2) by Dehn's
     algorithm on the standard relator."""
@@ -362,7 +350,8 @@ def _dehn_trivial(genus: int, w: Word) -> bool:
     for base in (rel, inverse(rel)):
         for k in range(length):
             variants.append(base[k:] + base[:k])
-    current = _free_reduce(w)
+    free = {g: frozenset((g,)) for g, _ in rel}  # generators commute only with themselves
+    current = tuple(_reduce_full(free, w))
     progress = True
     while progress and current:
         progress = False
@@ -372,8 +361,8 @@ def _dehn_trivial(genus: int, w: Word) -> bool:
                 for var in variants:
                     if var[:size] == seg:
                         replacement = inverse(var[size:])
-                        current = _free_reduce(
-                            current[:start] + replacement + current[start + size:])
+                        current = tuple(_reduce_full(
+                            free, current[:start] + replacement + current[start + size:]))
                         progress = True
                         break
                 if progress:

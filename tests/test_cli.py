@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
+import raagscope
 from raagscope.cli import main
+from raagscope.generate import nonisomorphic_graphs
 from raagscope.graphs import emit_edgelist, emit_graph6, is_isomorphic, parse_edgelist, parse_graph6, standard_graph
 from raagscope.obstructions import entry_graph
 from raagscope.ops import complement
@@ -277,3 +282,27 @@ def test_verify_bad_trail_steps_are_malformed(capsys, tmp_path):
 
         code, out, err = _verify_doctored(capsys, tmp_path, C5_G6, doctor)
         assert code == 65 and out == "" and "malformed certificate" in err
+
+
+def test_classify_exits_74_without_traceback_when_stdout_closes(tmp_path):
+    # the 156 reports run to about 260 KB, past a pipe's buffer, so the
+    # command is still writing when the reader goes away after 100 bytes
+    batch = tmp_path / "six.g6"
+    batch.write_bytes(b"\n".join(emit_graph6(g) for g in nonisomorphic_graphs(6)))
+    src = os.path.dirname(os.path.dirname(raagscope.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "raagscope.cli", "classify", "--batch", "--json", str(batch)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert len(head) == 100
+    assert code == 74
+    assert b"Traceback" not in err

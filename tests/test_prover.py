@@ -177,8 +177,22 @@ def test_classify_join_graphs():
 
 
 def test_derivation_json_round_trip():
-    for g in (P3, standard_graph("cycle", 4), standard_graph("complete", 4)):
-        d = prove_in_f(g)
+    cases = [(prove_in_f(g), g)
+             for g in (P3, standard_graph("cycle", 4), standard_graph("complete", 4))]
+    # the hand-built K2,3 join and the C4 co-contraction, which the prover
+    # never emits, carry the bipartition and cocontract_set fields
+    k23 = new_graph(["a1", "a2", "b1", "b2", "b3"],
+                    [(a, b) for a in ("a1", "a2") for b in ("b1", "b2", "b3")])
+    join_d = Derivation(RULE_JOIN, k23,
+                        (prove_in_f(new_graph(["a1", "a2"], [])),
+                         prove_in_f(new_graph(["b1", "b2", "b3"], []))),
+                        bipartition=(frozenset({"a1", "a2"}), frozenset({"b1", "b2", "b3"})))
+    c4 = standard_graph("cycle", 4)
+    contracted = co_contract(c4, {"v1", "v3"})
+    cases += [(join_d, k23),
+              (Derivation(RULE_COCONTRACT, contracted, (prove_in_f(c4),),
+                          contracted=frozenset({"v1", "v3"})), contracted)]
+    for d, g in cases:
         back = derivation_from_json(json.loads(json.dumps(derivation_to_json(d))))
         assert back == d
         assert check_derivation(back, g)
@@ -192,9 +206,7 @@ def test_soundness_guard_trips_on_forged_cache():
     from raagscope.graphs import canonical_form
 
     key, order = canonical_form(c5)
-    cache = {key: ("ok", Derivation(RULE_COMPLETE, Graph(
-        ["c%d" % i for i in range(5)],
-        [("c%d" % i, "c%d" % j) for i in range(5) for j in range(i + 1, 5)])))}
+    cache = {key: (fake, fake.conclusion.vertices)}
     with pytest.raises(SoundnessError):
         classify(c5, cache=cache)
 

@@ -9,6 +9,7 @@ from raagscope.graphs import new_graph
 from raagscope.words import (
     SurfacePresentation,
     WordError,
+    _dehn_trivial,
     are_equal,
     boundary_clique_supports,
     check_hom,
@@ -252,6 +253,45 @@ def test_kernel_search_closed_surface():
     not_hyp = SurfacePresentation(genus=1, boundary=0)
     with pytest.raises(WordError):
         kernel_search(P3, not_hyp, {g: () for g in not_hyp.generators}, 3)
+
+
+def _random_free_word(rng, gens, length):
+    out = []
+    while len(out) < length:
+        letter = (rng.choice(gens), rng.choice((1, -1)))
+        if out and out[-1] == (letter[0], -letter[1]):
+            continue
+        out.append(letter)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_dehn_algorithm_decides_closed_surface_words(genus):
+    pres = SurfacePresentation(genus=genus, boundary=0)
+    gens = list(pres.generators)
+    rel = relator(pres, {g: ((g, 1),) for g in gens})
+    variants = [rel[k:] + rel[:k] for k in range(len(rel))]
+    variants += [inverse(v) for v in variants]
+    for v in variants:
+        assert _dehn_trivial(genus, v)
+    rng = random.Random(7 + genus)
+    conjugates = []
+    for _ in range(60):
+        u = _random_free_word(rng, gens, rng.randint(1, 6))
+        conjugates.append(concat(u, rng.choice(variants), inverse(u)))
+    for c in conjugates:
+        assert _dehn_trivial(genus, c)
+    for _ in range(60):
+        assert _dehn_trivial(genus, concat(rng.choice(conjugates), rng.choice(conjugates)))
+    # the abelianisation Z^2g is an independent oracle: a nonzero exponent sum
+    # in some generator means the word is nontrivial in the surface group
+    rejected = 0
+    for _ in range(300):
+        w = _random_free_word(rng, gens, rng.randint(1, 14))
+        if any(sum(s for h, s in w if h == g) for g in gens):
+            assert not _dehn_trivial(genus, w)
+            rejected += 1
+    assert rejected > 200
 
 
 def test_power_product_probe():
