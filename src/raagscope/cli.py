@@ -4,6 +4,8 @@ graph operations and the word engine.
 Exit codes for classify: 0 no surface subgroup, 1 surface subgroup found,
 2 unknown. 64 marks unparseable input, 65 a malformed certificate, 70 an
 internal soundness violation, 74 a standard output closed by its reader.
+classify --batch exits 0 once every line was classified, whatever the
+verdicts, and 64 if any line failed to parse.
 """
 
 from __future__ import annotations
@@ -174,20 +176,9 @@ def cmd_classify(args) -> int:
         timings["total"] = time.perf_counter() - t0
         return _VERDICT_EXIT[verdict.status], verdict, _report(g, verdict, params, timings)
 
+    if args.batch:
+        return _classify_batch(args, run_one)
     try:
-        if args.batch:
-            data = _read_input(args.input)
-            for line in data.decode("utf-8").splitlines():
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                g = parse_graph6(line.encode("ascii"))
-                _, _, report = run_one(g)
-                if args.json:
-                    print(json.dumps(report))
-                else:
-                    print("%s %s" % (line, report["verdict"]))
-            return EXIT_NO
         g = _load_graph(args.input, args.format)
     except GraphError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
@@ -198,6 +189,39 @@ def cmd_classify(args) -> int:
     else:
         _print_verdict(verdict)
     return code
+
+
+def _classify_batch(args, run_one) -> int:
+    """One graph6 value per line, one verdict record per value, in order. A
+    line that does not parse gets an error record and the batch carries on;
+    the exit code is 64 if any line failed, else 0, whatever the verdicts."""
+    if args.format == "edgelist":
+        print("error: --batch reads one graph6 value per line; --format edgelist "
+              "is not accepted", file=sys.stderr)
+        return EXIT_PARSE
+    failed = False
+    data = _read_input(args.input)
+    for number, line in enumerate(data.decode("utf-8", errors="replace").splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            g = parse_graph6(line.encode("utf-8"))
+        except GraphError as exc:
+            failed = True
+            if args.json:
+                print(json.dumps({"schema": "raagscope/1", "version": __version__,
+                                  "input": {"line": number, "text": line},
+                                  "verdict": None, "error": "parse error: %s" % exc}))
+            else:
+                print("%s parse error: %s" % (line, exc))
+            continue
+        _, _, report = run_one(g)
+        if args.json:
+            print(json.dumps(report))
+        else:
+            print("%s %s" % (line, report["verdict"]))
+    return EXIT_PARSE if failed else EXIT_NO
 
 
 def cmd_verify(args) -> int:
@@ -350,9 +374,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--catalog", default=None, help="extra forbidden-graph catalog (JSON)")
     p.add_argument("--json", action="store_true", help="emit the full JSON report")
     p.add_argument("--batch", action="store_true",
-                   help="treat stdin/file as one graph6 value per line")
+                   help="treat stdin/file as one graph6 value per line; exit 64 if any "
+                        "line fails to parse, else 0")
     p.add_argument("--cross-check", action="store_true",
-                   help="run the deep obstruction search even when a derivation exists")
+                   help="also run the prover after a found obstruction, and the unpruned "
+                        "co-contraction search after a found derivation")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify", help="check a certificate against a graph")

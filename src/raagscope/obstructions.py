@@ -20,7 +20,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .graphs import (
     Graph,
@@ -262,21 +262,41 @@ def find_forbidden_induced(g: Graph,
 
 
 def find_cocontraction_witness(g: Graph, max_depth: int,
-                               extra: Sequence[ForbiddenEntry] = ()) -> Optional[Obstruction]:
+                               extra: Sequence[ForbiddenEntry] = (), *,
+                               derived: Optional[Callable[[Graph], bool]] = None,
+                               scan_root: bool = True) -> Optional[Obstruction]:
     """Breadth-first search over complement-edge contraction sequences of
     length at most max_depth, deduplicated by isomorphism class; first state
-    containing a forbidden induced subgraph wins."""
+    containing a forbidden induced subgraph wins.
+
+    scan_root=False skips the scan of g itself, for a caller that has made it.
+    A derived predicate, when given, prunes the search: a state at depth >= 1
+    is still scanned, but not expanded if derived(state) holds. This returns
+    the same first hit with the same trail, provided derived(h) holds only for
+    graphs whose groups contain no hyperbolic surface group (such as the
+    graphs the prover derives, which lie in N' within N) and every catalog
+    entry's group does contain one. Contracting a complement edge embeds the
+    smaller graph group into the larger, so every state below a derived one
+    has a group without a surface subgroup and holds no witness. A witness
+    state below no derived state is reached along the same chain of
+    first-discovering parents as without pruning, none of which is below a
+    derived state either, and the states kept leave the queue in the same
+    order; only states below a derived one are dropped or met later.
+    """
     if max_depth < 0:
         raise ValueError("max_depth must be nonnegative")
     seen = {canonical_key(g)}
     queue: deque[tuple[Graph, tuple[tuple[str, str], ...]]] = deque([(g, ())])
     while queue:
         current, trail = queue.popleft()
-        hit = find_forbidden_induced(current, extra)
-        if hit is not None:
-            kind = KIND_TRAIL if trail else KIND_INDUCED
-            return Obstruction(kind, hit.entry, hit.embedding, trail)
+        if trail or scan_root:
+            hit = find_forbidden_induced(current, extra)
+            if hit is not None:
+                kind = KIND_TRAIL if trail else KIND_INDUCED
+                return Obstruction(kind, hit.entry, hit.embedding, trail)
         if len(trail) >= max_depth:
+            continue
+        if trail and derived is not None and derived(current):
             continue
         verts = current.vertices
         full = (1 << len(verts)) - 1

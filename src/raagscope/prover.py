@@ -17,6 +17,12 @@ searches its right part only after its left part closed, so node counts,
 budget verdicts and memo contents are deterministic.
 It never guesses co-contraction preimages; that rule exists only in the
 checker, so externally supplied derivations using it still validate.
+
+classify runs the cheapest sound work first: the induced obstruction scan,
+then this search only if the scan found nothing, then the co-contraction
+search only if neither certified anything. One memo serves a classify call's
+derivation search and the co-contraction search, which asks the prover
+whether each state it would expand is derived and, if so, does not expand it.
 """
 
 from __future__ import annotations
@@ -317,26 +323,40 @@ def classify(g: Graph, budget: int = DEFAULT_BUDGET,
              cocontract_depth: int = DEFAULT_COCONTRACT_DEPTH,
              catalog: Sequence[ForbiddenEntry] = (), cross_check: bool = False, cache: Optional[dict] = None,
              timings: Optional[dict] = None) -> Verdict:
-    """Run the obstruction search and the derivation search, verify whichever
-    certificates come back with the independent checkers, and pick a verdict.
+    """Run the searches cheapest first, verify whichever certificates come
+    back with the independent checkers, and pick a verdict.
+
+    The order: the induced obstruction scan; the derivation search, only if
+    the scan found nothing; the co-contraction search below g, only if neither
+    found a certificate. The last skips the scan of g already made, and does
+    not expand a state the prover derives (see find_cocontraction_witness):
+    that state lies in N', so nothing below it holds a witness. The derivation
+    search and that pruning share one memo, the caller's cache or a fresh dict.
 
     A graph may end up with neither certificate: membership of the derived
     family in the no-surface class is one-sided, so honest Unknowns are
     unavoidable. Holding both verified certificates at once is a bug and
-    raises SoundnessError. The deeper co-contraction search runs only when no
-    derivation was found, unless cross_check forces it.
+    raises SoundnessError. cross_check runs the derivation search even after
+    a found obstruction, and the unpruned co-contraction search even after a
+    found derivation, so that the both-certificates guard sees every search.
     """
+    memo = cache if cache is not None else {}
     t0 = perf_counter()
     obs = find_forbidden_induced(g, catalog)
     if obs is not None and not verify_obstruction(g, obs, catalog):
         raise SoundnessError("obstruction search emitted an invalid certificate")
     t1 = perf_counter()
-    deriv, report = _prove(g, budget, cache)
-    if deriv is not None and not check_derivation(deriv, g):
-        raise SoundnessError("prover emitted an invalid derivation")
+    deriv = report = None
+    if obs is None or cross_check:
+        deriv, report = _prove(g, budget, memo)
+        if deriv is not None and not check_derivation(deriv, g):
+            raise SoundnessError("prover emitted an invalid derivation")
     t2 = perf_counter()
     if obs is None and cocontract_depth > 0 and (deriv is None or cross_check):
-        obs = find_cocontraction_witness(g, cocontract_depth, catalog)
+        derived = None if cross_check else (
+            lambda h: prove_in_f(h, budget, memo) is not None)
+        obs = find_cocontraction_witness(g, cocontract_depth, catalog,
+                                         derived=derived, scan_root=False)
         if obs is not None and not verify_obstruction(g, obs, catalog):
             raise SoundnessError("co-contraction search emitted an invalid certificate")
     if timings is not None:

@@ -51,47 +51,58 @@ class EdgeEliminationOrder:
 def find_induced_cycle(g: Graph, min_len: int) -> Optional[CycleWitness]:
     """Shortest induced cycle of length >= min_len, or None.
 
-    Deterministic: cycles are explored with ascending target length, ascending
-    starting vertex, ascending extensions.
+    Deterministic: the cycle returned is the first by length, then by its
+    smallest vertex (the start), then by ascending extensions. One depth-first
+    search per start finds it: a search carries the length of the best cycle
+    so far as a bound, records a closing only below it and extends a path only
+    while a strictly shorter cycle can still close. A later start needs a
+    strictly shorter cycle to win, and no start past n - min_len leaves room
+    for one.
     """
     if min_len < 3:
         raise ValueError("min_len must be at least 3")
     n = g.n
     rows = g.rows
-    for target in range(min_len, n + 1):
-        for start in range(n):
-            later = ((1 << n) - 1) & ~((2 << start) - 1)
-            found = _extend_cycle(rows, [start], 0, later, start, target)
-            if found is not None:
-                return CycleWitness(tuple(g.vertices[v] for v in found))
-    return None
+    best = [n + 1, None]  # [bound, cycle]: only lengths below the bound count
+    for start in range(n - min_len + 1):
+        if best[0] == min_len:
+            break
+        later = ((1 << n) - 1) & ~((2 << start) - 1)
+        _extend_cycle(rows, [start], 0, later, start, min_len, best)
+    if best[1] is None:
+        return None
+    return CycleWitness(tuple(g.vertices[v] for v in best[1]))
 
 
-def _extend_cycle(rows, path, interior, allowed, start, target):
+def _extend_cycle(rows, path, interior, allowed, start, min_len, best):
     # invariant: path is an induced path of vertex positions, interior is the
     # mask of path[1:-1], and no interior vertex is adjacent to start; closing
-    # requires the last vertex adjacent to start
+    # requires the last vertex adjacent to start. Extensions run in ascending
+    # order, so the first cycle recorded at a length is the least of that
+    # length; the bound only ever drops, so it never cuts off an earlier one.
     k = len(path)
     last = path[-1]
     for v in _bits(rows[last] & allowed):
         # no chords back to the path interior (start handled separately)
         if rows[v] & interior:
             continue
-        adj_start = rows[v] >> start & 1
-        if k + 1 == target:
-            if not adj_start:
-                continue
-            # no orientation filter: a cycle's reverse, from the smaller neighbour, closes first
-            return path + [v]
-        if k >= 2 and adj_start:
-            continue  # would chord back to start
+        if k >= 2 and rows[v] >> start & 1:
+            # closes a cycle of length k + 1, below the bound: path grew only
+            # while k + 1 was below it, and cycles closed below path are
+            # longer. It cannot be extended (a chord to start), and no
+            # sibling closes a shorter one. No orientation filter: a cycle's
+            # reverse has its length and is met later.
+            if k + 1 >= min_len:
+                best[0] = k + 1
+                best[1] = path + [v]
+                return
+            continue
+        if k + 2 >= best[0]:
+            continue  # a cycle through path + [v] has length at least k + 2
         path.append(v)
-        got = _extend_cycle(rows, path, interior | (1 << last if k >= 2 else 0),
-                            allowed & ~(1 << v), start, target)
+        _extend_cycle(rows, path, interior | (1 << last if k >= 2 else 0),
+                      allowed & ~(1 << v), start, min_len, best)
         path.pop()
-        if got is not None:
-            return got
-    return None
 
 
 def validate_cycle_witness(g: Graph, w: CycleWitness, min_len: int = 3) -> bool:

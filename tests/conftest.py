@@ -6,7 +6,8 @@ from __future__ import annotations
 from collections import deque
 from itertools import permutations
 
-from raagscope.graphs import Graph
+from raagscope.graphs import Graph, _bits
+from raagscope.recognize import CycleWitness
 
 
 def brute_induced(pattern: Graph, host: Graph):
@@ -63,3 +64,42 @@ def enumerate_words(letters, max_len: int):
     for length in range(max_len + 1):
         for combo in product(letters, repeat=length):
             yield tuple(combo)
+
+
+def reference_induced_cycle(g: Graph, min_len: int):
+    """Shortest induced cycle of length >= min_len by iterative deepening: one
+    full depth-first search per target length, starts and extensions
+    ascending. The first cycle it finds is the one find_induced_cycle must
+    return."""
+    n = g.n
+    rows = g.rows
+    for target in range(min_len, n + 1):
+        for start in range(n):
+            later = ((1 << n) - 1) & ~((2 << start) - 1)
+            found = _extend_to_target(rows, [start], 0, later, start, target)
+            if found is not None:
+                return CycleWitness(tuple(g.vertices[v] for v in found))
+    return None
+
+
+def _extend_to_target(rows, path, interior, allowed, start, target):
+    # path is an induced path; interior is the mask of path[1:-1]
+    k = len(path)
+    last = path[-1]
+    for v in _bits(rows[last] & allowed):
+        if rows[v] & interior:
+            continue
+        adj_start = rows[v] >> start & 1
+        if k + 1 == target:
+            if adj_start:
+                return path + [v]
+            continue
+        if k >= 2 and adj_start:
+            continue
+        path.append(v)
+        got = _extend_to_target(rows, path, interior | (1 << last if k >= 2 else 0),
+                                allowed & ~(1 << v), start, target)
+        path.pop()
+        if got is not None:
+            return got
+    return None

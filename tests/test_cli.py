@@ -204,6 +204,32 @@ def test_batch_mode(capsys, tmp_path):
     assert lines[1].endswith("no_surface_subgroup")
 
 
+def test_batch_reports_a_bad_line_and_carries_on(capsys, tmp_path):
+    feed = tmp_path / "batch.g6"
+    feed.write_text("D?{\nnot-a-graph\nD~{\n")
+    code, out, _ = run(capsys, "classify", "--batch", str(feed))
+    assert code == 64
+    lines = out.strip().splitlines()
+    assert len(lines) == 3
+    assert lines[0] == "D?{ no_surface_subgroup"
+    assert lines[1].startswith("not-a-graph parse error:")
+    assert lines[2] == "D~{ no_surface_subgroup"
+    code, out, _ = run(capsys, "classify", "--batch", "--json", str(feed))
+    assert code == 64
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    assert [r["verdict"] for r in records] == ["no_surface_subgroup", None, "no_surface_subgroup"]
+    assert records[1]["input"] == {"line": 2, "text": "not-a-graph"}
+    assert records[1]["error"].startswith("parse error:")
+    assert "error" not in records[0] and "error" not in records[2]
+
+
+def test_batch_refuses_edgelist_format(capsys, tmp_path):
+    feed = tmp_path / "batch.g6"
+    feed.write_text("%s\n" % C5_G6)
+    code, out, err = run(capsys, "classify", "--batch", "--format", "edgelist", str(feed))
+    assert code == 64 and out == "" and "edgelist" in err
+
+
 def test_catalog_listing(capsys):
     code, out, _ = run(capsys, "catalog")
     assert code == 0 and "P1(8)" in out and "C5" in out

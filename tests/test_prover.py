@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from raagscope.generate import random_chordal, random_graph
+from raagscope.generate import nonisomorphic_graphs, random_chordal, random_graph
 from raagscope.graphs import Graph, canonical_key, new_graph, standard_graph
-from raagscope.obstructions import entry_graph
+from raagscope.obstructions import entry_graph, find_cocontraction_witness, find_forbidden_induced
 from raagscope.ops import add_edge, co_contract, iter_clique_splits, remove_edge_interior
 from raagscope.prover import (
     HAS_SURFACE,
@@ -167,6 +167,33 @@ def test_classify_cross_check_mode():
         assert v1.status == v2.status
 
 
+def test_pruned_cocontraction_search_returns_the_unpruned_witness():
+    # classify does not expand a co-contraction state the prover derives; on
+    # every graph where the scan and the prover both fail, its obstruction
+    # (or its None) must be the unpruned search's. Random graphs this small
+    # have no witness at depth 2, so Q1(9), Q2(10) and one-vertex extensions
+    # of them supply hits, several of them after pruned states.
+    graphs = [g for n in range(1, 8) for g in nonisomorphic_graphs(n)]
+    rng = random.Random(61)
+    names = ["v%d" % i for i in range(1, 11)]
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    graphs += [Graph(names, rng.sample(pairs, rng.randint(9, 36))) for _ in range(60)]
+    for q in (entry_graph("Q1(9)"), entry_graph("Q2(10)")):
+        graphs.append(q)
+        for _ in range(20):
+            graphs.append(Graph(q.vertices + ("x",), q.edge_pairs
+                                + tuple(("x", v) for v in q.vertices if rng.random() < 0.5)))
+    checked = found = 0
+    for g in graphs:
+        if find_forbidden_induced(g) is not None or prove_in_f(g) is not None:
+            continue
+        checked += 1
+        unpruned = find_cocontraction_witness(g, 2)
+        found += unpruned is not None
+        assert classify(g).obstruction == unpruned
+    assert checked > 50 and found > 10
+
+
 def test_classify_join_graphs():
     # joins of discrete graphs land in the derived family
     k33 = new_graph(["a1", "a2", "a3", "b1", "b2", "b3"],
@@ -200,7 +227,8 @@ def test_derivation_json_round_trip():
 
 def test_soundness_guard_trips_on_forged_cache():
     # poison the memo with a fake derivation for the pentagon; classify must
-    # refuse to return it
+    # refuse to return it. The scan finds the pentagon's obstruction, so only
+    # cross_check runs the prover after it.
     c5 = standard_graph("cycle", 5)
     fake = Derivation(RULE_COMPLETE, standard_graph("complete", 5))
     from raagscope.graphs import canonical_form
@@ -208,7 +236,20 @@ def test_soundness_guard_trips_on_forged_cache():
     key, order = canonical_form(c5)
     cache = {key: (fake, fake.conclusion.vertices)}
     with pytest.raises(SoundnessError):
-        classify(c5, cache=cache)
+        classify(c5, cache=cache, cross_check=True)
+
+
+def test_soundness_guard_trips_on_forged_cache_without_obstruction():
+    # the complement of P6 has no obstruction, so the default path runs the
+    # prover, which returns the forged derivation; the checker must refuse it
+    from raagscope.graphs import canonical_form, parse_graph6
+
+    g = parse_graph6(b"EUzo")
+    assert classify(g).status == "unknown"
+    fake = Derivation(RULE_COMPLETE, standard_graph("complete", 6))
+    key, _ = canonical_form(g)
+    with pytest.raises(SoundnessError):
+        classify(g, cache={key: (fake, fake.conclusion.vertices)})
 
 
 def test_prover_handles_disconnected_graphs():

@@ -2,6 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
+from conftest import reference_induced_cycle
 
 from raagscope.generate import nonisomorphic_graphs, random_bipartite, random_chordal, random_graph
 from raagscope.graphs import new_graph, standard_graph
@@ -45,6 +46,19 @@ def test_find_induced_cycle_triangle_and_shortest():
     assert len(got.vertices) == 3
     got4 = find_induced_cycle(g, 4)
     assert len(got4.vertices) == 4
+
+
+def test_find_induced_cycle_matches_iterative_deepening_oracle():
+    # the one-pass search must return the oracle's cycle exactly: first by
+    # length, then by start, then by ascending extensions
+    graphs = [g for n in range(1, 8) for g in nonisomorphic_graphs(n)]
+    rng = random.Random(8)
+    graphs += [random_graph(rng.randint(8, 14), rng.uniform(0.15, 0.85), rng)
+               for _ in range(300)]
+    for g in graphs:
+        for h in (g, complement(g)):
+            for min_len in range(3, 7):
+                assert find_induced_cycle(h, min_len) == reference_induced_cycle(h, min_len)
 
 
 def test_is_chordal_examples():
