@@ -263,13 +263,11 @@ def find_forbidden_induced(g: Graph,
 
 def find_cocontraction_witness(g: Graph, max_depth: int,
                                extra: Sequence[ForbiddenEntry] = (), *,
-                               derived: Optional[Callable[[Graph], bool]] = None,
-                               scan_root: bool = True) -> Optional[Obstruction]:
+                               derived: Optional[Callable[[Graph], bool]] = None) -> Optional[Obstruction]:
     """Breadth-first search over complement-edge contraction sequences of
     length at most max_depth, deduplicated by isomorphism class; first state
     containing a forbidden induced subgraph wins.
 
-    scan_root=False skips the scan of g itself, for a caller that has made it.
     A derived predicate, when given, prunes the search: a state at depth >= 1
     is still scanned, but not expanded if derived(state) holds. This returns
     the same first hit with the same trail, provided derived(h) holds only for
@@ -281,7 +279,8 @@ def find_cocontraction_witness(g: Graph, max_depth: int,
     state below no derived state is reached along the same chain of
     first-discovering parents as without pruning, none of which is below a
     derived state either, and the states kept leave the queue in the same
-    order; only states below a derived one are dropped or met later.
+    order; only states below a derived one are dropped or met later. The
+    predicate is trusted: one that holds wrongly can hide a witness.
     """
     if max_depth < 0:
         raise ValueError("max_depth must be nonnegative")
@@ -289,11 +288,10 @@ def find_cocontraction_witness(g: Graph, max_depth: int,
     queue: deque[tuple[Graph, tuple[tuple[str, str], ...]]] = deque([(g, ())])
     while queue:
         current, trail = queue.popleft()
-        if trail or scan_root:
-            hit = find_forbidden_induced(current, extra)
-            if hit is not None:
-                kind = KIND_TRAIL if trail else KIND_INDUCED
-                return Obstruction(kind, hit.entry, hit.embedding, trail)
+        hit = find_forbidden_induced(current, extra)
+        if hit is not None:
+            kind = KIND_TRAIL if trail else KIND_INDUCED
+            return Obstruction(kind, hit.entry, hit.embedding, trail)
         if len(trail) >= max_depth:
             continue
         if trail and derived is not None and derived(current):

@@ -17,12 +17,6 @@ searches its right part only after its left part closed, so node counts,
 budget verdicts and memo contents are deterministic.
 It never guesses co-contraction preimages; that rule exists only in the
 checker, so externally supplied derivations using it still validate.
-
-classify runs the cheapest sound work first: the induced obstruction scan,
-then this search only if the scan found nothing, then the co-contraction
-search only if neither certified anything. One memo serves a classify call's
-derivation search and the co-contraction search, which asks the prover
-whether each state it would expand is derived and, if so, does not expand it.
 """
 
 from __future__ import annotations
@@ -30,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from time import perf_counter
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .graphs import (
     Graph,
@@ -311,6 +305,19 @@ def prove_in_f(g: Graph, budget: int = DEFAULT_BUDGET,
 # classification
 
 
+def _derives(memo: dict, budget: int) -> Callable[[Graph], bool]:
+    """Whether the prover derives h, all calls drawing on one search of at
+    most budget nodes; False once that runs out, except on a memo hit."""
+    search = _Search(memo, budget)
+
+    def derived(h: Graph) -> bool:
+        try:
+            return search.run(h) is not None
+        except _BudgetExhausted:
+            return False
+    return derived
+
+
 @dataclass(slots=True)
 class Verdict:
     status: str
@@ -328,10 +335,13 @@ def classify(g: Graph, budget: int = DEFAULT_BUDGET,
 
     The order: the induced obstruction scan; the derivation search, only if
     the scan found nothing; the co-contraction search below g, only if neither
-    found a certificate. The last skips the scan of g already made, and does
-    not expand a state the prover derives (see find_cocontraction_witness):
-    that state lies in N', so nothing below it holds a witness. The derivation
-    search and that pruning share one memo, the caller's cache or a fresh dict.
+    found a certificate. The last does not expand a state the prover derives
+    (see find_cocontraction_witness): that state lies in N', so nothing below
+    it holds a witness. The derivation search and that pruning share one memo,
+    the caller's cache or a fresh dict, and one budget: the pruning expands at
+    most the nodes the derivation search left, and a state it cannot decide
+    within them is expanded. The pruning takes the memo's derivations on
+    trust, so a wrong entry in a caller's cache can hide a witness.
 
     A graph may end up with neither certificate: membership of the derived
     family in the no-surface class is one-sided, so honest Unknowns are
@@ -353,10 +363,10 @@ def classify(g: Graph, budget: int = DEFAULT_BUDGET,
             raise SoundnessError("prover emitted an invalid derivation")
     t2 = perf_counter()
     if obs is None and cocontract_depth > 0 and (deriv is None or cross_check):
-        derived = None if cross_check else (
-            lambda h: prove_in_f(h, budget, memo) is not None)
+        derived = None if cross_check else _derives(
+            memo, budget - report.nodes_expanded)
         obs = find_cocontraction_witness(g, cocontract_depth, catalog,
-                                         derived=derived, scan_root=False)
+                                         derived=derived)
         if obs is not None and not verify_obstruction(g, obs, catalog):
             raise SoundnessError("co-contraction search emitted an invalid certificate")
     if timings is not None:

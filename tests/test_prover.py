@@ -194,6 +194,26 @@ def test_pruned_cocontraction_search_returns_the_unpruned_witness():
     assert checked > 50 and found > 10
 
 
+def test_classify_spends_one_budget_of_prover_nodes():
+    # the pruning of the co-contraction search draws on the nodes the root
+    # derivation search left, so a classify call stores at most budget memo
+    # entries, one per node expanded; deciding fewer states must not change
+    # the obstruction
+    graphs = [g for p in (0.4, 0.8) for s in range(30)
+              for g in [random_graph(10, p, random.Random(s))]
+              if find_forbidden_induced(g) is None]
+    exhausted = 0
+    for g in graphs:
+        unpruned = find_cocontraction_witness(g, 2)
+        for budget in (2, 5, 20):
+            cache = {}
+            v = classify(g, budget=budget, cache=cache)
+            assert len(cache) <= budget
+            assert v.obstruction == unpruned
+            exhausted += v.report is not None and v.report.budget_exhausted
+    assert exhausted > 20
+
+
 def test_classify_join_graphs():
     # joins of discrete graphs land in the derived family
     k33 = new_graph(["a1", "a2", "a3", "b1", "b2", "b3"],
