@@ -73,8 +73,11 @@ def _read_input(source: str) -> bytes:
     if source == "-":
         return sys.stdin.buffer.read()
     if os.path.exists(source):
-        with open(source, "rb") as fh:
-            return fh.read()
+        try:
+            with open(source, "rb") as fh:
+                return fh.read()
+        except OSError as exc:
+            raise GraphError("cannot read %s: %s" % (source, exc.strerror or exc)) from None
     # allow passing a graph6 value directly on the command line
     return source.encode("utf-8")
 
@@ -199,8 +202,12 @@ def _classify_batch(args, run_one) -> int:
         print("error: --batch reads one graph6 value per line; --format edgelist "
               "is not accepted", file=sys.stderr)
         return EXIT_PARSE
+    try:
+        data = _read_input(args.input)
+    except GraphError as exc:
+        print("parse error: %s" % exc, file=sys.stderr)
+        return EXIT_PARSE
     failed = False
-    data = _read_input(args.input)
     for number, line in enumerate(data.decode("utf-8", errors="replace").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -244,7 +251,10 @@ def cmd_verify(args) -> int:
             ok = check_derivation(derivation_from_json(obj["root"]), g)
         else:
             raise CatalogError("unknown certificate_type %r" % (obj["certificate_type"],))
-    except (CatalogError, GraphError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (CatalogError, GraphError, OSError, json.JSONDecodeError, KeyError,
+            RecursionError) as exc:
+        # RecursionError: a certificate nested deeper than the decoder or the
+        # checker can follow
         print("malformed certificate: %s" % exc, file=sys.stderr)
         return EXIT_CERT
     print("valid" if ok else "invalid")

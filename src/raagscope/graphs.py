@@ -76,13 +76,12 @@ class Graph:
     :func:`new_graph` for user input. ``rows[i]`` is the neighbourhood of
     ``vertices[i]`` as a bitmask over positions in ``vertices``.
 
-    Lookups by name go through a name -> position dict. A graph from this
-    constructor keeps its own; a graph the library derives looks it up in a
-    bounded shared table instead, so the many graphs a derivation keeps hold
-    none.
+    Lookups by name go through one name -> position dict per name tuple, kept
+    in a bounded table that every graph on those names shares, so the many
+    graphs a derivation keeps hold none of their own.
     """
 
-    __slots__ = ("vertices", "rows", "_index")
+    __slots__ = ("vertices", "rows")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]]):
         vlist = [_check_name(v) for v in vertices]
@@ -101,7 +100,7 @@ class Graph:
                 raise GraphError("edge endpoint not in vertex list: %r" % ((u, v),))
             rows[iu] |= 1 << iv
             rows[iv] |= 1 << iu
-        _init(self, names, tuple(rows), index)
+        _init(self, names, tuple(rows))
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -127,7 +126,7 @@ class Graph:
     def index(self, v: str) -> int:
         """Position of v in ``vertices``."""
         try:
-            return (self._index or _name_index(self.vertices))[v]
+            return _name_index(self.vertices)[v]
         except KeyError:
             raise GraphError("unknown vertex %r" % (v,)) from None
 
@@ -144,10 +143,10 @@ class Graph:
         return tuple(vs[i] for i in _bits(mask))
 
     def has_vertex(self, v: str) -> bool:
-        return v in (self._index or _name_index(self.vertices))
+        return v in _name_index(self.vertices)
 
     def has_edge(self, u: str, v: str) -> bool:
-        index = self._index or _name_index(self.vertices)
+        index = _name_index(self.vertices)
         try:
             return self.rows[index[u]] >> index[v] & 1 == 1
         except KeyError:
@@ -187,14 +186,11 @@ class Graph:
 
 _set_vertices = Graph.vertices.__set__
 _set_rows = Graph.rows.__set__
-_set_index = Graph._index.__set__
 
 
-def _init(g: Graph, names: tuple[str, ...], rows: tuple[int, ...],
-          index: Optional[dict[str, int]]) -> None:
+def _init(g: Graph, names: tuple[str, ...], rows: tuple[int, ...]) -> None:
     _set_vertices(g, names)
     _set_rows(g, rows)
-    _set_index(g, index)
 
 
 def _from_rows(names: tuple[str, ...], rows: tuple[int, ...]) -> Graph:
@@ -223,7 +219,7 @@ def _from_rows(names: tuple[str, ...], rows: tuple[int, ...]) -> Graph:
 def _from_sorted(names: tuple[str, ...], rows: tuple[int, ...]) -> Graph:
     # _from_rows for names already in sorted order
     g = object.__new__(Graph)
-    _init(g, _shared(names), rows, None)
+    _init(g, _shared(names), rows)
     return g
 
 

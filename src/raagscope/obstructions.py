@@ -360,6 +360,8 @@ def obstruction_from_json(obj: dict) -> Obstruction:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CatalogError("bad obstruction object: %s" % exc) from None
+    if not (isinstance(o.kind, str) and isinstance(o.entry, str)):
+        raise CatalogError("bad obstruction object: kind and entry must be strings")
     if any(len(pair) != 2 for pair in o.trail):
         raise CatalogError("bad obstruction object: a trail step must name two vertices")
     if not all(isinstance(name, str) for pair in o.embedding + o.trail for name in pair):

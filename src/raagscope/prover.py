@@ -9,12 +9,15 @@ surface group, hence no closed hyperbolic surface subgroup.
 The prover is one sequential depth-first search over the rules in a fixed
 order (complete base, amalgam split at the first minimal clique separator,
 bisimplicial edge removal, join decomposition) with memoization by isomorphism
-class. A memo entry holds None for a class that failed, else the derivation
-of the first graph of the class, in that graph's names, and that graph's
-canonical order; a later graph of the class renames it once into its own
-names, position by position along the two canonical orders. A two-part rule
-searches its right part only after its left part closed, so node counts,
-budget verdicts and memo contents are deterministic.
+class. One search holds one memo and one node budget, and every graph it is
+asked to prove draws on both: classify makes one per call, for the graph
+itself and then for the states of the co-contraction search. A memo entry
+holds None for a class that failed, else the derivation of the first graph
+of the class, in that graph's names, and that graph's canonical order; a
+later graph of the class renames it once into its own names, position by
+position along the two canonical orders. A two-part rule searches its right
+part only after its left part closed, so node counts, budget verdicts and
+memo contents are deterministic.
 It never guesses co-contraction preimages; that rule exists only in the
 checker, so externally supplied derivations using it still validate.
 """
@@ -24,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from time import perf_counter
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .graphs import (
     Graph,
@@ -140,7 +143,7 @@ def _check_node(node: Derivation) -> bool:
         if not is_complete(c):
             return False
     elif node.rule == RULE_JOIN:
-        if len(node.children) != 2 or node.bipartition is None:
+        if len(node.children) != 2 or node.bipartition is None or len(node.bipartition) != 2:
             return False
         a, b = node.bipartition
         c0 = node.children[0].conclusion
@@ -210,14 +213,39 @@ class _BudgetExhausted(Exception):
 
 
 class _Search:
+    """One depth-first derivation search over one memo and one node budget.
+
+    Every prove call draws on the same budget; once it has run out, prove
+    answers None except on a memo hit.
+    """
+
     def __init__(self, memo: dict, budget: int):
+        if budget < 1:
+            raise ValueError("budget must be at least 1")
         self.memo = memo
         self.budget = budget
         self.nodes = 0
+        self.exhausted = False
         self.rules_attempted: set[str] = set()
         self.stuck: list[str] = []
 
-    def run(self, h: Graph) -> Optional[Derivation]:
+    def prove(self, h: Graph) -> Optional[Derivation]:
+        try:
+            return self._run(h)
+        except _BudgetExhausted:
+            self.exhausted = True
+            return None
+
+    def report(self) -> UnknownReport:
+        return UnknownReport(
+            nodes_expanded=self.nodes,
+            budget=self.budget,
+            budget_exhausted=self.exhausted,
+            rules_attempted=tuple(sorted(self.rules_attempted)),
+            stuck=tuple(self.stuck),
+        )
+
+    def _run(self, h: Graph) -> Optional[Derivation]:
         key, order = canonical_form(h)
         if key in self.memo:
             hit = self.memo[key]
@@ -239,8 +267,8 @@ class _Search:
         return d
 
     def _pair(self, left: Graph, right: Graph):
-        dl = self.run(left)
-        dr = self.run(right) if dl is not None else None
+        dl = self._run(left)
+        dr = self._run(right) if dl is not None else None
         return dl, dr
 
     def _expand(self, h: Graph) -> Optional[Derivation]:
@@ -257,7 +285,7 @@ class _Search:
             if not is_bisimplicial_edge(h, e):
                 continue
             self.rules_attempted.add(RULE_BISIMP)
-            child = self.run(remove_edge_interior(h, e))
+            child = self._run(remove_edge_interior(h, e))
             if child is not None:
                 return Derivation(RULE_BISIMP, h, (child,), edge=e)
         comp_parts = connected_components(complement(h))
@@ -271,51 +299,15 @@ class _Search:
         return None
 
 
-def _prove(g: Graph, budget: int = DEFAULT_BUDGET,
-           cache: Optional[dict] = None) -> tuple[Optional[Derivation], UnknownReport]:
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    memo = cache if cache is not None else {}
-    search = _Search(memo, budget)
-    exhausted = False
-    try:
-        d = search.run(g)
-    except _BudgetExhausted:
-        d = None
-        exhausted = True
-    report = UnknownReport(
-        nodes_expanded=search.nodes,
-        budget=budget,
-        budget_exhausted=exhausted,
-        rules_attempted=tuple(sorted(search.rules_attempted)),
-        stuck=tuple(search.stuck),
-    )
-    return d, report
-
-
 def prove_in_f(g: Graph, budget: int = DEFAULT_BUDGET,
                cache: Optional[dict] = None) -> Optional[Derivation]:
     """Search for a derivation concluding a graph isomorphic to g; None on
     exhaustion or budget. Absence of a derivation is not a negative result."""
-    d, _ = _prove(g, budget, cache)
-    return d
+    return _Search(cache if cache is not None else {}, budget).prove(g)
 
 
 # ---------------------------------------------------------------------------
 # classification
-
-
-def _derives(memo: dict, budget: int) -> Callable[[Graph], bool]:
-    """Whether the prover derives h, all calls drawing on one search of at
-    most budget nodes; False once that runs out, except on a memo hit."""
-    search = _Search(memo, budget)
-
-    def derived(h: Graph) -> bool:
-        try:
-            return search.run(h) is not None
-        except _BudgetExhausted:
-            return False
-    return derived
 
 
 @dataclass(slots=True)
@@ -337,11 +329,13 @@ def classify(g: Graph, budget: int = DEFAULT_BUDGET,
     the scan found nothing; the co-contraction search below g, only if neither
     found a certificate. The last does not expand a state the prover derives
     (see find_cocontraction_witness): that state lies in N', so nothing below
-    it holds a witness. The derivation search and that pruning share one memo,
-    the caller's cache or a fresh dict, and one budget: the pruning expands at
-    most the nodes the derivation search left, and a state it cannot decide
-    within them is expanded. The pruning takes the memo's derivations on
-    trust, so a wrong entry in a caller's cache can hide a witness.
+    it holds a witness. One derivation search serves g and that pruning, over
+    one memo, the caller's cache or a fresh dict, and one budget of at most
+    budget nodes: the pruning expands only the nodes the search of g left, and
+    a state it cannot decide within them is expanded. The report of an
+    unknown verdict counts the search of g alone. The pruning takes the memo's
+    derivations on trust, so a wrong entry in a caller's cache can hide a
+    witness. A budget below 1 raises ValueError, whichever search would run.
 
     A graph may end up with neither certificate: membership of the derived
     family in the no-surface class is one-sided, so honest Unknowns are
@@ -350,7 +344,7 @@ def classify(g: Graph, budget: int = DEFAULT_BUDGET,
     a found obstruction, and the unpruned co-contraction search even after a
     found derivation, so that the both-certificates guard sees every search.
     """
-    memo = cache if cache is not None else {}
+    search = _Search(cache if cache is not None else {}, budget)
     t0 = perf_counter()
     obs = find_forbidden_induced(g, catalog)
     if obs is not None and not verify_obstruction(g, obs, catalog):
@@ -358,13 +352,13 @@ def classify(g: Graph, budget: int = DEFAULT_BUDGET,
     t1 = perf_counter()
     deriv = report = None
     if obs is None or cross_check:
-        deriv, report = _prove(g, budget, memo)
+        deriv = search.prove(g)
+        report = search.report()
         if deriv is not None and not check_derivation(deriv, g):
             raise SoundnessError("prover emitted an invalid derivation")
     t2 = perf_counter()
     if obs is None and cocontract_depth > 0 and (deriv is None or cross_check):
-        derived = None if cross_check else _derives(
-            memo, budget - report.nodes_expanded)
+        derived = None if cross_check else lambda h: search.prove(h) is not None
         obs = find_cocontraction_witness(g, cocontract_depth, catalog,
                                          derived=derived)
         if obs is not None and not verify_obstruction(g, obs, catalog):

@@ -4,10 +4,9 @@ Positive answers come with an elimination order that can be replayed; negative
 answers come with an induced cycle (or triangle) witness. Both greedy passes
 are complete, so neither needs a fallback search:
 
-- a graph with no simplicial vertex has an induced cycle C of length >= 4; for
-  v on C, its neighbours x, y on C are nonadjacent and the rest of C joins
-  them avoiding N[v] minus {x, y}, so a shortest such path exists, is induced,
-  and closes with v to an induced cycle of length >= 4;
+- a graph with no simplicial vertex has an induced cycle of length >= 4
+  (Dirac, On rigid circuit graphs, Abh. Math. Sem. Univ. Hamburg 1961), which
+  find_induced_cycle finds;
 - every chordal bipartite graph with an edge has a bisimplicial edge
   (Golumbic and Goss, Perfect elimination and chordal bipartite graphs,
   J. Graph Theory 1978), and deleting any one keeps the graph chordal
@@ -17,12 +16,12 @@ are complete, so neither needs a fallback search:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from .graphs import Graph, _bits
-from .ops import induced, is_bisimplicial_edge, is_simplicial_vertex, remove_edge_interior
+from .ops import (_is_clique_mask, induced, is_bisimplicial_edge,
+                  is_simplicial_vertex, remove_edge_interior)
 
 
 @dataclass(frozen=True)
@@ -132,66 +131,27 @@ def validate_chordal_certificate(g: Graph, cert: ChordalCertificate) -> bool:
 
 
 def is_chordal(g: Graph) -> Union[ChordalCertificate, CycleWitness]:
-    """Greedy simplicial elimination; on a stuck graph, extract an induced
-    cycle of length at least 4.
+    """Greedy simplicial elimination, the first simplicial vertex by name at
+    each step; on a stall, the shortest induced cycle of length at least 4.
 
     Removing a simplicial vertex never breaks chordality, so the greedy pass
-    is a complete decision procedure; the witness extraction runs on the stuck
-    residual graph, which is an induced subgraph of g.
+    is a complete decision procedure. No simplicial vertex lies on an induced
+    cycle of length >= 4, so every such cycle of g survives in the stalled
+    subgraph, which keeps the vertices' order: the witness is
+    find_induced_cycle(g, 4).
     """
+    rows = g.rows
+    left = (1 << g.n) - 1
     order: list[str] = []
-    current = g
-    while current.n:
-        pick = None
-        for v in current.vertices:
-            if is_simplicial_vertex(current, v):
-                pick = v
+    while left:
+        for v in _bits(left):
+            if _is_clique_mask(rows, rows[v] & left):
                 break
-        if pick is None:
-            return _induced_long_cycle(current)
-        order.append(pick)
-        current = induced(current, [u for u in current.vertices if u != pick])
+        else:
+            return find_induced_cycle(g.subgraph(left), 4)
+        order.append(g.vertices[v])
+        left &= ~(1 << v)
     return ChordalCertificate(tuple(order))
-
-
-def _induced_long_cycle(stuck: Graph) -> CycleWitness:
-    # a shortest path between nonadjacent neighbours x, y of v avoiding the
-    # rest of N[v] closes an induced cycle; one exists (module docstring)
-    for v in stuck.vertices:
-        nb = sorted(stuck.adj(v))
-        for i in range(len(nb)):
-            for j in range(i + 1, len(nb)):
-                x, y = nb[i], nb[j]
-                if stuck.has_edge(x, y):
-                    continue
-                banned = (stuck.adj(v) | {v}) - {x, y}
-                keep = [u for u in stuck.vertices if u not in banned]
-                path = _shortest_path(induced(stuck, keep), x, y)
-                if path is not None:
-                    wit = CycleWitness(tuple([v] + path))
-                    if not validate_cycle_witness(stuck, wit, 4):
-                        raise AssertionError("shortest path did not close an induced cycle")
-                    return wit
-    raise AssertionError("no simplicial vertex but also no induced cycle")
-
-
-def _shortest_path(g: Graph, src: str, dst: str) -> Optional[list[str]]:
-    # BFS; a shortest path is induced in g
-    prev = {src: None}
-    q = deque([src])
-    while q:
-        v = q.popleft()
-        if v == dst:
-            path = []
-            while v is not None:
-                path.append(v)
-                v = prev[v]
-            return path[::-1]
-        for w in sorted(g.adj(v)):
-            if w not in prev:
-                prev[w] = v
-                q.append(w)
-    return None
 
 
 def validate_edge_elimination(g: Graph, order: EdgeEliminationOrder) -> bool:

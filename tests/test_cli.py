@@ -4,10 +4,20 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 import raagscope
 from raagscope.cli import main
 from raagscope.generate import nonisomorphic_graphs
-from raagscope.graphs import emit_edgelist, emit_graph6, is_isomorphic, parse_edgelist, parse_graph6, standard_graph
+from raagscope.graphs import (
+    emit_edgelist,
+    emit_graph6,
+    graph_to_json,
+    is_isomorphic,
+    parse_edgelist,
+    parse_graph6,
+    standard_graph,
+)
 from raagscope.obstructions import entry_graph
 from raagscope.ops import complement
 
@@ -332,3 +342,53 @@ def test_classify_exits_74_without_traceback_when_stdout_closes(tmp_path):
     assert len(head) == 100
     assert code == 74
     assert b"Traceback" not in err
+
+
+def test_verify_obstruction_with_a_non_string_entry_is_malformed(capsys, tmp_path):
+    for entry in (None, 5, ["C5"]):
+        def doctor(cert):
+            cert["entry"] = entry
+
+        code, out, err = _verify_doctored(capsys, tmp_path, C5_G6, doctor)
+        assert code == 65 and out == "" and "malformed certificate" in err
+
+
+def test_verify_join_without_two_parts_is_invalid(capsys, tmp_path):
+    # the octahedron's derivation is a join at the root
+    octahedron = "E]~o"
+    for parts in ([["v1"]], [["v1"], ["v2"], ["v3"]]):
+        def doctor(cert):
+            assert cert["root"]["rule"] == "JoinRule"
+            cert["root"]["bipartition"] = parts
+
+        code, out, err = _verify_doctored(capsys, tmp_path, octahedron, doctor)
+        assert code == 1 and out == "invalid\n" and err == ""
+
+
+def test_verify_deeply_nested_certificate_is_malformed(capsys, tmp_path):
+    graph = json.dumps(graph_to_json(standard_graph("path", 4)))
+    leaf = '{"rule": "CompleteBase", "graph": %s, "children": []}' % graph
+    step = '{"rule": "BisimplicialRule", "graph": %s, "edge": ["v3", "v4"], "children": [' % graph
+    chain = step * 600 + leaf + "]}" * 600
+    cert = tmp_path / "deep.json"
+    for text in ("[" * 200000, '{"certificate_type": "derivation", "root": %s}' % chain):
+        cert.write_text(text)
+        code, out, err = run(capsys, "verify", P4_G6, str(cert))
+        assert code == 65 and out == "" and "malformed certificate" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "{dir}"],
+    ["classify", "--batch", "{dir}"],
+    ["verify", "{dir}", "{cert}"],
+    ["ops", "complement", "{dir}"],
+    ["word", "nf", "-g", "{dir}", "v1"],
+])
+def test_unreadable_input_path_exits_64_without_traceback(capsys, tmp_path, argv):
+    # a directory exists but cannot be read as a file
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"certificate_type": "derivation"}))
+    argv = [a.format(dir=tmp_path, cert=cert) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 64 and out == ""
+    assert "Traceback" not in err and err.count("\n") == 1 and "cannot read" in err

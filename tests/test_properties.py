@@ -1,5 +1,11 @@
 """Property tests drawn by hypothesis (a test extra; skipped without it)."""
 
+import contextlib
+import copy
+import io
+import json
+import random
+import time
 from itertools import combinations
 
 import pytest
@@ -7,8 +13,28 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from raagscope.graphs import Graph  # noqa: E402
-from raagscope.prover import classify  # noqa: E402
+from raagscope.cli import main  # noqa: E402
+from raagscope.generate import random_chordal  # noqa: E402
+from raagscope.graphs import (  # noqa: E402
+    Graph,
+    GraphError,
+    emit_edgelist,
+    parse_graph6,
+    standard_graph,
+)
+from raagscope.obstructions import (  # noqa: E402
+    CatalogError,
+    entry_graph,
+    obstruction_from_json,
+    obstruction_to_json,
+    verify_obstruction,
+)
+from raagscope.prover import (  # noqa: E402
+    check_derivation,
+    classify,
+    derivation_from_json,
+    derivation_to_json,
+)
 
 
 @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -25,3 +51,116 @@ def test_classify_status_is_invariant_under_relabelling(data):
     h = Graph(["w%d" % perm[i] for i in range(n)],
               [("w%d" % perm[a], "w%d" % perm[b]) for a, b in edges])
     assert classify(g).status == classify(h).status
+
+
+# --- verify under mutated certificates ---------------------------------------
+
+_KEYS = ("certificate_type", "kind", "entry", "embedding", "trail", "root", "rule",
+         "graph", "vertices", "edges", "children", "separator", "edge", "bipartition",
+         "cocontract_set", "bogus")
+_ODD_VALUES = (None, 0, -1, 2.5, True, "", "v1", "C999999999", [], {}, [["v1"]], {"v1": 3})
+
+
+def _base_certificates():
+    # (graph, certificate) pairs from classify: induced and trail obstructions,
+    # and derivations using the amalgam, bisimplicial and (octahedron) join rules
+    k23 = Graph(["a1", "a2", "b1", "b2", "b3"],
+                [(a, b) for a in ("a1", "a2") for b in ("b1", "b2", "b3")])
+    graphs = [standard_graph("cycle", 5), entry_graph("Q1(9)"), entry_graph("Q2(10)"),
+              standard_graph("path", 4), standard_graph("cycle", 4), k23,
+              random_chordal(6, random.Random(5)), parse_graph6(b"E]~o")]
+    out = []
+    for g in graphs:
+        v = classify(g)
+        if v.obstruction is not None:
+            cert = {"certificate_type": "obstruction", **obstruction_to_json(v.obstruction)}
+        else:
+            cert = {"certificate_type": "derivation", "root": derivation_to_json(v.derivation)}
+        out.append((g, cert))
+    return out
+
+
+_BASES = _base_certificates()
+
+
+def _slots(obj, path=()):
+    # every (path to a container, key or index in it) of a JSON tree
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for k, v in items:
+        yield path, k
+        if isinstance(v, (dict, list)):
+            yield from _slots(v, path + (k,))
+
+
+def _strings(obj):
+    if isinstance(obj, str):
+        yield obj
+    elif isinstance(obj, dict):
+        for k, v in obj.items():
+            yield k
+            yield from _strings(v)
+    elif isinstance(obj, list):
+        for v in obj:
+            yield from _strings(v)
+
+
+def _mutate(data, cert):
+    obj = copy.deepcopy(cert)
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        slots = list(_slots(obj))
+        if not slots:
+            break
+        # a depth first, so the few top-level keys are drawn as often as the
+        # many vertex names below them
+        depth = data.draw(st.sampled_from(sorted({len(p) for p, _ in slots})), label="depth")
+        path, key = data.draw(st.sampled_from([s for s in slots if len(s[0]) == depth]),
+                              label="slot")
+        parent = obj
+        for step in path:
+            parent = parent[step]
+        op = data.draw(st.sampled_from(["drop", "rename", "swap", "retype", "truncate"]),
+                       label="op")
+        if op == "drop":
+            del parent[key]
+        elif op == "rename" and isinstance(parent, dict):
+            parent[data.draw(st.sampled_from(_KEYS), label="key")] = parent.pop(key)
+        elif op == "swap":
+            parent[key] = data.draw(st.sampled_from(sorted(set(_strings(cert)))), label="name")
+        elif op == "retype":
+            parent[key] = copy.deepcopy(data.draw(st.sampled_from(_ODD_VALUES), label="value"))
+        elif op == "truncate" and isinstance(parent[key], (list, str)):
+            parent[key] = parent[key][:data.draw(st.integers(0, len(parent[key])), label="cut")]
+    return obj
+
+
+def _checker_verdict(g, obj):
+    # what the independent checkers say about obj, or None if it does not parse
+    kind = obj.get("certificate_type") if isinstance(obj, dict) else None
+    try:
+        if kind == "obstruction":
+            return verify_obstruction(g, obstruction_from_json(obj))
+        if kind == "derivation":
+            return check_derivation(derivation_from_json(obj["root"]), g)
+    except (CatalogError, GraphError, KeyError):
+        pass
+    return None
+
+
+@hypothesis.settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@hypothesis.given(st.data())
+def test_verify_answers_mutated_certificates_with_a_documented_exit(tmp_path_factory, data):
+    # exit 0 or 1 must be the checkers' verdict, anything unparseable 65; an
+    # escaping exception fails the test
+    g, cert = data.draw(st.sampled_from(_BASES), label="base")
+    obj = _mutate(data, cert)
+    root = tmp_path_factory.getbasetemp()
+    (root / "g.el").write_bytes(emit_edgelist(g))
+    (root / "cert.json").write_text(json.dumps(obj))
+    t0 = time.process_time()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["verify", str(root / "g.el"), str(root / "cert.json")])
+    assert time.process_time() - t0 < 1.0
+    assert code in (0, 1, 65)
+    expected = _checker_verdict(g, obj)
+    if expected is not None:
+        assert code == (0 if expected else 1)

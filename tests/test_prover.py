@@ -137,6 +137,13 @@ def test_budget_exhaustion_returns_none():
     assert prove_in_f(g, budget=1) is None
 
 
+def test_classify_refuses_a_budget_below_one_whatever_the_scan_finds():
+    # the scan alone decides C5, and K3 needs one prover node; both refuse
+    for g in (standard_graph("cycle", 5), standard_graph("complete", 3)):
+        with pytest.raises(ValueError):
+            classify(g, budget=0)
+
+
 def test_classify_examples():
     v = classify(standard_graph("cycle", 5))
     assert v.status == HAS_SURFACE and v.obstruction.entry == "C5"

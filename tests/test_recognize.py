@@ -87,6 +87,7 @@ def test_is_chordal_agrees_with_cycle_search_all_seven_vertex_graphs():
             else:
                 assert has_cycle
                 assert validate_cycle_witness(g, verdict, 4)
+                assert verdict == find_induced_cycle(g, 4)
             # chordal bipartite: no triangle and no induced cycle of length >= 5
             has_triangle = any(g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)
                                for a, b, c in combinations(g.vertices, 3))
@@ -170,10 +171,13 @@ def test_validators_reject_garbage():
 
 def test_stuck_graphs_yield_valid_witnesses():
     rng = random.Random(23)
-    for _ in range(80):
-        g = random_graph(rng.randint(4, 8), rng.random(), rng)
+    graphs = [random_graph(rng.randint(4, 8), rng.random(), rng) for _ in range(80)]
+    graphs += [random_graph(rng.randint(8, 16), rng.random(), rng) for _ in range(80)]
+    graphs += [random_chordal(rng.randint(8, 16), rng) for _ in range(40)]
+    for g in graphs:
         verdict = is_chordal(g)
         if isinstance(verdict, CycleWitness):
             assert validate_cycle_witness(g, verdict, 4)
+            assert verdict == find_induced_cycle(g, 4)
         else:
             assert validate_chordal_certificate(g, verdict)
