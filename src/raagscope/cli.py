@@ -11,6 +11,7 @@ verdicts, and 64 if any line failed to parse.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -18,7 +19,15 @@ import time
 from typing import Optional
 
 from . import __version__
-from .graphs import Graph, GraphError, emit_graph, emit_graph6, parse_graph, parse_graph6
+from .graphs import (
+    _G6_HEADER,
+    Graph,
+    GraphError,
+    emit_graph,
+    emit_graph6,
+    parse_graph,
+    parse_graph6,
+)
 from .obstructions import (
     CatalogError,
     builtin_catalog,
@@ -78,8 +87,15 @@ def _read_input(source: str) -> bytes:
                 return fh.read()
         except OSError as exc:
             raise GraphError("cannot read %s: %s" % (source, exc.strerror or exc)) from None
-    # allow passing a graph6 value directly on the command line
-    return source.encode("utf-8")
+    # allow passing a graph6 value directly on the command line; a source
+    # with a byte no graph6 value holds (such as "/" or ".") is a path
+    data = source.encode("utf-8")
+    value = data.strip()
+    if value.startswith(_G6_HEADER):
+        value = value[len(_G6_HEADER):].lstrip()
+    if any(b < 63 or b > 126 for b in value):
+        raise GraphError("cannot read %s: %s" % (source, os.strerror(errno.ENOENT)))
+    return data
 
 
 def _sniff_format(data: bytes) -> str:

@@ -7,11 +7,16 @@ derived family implies there is no relative embedding of a compact hyperbolic
 surface group, hence no closed hyperbolic surface subgroup.
 
 The prover is one sequential depth-first search over the rules in a fixed
-order (complete base, amalgam split at the first minimal clique separator,
-bisimplicial edge removal, join decomposition) with memoization by isomorphism
-class. One search holds one memo and one node budget, and every graph it is
-asked to prove draws on both: classify makes one per call, for the graph
-itself and then for the states of the co-contraction search. A memo entry
+order (amalgam split at the first minimal clique separator, bisimplicial edge
+removal, join decomposition) with memoization by isomorphism class. A chordal
+graph, complete ones included, is not searched: before the memo lookup, its
+derivation is built from a perfect elimination order, one amalgam per
+split-off clique (the paper's proof that chordal graphs lie in N'). It costs
+no canonical labeling, no memo entry and no node of the budget, so it is
+answered even after the budget has run out. One search holds one memo and
+one node budget, and every other graph it is asked to prove draws on both:
+classify makes one per call, for the graph itself and then for the states of
+the co-contraction search. A memo entry
 holds None for a class that failed, else the derivation of the first graph
 of the class, in that graph's names, and that graph's canonical order; a
 later graph of the class renames it once into its own names, position by
@@ -32,6 +37,7 @@ from typing import Optional, Sequence
 from .graphs import (
     Graph,
     GraphError,
+    _bits,
     _relabel,
     _shared,
     canonical_form,
@@ -59,6 +65,7 @@ from .ops import (
     remove_edge_interior,
     validate_clique_split,
 )
+from .recognize import elimination_order
 
 RULE_COMPLETE = "CompleteBase"
 RULE_JOIN = "JoinRule"
@@ -101,6 +108,45 @@ def _leaf(g: Graph) -> Derivation:
     # complete-graph leaves recur across derivations (K1 and K2 on the same
     # names above all), so one copy of each is kept
     return Derivation(RULE_COMPLETE, g)
+
+
+def _chordal_derivation(h: Graph, order: list[int]) -> Derivation:
+    """The derivation of a chordal graph along a perfect elimination order of
+    its positions.
+
+    The first vertex v of the order still present is simplicial in what is
+    left, so K = N[v] is a maximal clique of it. With S the members of K that
+    have a neighbour outside K, what is left is the amalgam of K and of itself
+    less K - S along the clique S; K - S holds v at least. Restricting a
+    perfect elimination order keeps it one, so the walk goes on down the
+    order until what is left is complete: at most n - 1 amalgam nodes, about
+    one per maximal clique, each with a complete left part.
+    """
+    rows = h.rows
+    full = rest = (1 << h.n) - 1
+    steps = []
+    for v in order:
+        if not rest >> v & 1:
+            continue
+        clique = rows[v] & rest | 1 << v
+        if clique == rest:
+            break
+        outside = rest & ~clique
+        sep = 0
+        for u in _bits(clique):
+            if rows[u] & outside:
+                sep |= 1 << u
+        steps.append((rest, clique, sep))
+        rest &= ~clique | sep
+
+    def sub(mask: int) -> Graph:
+        return h if mask == full else h.subgraph(mask)
+
+    d = _leaf(sub(rest))
+    for whole, clique, sep in reversed(steps):
+        d = Derivation(RULE_AMALGAM, sub(whole), (_leaf(h.subgraph(clique)), d),
+                       separator=_shared(frozenset(h.names(sep))))
+    return d
 
 
 def rename_derivation(d: Derivation, mapping: dict[str, str]) -> Derivation:
@@ -215,8 +261,11 @@ class _BudgetExhausted(Exception):
 class _Search:
     """One depth-first derivation search over one memo and one node budget.
 
-    Every prove call draws on the same budget; once it has run out, prove
-    answers None except on a memo hit.
+    A chordal graph, at the root or at any node, gets the derivation that
+    _chordal_derivation builds, before the memo lookup: it spends no node
+    and is kept in no memo entry. Every other graph draws on the same budget;
+    once the budget has run out, prove answers None except on a chordal graph
+    or a memo hit.
     """
 
     def __init__(self, memo: dict, budget: int):
@@ -246,6 +295,9 @@ class _Search:
         )
 
     def _run(self, h: Graph) -> Optional[Derivation]:
+        peo = elimination_order(h.rows, (1 << h.n) - 1)
+        if peo is not None:
+            return _chordal_derivation(h, peo)
         key, order = canonical_form(h)
         if key in self.memo:
             hit = self.memo[key]
@@ -272,8 +324,7 @@ class _Search:
         return dl, dr
 
     def _expand(self, h: Graph) -> Optional[Derivation]:
-        if is_complete(h):
-            return _leaf(h)
+        # h is not chordal, so not complete
         split = next(iter_clique_splits(h), None)
         if split is not None:
             # first minimal separator only; no backtracking across separators
@@ -332,8 +383,11 @@ def classify(g: Graph, budget: int = DEFAULT_BUDGET,
     it holds a witness. One derivation search serves g and that pruning, over
     one memo, the caller's cache or a fresh dict, and one budget of at most
     budget nodes: the pruning expands only the nodes the search of g left, and
-    a state it cannot decide within them is expanded. The report of an
-    unknown verdict counts the search of g alone. The pruning takes the memo's
+    a state it cannot decide within them is expanded. A chordal graph, g or a
+    state, is decided by construction before the memo lookup and spends no
+    node, so it is decided even after the budget has run out, and budget=1
+    still derives any chordal g. The report of an unknown verdict counts the
+    search of g alone. The pruning takes the memo's
     derivations on trust, so a wrong entry in a caller's cache can hide a
     witness. A budget below 1 raises ValueError, whichever search would run.
 

@@ -130,28 +130,38 @@ def validate_chordal_certificate(g: Graph, cert: ChordalCertificate) -> bool:
     return True
 
 
-def is_chordal(g: Graph) -> Union[ChordalCertificate, CycleWitness]:
-    """Greedy simplicial elimination, the first simplicial vertex by name at
-    each step; on a stall, the shortest induced cycle of length at least 4.
+def elimination_order(rows: tuple[int, ...], left: int) -> Optional[list[int]]:
+    """Greedy simplicial elimination of the vertices in the mask left, the
+    first simplicial position at each step; None on a stall.
 
-    Removing a simplicial vertex never breaks chordality, so the greedy pass
-    is a complete decision procedure. No simplicial vertex lies on an induced
-    cycle of length >= 4, so every such cycle of g survives in the stalled
-    subgraph, which keeps the vertices' order: the witness is
-    find_induced_cycle(g, 4).
+    Removing a simplicial vertex never breaks chordality, so the pass returns
+    a perfect elimination order exactly when the induced subgraph on left is
+    chordal.
     """
-    rows = g.rows
-    left = (1 << g.n) - 1
-    order: list[str] = []
+    order: list[int] = []
     while left:
         for v in _bits(left):
             if _is_clique_mask(rows, rows[v] & left):
                 break
         else:
-            return find_induced_cycle(g.subgraph(left), 4)
-        order.append(g.vertices[v])
+            return None
+        order.append(v)
         left &= ~(1 << v)
-    return ChordalCertificate(tuple(order))
+    return order
+
+
+def is_chordal(g: Graph) -> Union[ChordalCertificate, CycleWitness]:
+    """The order elimination_order finds, by name; on a stall, the shortest
+    induced cycle of length at least 4.
+
+    The pass stalls only on a non-chordal g: the stalled subgraph has no
+    simplicial vertex, so it holds an induced cycle of length >= 4 (Dirac),
+    which is one of g, and find_induced_cycle(g, 4) finds the shortest.
+    """
+    order = elimination_order(g.rows, (1 << g.n) - 1)
+    if order is None:
+        return find_induced_cycle(g, 4)
+    return ChordalCertificate(tuple(g.vertices[v] for v in order))
 
 
 def validate_edge_elimination(g: Graph, order: EdgeEliminationOrder) -> bool:

@@ -392,3 +392,18 @@ def test_unreadable_input_path_exits_64_without_traceback(capsys, tmp_path, argv
     code, out, err = run(capsys, *argv)
     assert code == 64 and out == ""
     assert "Traceback" not in err and err.count("\n") == 1 and "cannot read" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "{missing}"],
+    ["classify", "--batch", "{missing}"],
+])
+def test_missing_input_path_exits_64_without_traceback(capsys, tmp_path, argv):
+    # a path that does not exist holds "/" and ".", which no graph6 value
+    # holds, so it is not parsed as one
+    missing = tmp_path / "no" / "such" / "file.g6"
+    argv = [a.format(missing=missing) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 64 and out == ""
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert "cannot read %s: No such file or directory" % missing in err

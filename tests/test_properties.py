@@ -63,12 +63,14 @@ _ODD_VALUES = (None, 0, -1, 2.5, True, "", "v1", "C999999999", [], {}, [["v1"]],
 
 def _base_certificates():
     # (graph, certificate) pairs from classify: induced and trail obstructions,
-    # and derivations using the amalgam, bisimplicial and (octahedron) join rules
+    # derivations using the amalgam, bisimplicial and (octahedron) join rules,
+    # and the constructed derivation of a 14-vertex chordal graph
     k23 = Graph(["a1", "a2", "b1", "b2", "b3"],
                 [(a, b) for a in ("a1", "a2") for b in ("b1", "b2", "b3")])
     graphs = [standard_graph("cycle", 5), entry_graph("Q1(9)"), entry_graph("Q2(10)"),
               standard_graph("path", 4), standard_graph("cycle", 4), k23,
-              random_chordal(6, random.Random(5)), parse_graph6(b"E]~o")]
+              random_chordal(6, random.Random(5)), parse_graph6(b"E]~o"),
+              random_chordal(14, random.Random(14))]
     out = []
     for g in graphs:
         v = classify(g)
@@ -110,16 +112,19 @@ def _mutate(data, cert):
         slots = list(_slots(obj))
         if not slots:
             break
-        # a depth first, so the few top-level keys are drawn as often as the
-        # many vertex names below them
-        depth = data.draw(st.sampled_from(sorted({len(p) for p, _ in slots})), label="depth")
+        # a depth first, shallow ones the likelier (depth i of k is listed
+        # k - i times), so the few top-level keys are drawn more often than
+        # the many vertex names below them
+        depths = sorted({len(p) for p, _ in slots})
+        depth = data.draw(st.sampled_from([d for i, d in enumerate(depths)
+                                           for _ in range(len(depths) - i)]), label="depth")
         path, key = data.draw(st.sampled_from([s for s in slots if len(s[0]) == depth]),
                               label="slot")
         parent = obj
         for step in path:
             parent = parent[step]
-        op = data.draw(st.sampled_from(["drop", "rename", "swap", "retype", "truncate"]),
-                       label="op")
+        op = data.draw(st.sampled_from(["drop", "rename", "swap", "retype", "truncate",
+                                        "grow", "nest"]), label="op")
         if op == "drop":
             del parent[key]
         elif op == "rename" and isinstance(parent, dict):
@@ -130,6 +135,16 @@ def _mutate(data, cert):
             parent[key] = copy.deepcopy(data.draw(st.sampled_from(_ODD_VALUES), label="value"))
         elif op == "truncate" and isinstance(parent[key], (list, str)):
             parent[key] = parent[key][:data.draw(st.integers(0, len(parent[key])), label="cut")]
+        elif op == "grow" and isinstance(parent[key], list):
+            # one more item: a copy of one already there, or an odd value
+            extra = data.draw(st.sampled_from(parent[key] + list(_ODD_VALUES)), label="item")
+            parent[key].append(copy.deepcopy(extra))
+        elif op == "nest":
+            # a node becomes the only child of a copy of itself; any other
+            # value moves one list deeper
+            value = parent[key]
+            parent[key] = ({**copy.deepcopy(value), "children": [value]}
+                           if isinstance(value, dict) else [value])
     return obj
 
 

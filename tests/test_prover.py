@@ -6,7 +6,7 @@ import pytest
 from raagscope.generate import nonisomorphic_graphs, random_chordal, random_graph
 from raagscope.graphs import Graph, canonical_key, new_graph, standard_graph
 from raagscope.obstructions import entry_graph, find_cocontraction_witness, find_forbidden_induced
-from raagscope.ops import add_edge, co_contract, iter_clique_splits, remove_edge_interior
+from raagscope.ops import add_edge, co_contract, is_clique, iter_clique_splits, remove_edge_interior
 from raagscope.prover import (
     HAS_SURFACE,
     NO_SURFACE,
@@ -62,6 +62,45 @@ def test_chordal_graphs_use_only_base_and_amalgam():
         assert d is not None
         assert d.rules_used() <= {RULE_COMPLETE, RULE_AMALGAM}
         assert check_derivation(d, g)
+
+
+def _nodes(d):
+    yield d
+    for ch in d.children:
+        yield from _nodes(ch)
+
+
+def test_chordal_derivations_are_built_without_canonical_labeling(monkeypatch):
+    # a chordal graph is derived along its perfect elimination order, one
+    # amalgam per split-off clique, before any memo lookup
+    import raagscope.prover as prover
+
+    def refuse(h):
+        raise AssertionError("canonical_form called on a chordal graph")
+
+    monkeypatch.setattr(prover, "canonical_form", refuse)
+    rng = random.Random(71)
+    for _ in range(40):
+        g = random_chordal(rng.randint(10, 16), rng)
+        v = classify(g)
+        assert v.status == NO_SURFACE and check_derivation(v.derivation, g)
+        nodes = list(_nodes(v.derivation))
+        assert {d.rule for d in nodes} <= {RULE_COMPLETE, RULE_AMALGAM}
+        assert sum(d.rule == RULE_AMALGAM for d in nodes) <= g.n - 1
+        for leaf in nodes:
+            if leaf.rule == RULE_COMPLETE:
+                assert is_clique(g, leaf.conclusion.vertices)
+                assert leaf.conclusion == g.subgraph(g.mask(leaf.conclusion.vertices))
+
+
+def test_chordal_graphs_spend_no_budget():
+    rng = random.Random(72)
+    for n in (1, 5, 12):
+        g = random_chordal(n, rng)
+        v = classify(g, budget=1)
+        assert v.status == NO_SURFACE and check_derivation(v.derivation, g)
+    memo = {}
+    assert prove_in_f(P3, budget=1, cache=memo) is not None and memo == {}
 
 
 def test_join_rule_reachability_checker_side():
@@ -138,7 +177,8 @@ def test_budget_exhaustion_returns_none():
 
 
 def test_classify_refuses_a_budget_below_one_whatever_the_scan_finds():
-    # the scan alone decides C5, and K3 needs one prover node; both refuse
+    # the scan alone decides C5, and K3 is built without a prover node;
+    # both refuse
     for g in (standard_graph("cycle", 5), standard_graph("complete", 3)):
         with pytest.raises(ValueError):
             classify(g, budget=0)
@@ -160,8 +200,12 @@ def test_classify_unknown_on_tiny_budget():
     assert v.status == UNKNOWN
     assert v.report is not None
     assert v.obstruction is None and v.derivation is None
-    # a decomposable graph genuinely runs out of budget at 1 node
-    v2 = classify(P3, budget=1, cocontract_depth=0)
+    # a decomposable graph genuinely runs out of budget at 1 node: C4 with a
+    # pendant vertex is not chordal (a chordal graph spends no node) and has
+    # no obstruction
+    c4_pendant = new_graph(["a", "b", "c", "d", "e"],
+                           [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "e")])
+    v2 = classify(c4_pendant, budget=1, cocontract_depth=0)
     assert v2.status == UNKNOWN and v2.report.budget_exhausted
 
 
@@ -206,7 +250,7 @@ def test_classify_spends_one_budget_of_prover_nodes():
     # derivation search left, so a classify call stores at most budget memo
     # entries, one per node expanded; deciding fewer states must not change
     # the obstruction
-    graphs = [g for p in (0.4, 0.8) for s in range(30)
+    graphs = [g for p in (0.4, 0.8) for s in range(40)
               for g in [random_graph(10, p, random.Random(s))]
               if find_forbidden_induced(g) is None]
     exhausted = 0
