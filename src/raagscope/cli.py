@@ -337,12 +337,34 @@ def cmd_word(args) -> int:
 
 
 def _load_hom(path: str) -> tuple[SurfacePresentation, dict]:
+    """The presentation and generator images of a homomorphism file:
+    {"presentation": {"genus": g, "boundary": m}, "images": {gen: word}}
+    with integer counts and word strings. A malformed file raises WordError.
+    So does a presentation with more generators than the file has images,
+    before any generator name is built, so an absurd genus costs nothing."""
     with open(path, "rb") as fh:
-        obj = json.load(fh)
-    pres = SurfacePresentation(genus=int(obj["presentation"]["genus"]),
-                               boundary=int(obj["presentation"]["boundary"]))
-    images = {gen: parse_word(text) for gen, text in obj["images"].items()}
-    return pres, images
+        raw = fh.read()
+    try:
+        obj = json.loads(raw)
+    except (ValueError, RecursionError) as exc:
+        raise WordError("homomorphism file is not valid JSON: %s" % exc) from None
+    pres = obj.get("presentation") if isinstance(obj, dict) else None
+    images = obj.get("images") if isinstance(obj, dict) else None
+    if not isinstance(pres, dict) or not isinstance(images, dict):
+        raise WordError("homomorphism file must be an object with a \"presentation\" "
+                        "object and an \"images\" object")
+    counts = [pres.get("genus"), pres.get("boundary")]
+    if not all(isinstance(c, int) and not isinstance(c, bool) for c in counts):
+        raise WordError("presentation genus and boundary must be integers, got %r"
+                        % (counts,))
+    genus, boundary = counts
+    if 2 * genus + boundary > len(images):
+        raise WordError("presentation has %d generators but the file gives %d images"
+                        % (2 * genus + boundary, len(images)))
+    if not all(isinstance(text, str) for text in images.values()):
+        raise WordError("every generator image must be a word string")
+    return (SurfacePresentation(genus=genus, boundary=boundary),
+            {gen: parse_word(text) for gen, text in images.items()})
 
 
 def cmd_surf(args) -> int:

@@ -24,6 +24,7 @@ from typing import Callable, Optional, Sequence
 
 from .graphs import (
     Graph,
+    GraphError,
     _bits,
     _standard_names,
     canonical_key,
@@ -156,27 +157,50 @@ def builtin_catalog() -> list[ForbiddenEntry]:
 
 def load_catalog(path: str) -> list[ForbiddenEntry]:
     """User catalog extensions: a JSON array of entries, each graph stored as
-    its complement's edge list. Every entry must carry a provenance string."""
+    its complement's edge list. Every entry must carry a provenance string.
+
+    Any malformed document raises CatalogError: text that is not JSON, and an
+    entry that is not an object with a string name, a nonempty string
+    provenance, a list of vertex names and a list of two-name complement
+    edges that make a valid graph.
+    """
     with open(path, "rb") as fh:
-        data = json.load(fh)
+        raw = fh.read()
+    try:
+        data = json.loads(raw)
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers undecodable bytes and JSONDecodeError alike
+        raise CatalogError("catalog file is not valid JSON: %s" % exc) from None
     if not isinstance(data, list):
         raise CatalogError("catalog file must hold a JSON array")
     out = []
     for item in data:
+        if not isinstance(item, dict):
+            raise CatalogError("bad catalog entry: %r is not an object" % (item,))
         try:
             name = item["name"]
             provenance = item["provenance"]
             vertices = item["vertices"]
-            comp_edges = [tuple(e) for e in item["complement_edges"]]
-        except (KeyError, TypeError) as exc:
-            raise CatalogError("bad catalog entry: %s" % exc) from None
+            comp_edges = item["complement_edges"]
+        except KeyError as exc:
+            raise CatalogError("bad catalog entry: missing %s" % exc) from None
+        if not isinstance(name, str):
+            raise CatalogError("catalog entry name must be a string, got %r" % (name,))
         if not provenance or not isinstance(provenance, str):
             raise CatalogError("catalog entry %r needs a provenance string" % (name,))
         if _CYCLE_RE.match(name) or _COCYCLE_RE.match(name):
             raise CatalogError("catalog entry name %r collides with the cycle families" % (name,))
         if name in {e.name for e in _fixed_entries()}:
             raise CatalogError("catalog entry name %r collides with a built-in entry" % (name,))
-        graph = _from_complement(vertices, comp_edges)
+        if not (isinstance(vertices, list) and isinstance(comp_edges, list)
+                and all(isinstance(e, list) and len(e) == 2 for e in comp_edges)):
+            raise CatalogError("catalog entry %r needs a vertex list and complement edges "
+                               "that name two vertices each" % (name,))
+        try:
+            graph = _from_complement(vertices, [tuple(e) for e in comp_edges])
+        except (GraphError, TypeError) as exc:
+            # TypeError: an unhashable vertex name, such as a list
+            raise CatalogError("catalog entry %r: %s" % (name, exc)) from None
         if graph.n < 5:
             raise CatalogError("catalog entry %r has fewer than 5 vertices; such graph "
                                "groups never contain hyperbolic surface groups" % (name,))
@@ -229,20 +253,23 @@ def entry_graph(name: str, extra: Sequence[ForbiddenEntry] = ()) -> Graph:
 # searches
 
 
-def find_forbidden_induced(g: Graph,
-                           extra: Sequence[ForbiddenEntry] = ()) -> Optional[Obstruction]:
+def find_forbidden_induced(g: Graph, extra: Sequence[ForbiddenEntry] = (), *,
+                           through: Optional[str] = None) -> Optional[Obstruction]:
     """Scan catalog entries no larger than g in increasing size and return the
     first induced embedding.
 
     The unbounded cycle families are realized by shortest-induced-cycle
     searches in g and in its complement, which is equivalent to scanning every
-    C_n / coC_n entry in size order.
+    C_n / coC_n entry in size order. With through, those two searches look
+    only at cycles through the named vertex, which is the whole scan when g
+    less that vertex holds no induced cycle of length >= 5, in itself or in
+    its complement; the fixed entries are always scanned in full.
     """
     n = g.n
     if n < 5:
         return None
-    cyc = find_induced_cycle(g, 5)
-    cocyc = find_induced_cycle(complement(g), 5)
+    cyc = find_induced_cycle(g, 5, through=through)
+    cocyc = find_induced_cycle(complement(g), 5, through=through)
     fixed = sorted([e for e in list(_scan_entries()) + list(extra) if e.graph.n <= n],
                    key=lambda e: (e.graph.n, e.name))
     for size in range(5, n + 1):
@@ -281,14 +308,25 @@ def find_cocontraction_witness(g: Graph, max_depth: int,
     derived state either, and the states kept leave the queue in the same
     order; only states below a derived one are dropped or met later. The
     predicate is trusted: one that holds wrongly can hide a witness.
+
+    A state is scanned rooted at its merged vertex w, the one vertex it does
+    not share with its parent: its cycle searches look only at cycles through
+    w. That loses nothing. The parent scanned clean, so neither it nor its
+    complement holds an induced cycle of length >= 5, and the state less w is
+    the parent less the merged pair, an induced subgraph of the parent (its
+    complement likewise of the parent's complement). So every induced cycle of
+    length >= 5 in the state or its complement passes through w, and the scan
+    meets sizes in the same ascending order and stops at the same entry. The
+    fixed entries are scanned in full, and g itself, which has no parent.
     """
     if max_depth < 0:
         raise ValueError("max_depth must be nonnegative")
     seen = {canonical_key(g)}
-    queue: deque[tuple[Graph, tuple[tuple[str, str], ...]]] = deque([(g, ())])
+    # (state, trail to it, its merged vertex; None for g)
+    queue: deque[tuple[Graph, tuple, Optional[str]]] = deque([(g, (), None)])
     while queue:
-        current, trail = queue.popleft()
-        hit = find_forbidden_induced(current, extra)
+        current, trail, merged = queue.popleft()
+        hit = find_forbidden_induced(current, extra, through=merged)
         if hit is not None:
             kind = KIND_TRAIL if trail else KIND_INDUCED
             return Obstruction(kind, hit.entry, hit.embedding, trail)
@@ -306,7 +344,8 @@ def find_cocontraction_witness(g: Graph, max_depth: int,
                 if key in seen:
                     continue
                 seen.add(key)
-                queue.append((child, trail + ((u, v),)))
+                w = next(x for x in child.vertices if not current.has_vertex(x))
+                queue.append((child, trail + ((u, v),), w))
     return None
 
 

@@ -1,9 +1,9 @@
 """Graph operations underlying the classification rules.
 
-Complement, join, simplicial and bisimplicial tests, maximal cliques,
-clique separators, the simplicial extension, and co-contraction. All functions
-are pure; derived vertices get reserved "$"-prefixed names so they can never
-collide with user input.
+Complement, join, simplicial and bisimplicial tests, maximal cliques, clique
+minimal separators, the simplicial extension, and co-contraction. All
+functions are pure; derived vertices get reserved "$"-prefixed names so they
+can never collide with user input.
 """
 
 from __future__ import annotations
@@ -170,46 +170,84 @@ class CliqueSplit:
     separator: frozenset[str]
 
 
-def _cliques_of_size(rows: tuple[int, ...], size: int, n: int):
-    """Cliques with `size` members as bitmasks, in lexicographic order of
-    their ascending member lists (the order of itertools.combinations)."""
+def _clique_minimal_separators(rows: tuple[int, ...], n: int) -> list[int]:
+    """The clique minimal separators of the graph, as bitmasks sorted by size,
+    then by their ascending member positions.
 
-    def extend(clique: int, cand: int, need: int):
-        if not need:
-            yield clique
-            return
-        for v in _bits(cand):
-            yield from extend(clique | 1 << v, cand & rows[v] & ~((2 << v) - 1), need - 1)
-
-    yield from extend(0, (1 << n) - 1, size)
+    One MCS-M pass (Berry, Blair, Heggernes and Peyton, Maximum cardinality
+    search for computing minimal triangulations, Algorithmica 2004) numbers
+    the vertices from n down to 1, each time the unnumbered vertex x of the
+    largest label, the first on ties. Every unnumbered y that x reaches by a
+    path whose inner vertices are unnumbered and labelled below y gets its
+    label raised and an edge to x in the triangulation H, which is minimal.
+    The minimal separators of H are the sets madj(x) of H-neighbours numbered
+    before x, taken where x's label at its numbering is at most that of the
+    vertex numbered just before it; those that are cliques of the graph are
+    exactly its clique minimal separators (Berry, Pogorelcnik and Simonet, An
+    introduction to clique minimal separator decomposition, Algorithms 2010;
+    Tarjan, Decomposition by clique separators, 1985). O(nm) in all.
+    """
+    label = [0] * n
+    madj = [0] * n
+    unnumbered = (1 << n) - 1
+    found: set[int] = set()
+    previous = -1
+    while unnumbered:
+        x = max(_bits(unnumbered), key=label.__getitem__)
+        if label[x] <= previous and _is_clique_mask(rows, madj[x]):
+            found.add(madj[x])
+        previous = label[x]
+        unnumbered &= ~(1 << x)
+        levels: dict[int, int] = {}
+        for y in _bits(unnumbered):
+            levels[label[y]] = levels.get(label[y], 0) | 1 << y
+        # by ascending level L: reached holds the vertices labelled below L
+        # that x reaches through such vertices, border their neighbours and x's
+        raised = reached = below = 0
+        border = rows[x]
+        for level in sorted(levels):
+            at = levels[level]
+            raised |= at & border
+            below |= at
+            frontier = at & border
+            while frontier:
+                reached |= frontier
+                for v in _bits(frontier):
+                    border |= rows[v]
+                frontier = border & below & ~reached
+        for y in _bits(raised):
+            label[y] += 1
+            madj[y] |= 1 << x
+    return sorted(found, key=lambda s: (s.bit_count(), _bits(s)))
 
 
 def iter_clique_splits(g: Graph) -> Iterator[CliqueSplit]:
-    """All ways to write g as a complete-graph amalgamation of two proper
-    induced subgraphs, smallest separators first, and separators of one size
-    in lexicographic order.
+    """The ways to write g as a complete-graph amalgamation of two proper
+    induced subgraphs along a clique minimal separator: a clique S such that
+    g - S has at least two components C with N(C) = S. Smallest separators
+    come first, separators of one size in lexicographic order of their
+    member positions, and each yields one split per component of g - S.
 
-    The empty separator (a disconnected graph) counts: the empty graph is a
-    complete graph here.
+    The separators come from one MCS-M pass (see _clique_minimal_separators),
+    not from enumerating cliques, so a prime graph costs O(nm). Only minimal
+    separators are listed; a smallest clique separator is always minimal, so
+    the first split is the first of all clique splits. The empty separator (a
+    disconnected graph) counts: the empty graph is a complete graph here.
     """
     n = g.n
     rows = g.rows
     full = (1 << n) - 1
-    for size in range(0, max(n - 1, 0)):
-        for sep in _cliques_of_size(rows, size, n):
-            comps = _component_masks(rows, full & ~sep)
-            if len(comps) <= 1:
+    for sep in _clique_minimal_separators(rows, n):
+        emitted: set[frozenset[int]] = set()
+        separator = _shared(frozenset(g.names(sep)))
+        for comp in _component_masks(rows, full & ~sep):
+            left = comp | sep
+            right = full & ~comp
+            key = frozenset((left, right))
+            if key in emitted:
                 continue
-            emitted: set[frozenset[int]] = set()
-            separator = _shared(frozenset(g.names(sep)))
-            for comp in comps:
-                left = comp | sep
-                right = full & ~comp
-                key = frozenset((left, right))
-                if key in emitted:
-                    continue
-                emitted.add(key)
-                yield CliqueSplit(g.subgraph(left), g.subgraph(right), separator)
+            emitted.add(key)
+            yield CliqueSplit(g.subgraph(left), g.subgraph(right), separator)
 
 
 def validate_clique_split(g: Graph, split: CliqueSplit) -> bool:

@@ -6,9 +6,23 @@ co-contractions combine or transform derived graphs. Membership in the
 derived family implies there is no relative embedding of a compact hyperbolic
 surface group, hence no closed hyperbolic surface subgroup.
 
+Call F the family the four rules other than co-contraction derive. F is
+closed under induced subgraphs (heredity): a derivation of g restricts to any
+induced subgraph U, node by node. A clique stays a clique; a join or an
+amalgam splits U into the restricted parts, along the restricted clique in
+the amalgam case, and collapses to one part when the other is empty or lies
+inside the separator; a bisimplicial edge with both ends in U stays
+bisimplicial, and otherwise the node collapses to its child. So a clique
+split decides a graph: g is in F exactly when both parts are, and so does a
+join.
+
 The prover is one sequential depth-first search over the rules in a fixed
-order (amalgam split at the first minimal clique separator, bisimplicial edge
-removal, join decomposition) with memoization by isomorphism class. A chordal
+order (amalgam split at the first clique minimal separator, bisimplicial
+edge removal, join decomposition) with memoization by isomorphism class. The
+split is decisive: when a part fails, the graph fails, and neither a
+bisimplicial edge nor the join is tried (by heredity neither could succeed).
+Bisimplicial edges still come before the join, so a join such as C4 or K2,3
+keeps its bisimplicial derivation. A chordal
 graph, complete ones included, is not searched: before the memo lookup, its
 derivation is built from a perfect elimination order, one amalgam per
 split-off clique (the paper's proof that chordal graphs lie in N'). It costs
@@ -327,11 +341,13 @@ class _Search:
         # h is not chordal, so not complete
         split = next(iter_clique_splits(h), None)
         if split is not None:
-            # first minimal separator only; no backtracking across separators
+            # decisive: both parts are induced subgraphs of h, so by heredity
+            # h is in F exactly when both are; no other rule is tried
             self.rules_attempted.add(RULE_AMALGAM)
             dl, dr = self._pair(split.left, split.right)
-            if dl is not None and dr is not None:
-                return Derivation(RULE_AMALGAM, h, (dl, dr), separator=split.separator)
+            if dl is None or dr is None:
+                return None
+            return Derivation(RULE_AMALGAM, h, (dl, dr), separator=split.separator)
         for e in h.edge_pairs:
             if not is_bisimplicial_edge(h, e):
                 continue

@@ -6,7 +6,10 @@ from __future__ import annotations
 from collections import deque
 from itertools import permutations
 
-from raagscope.graphs import Graph, _bits
+from raagscope.graphs import Graph, _bits, canonical_key
+from raagscope.obstructions import (KIND_INDUCED, KIND_TRAIL, Obstruction,
+                                    find_forbidden_induced)
+from raagscope.ops import CliqueSplit, _component_masks, co_contract_edge
 from raagscope.recognize import CycleWitness
 
 
@@ -66,17 +69,20 @@ def enumerate_words(letters, max_len: int):
             yield tuple(combo)
 
 
-def reference_induced_cycle(g: Graph, min_len: int):
+def reference_induced_cycle(g: Graph, min_len: int, through=None):
     """Shortest induced cycle of length >= min_len by iterative deepening: one
     full depth-first search per target length, starts and extensions
     ascending. The first cycle it finds is the one find_induced_cycle must
-    return."""
+    return. With through, the only start is that vertex, and the cycle may
+    use every other vertex."""
     n = g.n
     rows = g.rows
+    full = (1 << n) - 1
     for target in range(min_len, n + 1):
-        for start in range(n):
-            later = ((1 << n) - 1) & ~((2 << start) - 1)
-            found = _extend_to_target(rows, [start], 0, later, start, target)
+        starts = range(n) if through is None else [g.index(through)]
+        for start in starts:
+            allowed = full & ~((2 << start) - 1) if through is None else full & ~(1 << start)
+            found = _extend_to_target(rows, [start], 0, allowed, start, target)
             if found is not None:
                 return CycleWitness(tuple(g.vertices[v] for v in found))
     return None
@@ -102,4 +108,75 @@ def _extend_to_target(rows, path, interior, allowed, start, target):
         path.pop()
         if got is not None:
             return got
+    return None
+
+
+def reference_clique_splits(g: Graph, minimal_only: bool = False):
+    """Every split of g along a clique whose removal disconnects it, by
+    enumerating cliques: smallest first, cliques of one size in the order of
+    itertools.combinations over positions, one split per component. With
+    minimal_only, only separators with at least two full components (every
+    separator vertex has a neighbour in the component), the order that
+    iter_clique_splits must reproduce."""
+    n = g.n
+    rows = g.rows
+    full = (1 << n) - 1
+
+    def cliques(clique, cand, need):
+        if not need:
+            yield clique
+            return
+        for v in _bits(cand):
+            yield from cliques(clique | 1 << v, cand & rows[v] & ~((2 << v) - 1), need - 1)
+
+    out = []
+    for size in range(0, max(n - 1, 0)):
+        for sep in cliques(0, full, size):
+            comps = _component_masks(rows, full & ~sep)
+            if len(comps) <= 1:
+                continue
+            if minimal_only and sum(_touches_all(rows, c, sep) for c in comps) < 2:
+                continue
+            emitted = set()
+            for comp in comps:
+                left, right = comp | sep, full & ~comp
+                if frozenset((left, right)) in emitted:
+                    continue
+                emitted.add(frozenset((left, right)))
+                out.append(CliqueSplit(g.subgraph(left), g.subgraph(right),
+                                       frozenset(g.names(sep))))
+    return out
+
+
+def _touches_all(rows, comp: int, sep: int) -> bool:
+    reach = 0
+    for v in _bits(comp):
+        reach |= rows[v]
+    return reach & sep == sep
+
+
+def reference_cocontraction_witness(g: Graph, max_depth: int, extra=()):
+    """The co-contraction search with a full obstruction scan of every state
+    and no pruning: breadth first over complement edges in position order,
+    deduplicated by isomorphism class, first state with a hit wins."""
+    seen = {canonical_key(g)}
+    queue = deque([(g, ())])
+    while queue:
+        current, trail = queue.popleft()
+        hit = find_forbidden_induced(current, extra)
+        if hit is not None:
+            return Obstruction(KIND_TRAIL if trail else KIND_INDUCED, hit.entry,
+                               hit.embedding, trail)
+        if len(trail) >= max_depth:
+            continue
+        verts = current.vertices
+        for i in range(current.n):
+            for j in range(i + 1, current.n):
+                if current.rows[i] >> j & 1:
+                    continue
+                child = co_contract_edge(current, (verts[i], verts[j]))
+                key = canonical_key(child)
+                if key not in seen:
+                    seen.add(key)
+                    queue.append((child, trail + ((verts[i], verts[j]),)))
     return None

@@ -407,3 +407,44 @@ def test_missing_input_path_exits_64_without_traceback(capsys, tmp_path, argv):
     assert code == 64 and out == ""
     assert "Traceback" not in err and err.count("\n") == 1
     assert "cannot read %s: No such file or directory" % missing in err
+
+
+_ENTRY = {"name": "house(5)", "provenance": "test", "vertices": ["p", "q", "r", "s", "t"],
+          "complement_edges": [["p", "q"]]}
+
+
+@pytest.mark.parametrize("text", [
+    "not json",
+    json.dumps([{**_ENTRY, "complement_edges": [["p", "q", "r"]]}]),
+    json.dumps([{**_ENTRY, "name": 5}]),
+    json.dumps([{**_ENTRY, "vertices": [1, 2, 3, 4, 5]}]),
+])
+@pytest.mark.parametrize("command", [["classify", C5_G6], ["verify", C5_G6, "{cert}"],
+                                     ["catalog"]])
+def test_malformed_catalog_exits_65_with_one_line(capsys, tmp_path, text, command):
+    catalog = tmp_path / "extra.json"
+    catalog.write_text(text)
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"certificate_type": "derivation"}))
+    argv = [a.format(cert=cert) for a in command] + ["--catalog", str(catalog)]
+    code, out, err = run(capsys, *argv)
+    assert code == 65 and out == ""
+    assert "Traceback" not in err and err.count("\n") == 1 and "catalog" in err
+
+
+@pytest.mark.parametrize("doc", [
+    [1],
+    {"presentation": {"genus": "x", "boundary": 1}, "images": {"x1": "a"}},
+    {"presentation": {"genus": 0, "boundary": 1}, "images": [1]},
+    {"presentation": {"genus": 0, "boundary": 1}, "images": {"d1": 1}},
+    {"presentation": {"genus": 10 ** 12, "boundary": 1}, "images": {"d1": "a"}},
+])
+@pytest.mark.parametrize("op", ["check", "relative"])
+def test_malformed_homomorphism_file_exits_64_with_one_line(capsys, tmp_path, doc, op):
+    graph = tmp_path / "edge.el"
+    graph.write_text("vertices: a b\na b\n")
+    hom = tmp_path / "hom.json"
+    hom.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "surf", op, "-g", str(graph), str(hom))
+    assert code == 64 and out == ""
+    assert "Traceback" not in err and err.count("\n") == 1

@@ -2,9 +2,10 @@ import json
 import random
 
 import pytest
+from conftest import reference_cocontraction_witness
 
-from raagscope.generate import random_chordal
-from raagscope.graphs import is_isomorphic, standard_graph, verify_vertex_map
+from raagscope.generate import random_chordal, random_graph
+from raagscope.graphs import Graph, is_isomorphic, standard_graph, verify_vertex_map
 from raagscope.obstructions import (
     KIND_INDUCED,
     KIND_TRAIL,
@@ -104,6 +105,80 @@ def test_cocontraction_witness_trio():
     assert verify_obstruction(q2x, w2)
     # depth 1 is not enough for the larger graph
     assert find_cocontraction_witness(q2x, 1) is None
+
+
+def _one_vertex_extension(g, mask):
+    return Graph(g.vertices + ("z",), g.edge_pairs
+                 + tuple((g.vertices[i], "z") for i in range(g.n) if mask >> i & 1))
+
+
+def test_rooted_state_scans_keep_the_full_scan_witness():
+    # states below g are scanned only through their merged vertex; the
+    # witness must keep the full scan's entry and trail, with an embedding
+    # that verifies. Hosts: seeded one-vertex extensions of Q1(9) and Q2(10),
+    # whose witnesses are mostly trails, and seeded 10-vertex graphs with no
+    # induced obstruction, which the search explores to full depth.
+    rng = random.Random(17)
+    hosts = []
+    for name in ("Q1(9)", "Q2(10)"):
+        q = entry_graph(name)
+        hosts += [_one_vertex_extension(q, m) for m in rng.sample(range(1 << q.n), 61)]
+    while len(hosts) < 182:
+        g = random_graph(10, rng.random(), rng)
+        if find_forbidden_induced(g) is None:
+            hosts.append(g)
+    trails = 0
+    for g in hosts:
+        got = find_cocontraction_witness(g, 2)
+        want = reference_cocontraction_witness(g, 2)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert (got.kind, got.entry, got.trail) == (want.kind, want.entry, want.trail)
+            assert verify_obstruction(g, got)
+            trails += got.kind == KIND_TRAIL
+    assert trails > 50
+
+
+def test_each_state_is_scanned_through_its_merged_vertex(monkeypatch):
+    # the input is scanned in full, every state below it through a merged
+    # vertex of its own; Q2(10) reaches its witness at depth 2
+    import raagscope.obstructions as obstructions
+
+    calls = []
+    scan = obstructions.find_forbidden_induced
+
+    def recording(g, extra=(), *, through=None):
+        calls.append((g, through))
+        return scan(g, extra, through=through)
+
+    monkeypatch.setattr(obstructions, "find_forbidden_induced", recording)
+    q2x = entry_graph("Q2(10)")
+    assert find_cocontraction_witness(q2x, 2).trail[0] == ("c", "d")
+    assert calls[0] == (q2x, None) and len(calls) > 10
+    for g, through in calls[1:]:
+        assert through.startswith("$co(") and g.has_vertex(through)
+
+
+def test_scan_through_a_vertex_matches_the_full_scan_when_the_rest_is_clean():
+    # the rooted scan's premise: g - w holds no induced cycle of length >= 5,
+    # in itself or in its complement. Then the scan through w stops at the
+    # full scan's entry, with an embedding that holds w.
+    rng = random.Random(29)
+    hits = 0
+    for _ in range(400):
+        g = random_graph(rng.randint(5, 9), rng.uniform(0.2, 0.8), rng)
+        for w in g.vertices:
+            rest = g.subgraph(g.mask(v for v in g.vertices if v != w))
+            if find_induced_cycle(rest, 5) or find_induced_cycle(complement(rest), 5):
+                continue
+            got = find_forbidden_induced(g, through=w)
+            want = find_forbidden_induced(g)
+            assert (got is None) == (want is None)
+            if got is not None:
+                hits += 1
+                assert got.entry == want.entry and verify_obstruction(g, got)
+                assert got.entry == "P1(8)" or w in got.embedding_map().values()
+    assert hits > 200
 
 
 def test_cocontraction_depth_zero_equals_induced_search():

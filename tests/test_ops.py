@@ -2,9 +2,10 @@ import random
 from itertools import combinations
 
 import pytest
+from conftest import reference_clique_splits
 
 from raagscope.graphs import Graph, GraphError, is_isomorphic, new_graph, standard_graph
-from raagscope.generate import random_graph
+from raagscope.generate import nonisomorphic_graphs, random_chordal, random_graph
 from raagscope.ops import (
     CliqueSplit,
     add_edge,
@@ -154,6 +155,33 @@ def test_clique_separators_validate_and_disconnected():
         g = random_graph(rng.randint(2, 7), rng.random(), rng)
         for s in iter_clique_splits(g):
             assert validate_clique_split(g, s)
+
+
+def _gnm(n, m, rng):
+    pairs = list(combinations(range(n), 2))
+    edges = rng.sample(pairs, m)
+    return Graph(["v%d" % i for i in range(n)], [("v%d" % a, "v%d" % b) for a, b in edges])
+
+
+def test_clique_splits_are_the_enumerated_splits_along_minimal_separators():
+    # MCS-M must find exactly the separators that a clique enumeration finds
+    # and that leave at least two full components, in the same order, and
+    # its first split must be the first of all clique splits
+    graphs = [g for n in range(1, 8) for g in nonisomorphic_graphs(n)]
+    rng = random.Random(21)
+    for _ in range(150):
+        n = rng.randint(8, 16)
+        graphs.append(_gnm(n, rng.randint(n - 1, n * (n - 1) // 4), rng))
+    graphs += [random_chordal(rng.randint(5, 14), rng) for _ in range(40)]
+    minimal_seen = nonminimal_seen = 0
+    for g in graphs:
+        every = reference_clique_splits(g)
+        got = list(iter_clique_splits(g))
+        assert got == reference_clique_splits(g, minimal_only=True)
+        assert got[:1] == every[:1]
+        minimal_seen += bool(got)
+        nonminimal_seen += len(every) > len(got)
+    assert minimal_seen > 500 and nonminimal_seen > 100
 
 
 def test_validate_clique_split_rejects_bad():

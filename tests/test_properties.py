@@ -179,3 +179,75 @@ def test_verify_answers_mutated_certificates_with_a_documented_exit(tmp_path_fac
     expected = _checker_verdict(g, obj)
     if expected is not None:
         assert code == (0 if expected else 1)
+
+
+# --- catalogue and homomorphism files under mutation ----------------------------
+
+_CATALOG = [
+    {"name": "house(5)", "provenance": "test data", "vertices": ["p", "q", "r", "s", "t"],
+     "complement_edges": [["p", "q"], ["q", "r"]]},
+    {"name": "prism(6)", "provenance": "test data",
+     "vertices": ["a", "b", "c", "d", "e", "f"],
+     "complement_edges": [["a", "d"], ["b", "e"], ["c", "f"], ["a", "e"]]},
+]
+_HOMS = [
+    {"presentation": {"genus": 1, "boundary": 1},
+     "images": {"x1": "a", "y1": "b", "d1": "b a b^-1 a^-1"}},
+    {"presentation": {"genus": 0, "boundary": 3},
+     "images": {"d1": "a", "d2": "c", "d3": "c^-1 a^-1"}},
+]
+
+
+def _mutated_text(data, doc):
+    # a mutated document, or now and then its JSON text cut short
+    text = json.dumps(_mutate(data, doc))
+    if data.draw(st.integers(0, 9), label="garble") == 0:
+        text = text[:data.draw(st.integers(0, len(text)), label="cut")]
+    return text
+
+
+def _run_quietly(argv):
+    err = io.StringIO()
+    t0 = time.process_time()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue(), time.process_time() - t0
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@hypothesis.given(st.data())
+def test_mutated_catalogs_get_a_documented_exit(tmp_path_factory, data):
+    # classify, verify and catalog answer a malformed --catalog with 65 and
+    # one line; an escaping exception fails the test
+    root = tmp_path_factory.getbasetemp()
+    (root / "extra.json").write_text(_mutated_text(data, _CATALOG))
+    (root / "g.el").write_bytes(emit_edgelist(parse_graph6(b"EUzo")))
+    (root / "cert.json").write_text(json.dumps(
+        {"certificate_type": "obstruction", "kind": "InducedForbidden", "entry": "house(5)",
+         "embedding": {v: "v%d" % i for i, v in enumerate("pqrst", 1)}, "trail": []}))
+    command = data.draw(st.sampled_from([
+        ["classify", str(root / "g.el")],
+        ["verify", str(root / "g.el"), str(root / "cert.json")],
+        ["catalog"]]), label="command")
+    code, err, cpu = _run_quietly(command + ["--catalog", str(root / "extra.json")])
+    assert cpu < 2.0
+    assert code in (0, 1, 2, 65)
+    if code == 65:
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@hypothesis.given(st.data())
+def test_mutated_homomorphism_files_get_a_documented_exit(tmp_path_factory, data):
+    root = tmp_path_factory.getbasetemp()
+    (root / "hom.json").write_text(_mutated_text(data, data.draw(st.sampled_from(_HOMS),
+                                                                 label="base")))
+    (root / "p3.el").write_text("vertices: a b c\na b\nb c\n")
+    op = data.draw(st.sampled_from([["check"], ["relative"], ["kernel", "--max-len", "3"]]),
+                   label="op")
+    code, err, cpu = _run_quietly(["surf", op[0], "-g", str(root / "p3.el"),
+                                   str(root / "hom.json")] + op[1:])
+    assert cpu < 2.0
+    assert code in (0, 1, 64)
+    if code == 64:
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err

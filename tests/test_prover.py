@@ -4,9 +4,10 @@ import random
 import pytest
 
 from raagscope.generate import nonisomorphic_graphs, random_chordal, random_graph
-from raagscope.graphs import Graph, canonical_key, new_graph, standard_graph
+from raagscope.graphs import Graph, canonical_key, new_graph, parse_graph6, standard_graph
 from raagscope.obstructions import entry_graph, find_cocontraction_witness, find_forbidden_induced
-from raagscope.ops import add_edge, co_contract, is_clique, iter_clique_splits, remove_edge_interior
+from raagscope.ops import (add_edge, co_contract, is_bisimplicial_edge, is_clique,
+                           iter_clique_splits, remove_edge_interior)
 from raagscope.prover import (
     HAS_SURFACE,
     NO_SURFACE,
@@ -343,3 +344,23 @@ def test_amalgam_skips_right_part_when_left_part_fails():
     assert prove_in_f(g, cache=memo) is None
     assert set(memo) == {canonical_key(g), canonical_key(split.left)}
     assert canonical_key(split.right) not in memo
+
+
+def test_a_failed_clique_split_decides_the_graph():
+    # the complement of P6 (rule-free, not derived) and a 4-cycle glued at
+    # a0: the first split puts the complement of P6 on the left, where it
+    # fails, so the graph fails there. The 4-cycle's edges b1-b2 and b2-b3
+    # are bisimplicial in the whole graph, but by heredity no rule can close
+    # a graph with an underived induced subgraph, so none is tried.
+    cop6 = parse_graph6(b"EUzo")
+    name = {v: "a%d" % i for i, v in enumerate(cop6.vertices)}
+    g = Graph([name[v] for v in cop6.vertices] + ["b1", "b2", "b3"],
+              [(name[u], name[v]) for u, v in cop6.edge_pairs]
+              + [("a0", "b1"), ("b1", "b2"), ("b2", "b3"), ("b3", "a0")])
+    split = next(iter_clique_splits(g))
+    assert split.separator == frozenset({"a0"}) and split.left.n == 6
+    assert is_bisimplicial_edge(g, ("b1", "b2"))
+    verdict = classify(g)
+    assert verdict.status == UNKNOWN
+    assert verdict.report.rules_attempted == (RULE_AMALGAM,)
+    assert verdict.report.nodes_expanded == 2
