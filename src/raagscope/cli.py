@@ -255,6 +255,10 @@ def cmd_verify(args) -> int:
         return EXIT_PARSE
     try:
         extra = _load_extra_catalog(args.catalog)
+    except (CatalogError, OSError) as exc:
+        print("catalog error: %s" % exc, file=sys.stderr)
+        return EXIT_CERT
+    try:
         with open(args.certificate, "rb") as fh:
             obj = json.load(fh)
         if isinstance(obj, dict) and "certificate" in obj and "schema" in obj:

@@ -5,12 +5,17 @@ vertices of a graph, with commutation exactly at the edges. The canonical
 form is the lexicographically least fully reduced representative under
 commuting adjacent swaps; two words are equal in the group iff their
 canonical forms coincide.
+
+Free reduction is one pass with a backward scan, and the canonical sort is
+the least topological order of the word's dependence graph, taken with a
+heap: O(n·k + n log n) for n letters over k distinct generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from typing import Optional
 
 from .graphs import Graph
@@ -27,18 +32,26 @@ class WordError(ValueError):
 
 
 def parse_word(text: str) -> Word:
-    """Parse whitespace-separated tokens "a" or "a^-1"."""
+    """Parse whitespace-separated tokens "a" or "a^-1".
+
+    Equal tokens share one letter object, built once per call; the table is
+    the call's own, so no input can grow a module-level cache.
+    """
+    seen: dict[str, Letter] = {}
     letters: list[Letter] = []
     for tok in text.split():
-        if tok.endswith("^-1"):
-            gen = tok[:-3]
-            sign = -1
-        else:
-            gen = tok
-            sign = 1
-        if not gen or "^" in gen:
-            raise WordError("bad word token %r" % (tok,))
-        letters.append((gen, sign))
+        letter = seen.get(tok)
+        if letter is None:
+            if tok.endswith("^-1"):
+                gen = tok[:-3]
+                sign = -1
+            else:
+                gen = tok
+                sign = 1
+            if not gen or "^" in gen:
+                raise WordError("bad word token %r" % (tok,))
+            letter = seen[tok] = (gen, sign)
+        letters.append(letter)
     return tuple(letters)
 
 
@@ -114,25 +127,35 @@ def _letter_key(letter: Letter) -> tuple[str, int]:
 
 
 def _canonical_sort(commutes: Commutation, letters: list[Letter]) -> list[Letter]:
-    # lexicographically least shuffle of a reduced word: repeatedly extract
-    # the least letter every earlier letter commutes with (greedy adjacent
-    # bubbling alone can stall in a local minimum); commutations preserve
-    # reducedness so no new cancellations appear
-    remaining = list(letters)
+    # lexicographically least shuffle of a reduced word: the least topological
+    # order of its dependence graph (Anisimov and Knuth, Inhomogeneous sorting,
+    # 1979). Each letter waits for the last earlier letter of its own
+    # generator and of every generator it does not commute with; a heap keyed
+    # (letter key, position) hands out the least letter whose wait is over.
+    # Chaining a generator's copies loses nothing: a later copy is available
+    # only once its first one is, and in a reduced word the two then have the
+    # same sign, so the same key, and the lower position wins. Commutations
+    # preserve reducedness so no new cancellations appear.
+    last: dict[str, int] = {}  # generator -> position of its latest letter
+    waiting = [0] * len(letters)
+    after: list[list[int]] = [[] for _ in letters]
+    for i, (g, _) in enumerate(letters):
+        star = commutes[g]
+        for h, j in last.items():
+            if h == g or h not in star:
+                after[j].append(i)
+                waiting[i] += 1
+        last[g] = i
+    heap = [(_letter_key(letters[i]), i) for i in range(len(letters)) if not waiting[i]]
+    heapify(heap)
     out: list[Letter] = []
-    while remaining:
-        best_i = -1
-        best_key = None
-        seen: set[str] = set()
-        for i, letter in enumerate(remaining):
-            gen = letter[0]
-            if seen <= commutes[gen]:
-                k = _letter_key(letter)
-                if best_key is None or k < best_key:
-                    best_key = k
-                    best_i = i
-            seen.add(gen)
-        out.append(remaining.pop(best_i))
+    while heap:
+        _, i = heappop(heap)
+        out.append(letters[i])
+        for j in after[i]:
+            waiting[j] -= 1
+            if not waiting[j]:
+                heappush(heap, (_letter_key(letters[j]), j))
     return out
 
 
@@ -194,25 +217,24 @@ def _cyclic_reduce(commutes: Commutation, w: Word, max_letters: int):
 
 def cyclic_normal_form(graph: Graph, w: Word, max_letters: int = DEFAULT_MAX_LETTERS) -> Word:
     """Shortest conjugacy-class representative reachable by reduction and
-    cyclic permutation, deterministically chosen."""
-    word, _ = _cyclic_with_conjugator(_commutation(graph), w, max_letters)
-    return word
+    cyclic permutation, deterministically chosen.
 
-
-def _cyclic_with_conjugator(commutes: Commutation, w: Word, max_letters: int):
-    reduced, conj = _cyclic_reduce(commutes, w, max_letters)
-    if not reduced:
-        return (), tuple(conj)
+    It is *not* yet a conjugacy invariant: it minimises over the rotations of
+    one cyclically reduced word, and conjugates can also differ by
+    commutations across the rotation point. On the graph on v1, v2, v3 whose
+    only edge is v1-v3, w = v1 v3^-1 v1 v2 v2 gets v1 v1 v3^-1 v2 v2, and its
+    conjugate v3 w v3^-1 gets v1 v1 v2 v2 v3^-1. Equal forms imply conjugate
+    words, not the converse.
+    """
+    commutes = _commutation(graph)
+    reduced, _ = _cyclic_reduce(commutes, w, max_letters)
     best = None
-    best_rot = 0
     for k in range(len(reduced)):
         rot = _normal_form(commutes, reduced[k:] + reduced[:k], max_letters)
         key = tuple(_letter_key(l) for l in rot)
         if best is None or key < best[0]:
             best = (key, rot)
-            best_rot = k
-    conjugator = concat(tuple(conj), reduced[:best_rot])
-    return best[1], conjugator
+    return best[1] if best else ()
 
 
 def conjugate_into_clique(graph: Graph, w: Word,
@@ -221,13 +243,21 @@ def conjugate_into_clique(graph: Graph, w: Word,
 
     A hit means w is conjugate into the free abelian subgroup on the returned
     clique; the implied conjugation is re-verified before returning.
+
+    The support is read off the cyclic reduction r of w, with no rotation or
+    sorting. The cyclic normal form is the normal form of a rotation of r;
+    since r is cyclically reduced, its rotations are reduced, so their normal
+    forms only permute r's letters and keep its support. That support is a
+    conjugacy invariant besides: cyclically reduced conjugates differ only by
+    rotation and commutation (Servatius, Automorphisms of graph groups,
+    J. Algebra 1989).
     """
     commutes = _commutation(graph)
-    nf, conj = _cyclic_with_conjugator(commutes, w, max_letters)
-    support = frozenset(g for g, _ in nf)
+    reduced, conj = _cyclic_reduce(commutes, w, max_letters)
+    support = frozenset(g for g, _ in reduced)
     if not all(support <= commutes[g] for g in support):
         return None
-    check = concat(conj, nf, inverse(conj), inverse(w))
+    check = concat(conj, reduced, inverse(conj), inverse(w))
     if not _is_trivial(commutes, check, 2 * (4 * max_letters + len(w))):
         raise AssertionError("cyclic reduction produced an invalid conjugator")
     return support
@@ -340,17 +370,22 @@ def _surface_relator_word(genus: int) -> Word:
     return concat(*parts)
 
 
-def _dehn_trivial(genus: int, w: Word) -> bool:
-    """Word problem for the closed genus-g surface group (g >= 2) by Dehn's
-    algorithm on the standard relator."""
+def _dehn_data(genus: int):
+    """The standard relator's cyclic variants (both orientations, 2·4g of
+    them) and the free commutation table, for _dehn_trivial."""
     rel = _surface_relator_word(genus)
-    length = len(rel)
-    half = length // 2
-    variants = []
-    for base in (rel, inverse(rel)):
-        for k in range(length):
-            variants.append(base[k:] + base[:k])
+    variants = [base[k:] + base[:k] for base in (rel, inverse(rel)) for k in range(len(rel))]
     free = {g: frozenset((g,)) for g, _ in rel}  # generators commute only with themselves
+    return variants, free
+
+
+def _dehn_trivial(genus: int, w: Word, dehn=None) -> bool:
+    """Word problem for the closed genus-g surface group (g >= 2) by Dehn's
+    algorithm on the standard relator. dehn is _dehn_data(genus), built here
+    when not given."""
+    variants, free = dehn or _dehn_data(genus)
+    length = 4 * genus
+    half = length // 2
     current = tuple(_reduce_full(free, w))
     progress = True
     while progress and current:
@@ -394,8 +429,9 @@ def kernel_search(graph: Graph, pres: SurfacePresentation, images: dict[str, Wor
     image_cap = max(DEFAULT_MAX_LETTERS,
                     max_len * max((len(w) for w in images.values()), default=1) + 1)
     commutes = _commutation(graph)
+    dehn = None if m else _dehn_data(g_)
     for word in _iter_reduced_words(gens, max_len):
-        if m == 0 and _dehn_trivial(pres.genus, word):
+        if dehn and _dehn_trivial(g_, word, dehn):
             continue  # trivial in the surface group, not a kernel witness
         img = concat(*(images[g] if s > 0 else inverse(images[g]) for g, s in word))
         if _is_trivial(commutes, img, image_cap):

@@ -69,6 +69,28 @@ def enumerate_words(letters, max_len: int):
             yield tuple(combo)
 
 
+def reference_canonical_sort(graph: Graph, letters) -> list:
+    """Lexicographically least shuffle of a reduced word, quadratically:
+    repeatedly take the least letter (generator, then positive before
+    negative; the earliest on a tie) that every earlier remaining letter
+    commutes with. The order words.normal_form must reproduce."""
+    remaining = list(letters)
+    out = []
+    while remaining:
+        best_i = -1
+        best_key = None
+        seen = set()
+        for i, (gen, sign) in enumerate(remaining):
+            if all(h == gen or graph.has_edge(h, gen) for h in seen):
+                key = (gen, 0 if sign > 0 else 1)
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best_i = i
+            seen.add(gen)
+        out.append(remaining.pop(best_i))
+    return out
+
+
 def reference_induced_cycle(g: Graph, min_len: int, through=None):
     """Shortest induced cycle of length >= min_len by iterative deepening: one
     full depth-first search per target length, starts and extensions

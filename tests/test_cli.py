@@ -430,6 +430,8 @@ def test_malformed_catalog_exits_65_with_one_line(capsys, tmp_path, text, comman
     code, out, err = run(capsys, *argv)
     assert code == 65 and out == ""
     assert "Traceback" not in err and err.count("\n") == 1 and "catalog" in err
+    if command[0] == "verify":
+        assert err.startswith("catalog error")
 
 
 @pytest.mark.parametrize("doc", [

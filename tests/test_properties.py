@@ -14,6 +14,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from raagscope.cli import main  # noqa: E402
+from conftest import reference_canonical_sort  # noqa: E402
 from raagscope.generate import random_chordal  # noqa: E402
 from raagscope.graphs import (  # noqa: E402
     Graph,
@@ -35,6 +36,7 @@ from raagscope.prover import (  # noqa: E402
     derivation_from_json,
     derivation_to_json,
 )
+from raagscope.words import _commutation, _reduce_full, normal_form  # noqa: E402
 
 
 @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -51,6 +53,20 @@ def test_classify_status_is_invariant_under_relabelling(data):
     h = Graph(["w%d" % perm[i] for i in range(n)],
               [("w%d" % perm[a], "w%d" % perm[b]) for a, b in edges])
     assert classify(g).status == classify(h).status
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@hypothesis.given(st.data())
+def test_normal_form_is_reduction_then_reference_sort(data):
+    n = data.draw(st.integers(1, 6), label="n")
+    pairs = list(combinations(range(n), 2))
+    present = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph(["v%d" % i for i in range(n)],
+              [("v%d" % a, "v%d" % b) for (a, b), keep in zip(pairs, present) if keep])
+    w = tuple(data.draw(st.lists(st.tuples(st.sampled_from(g.vertices), st.sampled_from((1, -1))),
+                                 max_size=64), label="w"))
+    reduced = _reduce_full(_commutation(g), w)
+    assert normal_form(g, w) == tuple(reference_canonical_sort(g, reduced))
 
 
 # --- verify under mutated certificates ---------------------------------------

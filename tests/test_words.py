@@ -1,15 +1,17 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
-from conftest import enumerate_words, oracle_word_trivial
+from conftest import enumerate_words, oracle_word_trivial, reference_canonical_sort
 from raagscope.generate import nonisomorphic_graphs
 from raagscope.graphs import new_graph
 from raagscope.words import (
     SurfacePresentation,
     WordError,
+    _commutation,
     _dehn_trivial,
+    _reduce_full,
     are_equal,
     boundary_clique_supports,
     check_hom,
@@ -34,6 +36,17 @@ P3 = new_graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
 K3 = new_graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
 
 
+def _gnm(n, m, seed):
+    """Uniform graph on v1..vn with m edges, drawn as the words benchmark
+    draws its group (seed 1 gives its 10-vertex, 18-edge graph)."""
+    pairs = random.Random(seed).sample(list(combinations(range(n), 2)), m)
+    return new_graph(["v%d" % (i + 1) for i in range(n)],
+                     [("v%d" % (i + 1), "v%d" % (j + 1)) for i, j in pairs])
+
+
+G10 = _gnm(10, 18, 1)
+
+
 def test_parse_and_format():
     w = parse_word("a b^-1 a")
     assert w == (("a", 1), ("b", -1), ("a", 1))
@@ -41,6 +54,17 @@ def test_parse_and_format():
     assert parse_word("") == ()
     with pytest.raises(WordError):
         parse_word("a^2")
+
+
+def test_parse_word_shares_letters():
+    rng = random.Random(40)
+    tokens = [rng.choice(("a", "b", "c")) + rng.choice(("", "^-1")) for _ in range(512)]
+    w = parse_word(" ".join(tokens))
+    assert len({id(letter) for letter in w}) <= 6
+    assert w == tuple((t[:-3], -1) if t.endswith("^-1") else (t, 1) for t in tokens)
+    for bad in ("a^2", "^-1", "a^-1^-1", "a b^"):
+        with pytest.raises(WordError):
+            parse_word(bad)
 
 
 def test_normal_form_examples():
@@ -154,6 +178,63 @@ def test_normal_form_is_least_shuffle_representative():
         shuffles = closure(g, nf)
         key = lambda u: tuple((x, 0 if s > 0 else 1) for x, s in u)
         assert key(nf) == min(key(u) for u in shuffles)
+
+
+def _letters(graph):
+    return [(g, s) for g in graph.vertices for s in (1, -1)]
+
+
+@pytest.mark.parametrize("graph", [P3, K3, new_graph(["a", "b", "c", "d", "e"],
+                                                     [("a", "b"), ("b", "c"), ("c", "d"),
+                                                      ("d", "e")]),
+                                   new_graph(["a", "b", "c", "d"], []), G10],
+                         ids=["P3", "K3", "P5", "discrete4", "G10"])
+def test_normal_form_is_reduction_then_reference_sort(graph):
+    rng = random.Random(38)
+    letters = _letters(graph)
+    for _ in range(60):
+        w = tuple(rng.choice(letters) for _ in range(rng.randint(0, 128)))
+        reduced = _reduce_full(_commutation(graph), w)
+        assert normal_form(graph, w) == tuple(reference_canonical_sort(graph, reduced))
+
+
+def _rotation_route(graph, w):
+    support = frozenset(g for g, _ in cyclic_normal_form(graph, w))
+    return support if all(graph.has_edge(a, b) for a, b in combinations(support, 2)) else None
+
+
+def _maximal_cliques(graph):
+    vs = graph.vertices
+    cliques = [frozenset(c) for k in range(1, len(vs) + 1) for c in combinations(vs, k)
+               if all(graph.has_edge(a, b) for a, b in combinations(c, 2))]
+    return [c for c in cliques if not any(c < d for d in cliques)]
+
+
+def test_conjugate_into_clique_agrees_with_rotation_route():
+    rng = random.Random(39)
+    for graph in (P3, K3, DISC, G10):
+        letters = _letters(graph)
+        cliques = _maximal_cliques(graph)
+        for _ in range(40):
+            w = tuple(rng.choice(letters) for _ in range(rng.randint(0, 40)))
+            assert conjugate_into_clique(graph, w) == _rotation_route(graph, w)
+        for _ in range(40):
+            clique = sorted(rng.choice(cliques))
+            x = tuple((rng.choice(clique), rng.choice((1, -1)))
+                      for _ in range(rng.randint(0, 12)))
+            c = tuple(rng.choice(letters) for _ in range(rng.randint(0, 20)))
+            w = concat(c, x, inverse(c))
+            got = conjugate_into_clique(graph, w)
+            assert got == _rotation_route(graph, w)
+            assert got is not None and got <= set(clique)
+    # at the default cap: a 16-letter x over a clique of G10 under a
+    # 248-letter conjugator
+    clique = sorted(max(_maximal_cliques(G10), key=len))
+    x = tuple((rng.choice(clique), 1) for _ in range(16))
+    c = tuple(rng.choice(_letters(G10)) for _ in range(248))
+    w = concat(c, x, inverse(c))
+    assert len(w) == 512
+    assert conjugate_into_clique(G10, w) == _rotation_route(G10, w) == frozenset(g for g, _ in x)
 
 
 def test_cyclic_normal_form_examples():
