@@ -250,25 +250,46 @@ def iter_clique_splits(g: Graph) -> Iterator[CliqueSplit]:
             yield CliqueSplit(g.subgraph(left), g.subgraph(right), separator)
 
 
+def _is_induced_part(g: Graph, part: Graph, mask: int) -> bool:
+    # part's rows are g's rows restricted to mask: part holds exactly the
+    # names of mask, and both name tuples are sorted, so part's i-th vertex is
+    # g's vertex at the i-th set bit of mask
+    keep = _bits(mask)
+    rows = g.rows
+    for i, r in enumerate(part.rows):
+        lifted = 0
+        for j in _bits(r):
+            lifted |= 1 << keep[j]
+        if lifted != rows[keep[i]] & mask:
+            return False
+    return True
+
+
 def validate_clique_split(g: Graph, split: CliqueSplit) -> bool:
-    """Re-check every CliqueSplit invariant from scratch."""
-    lv = set(split.left.vertices)
-    rv = set(split.right.vertices)
-    if lv | rv != set(g.vertices):
+    """Re-check every CliqueSplit invariant from scratch, on bitmasks: the
+    parts cover g, meet exactly in the separator, neither is all of g, the
+    separator is a clique, each part is the subgraph of g induced on its
+    vertices, and no edge joins the two parts outside the separator. A name
+    that is not a vertex of g fails the check."""
+    try:
+        left = g.mask(split.left.vertices)
+        right = g.mask(split.right.vertices)
+        sep = g.mask(split.separator)
+    except GraphError:
         return False
-    if lv & rv != set(split.separator):
+    full = (1 << g.n) - 1
+    if left | right != full or left & right != sep:
         return False
-    if lv == set(g.vertices) or rv == set(g.vertices):
+    if left == full or right == full:
         return False
-    if not set(split.separator) <= set(g.vertices):
+    rows = g.rows
+    if not _is_clique_mask(rows, sep):
         return False
-    if not is_clique(g, split.separator):
+    if not (_is_induced_part(g, split.left, left)
+            and _is_induced_part(g, split.right, right)):
         return False
-    if split.left != induced(g, lv) or split.right != induced(g, rv):
-        return False
-    # union of the parts must give back every edge: no cross edges allowed
-    part_edges = set(split.left.edge_pairs) | set(split.right.edge_pairs)
-    return part_edges == set(g.edge_pairs)
+    only_right = right & ~sep
+    return all(not rows[v] & only_right for v in _bits(left & ~sep))
 
 
 @dataclass(frozen=True)

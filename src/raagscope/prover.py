@@ -39,6 +39,12 @@ part only after its left part closed, so node counts, budget verdicts and
 memo contents are deterministic.
 It never guesses co-contraction preimages; that rule exists only in the
 checker, so externally supplied derivations using it still validate.
+
+classify works cheapest first: a chordal graph is derived by construction and
+nothing else runs on it, since chordal graphs lie in N' (the paper's
+theorem), so no catalog obstruction can embed in one; any other graph goes
+to the induced obstruction scan, then to the prover, then to the
+co-contraction search.
 """
 
 from __future__ import annotations
@@ -292,9 +298,11 @@ class _Search:
         self.rules_attempted: set[str] = set()
         self.stuck: list[str] = []
 
-    def prove(self, h: Graph) -> Optional[Derivation]:
+    def prove(self, h: Graph, nonchordal: bool = False) -> Optional[Derivation]:
+        """The derivation of h, or None. nonchordal says that the caller's
+        elimination pass already stalled on h, so h is searched at once."""
         try:
-            return self._run(h)
+            return self._run(h, nonchordal)
         except _BudgetExhausted:
             self.exhausted = True
             return None
@@ -308,10 +316,11 @@ class _Search:
             stuck=tuple(self.stuck),
         )
 
-    def _run(self, h: Graph) -> Optional[Derivation]:
-        peo = elimination_order(h.rows, (1 << h.n) - 1)
-        if peo is not None:
-            return _chordal_derivation(h, peo)
+    def _run(self, h: Graph, nonchordal: bool = False) -> Optional[Derivation]:
+        if not nonchordal:
+            peo = elimination_order(h.rows, (1 << h.n) - 1)
+            if peo is not None:
+                return _chordal_derivation(h, peo)
         key, order = canonical_form(h)
         if key in self.memo:
             hit = self.memo[key]
@@ -392,9 +401,18 @@ def classify(g: Graph, budget: int = DEFAULT_BUDGET,
     """Run the searches cheapest first, verify whichever certificates come
     back with the independent checkers, and pick a verdict.
 
-    The order: the induced obstruction scan; the derivation search, only if
+    The order: a chordal g gets the derivation _chordal_derivation builds
+    along its perfect elimination order, checked, and nothing else runs;
+    otherwise the induced obstruction scan; the derivation search, only if
     the scan found nothing; the co-contraction search below g, only if neither
-    found a certificate. The last does not expand a state the prover derives
+    found a certificate. Skipping the scan on a chordal g is sound: chordal
+    graphs lie in N' within N (the paper's theorem; the derivation is its
+    proof), so no obstruction of g can exist, and indeed every built-in
+    catalog entry is non-chordal while every induced subgraph of a chordal
+    graph is chordal. A user catalog entry that is chordal contradicts the
+    theorem; only cross_check, which scans g as well, exposes it. The
+    elimination pass runs once, and its time counts as part of the scan
+    phase. The co-contraction search does not expand a state the prover derives
     (see find_cocontraction_witness): that state lies in N', so nothing below
     it holds a witness. One derivation search serves g and that pruning, over
     one memo, the caller's cache or a fresh dict, and one budget of at most
@@ -410,19 +428,26 @@ def classify(g: Graph, budget: int = DEFAULT_BUDGET,
     A graph may end up with neither certificate: membership of the derived
     family in the no-surface class is one-sided, so honest Unknowns are
     unavoidable. Holding both verified certificates at once is a bug and
-    raises SoundnessError. cross_check runs the derivation search even after
-    a found obstruction, and the unpruned co-contraction search even after a
-    found derivation, so that the both-certificates guard sees every search.
+    raises SoundnessError. cross_check runs the scan on a chordal g too, the
+    derivation search even after a found obstruction, and the unpruned
+    co-contraction search even after a found derivation, so that the
+    both-certificates guard sees every search.
     """
     search = _Search(cache if cache is not None else {}, budget)
     t0 = perf_counter()
-    obs = find_forbidden_induced(g, catalog)
-    if obs is not None and not verify_obstruction(g, obs, catalog):
-        raise SoundnessError("obstruction search emitted an invalid certificate")
+    peo = elimination_order(g.rows, (1 << g.n) - 1)
+    obs = None
+    if peo is None or cross_check:
+        obs = find_forbidden_induced(g, catalog)
+        if obs is not None and not verify_obstruction(g, obs, catalog):
+            raise SoundnessError("obstruction search emitted an invalid certificate")
     t1 = perf_counter()
     deriv = report = None
     if obs is None or cross_check:
-        deriv = search.prove(g)
+        if peo is not None:
+            deriv = _chordal_derivation(g, peo)
+        else:
+            deriv = search.prove(g, nonchordal=True)
         report = search.report()
         if deriv is not None and not check_derivation(deriv, g):
             raise SoundnessError("prover emitted an invalid derivation")

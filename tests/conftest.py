@@ -9,7 +9,7 @@ from itertools import permutations
 from raagscope.graphs import Graph, _bits, canonical_key
 from raagscope.obstructions import (KIND_INDUCED, KIND_TRAIL, Obstruction,
                                     find_forbidden_induced)
-from raagscope.ops import CliqueSplit, _component_masks, co_contract_edge
+from raagscope.ops import CliqueSplit, _component_masks, co_contract_edge, induced, is_clique
 from raagscope.recognize import CycleWitness
 
 
@@ -168,6 +168,28 @@ def reference_clique_splits(g: Graph, minimal_only: bool = False):
                 out.append(CliqueSplit(g.subgraph(left), g.subgraph(right),
                                        frozenset(g.names(sep))))
     return out
+
+
+def reference_validate_clique_split(g: Graph, split: CliqueSplit) -> bool:
+    """Every CliqueSplit invariant on name sets, induced subgraphs and edge
+    lists, the answer ops.validate_clique_split must reproduce."""
+    lv = set(split.left.vertices)
+    rv = set(split.right.vertices)
+    if lv | rv != set(g.vertices):
+        return False
+    if lv & rv != set(split.separator):
+        return False
+    if lv == set(g.vertices) or rv == set(g.vertices):
+        return False
+    if not set(split.separator) <= set(g.vertices):
+        return False
+    if not is_clique(g, split.separator):
+        return False
+    if split.left != induced(g, lv) or split.right != induced(g, rv):
+        return False
+    # union of the parts must give back every edge: no cross edges allowed
+    part_edges = set(split.left.edge_pairs) | set(split.right.edge_pairs)
+    return part_edges == set(g.edge_pairs)
 
 
 def _touches_all(rows, comp: int, sep: int) -> bool:

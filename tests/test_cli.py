@@ -245,18 +245,34 @@ def test_catalog_listing(capsys):
     assert code == 0 and "P1(8)" in out and "C5" in out
 
 
-def test_catalog_env_var(capsys, tmp_path, monkeypatch):
+def _k5_minus_edge_catalog(tmp_path):
     extra = tmp_path / "extra.json"
     extra.write_text(json.dumps([{
         "name": "envtest(5)", "provenance": "test",
         "vertices": ["p", "q", "r", "s", "t"],
         "complement_edges": [["p", "q"]]}]))
+    return extra
+
+
+def test_catalog_env_var(capsys, tmp_path, monkeypatch):
+    extra = _k5_minus_edge_catalog(tmp_path)
     monkeypatch.setenv("RAAGSCOPE_CATALOG", str(extra))
     code, out, _ = run(capsys, "catalog")
     assert code == 0 and "envtest(5)" in out
     # classify picks the env catalog up as well
     code, out, _ = run(capsys, "classify", "--json", C5_G6)
     assert json.loads(out)["parameters"]["catalog"] == str(extra)
+
+
+def test_chordal_graph_is_derived_past_a_chordal_catalog_entry(capsys, tmp_path):
+    # envtest(5) is K5 - e, a chordal graph, which the theorem that chordal
+    # graphs lie in N' rules out as an obstruction: classify derives K5 - e
+    # without scanning it, and only --cross-check meets the contradiction
+    extra = str(_k5_minus_edge_catalog(tmp_path))
+    code, out, _ = run(capsys, "classify", "--catalog", extra, "D^{")
+    assert code == 0 and "no_surface_subgroup" in out
+    code, out, err = run(capsys, "classify", "--catalog", extra, "--cross-check", "D^{")
+    assert code == 70 and out == "" and "soundness" in err
 
 
 def test_classify_rejects_nonpositive_budget(capsys):

@@ -2,7 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
-from conftest import reference_clique_splits
+from conftest import reference_clique_splits, reference_validate_clique_split
 
 from raagscope.graphs import Graph, GraphError, is_isomorphic, new_graph, standard_graph
 from raagscope.generate import nonisomorphic_graphs, random_chordal, random_graph
@@ -191,6 +191,66 @@ def test_validate_clique_split_rejects_bad():
     assert not validate_clique_split(P3, bad)
     bad2 = CliqueSplit(good.left, good.left, good.separator)
     assert not validate_clique_split(P3, bad2)
+
+
+def _split_mutations(g, split, rng):
+    """(kind, host, split) triples that each break one CliqueSplit invariant
+    of a valid split of g, where g allows it."""
+    left, right, sep = split.left, split.right, split.separator
+    only_left = sorted(set(left.vertices) - sep)
+    only_right = sorted(set(right.vertices) - sep)
+    out = []
+    drop = rng.choice(left.vertices)
+    out.append(("dropped vertex", g,
+                CliqueSplit(induced(left, set(left.vertices) - {drop}), right, sep)))
+    if sep:
+        out.append(("separator not the intersection", g,
+                    CliqueSplit(left, right, sep - {rng.choice(sorted(sep))})))
+    out.append(("separator not the intersection", g,
+                CliqueSplit(left, right, sep | {rng.choice(only_left)})))
+    # a non-clique separator that is the intersection of two induced parts
+    free = [(u, v) for u, v in combinations(g.vertices, 2) if not g.has_edge(u, v)]
+    if free:
+        s = set(rng.choice(free))
+        rest = [v for v in g.vertices if v not in s]
+        cut = rng.randint(1, len(rest) - 1) if len(rest) > 1 else 0
+        a, b = s | set(rest[:cut]), s | set(rest[cut:])
+        out.append(("non-clique separator", g,
+                    CliqueSplit(induced(g, a), induced(g, b), frozenset(s))))
+    u, v = rng.choice(only_left), rng.choice(only_right)
+    if not g.has_edge(u, v):
+        out.append(("cross edge", add_edge(g, (u, v)), split))
+    if left.n >= 2:
+        e = tuple(rng.sample(left.vertices, 2))
+        toggled = remove_edge_interior(left, e) if left.has_edge(*e) else add_edge(left, e)
+        out.append(("part rows differ", g, CliqueSplit(toggled, right, sep)))
+    stranger = Graph(left.vertices + ("zz",), left.edge_pairs)
+    out.append(("unknown vertex", g, CliqueSplit(stranger, right, sep)))
+    out.append(("unknown vertex", g, CliqueSplit(left, right, sep | {"zz"})))
+    out.append(("part equal to g", g,
+                CliqueSplit(g, right, frozenset(right.vertices))))
+    return out
+
+
+def test_validate_clique_split_agrees_with_the_set_based_reference():
+    rng = random.Random(33)
+    graphs = [g for n in range(1, 8) for g in nonisomorphic_graphs(n)]
+    for _ in range(100):
+        n = rng.randint(8, 14)
+        graphs.append(_gnm(n, rng.randint(n - 1, n * (n - 1) // 3), rng))
+    valid = 0
+    refused: dict[str, int] = {}
+    for g in graphs:
+        for split in iter_clique_splits(g):
+            assert validate_clique_split(g, split)
+            assert reference_validate_clique_split(g, split)
+            valid += 1
+            for kind, host, bad in _split_mutations(g, split, rng):
+                assert not reference_validate_clique_split(host, bad), kind
+                assert not validate_clique_split(host, bad), (kind, g.edge_pairs)
+                refused[kind] = refused.get(kind, 0) + 1
+    assert valid > 1000
+    assert len(refused) == 7 and min(refused.values()) > 200, refused
 
 
 def test_simplicial_extension_path():

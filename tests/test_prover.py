@@ -5,7 +5,8 @@ import pytest
 
 from raagscope.generate import nonisomorphic_graphs, random_chordal, random_graph
 from raagscope.graphs import Graph, canonical_key, new_graph, parse_graph6, standard_graph
-from raagscope.obstructions import entry_graph, find_cocontraction_witness, find_forbidden_induced
+from raagscope.obstructions import (builtin_catalog, entry_graph, find_cocontraction_witness,
+                                    find_forbidden_induced)
 from raagscope.ops import (add_edge, co_contract, is_bisimplicial_edge, is_clique,
                            iter_clique_splits, remove_edge_interior)
 from raagscope.prover import (
@@ -25,6 +26,7 @@ from raagscope.prover import (
     derivation_to_json,
     prove_in_f,
 )
+from raagscope.recognize import elimination_order
 
 P3 = new_graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
 
@@ -102,6 +104,84 @@ def test_chordal_graphs_spend_no_budget():
         assert v.status == NO_SURFACE and check_derivation(v.derivation, g)
     memo = {}
     assert prove_in_f(P3, budget=1, cache=memo) is not None and memo == {}
+
+
+def _random_forest(n, rng):
+    names = ["v%d" % (i + 1) for i in range(n)]
+    edges = [(names[rng.randrange(i)], names[i]) for i in range(1, n) if rng.random() < 0.85]
+    return Graph(names, edges)
+
+
+def _chordal_inputs():
+    rng = random.Random(73)
+    graphs = [random_chordal(rng.randint(10, 16), rng) for _ in range(40)]
+    return graphs + [_random_forest(rng.randint(5, 16), rng) for _ in range(20)]
+
+
+def test_every_builtin_catalog_entry_is_non_chordal():
+    # the premise of classify's chordal skip: an induced subgraph of a
+    # chordal graph is chordal, so no entry can embed in one
+    for e in builtin_catalog():
+        assert elimination_order(e.graph.rows, (1 << e.graph.n) - 1) is None, e.name
+    for n in range(5, 17):
+        for name in ("C%d" % n, "coC%d" % n):
+            h = entry_graph(name)
+            assert elimination_order(h.rows, (1 << h.n) - 1) is None, name
+
+
+def test_chordal_graphs_are_never_scanned(monkeypatch):
+    import raagscope.prover as prover
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("find_forbidden_induced called on a chordal graph")
+
+    monkeypatch.setattr(prover, "find_forbidden_induced", refuse)
+    for g in _chordal_inputs():
+        v = classify(g)
+        assert v.status == NO_SURFACE and check_derivation(v.derivation, g)
+
+
+def test_cross_check_still_scans_chordal_graphs(monkeypatch):
+    import raagscope.prover as prover
+
+    scanned = []
+
+    def counting(g, *args, **kwargs):
+        scanned.append(g)
+        return find_forbidden_induced(g, *args, **kwargs)
+
+    monkeypatch.setattr(prover, "find_forbidden_induced", counting)
+    # depth 1 keeps the unpruned co-contraction search of cross_check short
+    for g in _chordal_inputs():
+        scanned.clear()
+        v = classify(g, cross_check=True, cocontract_depth=1)
+        assert v.status == NO_SURFACE and check_derivation(v.derivation, g)
+        assert scanned and scanned[0] is g
+
+
+# The open core: the inclusion-minimal unknowns on at most 8 vertices, each
+# unknown while every one-vertex deletion is derived. A graph that contains a
+# core graph can change verdict only if that core graph does, so a new rule or
+# catalog entry must act on this list first.
+OPEN_CORE = (
+    "EUzo",
+    "FCZvo", "FEh~G", "FEjvO", "FErvO", "FEzn_",
+    "GQrapw", "G]ouPg", "G]qqUC", "G]quCS", "G]~vPg", "G]qvfo", "GQra`{",
+    "G]qvfw", "G]qqPs", "GQrf_s", "G]otTG", "G]zvHw", "G]~vdW", "G]~v?w",
+    "G]otvw", "G]ovfw", "G]~vcW", "G]o~fw",
+)
+
+
+def test_open_core_is_unknown_and_minimal():
+    assert len(set(OPEN_CORE)) == 24
+    for text in OPEN_CORE:
+        g = parse_graph6(text.encode())
+        assert classify(g).status == UNKNOWN, text
+        full = (1 << g.n) - 1
+        for v in range(g.n):
+            h = g.subgraph(full & ~(1 << v))
+            d = prove_in_f(h)
+            assert d is not None and check_derivation(d, h), (text, v)
 
 
 def test_join_rule_reachability_checker_side():
