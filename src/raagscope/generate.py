@@ -1,43 +1,10 @@
-"""Graph samplers: random models and exhaustive small-graph enumeration."""
+"""Exhaustive enumeration of small graphs up to isomorphism."""
 
 from __future__ import annotations
 
-import random
 from functools import lru_cache
 
 from .graphs import Graph, _from_rows, canonical_key, standard_graph
-from .ops import maximal_cliques
-
-
-def random_graph(n: int, p: float, rng: random.Random) -> Graph:
-    names = ["v%d" % (i + 1) for i in range(n)]
-    edges = [(names[i], names[j])
-             for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-    return Graph(names, edges)
-
-
-def random_chordal(n: int, rng: random.Random) -> Graph:
-    """Iterated simplicial-vertex addition: each new vertex is glued onto a
-    random subset of a random maximal clique, so every prefix is chordal."""
-    g = standard_graph("complete", 1)
-    for k in range(2, n + 1):
-        fresh = "v%d" % k
-        cliques = maximal_cliques(g)
-        base = sorted(cliques[rng.randrange(len(cliques))])
-        take = rng.randint(0, len(base))
-        anchor = rng.sample(base, take)
-        g = Graph(list(g.vertices) + [fresh],
-                  list(g.edge_pairs) + [(fresh, a) for a in anchor])
-    return g
-
-
-def random_bipartite(n: int, p: float, rng: random.Random) -> Graph:
-    names = ["v%d" % (i + 1) for i in range(n)]
-    left_size = rng.randint(1, max(1, n - 1))
-    left = set(names[:left_size])
-    edges = [(u, v) for u in names for v in names
-             if u < v and ((u in left) != (v in left)) and rng.random() < p]
-    return Graph(names, edges)
 
 
 @lru_cache(maxsize=None)

@@ -553,6 +553,60 @@ def canonical_key(g: Graph) -> tuple[int, int]:
     return canonical_form(g)[0]
 
 
+class IsoTable:
+    """Isomorphism classes of graphs, one value each, labelled on demand.
+
+    Graphs are bucketed by their sorted degree sequence (whose length is n),
+    and canonical_form runs only when a graph meets a non-empty bucket: it
+    labels the newcomer and, once, the bucket's one unlabelled member. A graph
+    alone in its bucket is never labelled, yet a lookup hits exactly when an
+    isomorphic graph is stored, since isomorphic graphs share a bucket.
+
+    The buckets live in a dict that the caller may supply and share. A bucket
+    maps a member's canonical key to (canonical order, value), or None to
+    (graph, value) while its one member is unlabelled.
+    """
+
+    __slots__ = ("buckets",)
+
+    def __init__(self, buckets: Optional[dict] = None):
+        self.buckets = {} if buckets is None else buckets
+
+    def find(self, g: Graph):
+        """(hit, label). hit is (canonical order, value) of the stored graph
+        isomorphic to g, or None; label is canonical_form(g) if it ran, else
+        None, and is meant for add."""
+        bucket = self.buckets.get(_degree_key(g))
+        if not bucket:
+            return None, None
+        label = canonical_form(g)
+        _label_pending(bucket)
+        return bucket.get(label[0]), label
+
+    def add(self, g: Graph, value=None, label=None) -> None:
+        """Store value for the class of g, in place of any stored one; label
+        is what find returned for g."""
+        bucket = self.buckets.setdefault(_degree_key(g), {})
+        if not bucket:
+            bucket[None] = (g, value)
+            return
+        _label_pending(bucket)
+        key, order = label or canonical_form(g)
+        bucket[key] = (order, value)
+
+
+def _degree_key(g: Graph) -> tuple[int, ...]:
+    return tuple(sorted(r.bit_count() for r in g.rows))
+
+
+def _label_pending(bucket: dict) -> None:
+    pending = bucket.pop(None, None)
+    if pending is not None:
+        g, value = pending
+        key, order = canonical_form(g)
+        bucket[key] = (order, value)
+
+
 # ---------------------------------------------------------------------------
 # serialization: graph6, edgelist, dot
 

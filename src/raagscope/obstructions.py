@@ -25,9 +25,9 @@ from typing import Callable, Optional, Sequence
 from .graphs import (
     Graph,
     GraphError,
+    IsoTable,
     _bits,
     _standard_names,
-    canonical_key,
     find_induced,
     is_isomorphic,
     standard_graph,
@@ -293,7 +293,10 @@ def find_cocontraction_witness(g: Graph, max_depth: int,
                                derived: Optional[Callable[[Graph], bool]] = None) -> Optional[Obstruction]:
     """Breadth-first search over complement-edge contraction sequences of
     length at most max_depth, deduplicated by isomorphism class; first state
-    containing a forbidden induced subgraph wins.
+    containing a forbidden induced subgraph wins. The states seen are kept
+    in a graphs.IsoTable, so a state is canonically labelled only when an
+    earlier one shares its degree sequence, and g never is: its children have
+    a vertex fewer.
 
     A derived predicate, when given, prunes the search: a state at depth >= 1
     is still scanned, but not expanded if derived(state) holds. This returns
@@ -321,7 +324,8 @@ def find_cocontraction_witness(g: Graph, max_depth: int,
     """
     if max_depth < 0:
         raise ValueError("max_depth must be nonnegative")
-    seen = {canonical_key(g)}
+    seen = IsoTable()
+    seen.add(g)
     # (state, trail to it, its merged vertex; None for g)
     queue: deque[tuple[Graph, tuple, Optional[str]]] = deque([(g, (), None)])
     while queue:
@@ -340,10 +344,10 @@ def find_cocontraction_witness(g: Graph, max_depth: int,
             for j in _bits(full & ~row & ~((2 << i) - 1)):
                 u, v = verts[i], verts[j]
                 child = co_contract_edge(current, (u, v))
-                key = canonical_key(child)
-                if key in seen:
+                hit, label = seen.find(child)
+                if hit is not None:
                     continue
-                seen.add(key)
+                seen.add(child, label=label)
                 w = next(x for x in child.vertices if not current.has_vertex(x))
                 queue.append((child, trail + ((u, v),), w))
     return None

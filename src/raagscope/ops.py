@@ -19,7 +19,6 @@ __all__ = [
     "complement",
     "induced",
     "join",
-    "disjoint_union",
     "is_complete",
     "is_clique",
     "is_simplicial_vertex",
@@ -32,7 +31,6 @@ __all__ = [
     "co_contract",
     "co_contract_edge",
     "connected_components",
-    "is_connected",
 ]
 
 
@@ -45,23 +43,15 @@ def induced(g: Graph, s: Iterable[str]) -> Graph:
     return g.subgraph(g.mask(s))
 
 
-def _combine(g: Graph, h: Graph, what: str, joined: bool) -> Graph:
+def join(g: Graph, h: Graph) -> Graph:
     common = set(g.vertices) & set(h.vertices)
     if common:
-        raise GraphError("vertex name collision in %s: %r" % (what, sorted(common)))
+        raise GraphError("vertex name collision in join: %r" % (sorted(common),))
     k = g.n
-    low = (1 << k) - 1 if joined else 0
-    high = ((1 << h.n) - 1) << k if joined else 0
+    low = (1 << k) - 1
+    high = ((1 << h.n) - 1) << k
     rows = tuple(r | high for r in g.rows) + tuple(r << k | low for r in h.rows)
     return _from_rows(g.vertices + h.vertices, rows)
-
-
-def join(g: Graph, h: Graph) -> Graph:
-    return _combine(g, h, "join", True)
-
-
-def disjoint_union(g: Graph, h: Graph) -> Graph:
-    return _combine(g, h, "union", False)
 
 
 def _is_clique_mask(rows: tuple[int, ...], mask: int) -> bool:
@@ -105,13 +95,6 @@ def remove_edge_interior(g: Graph, e: tuple[str, str]) -> Graph:
     return _from_sorted(g.vertices, tuple(rows))
 
 
-def add_edge(g: Graph, e: tuple[str, str]) -> Graph:
-    a, b = e
-    if g.has_edge(a, b):
-        raise GraphError("%r is already an edge" % ((a, b),))
-    return Graph(g.vertices, g.edge_pairs + ((a, b),))
-
-
 def _component_masks(rows: tuple[int, ...], within: int) -> list[int]:
     """Connected components of the subgraph induced on a vertex mask, ordered
     by least member."""
@@ -132,10 +115,6 @@ def _component_masks(rows: tuple[int, ...], within: int) -> list[int]:
 def connected_components(g: Graph) -> list[tuple[str, ...]]:
     """Components as sorted vertex tuples, ordered by least member."""
     return [g.names(c) for c in _component_masks(g.rows, (1 << g.n) - 1)]
-
-
-def is_connected(g: Graph) -> bool:
-    return len(_component_masks(g.rows, (1 << g.n) - 1)) <= 1
 
 
 def maximal_cliques(g: Graph) -> list[frozenset[str]]:

@@ -18,7 +18,8 @@ join.
 
 The prover is one sequential depth-first search over the rules in a fixed
 order (amalgam split at the first clique minimal separator, bisimplicial
-edge removal, join decomposition) with memoization by isomorphism class. The
+edge removal, join decomposition) with memoization by isomorphism class,
+labelled on demand. The
 split is decisive: when a part fails, the graph fails, and neither a
 bisimplicial edge nor the join is tried (by heredity neither could succeed).
 Bisimplicial edges still come before the join, so a join such as C4 or K2,3
@@ -30,11 +31,14 @@ no canonical labeling, no memo entry and no node of the budget, so it is
 answered even after the budget has run out. One search holds one memo and
 one node budget, and every other graph it is asked to prove draws on both:
 classify makes one per call, for the graph itself and then for the states of
-the co-contraction search. A memo entry
-holds None for a class that failed, else the derivation of the first graph
-of the class, in that graph's names, and that graph's canonical order; a
-later graph of the class renames it once into its own names, position by
-position along the two canonical orders. A two-part rule searches its right
+the co-contraction search. The memo is a graphs.IsoTable: it buckets graphs
+by degree sequence and runs canonical labeling only when a graph meets a
+non-empty bucket, so a searched graph whose degree sequence no earlier node
+had, the root of a fresh search among them, is never labelled. A memo entry
+holds None for a class that failed, else the derivation of the graph stored
+for the class, in that graph's names; a later graph of the class renames it
+once into its own names, position by position along the two canonical
+orders. A two-part rule searches its right
 part only after its left part closed, so node counts, budget verdicts and
 memo contents are deterministic.
 It never guesses co-contraction preimages; that rule exists only in the
@@ -57,10 +61,10 @@ from typing import Optional, Sequence
 from .graphs import (
     Graph,
     GraphError,
+    IsoTable,
     _bits,
     _relabel,
     _shared,
-    canonical_form,
     graph_from_json,
     graph_to_json,
     is_isomorphic,
@@ -191,14 +195,15 @@ def rename_derivation(d: Derivation, mapping: dict[str, str]) -> Derivation:
 
 def check_derivation(d: Derivation, g: Graph) -> bool:
     """Re-validate every node from first principles and match the root against
-    g up to isomorphism. Shares only the elementary graph operations with the
-    prover, none of its search logic."""
+    g up to isomorphism; a root equal to g (same names, same rows) matches by
+    the identity, with no isomorphism search. Shares only the elementary graph
+    operations with the prover, none of its search logic."""
     try:
         if not _check_node(d):
             return False
     except (GraphError, TypeError):
         return False
-    return is_isomorphic(d.conclusion, g) is not None
+    return d.conclusion == g or is_isomorphic(d.conclusion, g) is not None
 
 
 def _check_node(node: Derivation) -> bool:
@@ -291,7 +296,7 @@ class _Search:
     def __init__(self, memo: dict, budget: int):
         if budget < 1:
             raise ValueError("budget must be at least 1")
-        self.memo = memo
+        self.memo = IsoTable(memo)
         self.budget = budget
         self.nodes = 0
         self.exhausted = False
@@ -321,24 +326,20 @@ class _Search:
             peo = elimination_order(h.rows, (1 << h.n) - 1)
             if peo is not None:
                 return _chordal_derivation(h, peo)
-        key, order = canonical_form(h)
-        if key in self.memo:
-            hit = self.memo[key]
-            if hit is None:
+        hit, label = self.memo.find(h)
+        if hit is not None:
+            found_order, d = hit
+            if d is None:
                 return None
-            d, found_order = hit
-            return rename_derivation(d, dict(zip(found_order, order)))
+            return rename_derivation(d, dict(zip(found_order, label[1])))
         self.nodes += 1
         if self.nodes > self.budget:
             raise _BudgetExhausted
         d = self._expand(h)
-        if d is None:
-            self.memo[key] = None
-            if len(self.stuck) < 32:
-                self.stuck.append("no rule closed a graph with %d vertices, %d edges"
-                                  % (h.n, h.m))
-            return None
-        self.memo[key] = (d, order)
+        self.memo.add(h, d, label)
+        if d is None and len(self.stuck) < 32:
+            self.stuck.append("no rule closed a graph with %d vertices, %d edges"
+                              % (h.n, h.m))
         return d
 
     def _pair(self, left: Graph, right: Graph):
@@ -415,15 +416,20 @@ def classify(g: Graph, budget: int = DEFAULT_BUDGET,
     phase. The co-contraction search does not expand a state the prover derives
     (see find_cocontraction_witness): that state lies in N', so nothing below
     it holds a witness. One derivation search serves g and that pruning, over
-    one memo, the caller's cache or a fresh dict, and one budget of at most
-    budget nodes: the pruning expands only the nodes the search of g left, and
-    a state it cannot decide within them is expanded. A chordal graph, g or a
+    one memo and one budget of at most budget nodes: the pruning expands only
+    the nodes the search of g left, and a state it cannot decide within them
+    is expanded. A chordal graph, g or a
     state, is decided by construction before the memo lookup and spends no
     node, so it is decided even after the budget has run out, and budget=1
     still derives any chordal g. The report of an unknown verdict counts the
     search of g alone. The pruning takes the memo's
     derivations on trust, so a wrong entry in a caller's cache can hide a
     witness. A budget below 1 raises ValueError, whichever search would run.
+
+    cache, when given, is a dict that holds the memo in place of a fresh one,
+    so several calls may share it. Treat it as opaque: it holds the buckets
+    of a graphs.IsoTable, which labels a graph only when another graph of its
+    degree sequence is looked up, and entries are written through IsoTable.
 
     A graph may end up with neither certificate: membership of the derived
     family in the no-surface class is one-sided, so honest Unknowns are

@@ -1,16 +1,66 @@
-"""Shared test oracles: deliberately naive, independent of the library's
-search strategies."""
+"""Shared test oracles, deliberately naive and independent of the library's
+search strategies, and the random graph models and small graph builders that
+only tests use."""
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from itertools import permutations
 
-from raagscope.graphs import Graph, _bits, canonical_key
+from raagscope.graphs import Graph, GraphError, _bits, canonical_key, standard_graph
 from raagscope.obstructions import (KIND_INDUCED, KIND_TRAIL, Obstruction,
                                     find_forbidden_induced)
-from raagscope.ops import CliqueSplit, _component_masks, co_contract_edge, induced, is_clique
+from raagscope.ops import (CliqueSplit, _component_masks, co_contract_edge,
+                           connected_components, induced, is_clique, maximal_cliques)
 from raagscope.recognize import CycleWitness
+
+
+def random_graph(n: int, p: float, rng: random.Random) -> Graph:
+    names = ["v%d" % (i + 1) for i in range(n)]
+    edges = [(names[i], names[j])
+             for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    return Graph(names, edges)
+
+
+def random_chordal(n: int, rng: random.Random) -> Graph:
+    """Iterated simplicial-vertex addition: each new vertex is glued onto a
+    random subset of a random maximal clique, so every prefix is chordal."""
+    g = standard_graph("complete", 1)
+    for k in range(2, n + 1):
+        fresh = "v%d" % k
+        cliques = maximal_cliques(g)
+        base = sorted(cliques[rng.randrange(len(cliques))])
+        take = rng.randint(0, len(base))
+        anchor = rng.sample(base, take)
+        g = Graph(list(g.vertices) + [fresh],
+                  list(g.edge_pairs) + [(fresh, a) for a in anchor])
+    return g
+
+
+def random_bipartite(n: int, p: float, rng: random.Random) -> Graph:
+    names = ["v%d" % (i + 1) for i in range(n)]
+    left_size = rng.randint(1, max(1, n - 1))
+    left = set(names[:left_size])
+    edges = [(u, v) for u in names for v in names
+             if u < v and ((u in left) != (v in left)) and rng.random() < p]
+    return Graph(names, edges)
+
+
+def add_edge(g: Graph, e: tuple[str, str]) -> Graph:
+    a, b = e
+    if g.has_edge(a, b):
+        raise GraphError("%r is already an edge" % ((a, b),))
+    return Graph(g.vertices, g.edge_pairs + ((a, b),))
+
+
+def disjoint_union(g: Graph, h: Graph) -> Graph:
+    """Side by side, with no edge between; a shared name raises GraphError."""
+    return Graph(g.vertices + h.vertices, g.edge_pairs + h.edge_pairs)
+
+
+def is_connected(g: Graph) -> bool:
+    return len(connected_components(g)) <= 1
 
 
 def brute_induced(pattern: Graph, host: Graph):

@@ -14,13 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import enumerate_words, oracle_word_trivial
-from raagscope.generate import (
-    nonisomorphic_graphs,
-    random_bipartite,
-    random_chordal,
-    random_graph,
-)
+from conftest import (enumerate_words, oracle_word_trivial, random_bipartite, random_chordal,
+                      random_graph)
+from raagscope.generate import nonisomorphic_graphs
 from raagscope.graphs import emit_graph6, is_isomorphic, new_graph, standard_graph
 from raagscope.obstructions import (
     KIND_INDUCED,

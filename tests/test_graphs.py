@@ -3,10 +3,11 @@ import time
 
 import pytest
 
-from conftest import brute_induced
+from conftest import brute_induced, random_graph
 from raagscope.graphs import (
     Graph,
     GraphError,
+    IsoTable,
     canonical_form,
     canonical_key,
     emit_dot,
@@ -20,7 +21,7 @@ from raagscope.graphs import (
     standard_graph,
     verify_vertex_map,
 )
-from raagscope.generate import nonisomorphic_graphs, random_graph
+from raagscope.generate import nonisomorphic_graphs
 from raagscope.ops import complement
 
 
@@ -217,6 +218,76 @@ def test_canonical_key_invariant_under_relabeling():
         h = Graph([relabel[v] for v in names],
                   [(relabel[u], relabel[v]) for u, v in g.edge_pairs])
         assert canonical_key(g) == canonical_key(h)
+
+
+def _relabelled(g, rng):
+    names = rng.sample(range(100), g.n)
+    rename = {v: "x%d" % k for v, k in zip(g.vertices, names)}
+    return Graph(rename.values(), [(rename[u], rename[v]) for u, v in g.edge_pairs])
+
+
+def test_iso_table_hits_exactly_on_equal_canonical_keys():
+    # every class on at most 6 vertices, three relabelled copies of each, in
+    # seeded orders; about two thirds of the misses are stored. A lookup must
+    # hit exactly when a graph with the same canonical key is stored, return
+    # the value stored last for that class, and come with two canonical
+    # orders that map the graph stored last onto the newcomer
+    classes = [g for n in range(7) for g in nonisomorphic_graphs(n)]
+    for seed in range(3):
+        rng = random.Random(seed)
+        pool = [_relabelled(g, rng) for g in classes for _ in range(3)]
+        rng.shuffle(pool)
+        table = IsoTable()
+        stored = {}
+        hits = 0
+        for i, g in enumerate(pool):
+            key = canonical_key(g)
+            hit, label = table.find(g)
+            assert (hit is not None) == (key in stored)
+            if hit is not None:
+                hits += 1
+                order, value = hit
+                last, want = stored[key]
+                assert value == want and label[0] == key
+                assert verify_vertex_map(last, g, dict(zip(order, label[1])))
+                if rng.random() < 0.3:
+                    table.add(g, i, label)
+                    stored[key] = (g, i)
+            elif rng.random() < 0.7:
+                table.add(g, i, label)
+                stored[key] = (g, i)
+        assert hits > len(classes)
+        # a class never stored misses, and a stored one hits, on a fresh copy
+        for g in classes:
+            hit, _ = table.find(_relabelled(g, rng))
+            assert (hit is not None) == (canonical_key(g) in stored)
+
+
+def test_iso_table_labels_only_graphs_that_share_a_bucket(monkeypatch):
+    import raagscope.graphs as graphs
+
+    labelled = []
+    label = graphs.canonical_form
+
+    def recording(g):
+        labelled.append(g)
+        return label(g)
+
+    monkeypatch.setattr(graphs, "canonical_form", recording)
+    table = IsoTable()
+    c4, p4 = standard_graph("cycle", 4), standard_graph("path", 4)
+    k13 = Graph(["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("a", "d")])
+    for g in (c4, p4, k13):
+        assert table.find(g) == (None, None)
+        table.add(g, g.m)
+    assert labelled == []
+    # a second 4-cycle labels itself and the stored one, once
+    hit, _ = table.find(_relabelled(c4, random.Random(1)))
+    assert hit is not None and hit[1] == 4 and len(labelled) == 2
+    table.find(c4)
+    assert len(labelled) == 3
+    # P4 and the claw K1,3 have 3 edges and unequal degree sequences
+    assert len(table.buckets) == 3
 
 
 def test_nonisomorphic_counts():

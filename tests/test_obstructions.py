@@ -1,11 +1,11 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
-from conftest import reference_cocontraction_witness
+from conftest import random_bipartite, random_chordal, random_graph, reference_cocontraction_witness
 
-from raagscope.generate import random_chordal, random_graph
-from raagscope.graphs import Graph, is_isomorphic, standard_graph, verify_vertex_map
+from raagscope.graphs import Graph, is_isomorphic, parse_graph6, standard_graph, verify_vertex_map
 from raagscope.obstructions import (
     KIND_INDUCED,
     KIND_TRAIL,
@@ -84,8 +84,6 @@ def test_find_forbidden_absent_on_chordal_and_chordal_bipartite():
         assert find_forbidden_induced(g) is None
     checked = 0
     while checked < 30:
-        from raagscope.generate import random_bipartite
-
         g = random_bipartite(rng.randint(2, 8), rng.random(), rng)
         if isinstance(is_chordal_bipartite(g), EdgeEliminationOrder):
             assert find_forbidden_induced(g) is None
@@ -116,14 +114,18 @@ def test_rooted_state_scans_keep_the_full_scan_witness():
     # states below g are scanned only through their merged vertex; the
     # witness must keep the full scan's entry and trail, with an embedding
     # that verifies. Hosts: seeded one-vertex extensions of Q1(9) and Q2(10),
-    # whose witnesses are mostly trails, and seeded 10-vertex graphs with no
-    # induced obstruction, which the search explores to full depth.
+    # whose witnesses are mostly trails, seeded 10-vertex graphs with no
+    # induced obstruction, which the search explores to full depth, and the
+    # 32 unknowns on at most 7 vertices of the census golden.
     rng = random.Random(17)
-    hosts = []
+    golden = json.loads((Path(__file__).parent / "data" / "census7.json").read_text())
+    unknowns = [parse_graph6(t.encode()) for n in ("6", "7") for t in golden[n]["unknown_graph6"]]
+    assert len(unknowns) == 32
+    hosts = list(unknowns)
     for name in ("Q1(9)", "Q2(10)"):
         q = entry_graph(name)
         hosts += [_one_vertex_extension(q, m) for m in rng.sample(range(1 << q.n), 61)]
-    while len(hosts) < 182:
+    while len(hosts) < 182 + len(unknowns):
         g = random_graph(10, rng.random(), rng)
         if find_forbidden_induced(g) is None:
             hosts.append(g)
@@ -183,8 +185,6 @@ def test_scan_through_a_vertex_matches_the_full_scan_when_the_rest_is_clean():
 
 def test_cocontraction_depth_zero_equals_induced_search():
     rng = random.Random(42)
-    from raagscope.generate import random_graph
-
     for _ in range(40):
         g = random_graph(rng.randint(1, 8), rng.random(), rng)
         a = find_forbidden_induced(g)
@@ -293,8 +293,6 @@ def test_fixed_entries_contain_required_witness_structure():
 
 def test_verifier_accepts_everything_the_searchers_emit():
     rng = random.Random(43)
-    from raagscope.generate import random_graph
-
     hits = 0
     for _ in range(1000):
         g = random_graph(rng.randint(4, 9), 0.3 + 0.4 * rng.random(), rng)

@@ -2,23 +2,21 @@ import random
 from itertools import combinations
 
 import pytest
-from conftest import reference_clique_splits, reference_validate_clique_split
+from conftest import (add_edge, disjoint_union, is_connected, random_chordal, random_graph,
+                      reference_clique_splits, reference_validate_clique_split)
 
 from raagscope.graphs import Graph, GraphError, is_isomorphic, new_graph, standard_graph
-from raagscope.generate import nonisomorphic_graphs, random_chordal, random_graph
+from raagscope.generate import nonisomorphic_graphs
 from raagscope.ops import (
     CliqueSplit,
-    add_edge,
     co_contract,
     co_contract_edge,
     complement,
     connected_components,
-    disjoint_union,
     induced,
     is_bisimplicial_edge,
     is_clique,
     is_complete,
-    is_connected,
     is_simplicial_vertex,
     iter_clique_splits,
     join,

@@ -14,8 +14,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from raagscope.cli import main  # noqa: E402
-from conftest import reference_canonical_sort  # noqa: E402
-from raagscope.generate import random_chordal  # noqa: E402
+from conftest import random_chordal, reference_canonical_sort  # noqa: E402
 from raagscope.graphs import (  # noqa: E402
     Graph,
     GraphError,

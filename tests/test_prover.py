@@ -3,11 +3,12 @@ import random
 
 import pytest
 
-from raagscope.generate import nonisomorphic_graphs, random_chordal, random_graph
-from raagscope.graphs import Graph, canonical_key, new_graph, parse_graph6, standard_graph
+from conftest import add_edge, random_chordal, random_graph
+from raagscope.generate import nonisomorphic_graphs
+from raagscope.graphs import Graph, IsoTable, new_graph, parse_graph6, standard_graph
 from raagscope.obstructions import (builtin_catalog, entry_graph, find_cocontraction_witness,
                                     find_forbidden_induced)
-from raagscope.ops import (add_edge, co_contract, is_bisimplicial_edge, is_clique,
+from raagscope.ops import (co_contract, is_bisimplicial_edge, is_clique,
                            iter_clique_splits, remove_edge_interior)
 from raagscope.prover import (
     HAS_SURFACE,
@@ -75,13 +76,15 @@ def _nodes(d):
 
 def test_chordal_derivations_are_built_without_canonical_labeling(monkeypatch):
     # a chordal graph is derived along its perfect elimination order, one
-    # amalgam per split-off clique, before any memo lookup
-    import raagscope.prover as prover
+    # amalgam per split-off clique, before any memo lookup. The patch is on
+    # the name the memo's IsoTable calls; the control at the end shows that
+    # it is reached.
+    import raagscope.graphs as graphs
 
     def refuse(h):
-        raise AssertionError("canonical_form called on a chordal graph")
+        raise AssertionError("canonical_form called")
 
-    monkeypatch.setattr(prover, "canonical_form", refuse)
+    monkeypatch.setattr(graphs, "canonical_form", refuse)
     rng = random.Random(71)
     for _ in range(40):
         g = random_chordal(rng.randint(10, 16), rng)
@@ -94,6 +97,32 @@ def test_chordal_derivations_are_built_without_canonical_labeling(monkeypatch):
             if leaf.rule == RULE_COMPLETE:
                 assert is_clique(g, leaf.conclusion.vertices)
                 assert leaf.conclusion == g.subgraph(g.mask(leaf.conclusion.vertices))
+    # positive control: two disjoint 4-cycles split along the empty
+    # separator into two searched nodes with one degree sequence, so the
+    # second lookup labels both
+    two_c4 = Graph(["a1", "a2", "a3", "a4", "b1", "b2", "b3", "b4"],
+                   [("a1", "a2"), ("a2", "a3"), ("a3", "a4"), ("a4", "a1"),
+                    ("b1", "b2"), ("b2", "b3"), ("b3", "b4"), ("b4", "b1")])
+    with pytest.raises(AssertionError, match="canonical_form called"):
+        classify(two_c4)
+
+
+def test_a_search_whose_nodes_differ_in_degree_sequence_labels_nothing(monkeypatch):
+    # F]oxo is prime (no clique separator) and not chordal; its search
+    # expands 9 nodes, no two with one degree sequence, so the memo never
+    # labels a graph, the root included
+    import raagscope.graphs as graphs
+
+    def refuse(h):
+        raise AssertionError("canonical_form called")
+
+    g = parse_graph6(b"F]oxo")
+    assert elimination_order(g.rows, (1 << g.n) - 1) is None
+    assert next(iter_clique_splits(g), None) is None
+    monkeypatch.setattr(graphs, "canonical_form", refuse)
+    v = classify(g)
+    assert v.status == NO_SURFACE and check_derivation(v.derivation, g)
+    assert RULE_BISIMP in v.derivation.rules_used()
 
 
 def test_chordal_graphs_spend_no_budget():
@@ -239,6 +268,32 @@ def test_checker_rejects_wrong_root():
     assert not check_derivation(d, standard_graph("complete", 3))
 
 
+def test_checker_matches_an_equal_root_by_the_identity(monkeypatch):
+    # a root equal to g (names and rows) needs no isomorphism search, yet
+    # every node is still checked; a relabelled root still gets the search
+    import raagscope.prover as prover
+
+    calls = []
+    search = prover.is_isomorphic
+
+    def counting(a, b):
+        calls.append((a, b))
+        return search(a, b)
+
+    monkeypatch.setattr(prover, "is_isomorphic", counting)
+    c4 = standard_graph("cycle", 4)
+    d = prove_in_f(c4)
+    assert d.conclusion == c4 and d.rule == RULE_BISIMP
+    assert check_derivation(d, c4) and calls == []
+    # the child, a path, forged into a complete-graph leaf
+    forged = Derivation(RULE_BISIMP, c4, (Derivation(RULE_COMPLETE, d.children[0].conclusion),),
+                        edge=d.edge)
+    assert not check_derivation(forged, c4) and calls == []
+    relabelled = Graph(["w1", "w2", "w3", "w4"],
+                       [("w1", "w3"), ("w3", "w2"), ("w2", "w4"), ("w4", "w1")])
+    assert check_derivation(d, relabelled) and len(calls) == 1
+
+
 def test_prover_memoization_is_deterministic():
     g = random_chordal(7, random.Random(99))
     d1 = prove_in_f(g)
@@ -329,8 +384,8 @@ def test_pruned_cocontraction_search_returns_the_unpruned_witness():
 def test_classify_spends_one_budget_of_prover_nodes():
     # the pruning of the co-contraction search draws on the nodes the root
     # derivation search left, so a classify call stores at most budget memo
-    # entries, one per node expanded; deciding fewer states must not change
-    # the obstruction
+    # entries, one per node expanded, over the memo's degree buckets;
+    # deciding fewer states must not change the obstruction
     graphs = [g for p in (0.4, 0.8) for s in range(40)
               for g in [random_graph(10, p, random.Random(s))]
               if find_forbidden_induced(g) is None]
@@ -340,7 +395,7 @@ def test_classify_spends_one_budget_of_prover_nodes():
         for budget in (2, 5, 20):
             cache = {}
             v = classify(g, budget=budget, cache=cache)
-            assert len(cache) <= budget
+            assert sum(len(bucket) for bucket in cache.values()) <= budget
             assert v.obstruction == unpruned
             exhausted += v.report is not None and v.report.budget_exhausted
     assert exhausted > 20
@@ -383,10 +438,8 @@ def test_soundness_guard_trips_on_forged_cache():
     # cross_check runs the prover after it.
     c5 = standard_graph("cycle", 5)
     fake = Derivation(RULE_COMPLETE, standard_graph("complete", 5))
-    from raagscope.graphs import canonical_form
-
-    key, order = canonical_form(c5)
-    cache = {key: (fake, fake.conclusion.vertices)}
+    cache = {}
+    IsoTable(cache).add(c5, fake)
     with pytest.raises(SoundnessError):
         classify(c5, cache=cache, cross_check=True)
 
@@ -394,14 +447,13 @@ def test_soundness_guard_trips_on_forged_cache():
 def test_soundness_guard_trips_on_forged_cache_without_obstruction():
     # the complement of P6 has no obstruction, so the default path runs the
     # prover, which returns the forged derivation; the checker must refuse it
-    from raagscope.graphs import canonical_form, parse_graph6
-
     g = parse_graph6(b"EUzo")
     assert classify(g).status == "unknown"
     fake = Derivation(RULE_COMPLETE, standard_graph("complete", 6))
-    key, _ = canonical_form(g)
+    cache = {}
+    IsoTable(cache).add(g, fake)
     with pytest.raises(SoundnessError):
-        classify(g, cache={key: (fake, fake.conclusion.vertices)})
+        classify(g, cache=cache)
 
 
 def test_prover_handles_disconnected_graphs():
@@ -422,8 +474,12 @@ def test_amalgam_skips_right_part_when_left_part_fails():
     assert split.separator == frozenset({"a1"}) and split.left.vertices[-1] == "a5"
     memo = {}
     assert prove_in_f(g, cache=memo) is None
-    assert set(memo) == {canonical_key(g), canonical_key(split.left)}
-    assert canonical_key(split.right) not in memo
+    assert sum(len(bucket) for bucket in memo.values()) == 2
+    table = IsoTable(memo)
+    for part in (g, split.left):
+        hit, _ = table.find(part)
+        assert hit is not None and hit[1] is None
+    assert table.find(split.right)[0] is None
 
 
 def test_a_failed_clique_split_decides_the_graph():

@@ -2,11 +2,12 @@ import random
 from itertools import combinations
 
 import pytest
-from conftest import reference_induced_cycle
+from conftest import (disjoint_union, random_bipartite, random_chordal, random_graph,
+                      reference_induced_cycle)
 
-from raagscope.generate import nonisomorphic_graphs, random_bipartite, random_chordal, random_graph
+from raagscope.generate import nonisomorphic_graphs
 from raagscope.graphs import new_graph, standard_graph
-from raagscope.ops import complement, disjoint_union
+from raagscope.ops import complement
 from raagscope.recognize import (
     ChordalCertificate,
     CycleWitness,
