@@ -44,6 +44,8 @@ from .ops import (
     simplicial_extension,
 )
 from .prover import (
+    DEFAULT_BUDGET,
+    DEFAULT_COCONTRACT_DEPTH,
     HAS_SURFACE,
     NO_SURFACE,
     UNKNOWN,
@@ -57,6 +59,7 @@ from .prover import (
 from .words import (
     SurfacePresentation,
     WordError,
+    are_equal,
     boundary_clique_supports,
     check_hom,
     conjugate_into_clique,
@@ -327,8 +330,6 @@ def cmd_word(args) -> int:
         elif args.op == "trivial":
             print("true" if is_trivial(g, parse_word(args.words[0])) else "false")
         elif args.op == "equal":
-            from .words import are_equal
-
             u, v = parse_word(args.words[0]), parse_word(args.words[1])
             print("true" if are_equal(g, u, v) else "false")
         elif args.op == "clique-conj":
@@ -372,6 +373,9 @@ def _load_hom(path: str) -> tuple[SurfacePresentation, dict]:
 
 
 def cmd_surf(args) -> int:
+    if args.op == "kernel" and args.max_len < 0:
+        print("error: --max-len must be at least 0, got %d" % args.max_len, file=sys.stderr)
+        return EXIT_PARSE
     try:
         g = _load_graph(args.graph, args.format)
         pres, images = _load_hom(args.homfile)
@@ -421,8 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify a graph and emit a certificate")
     p.add_argument("input", nargs="?", default="-", help="graph file, '-' for stdin, or a graph6 value")
     add_format(p)
-    p.add_argument("--budget", type=int, default=10000)
-    p.add_argument("--cocontract-depth", type=int, default=2)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--cocontract-depth", type=int, default=DEFAULT_COCONTRACT_DEPTH)
     p.add_argument("--catalog", default=None, help="extra forbidden-graph catalog (JSON)")
     p.add_argument("--json", action="store_true", help="emit the full JSON report")
     p.add_argument("--batch", action="store_true",

@@ -223,12 +223,6 @@ def _from_sorted(names: tuple[str, ...], rows: tuple[int, ...]) -> Graph:
     return g
 
 
-def _relabel(g: Graph, mapping: dict[str, str]) -> Graph:
-    """The graph with every vertex v renamed to mapping[v]; trusted like
-    _from_rows, so mapping must be injective onto valid names."""
-    return _from_rows(tuple(mapping[v] for v in g.vertices), g.rows)
-
-
 def new_graph(vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> Graph:
     """Validated constructor for user-supplied graphs.
 
@@ -554,71 +548,53 @@ def canonical_key(g: Graph) -> tuple[int, int]:
 
 
 class IsoTable:
-    """Isomorphism classes of graphs, one value each, labelled on demand.
+    """A set of isomorphism classes of graphs, labelled on demand.
 
     Graphs are bucketed by their sorted degree sequence (whose length is n),
     and canonical_form runs only when a graph meets a non-empty bucket: it
     labels the newcomer and, once, the bucket's one unlabelled member. A graph
-    alone in its bucket is never labelled, yet a lookup hits exactly when an
-    isomorphic graph is stored, since isomorphic graphs share a bucket.
-
-    The buckets live in a dict that the caller may supply and share. A bucket
-    maps a member's canonical key to (canonical order, value), or None to
-    (graph, value) while its one member is unlabelled.
+    alone in its bucket is never labelled, yet add reports a class as new
+    exactly when no isomorphic graph was added before, since isomorphic graphs
+    share a bucket.
     """
 
     __slots__ = ("buckets",)
 
-    def __init__(self, buckets: Optional[dict] = None):
-        self.buckets = {} if buckets is None else buckets
+    def __init__(self):
+        # degree sequence -> its one member while unlabelled, then the set of
+        # its members' canonical keys
+        self.buckets: dict = {}
 
-    def find(self, g: Graph):
-        """(hit, label). hit is (canonical order, value) of the stored graph
-        isomorphic to g, or None; label is canonical_form(g) if it ran, else
-        None, and is meant for add."""
-        bucket = self.buckets.get(_degree_key(g))
-        if not bucket:
-            return None, None
-        label = canonical_form(g)
-        _label_pending(bucket)
-        return bucket.get(label[0]), label
-
-    def add(self, g: Graph, value=None, label=None) -> None:
-        """Store value for the class of g, in place of any stored one; label
-        is what find returned for g."""
-        bucket = self.buckets.setdefault(_degree_key(g), {})
-        if not bucket:
-            bucket[None] = (g, value)
-            return
-        _label_pending(bucket)
-        key, order = label or canonical_form(g)
-        bucket[key] = (order, value)
-
-
-def _degree_key(g: Graph) -> tuple[int, ...]:
-    return tuple(sorted(r.bit_count() for r in g.rows))
-
-
-def _label_pending(bucket: dict) -> None:
-    pending = bucket.pop(None, None)
-    if pending is not None:
-        g, value = pending
-        key, order = canonical_form(g)
-        bucket[key] = (order, value)
+    def add(self, g: Graph) -> bool:
+        """Add the class of g; True if it was new."""
+        degrees = tuple(sorted(r.bit_count() for r in g.rows))
+        bucket = self.buckets.get(degrees)
+        if bucket is None:
+            self.buckets[degrees] = g
+            return True
+        if isinstance(bucket, Graph):
+            bucket = self.buckets[degrees] = {canonical_key(bucket)}
+        key = canonical_key(g)
+        if key in bucket:
+            return False
+        bucket.add(key)
+        return True
 
 
 # ---------------------------------------------------------------------------
 # serialization: graph6, edgelist, dot
 
 _G6_HEADER = b">>graph6<<"
+_G6_MAX = 258047  # the largest order with a four-byte graph6 header
 
 
 def emit_graph6(g: Graph) -> bytes:
     """Standard graph6 bytes; vertices taken in sorted-name order."""
     n = g.n
-    if n > 62:
-        raise GraphError("graph6 emitter supports at most 62 vertices")
-    out = [n + 63]
+    if n > _G6_MAX:
+        raise GraphError("graph6 emitter supports at most %d vertices" % _G6_MAX)
+    # n up to 62 in one byte, else byte 126 and n in three 6-bit bytes
+    out = [n + 63] if n < 63 else [126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63]
     rows = g.rows
     bits: list[int] = []
     for j in range(1, n):
@@ -643,10 +619,16 @@ def parse_graph6(data: bytes) -> Graph:
         s = s[len(_G6_HEADER):].lstrip()
     if not s:
         raise GraphError("empty graph6 input")
-    n = s[0] - 63
-    if n < 0 or s[0] == 126:
+    n, body = s[0] - 63, s[1:]
+    if n == 63:
+        head, body = s[1:4], s[4:]
+        n = 0
+        for b in head:
+            n = n << 6 | b - 63
+        if len(head) != 3 or any(b < 63 or b > 126 for b in head) or not 63 <= n <= _G6_MAX:
+            raise GraphError("malformed graph6 header %r" % (s[:4],))
+    elif n < 0:
         raise GraphError("malformed graph6 header byte %r" % (s[0],))
-    body = s[1:]
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise GraphError("graph6 body has %d bytes, expected %d" % (len(body), need))

@@ -296,7 +296,7 @@ def find_cocontraction_witness(g: Graph, max_depth: int,
     containing a forbidden induced subgraph wins. The states seen are kept
     in a graphs.IsoTable, so a state is canonically labelled only when an
     earlier one shares its degree sequence, and g never is: its children have
-    a vertex fewer.
+    a vertex fewer. It is the only canonical labeling that classify runs.
 
     A derived predicate, when given, prunes the search: a state at depth >= 1
     is still scanned, but not expanded if derived(state) holds. This returns
@@ -344,10 +344,8 @@ def find_cocontraction_witness(g: Graph, max_depth: int,
             for j in _bits(full & ~row & ~((2 << i) - 1)):
                 u, v = verts[i], verts[j]
                 child = co_contract_edge(current, (u, v))
-                hit, label = seen.find(child)
-                if hit is not None:
+                if not seen.add(child):
                     continue
-                seen.add(child, label=label)
                 w = next(x for x in child.vertices if not current.has_vertex(x))
                 queue.append((child, trail + ((u, v),), w))
     return None

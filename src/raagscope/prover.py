@@ -18,8 +18,7 @@ join.
 
 The prover is one sequential depth-first search over the rules in a fixed
 order (amalgam split at the first clique minimal separator, bisimplicial
-edge removal, join decomposition) with memoization by isomorphism class,
-labelled on demand. The
+edge removal, join decomposition) with a memo keyed by the graph itself. The
 split is decisive: when a part fails, the graph fails, and neither a
 bisimplicial edge nor the join is tried (by heredity neither could succeed).
 Bisimplicial edges still come before the join, so a join such as C4 or K2,3
@@ -27,20 +26,19 @@ keeps its bisimplicial derivation. A chordal
 graph, complete ones included, is not searched: before the memo lookup, its
 derivation is built from a perfect elimination order, one amalgam per
 split-off clique (the paper's proof that chordal graphs lie in N'). It costs
-no canonical labeling, no memo entry and no node of the budget, so it is
-answered even after the budget has run out. One search holds one memo and
-one node budget, and every other graph it is asked to prove draws on both:
-classify makes one per call, for the graph itself and then for the states of
-the co-contraction search. The memo is a graphs.IsoTable: it buckets graphs
-by degree sequence and runs canonical labeling only when a graph meets a
-non-empty bucket, so a searched graph whose degree sequence no earlier node
-had, the root of a fresh search among them, is never labelled. A memo entry
-holds None for a class that failed, else the derivation of the graph stored
-for the class, in that graph's names; a later graph of the class renames it
-once into its own names, position by position along the two canonical
-orders. A two-part rule searches its right
-part only after its left part closed, so node counts, budget verdicts and
-memo contents are deterministic.
+no memo entry and no node of the budget, so it is answered even after the
+budget has run out. One search holds one memo and one node budget, and every
+other graph it is asked to prove draws on both: classify makes one per call,
+for the graph itself and then for the states of the co-contraction search.
+The memo maps a graph, names and rows, to its derivation or to None, and the
+prover never labels a graph canonically. Every node of the search of g is an
+induced subgraph of g less some edges, on g's own names, so a node that
+recurs is an equal graph and hits. Only the searches of co-contraction
+states, whose graphs carry manufactured names, meet isomorphic but unequal
+graphs; such a graph is searched again, which costs less than labelling every
+graph and renaming a derivation. A two-part rule searches its right part only after its left
+part closed, so node counts, budget verdicts and memo contents are
+deterministic.
 It never guesses co-contraction preimages; that rule exists only in the
 checker, so externally supplied derivations using it still validate.
 
@@ -61,10 +59,9 @@ from typing import Optional, Sequence
 from .graphs import (
     Graph,
     GraphError,
-    IsoTable,
     _bits,
-    _relabel,
     _shared,
+    emit_graph6,
     graph_from_json,
     graph_to_json,
     is_isomorphic,
@@ -173,22 +170,6 @@ def _chordal_derivation(h: Graph, order: list[int]) -> Derivation:
     return d
 
 
-def rename_derivation(d: Derivation, mapping: dict[str, str]) -> Derivation:
-    if d.rule == RULE_COMPLETE and d == Derivation(RULE_COMPLETE, d.conclusion):
-        return _leaf(_relabel(d.conclusion, mapping))
-    return Derivation(
-        rule=d.rule,
-        conclusion=_relabel(d.conclusion, mapping),
-        children=tuple(rename_derivation(ch, mapping) for ch in d.children),
-        separator=_shared(frozenset(mapping[v] for v in d.separator))
-        if d.separator is not None else None,
-        edge=(mapping[d.edge[0]], mapping[d.edge[1]]) if d.edge is not None else None,
-        bipartition=tuple(frozenset(mapping[v] for v in part) for part in d.bipartition)
-        if d.bipartition is not None else None,
-        contracted=frozenset(mapping[v] for v in d.contracted) if d.contracted is not None else None,
-    )
-
-
 # ---------------------------------------------------------------------------
 # independent checker
 
@@ -259,7 +240,11 @@ def _check_node(node: Derivation) -> bool:
 
 @dataclass(slots=True)
 class UnknownReport:
-    """What the derivation search did; the report of an unknown verdict."""
+    """What the derivation search did; the report of an unknown verdict.
+
+    stuck names the first 32 graphs that no rule closed, in the order they
+    failed, each as its graph6 value followed by its vertex names in sorted
+    order, which the graph6 positions follow."""
 
     nodes_expanded: int
     budget: int
@@ -290,13 +275,14 @@ class _Search:
     _chordal_derivation builds, before the memo lookup: it spends no node
     and is kept in no memo entry. Every other graph draws on the same budget;
     once the budget has run out, prove answers None except on a chordal graph
-    or a memo hit.
+    or a memo hit. The memo maps each graph searched to its derivation, or to
+    None when no rule closed it.
     """
 
-    def __init__(self, memo: dict, budget: int):
+    def __init__(self, budget: int):
         if budget < 1:
             raise ValueError("budget must be at least 1")
-        self.memo = IsoTable(memo)
+        self.memo: dict[Graph, Optional[Derivation]] = {}
         self.budget = budget
         self.nodes = 0
         self.exhausted = False
@@ -326,20 +312,14 @@ class _Search:
             peo = elimination_order(h.rows, (1 << h.n) - 1)
             if peo is not None:
                 return _chordal_derivation(h, peo)
-        hit, label = self.memo.find(h)
-        if hit is not None:
-            found_order, d = hit
-            if d is None:
-                return None
-            return rename_derivation(d, dict(zip(found_order, label[1])))
+        if h in self.memo:
+            return self.memo[h]
         self.nodes += 1
         if self.nodes > self.budget:
             raise _BudgetExhausted
-        d = self._expand(h)
-        self.memo.add(h, d, label)
+        d = self.memo[h] = self._expand(h)
         if d is None and len(self.stuck) < 32:
-            self.stuck.append("no rule closed a graph with %d vertices, %d edges"
-                              % (h.n, h.m))
+            self.stuck.append("%s %s" % (emit_graph6(h).decode("ascii"), " ".join(h.vertices)))
         return d
 
     def _pair(self, left: Graph, right: Graph):
@@ -376,11 +356,10 @@ class _Search:
         return None
 
 
-def prove_in_f(g: Graph, budget: int = DEFAULT_BUDGET,
-               cache: Optional[dict] = None) -> Optional[Derivation]:
-    """Search for a derivation concluding a graph isomorphic to g; None on
-    exhaustion or budget. Absence of a derivation is not a negative result."""
-    return _Search(cache if cache is not None else {}, budget).prove(g)
+def prove_in_f(g: Graph, budget: int = DEFAULT_BUDGET) -> Optional[Derivation]:
+    """Search for a derivation concluding g; None on exhaustion or budget.
+    Absence of a derivation is not a negative result."""
+    return _Search(budget).prove(g)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +376,7 @@ class Verdict:
 
 def classify(g: Graph, budget: int = DEFAULT_BUDGET,
              cocontract_depth: int = DEFAULT_COCONTRACT_DEPTH,
-             catalog: Sequence[ForbiddenEntry] = (), cross_check: bool = False, cache: Optional[dict] = None,
+             catalog: Sequence[ForbiddenEntry] = (), cross_check: bool = False,
              timings: Optional[dict] = None) -> Verdict:
     """Run the searches cheapest first, verify whichever certificates come
     back with the independent checkers, and pick a verdict.
@@ -422,14 +401,9 @@ def classify(g: Graph, budget: int = DEFAULT_BUDGET,
     state, is decided by construction before the memo lookup and spends no
     node, so it is decided even after the budget has run out, and budget=1
     still derives any chordal g. The report of an unknown verdict counts the
-    search of g alone. The pruning takes the memo's
-    derivations on trust, so a wrong entry in a caller's cache can hide a
-    witness. A budget below 1 raises ValueError, whichever search would run.
-
-    cache, when given, is a dict that holds the memo in place of a fresh one,
-    so several calls may share it. Treat it as opaque: it holds the buckets
-    of a graphs.IsoTable, which labels a graph only when another graph of its
-    degree sequence is looked up, and entries are written through IsoTable.
+    search of g alone. The pruning takes the prover's answers on the states
+    unchecked, so a prover that wrongly derived a state could hide a witness.
+    A budget below 1 raises ValueError, whichever search would run.
 
     A graph may end up with neither certificate: membership of the derived
     family in the no-surface class is one-sided, so honest Unknowns are
@@ -439,7 +413,7 @@ def classify(g: Graph, budget: int = DEFAULT_BUDGET,
     co-contraction search even after a found derivation, so that the
     both-certificates guard sees every search.
     """
-    search = _Search(cache if cache is not None else {}, budget)
+    search = _Search(budget)
     t0 = perf_counter()
     peo = elimination_order(g.rows, (1 << g.n) - 1)
     obs = None

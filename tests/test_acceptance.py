@@ -143,9 +143,8 @@ def test_criterion_5_soundness_sweep_seven_vertices():
         t0 = time.perf_counter()
         graphs = nonisomorphic_graphs(7)
         assert len(graphs) == 1044
-        prover_cache = {}
         for g in graphs:
-            d = prove_in_f(g, cache=prover_cache)
+            d = prove_in_f(g)
             o = find_forbidden_induced(g)
             if o is None:
                 o = find_cocontraction_witness(g, 2)
@@ -154,8 +153,8 @@ def test_criterion_5_soundness_sweep_seven_vertices():
             assert d is None or d_ok, "prover emitted an invalid derivation"
             assert o is None or o_ok, "searcher emitted an invalid obstruction"
             assert not (d_ok and o_ok), "graph got both certificates"
-        codes_a = [_EXIT[classify(g, cache={}).status] for g in graphs]
-        codes_b = [_EXIT[classify(g, cache={}).status] for g in graphs]
+        codes_a = [_EXIT[classify(g).status] for g in graphs]
+        codes_b = [_EXIT[classify(g).status] for g in graphs]
         assert codes_a == codes_b
         # the census golden pins every verdict on 6 and 7 vertices: the counts
         # exactly, and the unknowns as isomorphism classes, each matched one to
@@ -163,7 +162,7 @@ def test_criterion_5_soundness_sweep_seven_vertices():
         # canonical labeling that picks each class's representative
         golden = json.loads((Path(__file__).parent / "data" / "census7.json").read_text())
         six = nonisomorphic_graphs(6)
-        census = {6: (six, [_EXIT[classify(g, cache={}).status] for g in six]),
+        census = {6: (six, [_EXIT[classify(g).status] for g in six]),
                   7: (graphs, codes_a)}
         nx = pytest.importorskip("networkx")
         for n, (sample, codes) in census.items():

@@ -288,6 +288,21 @@ def test_classify_rejects_negative_cocontract_depth(capsys):
     assert out == "" and err.count("\n") == 1 and "--cocontract-depth" in err
 
 
+def test_surf_kernel_rejects_negative_max_len(capsys, tmp_path):
+    edge = tmp_path / "edge.el"
+    edge.write_text("vertices: a b\na b\n")
+    hom = tmp_path / "hom.json"
+    hom.write_text(json.dumps({
+        "presentation": {"genus": 1, "boundary": 1},
+        "images": {"x1": "a", "y1": "b", "d1": "b a b^-1 a^-1"},
+    }))
+    code, out, err = run(capsys, "surf", "kernel", "-g", str(edge), str(hom), "--max-len", "-3")
+    assert code == 64
+    assert out == "" and err.count("\n") == 1 and "--max-len" in err
+    code, out, _ = run(capsys, "surf", "kernel", "-g", str(edge), str(hom), "--max-len", "0")
+    assert code == 0 and out == "none up to 0\n"
+
+
 def test_verify_rejects_entry_larger_than_graph_without_building_it(capsys, tmp_path):
     # building C999999999 would take minutes and gigabytes; the entry is
     # refused from its name, as it cannot embed in a 5-vertex graph

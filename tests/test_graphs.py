@@ -181,6 +181,14 @@ def test_graph6_header_and_errors():
         parse_graph6(b"B")  # truncated body
     with pytest.raises(GraphError):
         parse_graph6(b"A" + bytes([20]))  # byte below 63
+    # 63 vertices and more take byte 126 and the order in three 6-bit bytes
+    big = standard_graph("cycle", 70)
+    data = emit_graph6(big)
+    assert data[:4] == bytes([126, 63, 64, 69])
+    assert is_isomorphic(parse_graph6(data), big) is not None
+    for bad in (b"~", b"~??~", b"~~??????"):  # short, order below 63, eight-byte form
+        with pytest.raises(GraphError):
+            parse_graph6(bad)
 
 
 def test_edgelist_round_trip():
@@ -228,39 +236,22 @@ def _relabelled(g, rng):
 
 def test_iso_table_hits_exactly_on_equal_canonical_keys():
     # every class on at most 6 vertices, three relabelled copies of each, in
-    # seeded orders; about two thirds of the misses are stored. A lookup must
-    # hit exactly when a graph with the same canonical key is stored, return
-    # the value stored last for that class, and come with two canonical
-    # orders that map the graph stored last onto the newcomer
+    # seeded orders. add must report a graph as new exactly when no graph
+    # with the same canonical key was added before
     classes = [g for n in range(7) for g in nonisomorphic_graphs(n)]
     for seed in range(3):
         rng = random.Random(seed)
         pool = [_relabelled(g, rng) for g in classes for _ in range(3)]
         rng.shuffle(pool)
         table = IsoTable()
-        stored = {}
-        hits = 0
-        for i, g in enumerate(pool):
+        added = set()
+        for g in pool:
             key = canonical_key(g)
-            hit, label = table.find(g)
-            assert (hit is not None) == (key in stored)
-            if hit is not None:
-                hits += 1
-                order, value = hit
-                last, want = stored[key]
-                assert value == want and label[0] == key
-                assert verify_vertex_map(last, g, dict(zip(order, label[1])))
-                if rng.random() < 0.3:
-                    table.add(g, i, label)
-                    stored[key] = (g, i)
-            elif rng.random() < 0.7:
-                table.add(g, i, label)
-                stored[key] = (g, i)
-        assert hits > len(classes)
-        # a class never stored misses, and a stored one hits, on a fresh copy
-        for g in classes:
-            hit, _ = table.find(_relabelled(g, rng))
-            assert (hit is not None) == (canonical_key(g) in stored)
+            assert table.add(g) == (key not in added)
+            added.add(key)
+        assert len(added) == len(classes)
+        # every class was added, so a fresh copy of each is seen
+        assert not any(table.add(_relabelled(g, rng)) for g in classes)
 
 
 def test_iso_table_labels_only_graphs_that_share_a_bucket(monkeypatch):
@@ -277,14 +268,12 @@ def test_iso_table_labels_only_graphs_that_share_a_bucket(monkeypatch):
     table = IsoTable()
     c4, p4 = standard_graph("cycle", 4), standard_graph("path", 4)
     k13 = Graph(["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("a", "d")])
-    for g in (c4, p4, k13):
-        assert table.find(g) == (None, None)
-        table.add(g, g.m)
+    assert all(table.add(g) for g in (c4, p4, k13))
     assert labelled == []
     # a second 4-cycle labels itself and the stored one, once
-    hit, _ = table.find(_relabelled(c4, random.Random(1)))
-    assert hit is not None and hit[1] == 4 and len(labelled) == 2
-    table.find(c4)
+    assert not table.add(_relabelled(c4, random.Random(1)))
+    assert len(labelled) == 2
+    assert not table.add(c4)
     assert len(labelled) == 3
     # P4 and the claw K1,3 have 3 edges and unequal degree sequences
     assert len(table.buckets) == 3

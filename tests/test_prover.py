@@ -5,12 +5,13 @@ import pytest
 
 from conftest import add_edge, random_chordal, random_graph
 from raagscope.generate import nonisomorphic_graphs
-from raagscope.graphs import Graph, IsoTable, new_graph, parse_graph6, standard_graph
+from raagscope.graphs import Graph, new_graph, parse_graph6, standard_graph
 from raagscope.obstructions import (builtin_catalog, entry_graph, find_cocontraction_witness,
                                     find_forbidden_induced)
 from raagscope.ops import (co_contract, is_bisimplicial_edge, is_clique,
                            iter_clique_splits, remove_edge_interior)
 from raagscope.prover import (
+    DEFAULT_BUDGET,
     HAS_SURFACE,
     NO_SURFACE,
     RULE_AMALGAM,
@@ -21,6 +22,7 @@ from raagscope.prover import (
     UNKNOWN,
     Derivation,
     SoundnessError,
+    _Search,
     check_derivation,
     classify,
     derivation_from_json,
@@ -77,8 +79,8 @@ def _nodes(d):
 def test_chordal_derivations_are_built_without_canonical_labeling(monkeypatch):
     # a chordal graph is derived along its perfect elimination order, one
     # amalgam per split-off clique, before any memo lookup. The patch is on
-    # the name the memo's IsoTable calls; the control at the end shows that
-    # it is reached.
+    # the name the co-contraction search's IsoTable calls; the control at the
+    # end shows that it is reached.
     import raagscope.graphs as graphs
 
     def refuse(h):
@@ -97,20 +99,15 @@ def test_chordal_derivations_are_built_without_canonical_labeling(monkeypatch):
             if leaf.rule == RULE_COMPLETE:
                 assert is_clique(g, leaf.conclusion.vertices)
                 assert leaf.conclusion == g.subgraph(g.mask(leaf.conclusion.vertices))
-    # positive control: two disjoint 4-cycles split along the empty
-    # separator into two searched nodes with one degree sequence, so the
-    # second lookup labels both
-    two_c4 = Graph(["a1", "a2", "a3", "a4", "b1", "b2", "b3", "b4"],
-                   [("a1", "a2"), ("a2", "a3"), ("a3", "a4"), ("a4", "a1"),
-                    ("b1", "b2"), ("b2", "b3"), ("b3", "b4"), ("b4", "b1")])
+    # positive control: the complement of P6 is not derived, so classify runs
+    # the co-contraction search on it, whose states share degree sequences
     with pytest.raises(AssertionError, match="canonical_form called"):
-        classify(two_c4)
+        classify(parse_graph6(b"EUzo"))
 
 
 def test_a_search_whose_nodes_differ_in_degree_sequence_labels_nothing(monkeypatch):
     # F]oxo is prime (no clique separator) and not chordal; its search
-    # expands 9 nodes, no two with one degree sequence, so the memo never
-    # labels a graph, the root included
+    # expands 9 nodes and labels none of them, the root included
     import raagscope.graphs as graphs
 
     def refuse(h):
@@ -131,8 +128,23 @@ def test_chordal_graphs_spend_no_budget():
         g = random_chordal(n, rng)
         v = classify(g, budget=1)
         assert v.status == NO_SURFACE and check_derivation(v.derivation, g)
-    memo = {}
-    assert prove_in_f(P3, budget=1, cache=memo) is not None and memo == {}
+    search = _Search(1)
+    assert search.prove(P3) is not None and search.memo == {} and search.nodes == 0
+
+
+def test_the_prover_never_labels_a_graph(monkeypatch):
+    # the memo is keyed by the graph itself, so no derivation search, root or
+    # node, runs canonical labeling; depth 0 leaves out the co-contraction
+    # search, the one caller of IsoTable
+    import raagscope.graphs as graphs
+
+    def refuse(h):
+        raise AssertionError("canonical_form called")
+
+    atlas = [g for n in range(1, 8) for g in nonisomorphic_graphs(n)]
+    monkeypatch.setattr(graphs, "canonical_form", refuse)
+    statuses = [classify(g, cocontract_depth=0).status for g in atlas]
+    assert statuses.count(NO_SURFACE) == 1051 and statuses.count(UNKNOWN) > 0
 
 
 def _random_forest(n, rng):
@@ -299,10 +311,6 @@ def test_prover_memoization_is_deterministic():
     d1 = prove_in_f(g)
     d2 = prove_in_f(g)
     assert derivation_to_json(d1) == derivation_to_json(d2)
-    shared = {}
-    d3 = prove_in_f(g, cache=shared)
-    d4 = prove_in_f(g, cache=shared)
-    assert derivation_to_json(d3) == derivation_to_json(d4) == derivation_to_json(d1)
 
 
 def test_budget_exhaustion_returns_none():
@@ -381,11 +389,18 @@ def test_pruned_cocontraction_search_returns_the_unpruned_witness():
     assert checked > 50 and found > 10
 
 
-def test_classify_spends_one_budget_of_prover_nodes():
+def test_classify_spends_one_budget_of_prover_nodes(monkeypatch):
     # the pruning of the co-contraction search draws on the nodes the root
-    # derivation search left, so a classify call stores at most budget memo
-    # entries, one per node expanded, over the memo's degree buckets;
-    # deciding fewer states must not change the obstruction
+    # derivation search left, so a classify call expands at most budget
+    # prover nodes; deciding fewer states must not change the obstruction
+    expanded = []
+    expand = _Search._expand
+
+    def counting(self, h):
+        expanded.append(h)
+        return expand(self, h)
+
+    monkeypatch.setattr(_Search, "_expand", counting)
     graphs = [g for p in (0.4, 0.8) for s in range(40)
               for g in [random_graph(10, p, random.Random(s))]
               if find_forbidden_induced(g) is None]
@@ -393,9 +408,9 @@ def test_classify_spends_one_budget_of_prover_nodes():
     for g in graphs:
         unpruned = find_cocontraction_witness(g, 2)
         for budget in (2, 5, 20):
-            cache = {}
-            v = classify(g, budget=budget, cache=cache)
-            assert sum(len(bucket) for bucket in cache.values()) <= budget
+            expanded.clear()
+            v = classify(g, budget=budget)
+            assert len(expanded) <= budget
             assert v.obstruction == unpruned
             exhausted += v.report is not None and v.report.budget_exhausted
     assert exhausted > 20
@@ -432,28 +447,30 @@ def test_derivation_json_round_trip():
         assert check_derivation(back, g)
 
 
-def test_soundness_guard_trips_on_forged_cache():
-    # poison the memo with a fake derivation for the pentagon; classify must
-    # refuse to return it. The scan finds the pentagon's obstruction, so only
-    # cross_check runs the prover after it.
+def _forge_prover(monkeypatch, fake):
+    # every derivation search answers with fake
+    monkeypatch.setattr(_Search, "prove", lambda self, h, nonchordal=False: fake)
+
+
+def test_soundness_guard_trips_on_forged_cache(monkeypatch):
+    # a prover that answers the pentagon with a fake derivation; classify
+    # must refuse to return it. The scan finds the pentagon's obstruction, so
+    # only cross_check runs the prover after it.
     c5 = standard_graph("cycle", 5)
-    fake = Derivation(RULE_COMPLETE, standard_graph("complete", 5))
-    cache = {}
-    IsoTable(cache).add(c5, fake)
+    _forge_prover(monkeypatch, Derivation(RULE_COMPLETE, standard_graph("complete", 5)))
+    assert classify(c5).status == HAS_SURFACE
     with pytest.raises(SoundnessError):
-        classify(c5, cache=cache, cross_check=True)
+        classify(c5, cross_check=True)
 
 
-def test_soundness_guard_trips_on_forged_cache_without_obstruction():
+def test_soundness_guard_trips_on_forged_cache_without_obstruction(monkeypatch):
     # the complement of P6 has no obstruction, so the default path runs the
     # prover, which returns the forged derivation; the checker must refuse it
     g = parse_graph6(b"EUzo")
     assert classify(g).status == "unknown"
-    fake = Derivation(RULE_COMPLETE, standard_graph("complete", 6))
-    cache = {}
-    IsoTable(cache).add(g, fake)
+    _forge_prover(monkeypatch, Derivation(RULE_COMPLETE, standard_graph("complete", 6)))
     with pytest.raises(SoundnessError):
-        classify(g, cache=cache)
+        classify(g)
 
 
 def test_prover_handles_disconnected_graphs():
@@ -472,14 +489,9 @@ def test_amalgam_skips_right_part_when_left_part_fails():
               pentagon + hexagon)
     split = next(iter_clique_splits(g))
     assert split.separator == frozenset({"a1"}) and split.left.vertices[-1] == "a5"
-    memo = {}
-    assert prove_in_f(g, cache=memo) is None
-    assert sum(len(bucket) for bucket in memo.values()) == 2
-    table = IsoTable(memo)
-    for part in (g, split.left):
-        hit, _ = table.find(part)
-        assert hit is not None and hit[1] is None
-    assert table.find(split.right)[0] is None
+    search = _Search(DEFAULT_BUDGET)
+    assert search.prove(g) is None
+    assert search.memo == {g: None, split.left: None}
 
 
 def test_a_failed_clique_split_decides_the_graph():
@@ -500,3 +512,19 @@ def test_a_failed_clique_split_decides_the_graph():
     assert verdict.status == UNKNOWN
     assert verdict.report.rules_attempted == (RULE_AMALGAM,)
     assert verdict.report.nodes_expanded == 2
+
+
+def test_unknown_report_names_its_stuck_graphs():
+    # the complement of P6 on names whose sorted order is not the order of
+    # its graph6 positions: the one failed node is the graph itself, named as
+    # graph6 with the vertex names the positions follow
+    cop6 = parse_graph6(b"EUzo")
+    name = dict(zip(cop6.vertices, ["x5", "x3", "x1", "x6", "x2", "x4"]))
+    g = Graph(name.values(), [(name[u], name[v]) for u, v in cop6.edge_pairs])
+    report = classify(g).report
+    assert report.nodes_expanded == 1 and len(report.stuck) == 1
+    text, *names = report.stuck[0].split()
+    h = parse_graph6(text.encode("ascii"))
+    rename = dict(zip(h.vertices, names))
+    assert Graph(names, [(rename[u], rename[v]) for u, v in h.edge_pairs]) == g
+    assert report.to_json()["stuck"] == list(report.stuck)
