@@ -253,25 +253,20 @@ def entry_graph(name: str, extra: Sequence[ForbiddenEntry] = ()) -> Graph:
 # searches
 
 
-def find_forbidden_induced(g: Graph, extra: Sequence[ForbiddenEntry] = (), *,
-                           through: Optional[str] = None) -> Optional[Obstruction]:
+def find_forbidden_induced(g: Graph, extra: Sequence[ForbiddenEntry] = ()) -> Optional[Obstruction]:
     """Scan catalog entries no larger than g in increasing size and return the
     first induced embedding.
 
     The unbounded cycle families are realized by shortest-induced-cycle
     searches in g and in its complement, which is equivalent to scanning every
-    C_n / coC_n entry in size order. With through, those two searches look
-    only at cycles through the named vertex, which is the whole scan when g
-    less that vertex holds no induced cycle of length >= 5, in itself or in
-    its complement; the fixed entries are always scanned in full.
+    C_n / coC_n entry in size order.
     """
     n = g.n
     if n < 5:
         return None
-    cyc = find_induced_cycle(g, 5, through=through)
-    cocyc = find_induced_cycle(complement(g), 5, through=through)
-    fixed = sorted([e for e in list(_scan_entries()) + list(extra) if e.graph.n <= n],
-                   key=lambda e: (e.graph.n, e.name))
+    cyc = find_induced_cycle(g, 5)
+    cocyc = find_induced_cycle(complement(g), 5)
+    fixed = _fixed_scan_order(extra)
     for size in range(5, n + 1):
         if cyc is not None and len(cyc.vertices) == size:
             mapping = dict(zip(_standard_names(size), cyc.vertices))
@@ -288,66 +283,119 @@ def find_forbidden_induced(g: Graph, extra: Sequence[ForbiddenEntry] = (), *,
     return None
 
 
+def _fixed_scan_order(extra: Sequence[ForbiddenEntry]) -> list[ForbiddenEntry]:
+    """The fixed entries an induced scan tries, P1(8) and the extras, in the
+    order it tries them: by size, then by name."""
+    return sorted(list(_scan_entries()) + list(extra), key=lambda e: (e.graph.n, e.name))
+
+
 def find_cocontraction_witness(g: Graph, max_depth: int,
                                extra: Sequence[ForbiddenEntry] = (), *,
                                derived: Optional[Callable[[Graph], bool]] = None) -> Optional[Obstruction]:
-    """Breadth-first search over complement-edge contraction sequences of
-    length at most max_depth, deduplicated by isomorphism class; first state
-    containing a forbidden induced subgraph wins. The states seen are kept
-    in a graphs.IsoTable, so a state is canonically labelled only when an
-    earlier one shares its degree sequence, and g never is: its children have
-    a vertex fewer. It is the only canonical labeling that classify runs.
-
-    A derived predicate, when given, prunes the search: a state at depth >= 1
-    is still scanned, but not expanded if derived(state) holds. This returns
-    the same first hit with the same trail, provided derived(h) holds only for
-    graphs whose groups contain no hyperbolic surface group (such as the
-    graphs the prover derives, which lie in N' within N) and every catalog
-    entry's group does contain one. Contracting a complement edge embeds the
-    smaller graph group into the larger, so every state below a derived one
-    has a group without a surface subgroup and holds no witness. A witness
-    state below no derived state is reached along the same chain of
-    first-discovering parents as without pruning, none of which is below a
-    derived state either, and the states kept leave the queue in the same
-    order; only states below a derived one are dropped or met later. The
-    predicate is trusted: one that holds wrongly can hide a witness.
-
-    A state is scanned rooted at its merged vertex w, the one vertex it does
-    not share with its parent: its cycle searches look only at cycles through
-    w. That loses nothing. The parent scanned clean, so neither it nor its
-    complement holds an induced cycle of length >= 5, and the state less w is
-    the parent less the merged pair, an induced subgraph of the parent (its
-    complement likewise of the parent's complement). So every induced cycle of
-    length >= 5 in the state or its complement passes through w, and the scan
-    meets sizes in the same ascending order and stops at the same entry. The
-    fixed entries are scanned in full, and g itself, which has no parent.
-    """
+    """The first forbidden induced subgraph of g, or else of a state reached
+    by at most max_depth complement-edge contractions: the induced scan of g,
+    then _search_below_clean_root. derived prunes as described there."""
     if max_depth < 0:
         raise ValueError("max_depth must be nonnegative")
+    hit = find_forbidden_induced(g, extra)
+    if hit is not None:
+        return hit
+    return _search_below_clean_root(g, max_depth, extra, derived=derived)
+
+
+def _search_below_clean_root(g: Graph, max_depth: int,
+                            extra: Sequence[ForbiddenEntry] = (), *,
+                            derived: Optional[Callable[[Graph], bool]] = None) -> Optional[Obstruction]:
+    """Breadth-first search over complement-edge contraction sequences of
+    length at most max_depth below a g that find_forbidden_induced scanned
+    clean; the first state holding a fixed entry (P1(8) or an extra) wins,
+    with its trail.
+
+    Lemma: every state is weakly chordal, that is, neither it nor its
+    complement holds an induced cycle of length >= 5 (Hayward, Weakly
+    triangulated graphs, JCTB 1985). g is, since it scanned clean; by
+    induction it suffices that one contraction s of a weakly chordal graph,
+    at the non-adjacent pair a, b with merged vertex w and N(w) = N(a) & N(b),
+    is weakly chordal. s less w is g less a and b, an induced subgraph of g,
+    so a long hole or antihole of s passes through w.
+
+    - Hole w x1 ... x(k-1), k >= 5. Its ends x1 and x(k-1) see both a and b;
+      each middle vertex sees at most one of them. Two consecutive neighbours
+      of a along the induced path x1 ... x(k-1) lie at most 2 apart, or a
+      closes a hole of length >= 5 in g; likewise for b. So a middle vertex
+      that missed both would have both its path neighbours seeing both, which
+      makes them the ends and k = 4; every middle vertex sees exactly one,
+      and its path neighbours see the other: they alternate. For k = 5,
+      {a, b, x1, ..., x4} induces the complement of a 6-cycle. For k >= 6,
+      x3 and x4 are both middle vertices; if x3 sees b and x4 sees a, then
+      a x1 b x3 x4 is an induced 5-cycle of g, and otherwise so is
+      b x1 a x3 x4.
+    - Antihole: a hole w y1 ... y(k-1) of the complement, where a and b are
+      adjacent and w's neighbours are the union of theirs. Each end is a
+      complement-neighbour of a or b; no middle vertex is of either. If a
+      (or b) is a complement-neighbour of both ends, a y1 ... y(k-1) is a
+      hole of length k of g's complement; otherwise a y1 ... y(k-1) b, or the
+      same with a and b swapped, is one of length k + 1. Either is a long
+      antihole of g.
+
+    Each case contradicts g being weakly chordal. So no state holds a cycle
+    family entry, and a state is scanned only for the fixed entries, with
+    graphs.find_induced, when it is discovered; states leave the queue in
+    discovery order, so this is the hit that scanning each state fully when
+    it leaves the queue finds first, with the same embedding. Every state at
+    depth d has g.n - d vertices, and only a state with at least as many
+    vertices as the smallest fixed entry can hold one, so the search goes no
+    deeper than g.n less that entry's size: with the built-ins alone nothing
+    is built below a g on at most 8 vertices. A state that will be expanded
+    is kept in a graphs.IsoTable, so an isomorphic repeat is dropped and a
+    state is canonically labelled only when an earlier one of its depth
+    shares its degree sequence. A state at the last depth is scanned and
+    dropped: deduplicating it would only save a scan whose answer an
+    isomorphic state already gave, and holding an entry is invariant under
+    isomorphism, so the first hit stays the same.
+
+    A derived predicate, when given, prunes the search: a state at depth >= 1
+    is not expanded if derived(state) holds. This returns the same first hit
+    with the same trail, provided derived(h) holds only for graphs whose
+    groups contain no hyperbolic surface group (such as the graphs the prover
+    derives, which lie in N' within N) and every catalog entry's group does
+    contain one. Contracting a complement edge embeds the smaller graph group
+    into the larger, so every state below a derived one has a group without a
+    surface subgroup and holds no witness. A witness state below no derived
+    state is reached along the same chain of first-discovering parents as
+    without pruning, none of which is below a derived state either, and the
+    states kept leave the queue in the same order; only states below a
+    derived one are dropped or met later. The predicate is trusted: one that
+    holds wrongly can hide a witness.
+    """
+    fixed = _fixed_scan_order(extra)
+    depth = min(max_depth, g.n - fixed[0].graph.n)
+    if depth <= 0:
+        return None
     seen = IsoTable()
-    seen.add(g)
-    # (state, trail to it, its merged vertex; None for g)
-    queue: deque[tuple[Graph, tuple, Optional[str]]] = deque([(g, (), None)])
+    queue: deque[tuple[Graph, tuple]] = deque([(g, ())])
     while queue:
-        current, trail, merged = queue.popleft()
-        hit = find_forbidden_induced(current, extra, through=merged)
-        if hit is not None:
-            kind = KIND_TRAIL if trail else KIND_INDUCED
-            return Obstruction(kind, hit.entry, hit.embedding, trail)
-        if len(trail) >= max_depth:
-            continue
+        current, trail = queue.popleft()
         if trail and derived is not None and derived(current):
             continue
+        last = len(trail) + 1 == depth
         verts = current.vertices
         full = (1 << len(verts)) - 1
         for i, row in enumerate(current.rows):
             for j in _bits(full & ~row & ~((2 << i) - 1)):
-                u, v = verts[i], verts[j]
-                child = co_contract_edge(current, (u, v))
-                if not seen.add(child):
+                pair = (verts[i], verts[j])
+                child = co_contract_edge(current, pair)
+                if not last and not seen.add(child):
                     continue
-                w = next(x for x in child.vertices if not current.has_vertex(x))
-                queue.append((child, trail + ((u, v),), w))
+                for e in fixed:
+                    if e.graph.n > child.n:
+                        break
+                    hit = find_induced(e.graph, child)
+                    if hit is not None:
+                        return Obstruction(KIND_TRAIL, e.name, _embedding(hit),
+                                           trail + (pair,))
+                if not last:
+                    queue.append((child, trail + (pair,)))
     return None
 
 

@@ -69,7 +69,7 @@ from .graphs import (
 from .obstructions import (
     ForbiddenEntry,
     Obstruction,
-    find_cocontraction_witness,
+    _search_below_clean_root,
     find_forbidden_induced,
     verify_obstruction,
 )
@@ -385,15 +385,17 @@ def classify(g: Graph, budget: int = DEFAULT_BUDGET,
     along its perfect elimination order, checked, and nothing else runs;
     otherwise the induced obstruction scan; the derivation search, only if
     the scan found nothing; the co-contraction search below g, only if neither
-    found a certificate. Skipping the scan on a chordal g is sound: chordal
-    graphs lie in N' within N (the paper's theorem; the derivation is its
-    proof), so no obstruction of g can exist, and indeed every built-in
-    catalog entry is non-chordal while every induced subgraph of a chordal
-    graph is chordal. A user catalog entry that is chordal contradicts the
+    found a certificate. Whenever that search runs, the scan of g ran and found
+    nothing, so it is _search_below_clean_root, which does not scan g again
+    and scans the states below it for the fixed entries alone. Skipping the
+    scan on a chordal g is sound: chordal graphs lie in N' within N (the
+    paper's theorem; the derivation is its proof), so no obstruction of g can
+    exist, and indeed every built-in catalog entry is non-chordal while every
+    induced subgraph of a chordal graph is chordal. A user catalog entry that is chordal contradicts the
     theorem; only cross_check, which scans g as well, exposes it. The
     elimination pass runs once, and its time counts as part of the scan
     phase. The co-contraction search does not expand a state the prover derives
-    (see find_cocontraction_witness): that state lies in N', so nothing below
+    (see _search_below_clean_root): that state lies in N', so nothing below
     it holds a witness. One derivation search serves g and that pruning, over
     one memo and one budget of at most budget nodes: the pruning expands only
     the nodes the search of g left, and a state it cannot decide within them
@@ -434,8 +436,7 @@ def classify(g: Graph, budget: int = DEFAULT_BUDGET,
     t2 = perf_counter()
     if obs is None and cocontract_depth > 0 and (deriv is None or cross_check):
         derived = None if cross_check else lambda h: search.prove(h) is not None
-        obs = find_cocontraction_witness(g, cocontract_depth, catalog,
-                                         derived=derived)
+        obs = _search_below_clean_root(g, cocontract_depth, catalog, derived=derived)
         if obs is not None and not verify_obstruction(g, obs, catalog):
             raise SoundnessError("co-contraction search emitted an invalid certificate")
     if timings is not None:

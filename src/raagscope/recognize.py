@@ -47,10 +47,8 @@ class EdgeEliminationOrder:
     edges: tuple[tuple[str, str], ...]
 
 
-def find_induced_cycle(g: Graph, min_len: int, *,
-                       through: Optional[str] = None) -> Optional[CycleWitness]:
-    """Shortest induced cycle of length >= min_len, or None; with through, the
-    shortest of those that pass through the named vertex.
+def find_induced_cycle(g: Graph, min_len: int) -> Optional[CycleWitness]:
+    """Shortest induced cycle of length >= min_len, or None.
 
     Deterministic: the cycle returned is the first by length, then by its
     smallest vertex (the start), then by ascending extensions. One depth-first
@@ -58,23 +56,18 @@ def find_induced_cycle(g: Graph, min_len: int, *,
     so far as a bound, records a closing only below it and extends a path only
     while a strictly shorter cycle can still close. A later start needs a
     strictly shorter cycle to win, and no start past n - min_len leaves room
-    for one. With through, the one search starts at that vertex and may use
-    every other vertex, so the cycle is listed from it.
+    for one.
     """
     if min_len < 3:
         raise ValueError("min_len must be at least 3")
     n = g.n
     rows = g.rows
     best = [n + 1, None]  # [bound, cycle]: only lengths below the bound count
-    if through is not None:
-        start = g.index(through)
-        _extend_cycle(rows, [start], 0, ((1 << n) - 1) & ~(1 << start), start, min_len, best)
-    else:
-        for start in range(n - min_len + 1):
-            if best[0] == min_len:
-                break
-            later = ((1 << n) - 1) & ~((2 << start) - 1)
-            _extend_cycle(rows, [start], 0, later, start, min_len, best)
+    for start in range(n - min_len + 1):
+        if best[0] == min_len:
+            break
+        later = ((1 << n) - 1) & ~((2 << start) - 1)
+        _extend_cycle(rows, [start], 0, later, start, min_len, best)
     if best[1] is None:
         return None
     return CycleWitness(tuple(g.vertices[v] for v in best[1]))

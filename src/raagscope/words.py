@@ -25,6 +25,10 @@ Word = tuple[Letter, ...]
 Commutation = dict[str, frozenset[str]]
 
 DEFAULT_MAX_LETTERS = 512
+# kernel_search refuses a max_len with more reduced words than this. It keeps
+# the default length 8 on four generators (closed genus 2: 7686401 words), and
+# at about 15 us a word on a 2-vCPU VM a search of the cap takes minutes.
+MAX_KERNEL_WORDS = 10_000_000
 
 
 class WordError(ValueError):
@@ -407,6 +411,22 @@ def _dehn_trivial(genus: int, w: Word, dehn=None) -> bool:
     return not current
 
 
+def _reduced_word_count(rank: int, max_len: int) -> int:
+    """Reduced words of length at most max_len over rank >= 1 generators, or
+    MAX_KERNEL_WORDS + 1 once the count passes MAX_KERNEL_WORDS. Past rank 1
+    each length at least triples the last one's count, so the loop stops
+    within a few dozen steps."""
+    if rank == 1:
+        return min(1 + 2 * max_len, MAX_KERNEL_WORDS + 1)
+    total, layer = 1, 2 * rank
+    for _ in range(max_len):
+        total += layer
+        if total > MAX_KERNEL_WORDS:
+            return MAX_KERNEL_WORDS + 1
+        layer *= 2 * rank - 1
+    return total
+
+
 def kernel_search(graph: Graph, pres: SurfacePresentation, images: dict[str, Word],
                   max_len: int) -> Optional[Word]:
     """First nontrivial surface-group element (length, then lex) killed by the
@@ -415,6 +435,10 @@ def kernel_search(graph: Graph, pres: SurfacePresentation, images: dict[str, Wor
     With boundary, the surface group is free of rank 2g+m-1 after eliminating
     the last boundary generator. Closed surfaces (g >= 2) use Dehn's algorithm
     to recognize nontrivial elements.
+
+    Over r generators there are 1 + sum_{k=1..max_len} 2r(2r-1)^(k-1) reduced
+    words of length at most max_len; a max_len for which that count exceeds
+    MAX_KERNEL_WORDS raises WordError before any is tried.
     """
     if not check_hom(graph, pres, images):
         raise WordError("images do not define a homomorphism")
@@ -426,6 +450,9 @@ def kernel_search(graph: Graph, pres: SurfacePresentation, images: dict[str, Wor
         gens += ["d%d" % (i + 1) for i in range(m - 1)]
     if not gens:
         return None
+    if _reduced_word_count(len(gens), max_len) > MAX_KERNEL_WORDS:
+        raise WordError("max_len %d gives more than %d reduced words over %d generators"
+                        % (max_len, MAX_KERNEL_WORDS, len(gens)))
     image_cap = max(DEFAULT_MAX_LETTERS,
                     max_len * max((len(w) for w in images.values()), default=1) + 1)
     commutes = _commutation(graph)

@@ -141,20 +141,18 @@ def reference_canonical_sort(graph: Graph, letters) -> list:
     return out
 
 
-def reference_induced_cycle(g: Graph, min_len: int, through=None):
+def reference_induced_cycle(g: Graph, min_len: int):
     """Shortest induced cycle of length >= min_len by iterative deepening: one
     full depth-first search per target length, starts and extensions
     ascending. The first cycle it finds is the one find_induced_cycle must
-    return. With through, the only start is that vertex, and the cycle may
-    use every other vertex."""
+    return."""
     n = g.n
     rows = g.rows
     full = (1 << n) - 1
     for target in range(min_len, n + 1):
-        starts = range(n) if through is None else [g.index(through)]
-        for start in starts:
-            allowed = full & ~((2 << start) - 1) if through is None else full & ~(1 << start)
-            found = _extend_to_target(rows, [start], 0, allowed, start, target)
+        for start in range(n):
+            found = _extend_to_target(rows, [start], 0, full & ~((2 << start) - 1),
+                                      start, target)
             if found is not None:
                 return CycleWitness(tuple(g.vertices[v] for v in found))
     return None

@@ -288,6 +288,22 @@ def test_classify_rejects_negative_cocontract_depth(capsys):
     assert out == "" and err.count("\n") == 1 and "--cocontract-depth" in err
 
 
+def test_classify_depth_past_the_size_gate_adds_nothing(capsys):
+    # below a 10-vertex unknown only states of at least 8 vertices can hold
+    # P1(8), so the search stops at depth 2 whatever the flag asks for
+    reports = []
+    for depth in ("2", "1000000"):
+        t0 = time.process_time()
+        code, out, _ = run(capsys, "classify", "--json", "IypEtv?sG", "--cocontract-depth", depth)
+        assert code == 2 and time.process_time() - t0 < 5.0
+        report = json.loads(out)
+        del report["timings"]
+        assert report["parameters"].pop("cocontract_depth") == int(depth)
+        assert report["unknown_report"].pop("cocontract_depth") == int(depth)
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
 def test_surf_kernel_rejects_negative_max_len(capsys, tmp_path):
     edge = tmp_path / "edge.el"
     edge.write_text("vertices: a b\na b\n")
@@ -301,6 +317,22 @@ def test_surf_kernel_rejects_negative_max_len(capsys, tmp_path):
     assert out == "" and err.count("\n") == 1 and "--max-len" in err
     code, out, _ = run(capsys, "surf", "kernel", "-g", str(edge), str(hom), "--max-len", "0")
     assert code == 0 and out == "none up to 0\n"
+
+
+def test_surf_kernel_refuses_a_length_past_the_word_cap(capsys, tmp_path):
+    # 20 letters over two free generators are about 7 * 10^9 reduced words,
+    # hours of search; the count is refused before any word is tried
+    edge = tmp_path / "edge.el"
+    edge.write_text("vertices: a b\na b\n")
+    hom = tmp_path / "hom.json"
+    hom.write_text(json.dumps({
+        "presentation": {"genus": 1, "boundary": 1},
+        "images": {"x1": "a", "y1": "b", "d1": "b a b^-1 a^-1"},
+    }))
+    t0 = time.process_time()
+    code, out, err = run(capsys, "surf", "kernel", "-g", str(edge), str(hom), "--max-len", "20")
+    assert code == 64 and time.process_time() - t0 < 1.0
+    assert out == "" and err.count("\n") == 1 and "max_len 20" in err
 
 
 def test_verify_rejects_entry_larger_than_graph_without_building_it(capsys, tmp_path):

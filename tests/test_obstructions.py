@@ -3,9 +3,12 @@ import random
 from pathlib import Path
 
 import pytest
-from conftest import random_bipartite, random_chordal, random_graph, reference_cocontraction_witness
+from conftest import (random_bipartite, random_chordal, random_graph,
+                      reference_cocontraction_witness, reference_induced_cycle)
 
-from raagscope.graphs import Graph, is_isomorphic, parse_graph6, standard_graph, verify_vertex_map
+from raagscope.generate import nonisomorphic_graphs
+from raagscope.graphs import (Graph, canonical_key, emit_graph6, is_isomorphic, parse_graph6,
+                              standard_graph, verify_vertex_map)
 from raagscope.obstructions import (
     KIND_INDUCED,
     KIND_TRAIL,
@@ -111,9 +114,9 @@ def _one_vertex_extension(g, mask):
 
 
 def test_rooted_state_scans_keep_the_full_scan_witness():
-    # states below g are scanned only through their merged vertex; the
-    # witness must keep the full scan's entry and trail, with an embedding
-    # that verifies. Hosts: seeded one-vertex extensions of Q1(9) and Q2(10),
+    # states below g are scanned only for the fixed entries, and those at the
+    # last depth are not deduplicated; the witness must be the full scan's,
+    # entry, trail and embedding alike, and verify. Hosts: seeded one-vertex extensions of Q1(9) and Q2(10),
     # whose witnesses are mostly trails, seeded 10-vertex graphs with no
     # induced obstruction, which the search explores to full depth, and the
     # 32 unknowns on at most 7 vertices of the census golden.
@@ -135,52 +138,84 @@ def test_rooted_state_scans_keep_the_full_scan_witness():
         want = reference_cocontraction_witness(g, 2)
         assert (got is None) == (want is None)
         if got is not None:
-            assert (got.kind, got.entry, got.trail) == (want.kind, want.entry, want.trail)
-            assert verify_obstruction(g, got)
+            assert got == want and verify_obstruction(g, got)
             trails += got.kind == KIND_TRAIL
     assert trails > 50
 
 
-def test_each_state_is_scanned_through_its_merged_vertex(monkeypatch):
-    # the input is scanned in full, every state below it through a merged
-    # vertex of its own; Q2(10) reaches its witness at depth 2
+def test_each_state_is_scanned_for_the_fixed_entries_only(monkeypatch):
+    # the input is scanned in full once; every state below it, which holds a
+    # merged vertex of its own, only for P1(8), the one fixed built-in entry;
+    # Q2(10) reaches its witness at depth 2
     import raagscope.obstructions as obstructions
 
-    calls = []
-    scan = obstructions.find_forbidden_induced
+    full, fixed = [], []
+    scan, induced = obstructions.find_forbidden_induced, obstructions.find_induced
 
-    def recording(g, extra=(), *, through=None):
-        calls.append((g, through))
-        return scan(g, extra, through=through)
+    def recording_scan(g, extra=()):
+        full.append(g)
+        return scan(g, extra)
 
-    monkeypatch.setattr(obstructions, "find_forbidden_induced", recording)
+    def recording_induced(pattern, host):
+        fixed.append((pattern, host))
+        return induced(pattern, host)
+
+    monkeypatch.setattr(obstructions, "find_forbidden_induced", recording_scan)
+    monkeypatch.setattr(obstructions, "find_induced", recording_induced)
     q2x = entry_graph("Q2(10)")
     assert find_cocontraction_witness(q2x, 2).trail[0] == ("c", "d")
-    assert calls[0] == (q2x, None) and len(calls) > 10
-    for g, through in calls[1:]:
-        assert through.startswith("$co(") and g.has_vertex(through)
+    assert full == [q2x]
+    p18 = entry_graph("P1(8)")
+    states = [host for pattern, host in fixed if host is not q2x]
+    assert len(states) > 10
+    for pattern, host in fixed:
+        assert pattern.n == 8 and is_isomorphic(pattern, p18)
+    for host in states:
+        assert 8 <= host.n < q2x.n and any(v.startswith("$co(") for v in host.vertices)
 
 
-def test_scan_through_a_vertex_matches_the_full_scan_when_the_rest_is_clean():
-    # the rooted scan's premise: g - w holds no induced cycle of length >= 5,
-    # in itself or in its complement. Then the scan through w stops at the
-    # full scan's entry, with an embedding that holds w.
-    rng = random.Random(29)
-    hits = 0
-    for _ in range(400):
-        g = random_graph(rng.randint(5, 9), rng.uniform(0.2, 0.8), rng)
-        for w in g.vertices:
-            rest = g.subgraph(g.mask(v for v in g.vertices if v != w))
-            if find_induced_cycle(rest, 5) or find_induced_cycle(complement(rest), 5):
-                continue
-            got = find_forbidden_induced(g, through=w)
-            want = find_forbidden_induced(g)
-            assert (got is None) == (want is None)
-            if got is not None:
-                hits += 1
-                assert got.entry == want.entry and verify_obstruction(g, got)
-                assert got.entry == "P1(8)" or w in got.embedding_map().values()
-    assert hits > 200
+def _weakly_chordal(g):
+    # conftest's brute-force reference, not the library's cycle search
+    return (reference_induced_cycle(g, 5) is None
+            and reference_induced_cycle(complement(g), 5) is None)
+
+
+def _co_contractions(g):
+    verts = g.vertices
+    return [co_contract_edge(g, (verts[i], verts[j]))
+            for i in range(g.n) for j in range(i + 1, g.n) if not g.rows[i] >> j & 1]
+
+
+def test_co_contractions_of_a_clean_root_hold_no_long_hole_or_antihole():
+    # the lemma behind the search below a clean root: if g holds no induced
+    # cycle of length >= 5 in itself or in its complement, neither does any
+    # co-contraction of it, so no state at depth <= 2 holds a C>=5 or a
+    # coC>=6. States are compared up to isomorphism, one check per class.
+    rng = random.Random(31)
+    roots = [g for n in range(1, 8) for g in nonisomorphic_graphs(n) if _weakly_chordal(g)]
+    atlas_roots = len(roots)
+    random_roots = 0
+    while random_roots < 12:
+        g = random_graph(rng.randint(9, 11), rng.uniform(0.25, 0.75), rng)
+        if _weakly_chordal(g):
+            roots.append(g)
+            random_roots += 1
+    checked = set()
+    states = 0
+    for g in roots:
+        level = [g]
+        for _ in range(2):
+            below = {}
+            for h in level:
+                for s in _co_contractions(h):
+                    below.setdefault(canonical_key(s), s)
+            level = list(below.values())
+            for key, s in below.items():
+                if key not in checked:
+                    checked.add(key)
+                    states += 1
+                    assert _weakly_chordal(s), emit_graph6(s)
+    assert atlas_roots == 1083 and states > 1000
 
 
 def test_cocontraction_depth_zero_equals_induced_search():

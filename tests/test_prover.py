@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -99,10 +100,11 @@ def test_chordal_derivations_are_built_without_canonical_labeling(monkeypatch):
             if leaf.rule == RULE_COMPLETE:
                 assert is_clique(g, leaf.conclusion.vertices)
                 assert leaf.conclusion == g.subgraph(g.mask(leaf.conclusion.vertices))
-    # positive control: the complement of P6 is not derived, so classify runs
-    # the co-contraction search on it, whose states share degree sequences
+    # positive control: a 10-vertex unknown, below which the co-contraction
+    # search keeps its depth-1 states in an IsoTable, and some of them share
+    # degree sequences
     with pytest.raises(AssertionError, match="canonical_form called"):
-        classify(parse_graph6(b"EUzo"))
+        classify(parse_graph6(b"IypEtv?sG"))
 
 
 def test_a_search_whose_nodes_differ_in_degree_sequence_labels_nothing(monkeypatch):
@@ -145,6 +147,35 @@ def test_the_prover_never_labels_a_graph(monkeypatch):
     monkeypatch.setattr(graphs, "canonical_form", refuse)
     statuses = [classify(g, cocontract_depth=0).status for g in atlas]
     assert statuses.count(NO_SURFACE) == 1051 and statuses.count(UNKNOWN) > 0
+
+
+def test_the_co_contraction_search_builds_nothing_on_the_atlas(monkeypatch):
+    # the size gate: below a clean root the search can hit only P1(8), so it
+    # builds no state whose children would have fewer than 8 vertices, and on
+    # at most 7 vertices it contracts and labels nothing; the verdicts are
+    # the census golden's
+    import raagscope.graphs as graphs
+    import raagscope.obstructions as obstructions
+
+    def refuse(name):
+        def call(*args):
+            raise AssertionError("%s called" % name)
+        return call
+
+    atlas = {n: nonisomorphic_graphs(n) for n in range(1, 8)}
+    builtin_catalog()  # its self-test contracts the fixed trio once
+    monkeypatch.setattr(obstructions, "co_contract_edge", refuse("co_contract_edge"))
+    monkeypatch.setattr(graphs, "canonical_form", refuse("canonical_form"))
+    golden = json.loads((Path(__file__).parent / "data" / "census7.json").read_text())
+    totals = {NO_SURFACE: 0, HAS_SURFACE: 0, UNKNOWN: 0}
+    for n, graphs_n in atlas.items():
+        statuses = [classify(g).status for g in graphs_n]
+        counts = {status: statuses.count(status) for status in totals}
+        if str(n) in golden:
+            assert counts == golden[str(n)]["counts"]
+        for status, count in counts.items():
+            totals[status] += count
+    assert totals == {NO_SURFACE: 1051, HAS_SURFACE: 169, UNKNOWN: 32}
 
 
 def _random_forest(n, rng):

@@ -62,60 +62,6 @@ def test_find_induced_cycle_matches_iterative_deepening_oracle():
                 assert find_induced_cycle(h, min_len) == reference_induced_cycle(h, min_len)
 
 
-def _cycle_sizes_through(g, w):
-    # sizes of the vertex sets that hold w and induce a cycle, by brute force
-    rows = g.rows
-    sizes = set()
-    for s in range(1 << g.n):
-        if not s >> w & 1 or s.bit_count() < 3:
-            continue
-        members = [v for v in range(g.n) if s >> v & 1]
-        if any((rows[v] & s).bit_count() != 2 for v in members):
-            continue
-        comp = frontier = 1 << w
-        while frontier:
-            reach = 0
-            for v in range(g.n):
-                if frontier >> v & 1:
-                    reach |= rows[v] & s
-            frontier = reach & ~comp
-            comp |= reach
-        if comp == s:
-            sizes.add(s.bit_count())
-    return sizes
-
-
-def test_find_induced_cycle_through_a_vertex_matches_brute_force():
-    # through=w: the shortest induced cycle among those holding w, listed
-    # from w; its length agrees with brute force over vertex sets, and the
-    # cycle itself with the oracle rooted at w
-    for n in range(3, 8):
-        for g in nonisomorphic_graphs(n):
-            for w in range(n):
-                sizes = _cycle_sizes_through(g, w)
-                name = g.vertices[w]
-                for min_len in range(3, 7):
-                    got = find_induced_cycle(g, min_len, through=name)
-                    want = [k for k in sizes if k >= min_len]
-                    if not want:
-                        assert got is None
-                        continue
-                    assert len(got.vertices) == min(want) and got.vertices[0] == name
-                    assert validate_cycle_witness(g, got, min_len)
-                    assert got == reference_induced_cycle(g, min_len, through=name)
-    rng = random.Random(12)
-    for _ in range(120):
-        g = random_graph(rng.randint(8, 13), rng.uniform(0.15, 0.85), rng)
-        for h in (g, complement(g)):
-            name = rng.choice(h.vertices)
-            for min_len in (4, 5):
-                got = find_induced_cycle(h, min_len, through=name)
-                assert got == reference_induced_cycle(h, min_len, through=name)
-                full = find_induced_cycle(h, min_len)
-                if got is not None:
-                    assert len(got.vertices) >= len(full.vertices)
-
-
 def test_is_chordal_examples():
     tree = standard_graph("path", 6)
     res = is_chordal(tree)

@@ -10,8 +10,11 @@ from raagscope.words import (
     SurfacePresentation,
     WordError,
     _commutation,
+    MAX_KERNEL_WORDS,
     _dehn_trivial,
+    _iter_reduced_words,
     _reduce_full,
+    _reduced_word_count,
     are_equal,
     boundary_clique_supports,
     check_hom,
@@ -334,6 +337,22 @@ def test_kernel_search_closed_surface():
     not_hyp = SurfacePresentation(genus=1, boundary=0)
     with pytest.raises(WordError):
         kernel_search(P3, not_hyp, {g: () for g in not_hyp.generators}, 3)
+
+
+def test_kernel_search_refuses_lengths_past_the_word_cap():
+    # the count 1 + sum 2r(2r-1)^(k-1) is that of the enumeration itself
+    for rank in (1, 2, 3):
+        gens = ["g%d" % i for i in range(rank)]
+        for max_len in range(6):
+            assert _reduced_word_count(rank, max_len) == 1 + len(
+                list(_iter_reduced_words(gens, max_len)))
+    assert _reduced_word_count(2, 14) == 9565937 <= MAX_KERNEL_WORDS
+    assert _reduced_word_count(2, 15) == _reduced_word_count(1, 10 ** 18) == MAX_KERNEL_WORDS + 1
+    # the pants: three boundary generators, two of them free; no word is tried
+    pants = SurfacePresentation(genus=0, boundary=3)
+    im = {"d1": parse_word("a"), "d2": parse_word("b"), "d3": parse_word("b^-1 a^-1")}
+    with pytest.raises(WordError, match="more than 10000000 reduced words"):
+        kernel_search(DISC, pants, im, 15)
 
 
 def _random_free_word(rng, gens, length):
