@@ -27,16 +27,11 @@ from .prover import (
     Verdict,
     check_derivation,
     classify,
-    prove_in_f,
-)
-from .recognize import (
-    ChordalCertificate,
-    CycleWitness,
-    EdgeEliminationOrder,
-    find_induced_cycle,
     is_chordal,
     is_chordal_bipartite,
+    prove_in_f,
 )
+from .recognize import CycleWitness, find_induced_cycle
 from .words import (
     SurfacePresentation,
     WordError,

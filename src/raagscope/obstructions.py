@@ -34,7 +34,7 @@ from .graphs import (
     verify_vertex_map,
 )
 from .ops import co_contract_edge, complement
-from .recognize import find_induced_cycle
+from .recognize import find_induced_cycle, find_triangle_or_long_cycle
 
 KIND_INDUCED = "InducedForbidden"
 KIND_TRAIL = "CoContractionTrail"
@@ -115,8 +115,7 @@ def _fixed_entries() -> tuple[ForbiddenEntry, ...]:
     for name, g in (("P1(8)", p18), ("Q1(9)", q19), ("Q2(10)", q2x)):
         if find_induced_cycle(g, 4) is None:
             raise RuntimeError("catalog self-test failed: %s is chordal" % name)
-        tri = find_induced_cycle(g, 3)
-        if (tri is None or len(tri.vertices) != 3) and find_induced_cycle(g, 5) is None:
+        if find_triangle_or_long_cycle(g) is None:
             raise RuntimeError("catalog self-test failed: %s is chordal bipartite" % name)
     return (
         ForbiddenEntry("P1(8)", p18,

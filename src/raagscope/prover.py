@@ -47,6 +47,11 @@ nothing else runs on it, since chordal graphs lie in N' (the paper's
 theorem), so no catalog obstruction can embed in one; any other graph goes
 to the induced obstruction scan, then to the prover, then to the
 co-contraction search.
+
+is_chordal and is_chordal_bipartite recognize the graphs of the paper's two
+corollaries, which say that chordal and chordal bipartite graphs lie in N'.
+Each answers with a derivation, so check_derivation is the one checker of
+both, or with an induced-cycle witness from recognize.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from time import perf_counter
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .graphs import (
     Graph,
@@ -86,7 +91,8 @@ from .ops import (
     remove_edge_interior,
     validate_clique_split,
 )
-from .recognize import elimination_order
+from .recognize import (CycleWitness, elimination_order, find_induced_cycle,
+                        find_triangle_or_long_cycle)
 
 RULE_COMPLETE = "CompleteBase"
 RULE_JOIN = "JoinRule"
@@ -167,6 +173,52 @@ def _chordal_derivation(h: Graph, order: list[int]) -> Derivation:
     for whole, clique, sep in reversed(steps):
         d = Derivation(RULE_AMALGAM, sub(whole), (_leaf(h.subgraph(clique)), d),
                        separator=_shared(frozenset(h.names(sep))))
+    return d
+
+
+def is_chordal(g: Graph) -> Union[Derivation, CycleWitness]:
+    """The derivation of g that classify builds, or on a stall of the
+    elimination pass the shortest induced cycle of length at least 4.
+
+    The pass stalls only on a non-chordal g: the stalled subgraph has no
+    simplicial vertex, so it holds an induced cycle of length >= 4 (Dirac,
+    On rigid circuit graphs, Abh. Math. Sem. Univ. Hamburg 1961), which is
+    one of g, and find_induced_cycle(g, 4) finds the shortest.
+    """
+    order = elimination_order(g.rows, (1 << g.n) - 1)
+    if order is None:
+        return find_induced_cycle(g, 4)
+    return _chordal_derivation(g, order)
+
+
+def is_chordal_bipartite(g: Graph) -> Union[Derivation, CycleWitness]:
+    """A derivation of a chordal bipartite g, else the witness
+    find_triangle_or_long_cycle returns.
+
+    The derivation is a chain of one bisimplicial-edge node per edge, each
+    removing the first bisimplicial edge of its graph in edge_pairs order,
+    closed by the derivation of the edgeless graph at its end. The chain
+    never stalls: a chordal bipartite graph with an edge has a bisimplicial
+    edge (Golumbic and Goss, Perfect elimination and chordal bipartite
+    graphs, J. Graph Theory 1978), and deleting it keeps the graph bipartite
+    and creates no induced cycle of length >= 6, since such a cycle would
+    pass through both endpoints, each of whose neighbours is adjacent to
+    every neighbour of the other, giving a chord.
+    """
+    witness = find_triangle_or_long_cycle(g)
+    if witness is not None:
+        return witness
+    chain = []
+    h = g
+    while h.m:
+        e = next((e for e in h.edge_pairs if is_bisimplicial_edge(h, e)), None)
+        if e is None:
+            raise AssertionError("chordal bipartite graph without a bisimplicial edge")
+        chain.append((h, e))
+        h = remove_edge_interior(h, e)
+    d = is_chordal(h)
+    for c, e in reversed(chain):
+        d = Derivation(RULE_BISIMP, c, (d,), edge=e)
     return d
 
 

@@ -1,35 +1,25 @@
-"""Chordal and chordal-bipartite recognition with checkable certificates.
+"""Induced cycles and simplicial elimination orders.
 
-Positive answers come with an elimination order that can be replayed; negative
-answers come with an induced cycle (or triangle) witness. Both greedy passes
-are complete, so neither needs a fallback search:
+find_induced_cycle finds the shortest induced cycle of a given least length,
+and CycleWitness holds one in cyclic order; validate_cycle_witness re-checks a
+witness as an induced embedding of a cycle, the check verify_obstruction
+makes for a C_k entry. find_triangle_or_long_cycle decides chordal
+bipartiteness: a graph is chordal bipartite exactly when it has no triangle
+and no induced cycle of length >= 5. elimination_order is the greedy
+perfect-elimination pass that decides chordality.
 
-- a graph with no simplicial vertex has an induced cycle of length >= 4
-  (Dirac, On rigid circuit graphs, Abh. Math. Sem. Univ. Hamburg 1961), which
-  find_induced_cycle finds;
-- every chordal bipartite graph with an edge has a bisimplicial edge
-  (Golumbic and Goss, Perfect elimination and chordal bipartite graphs,
-  J. Graph Theory 1978), and deleting any one keeps the graph chordal
-  bipartite (see is_chordal_bipartite), so greedy edge elimination never
-  stalls.
+The recognizers of the paper's two corollaries, prover.is_chordal and
+prover.is_chordal_bipartite, answer with a derivation or with a witness from
+here; they live in prover because prover and obstructions import this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
-from .graphs import Graph, _bits
-from .ops import (_is_clique_mask, induced, is_bisimplicial_edge,
-                  is_simplicial_vertex, remove_edge_interior)
-
-
-@dataclass(frozen=True)
-class ChordalCertificate:
-    """Perfect elimination ordering: each vertex is simplicial among the
-    vertices at or after its position."""
-
-    order: tuple[str, ...]
+from .graphs import Graph, _bits, _standard_names, standard_graph, verify_vertex_map
+from .ops import _is_clique_mask
 
 
 @dataclass(frozen=True)
@@ -37,14 +27,6 @@ class CycleWitness:
     """An induced cycle, listed in cyclic order. Length 3 is a triangle."""
 
     vertices: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class EdgeEliminationOrder:
-    """Edges removable one by one, each bisimplicial at its removal step,
-    ending at a discrete graph."""
-
-    edges: tuple[tuple[str, str], ...]
 
 
 def find_induced_cycle(g: Graph, min_len: int) -> Optional[CycleWitness]:
@@ -104,30 +86,27 @@ def _extend_cycle(rows, path, interior, allowed, start, min_len, best):
         path.pop()
 
 
+def find_triangle_or_long_cycle(g: Graph) -> Optional[CycleWitness]:
+    """A triangle, else the shortest induced cycle of length >= 5, else None.
+
+    None exactly when g is chordal bipartite: a shortest odd cycle is
+    induced, so with no triangle and no induced cycle of length >= 5 g is
+    bipartite, and its induced cycles all have length 4.
+    """
+    tri = find_induced_cycle(g, 3)
+    if tri is not None and len(tri.vertices) == 3:
+        return tri
+    return find_induced_cycle(g, 5)
+
+
 def validate_cycle_witness(g: Graph, w: CycleWitness, min_len: int = 3) -> bool:
-    vs = w.vertices
-    k = len(vs)
-    if k < min_len or len(set(vs)) != k:
+    """Whether w lists at least max(min_len, 3) vertices of g that induce a
+    cycle in the order given."""
+    k = len(w.vertices)
+    if not max(min_len, 3) <= k <= g.n:
         return False
-    if not all(g.has_vertex(v) for v in vs):
-        return False
-    for i in range(k):
-        for j in range(i + 1, k):
-            adjacent = j - i == 1 or (i == 0 and j == k - 1)
-            if g.has_edge(vs[i], vs[j]) != adjacent:
-                return False
-    return True
-
-
-def validate_chordal_certificate(g: Graph, cert: ChordalCertificate) -> bool:
-    if sorted(cert.order) != list(g.vertices):
-        return False
-    remaining = list(cert.order)
-    for i, v in enumerate(remaining):
-        sub = induced(g, remaining[i:])
-        if not is_simplicial_vertex(sub, v):
-            return False
-    return True
+    return verify_vertex_map(standard_graph("cycle", k), g,
+                             dict(zip(_standard_names(k), w.vertices)))
 
 
 def elimination_order(rows: tuple[int, ...], left: int) -> Optional[list[int]]:
@@ -148,67 +127,3 @@ def elimination_order(rows: tuple[int, ...], left: int) -> Optional[list[int]]:
         order.append(v)
         left &= ~(1 << v)
     return order
-
-
-def is_chordal(g: Graph) -> Union[ChordalCertificate, CycleWitness]:
-    """The order elimination_order finds, by name; on a stall, the shortest
-    induced cycle of length at least 4.
-
-    The pass stalls only on a non-chordal g: the stalled subgraph has no
-    simplicial vertex, so it holds an induced cycle of length >= 4 (Dirac),
-    which is one of g, and find_induced_cycle(g, 4) finds the shortest.
-    """
-    order = elimination_order(g.rows, (1 << g.n) - 1)
-    if order is None:
-        return find_induced_cycle(g, 4)
-    return ChordalCertificate(tuple(g.vertices[v] for v in order))
-
-
-def validate_edge_elimination(g: Graph, order: EdgeEliminationOrder) -> bool:
-    current = g
-    for e in order.edges:
-        if not current.has_edge(*e):
-            return False
-        if not is_bisimplicial_edge(current, e):
-            return False
-        current = remove_edge_interior(current, e)
-    return current.m == 0
-
-
-def is_chordal_bipartite(g: Graph) -> Union[EdgeEliminationOrder, CycleWitness]:
-    """Decide by definition (no triangle, no induced cycle of length >= 5),
-    then build the bisimplicial elimination order as the positive certificate.
-
-    The greedy elimination never stalls: a bisimplicial edge exists (Golumbic
-    and Goss), and deleting it keeps the graph bipartite and creates no induced
-    cycle of length >= 6, since such a cycle would pass through both
-    endpoints, each of whose neighbours is adjacent to every neighbour of the
-    other, giving a chord.
-    """
-    tri = find_induced_cycle(g, 3)
-    if tri is not None and len(tri.vertices) == 3:
-        return tri
-    long_cycle = find_induced_cycle(g, 5)
-    if long_cycle is not None:
-        return long_cycle
-    order = _greedy_bisimplicial(g)
-    if order is None:
-        raise AssertionError("chordal bipartite graph without an edge elimination order")
-    return EdgeEliminationOrder(tuple(order))
-
-
-def _greedy_bisimplicial(g: Graph) -> Optional[list[tuple[str, str]]]:
-    current = g
-    order: list[tuple[str, str]] = []
-    while current.m:
-        pick = None
-        for e in current.edge_pairs:
-            if is_bisimplicial_edge(current, e):
-                pick = e
-                break
-        if pick is None:
-            return None
-        order.append(pick)
-        current = remove_edge_interior(current, pick)
-    return order
-

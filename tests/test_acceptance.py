@@ -39,9 +39,9 @@ from raagscope.prover import (
     Derivation,
     check_derivation,
     classify,
+    is_chordal_bipartite,
     prove_in_f,
 )
-from raagscope.recognize import EdgeEliminationOrder, is_chordal_bipartite
 from raagscope.words import (
     SurfacePresentation,
     WordError,
@@ -108,7 +108,7 @@ def test_criterion_3_chordal_bipartite_graphs():
         kept = 0
         while kept < 200:
             g = random_bipartite(rng.randint(2, 8), 0.2 + 0.6 * rng.random(), rng)
-            if not isinstance(is_chordal_bipartite(g), EdgeEliminationOrder):
+            if not isinstance(is_chordal_bipartite(g), Derivation):
                 continue
             kept += 1
             v = classify(g)

@@ -14,12 +14,14 @@ from raagscope.graphs import (
     emit_graph6,
     graph_to_json,
     is_isomorphic,
+    new_graph,
     parse_edgelist,
     parse_graph6,
     standard_graph,
 )
 from raagscope.obstructions import entry_graph
 from raagscope.ops import complement
+from raagscope.prover import derivation_to_json, is_chordal_bipartite
 
 C5_G6 = emit_graph6(standard_graph("cycle", 5)).decode()
 P4_G6 = emit_graph6(standard_graph("path", 4)).decode()
@@ -100,6 +102,25 @@ def test_verify_rejects_corruption_and_wrong_graph(capsys, tmp_path):
     nocert.write_text(json.dumps({"hello": 1}))
     code, _, _ = run(capsys, "verify", P4_G6, str(nocert))
     assert code == 65
+
+
+def test_verify_chordal_bipartite_derivation_round_trip(capsys, tmp_path):
+    names = ["v%d" % i for i in range(1, 7)]
+    k33 = new_graph(names, [(a, b) for a in names[:3] for b in names[3:]])
+    g6 = emit_graph6(k33).decode()
+    root = derivation_to_json(is_chordal_bipartite(k33))
+    cert = tmp_path / "k33.json"
+    cert.write_text(json.dumps({"certificate_type": "derivation", "root": root}))
+    code, out, _ = run(capsys, "verify", g6, str(cert))
+    assert code == 0 and out == "valid\n"
+
+    # the first two chain nodes trade edges: each edge is bisimplicial, but
+    # the root's child is no longer the root less its edge
+    second = root["children"][0]
+    root["edge"], second["edge"] = second["edge"], root["edge"]
+    cert.write_text(json.dumps({"certificate_type": "derivation", "root": root}))
+    code, out, _ = run(capsys, "verify", g6, str(cert))
+    assert code == 1 and out == "invalid\n"
 
 
 def test_exit_codes_stable_across_runs(capsys):

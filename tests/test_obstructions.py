@@ -24,7 +24,8 @@ from raagscope.obstructions import (
     verify_obstruction,
 )
 from raagscope.ops import co_contract_edge, complement
-from raagscope.recognize import find_induced_cycle, is_chordal_bipartite, EdgeEliminationOrder
+from raagscope.prover import Derivation, is_chordal_bipartite
+from raagscope.recognize import find_induced_cycle
 
 
 def test_builtin_catalog_contents():
@@ -88,7 +89,7 @@ def test_find_forbidden_absent_on_chordal_and_chordal_bipartite():
     checked = 0
     while checked < 30:
         g = random_bipartite(rng.randint(2, 8), rng.random(), rng)
-        if isinstance(is_chordal_bipartite(g), EdgeEliminationOrder):
+        if isinstance(is_chordal_bipartite(g), Derivation):
             assert find_forbidden_induced(g) is None
             checked += 1
 

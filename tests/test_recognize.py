@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -7,18 +8,30 @@ from conftest import (disjoint_union, random_bipartite, random_chordal, random_g
 
 from raagscope.generate import nonisomorphic_graphs
 from raagscope.graphs import new_graph, standard_graph
-from raagscope.ops import complement
-from raagscope.recognize import (
-    ChordalCertificate,
-    CycleWitness,
-    EdgeEliminationOrder,
-    find_induced_cycle,
+from raagscope.ops import complement, induced, remove_edge_interior
+from raagscope.prover import (
+    RULE_AMALGAM,
+    RULE_BISIMP,
+    Derivation,
+    check_derivation,
+    classify,
     is_chordal,
     is_chordal_bipartite,
-    validate_chordal_certificate,
-    validate_cycle_witness,
-    validate_edge_elimination,
 )
+from raagscope.recognize import CycleWitness, find_induced_cycle, validate_cycle_witness
+
+
+def _derives(d, g) -> bool:
+    return isinstance(d, Derivation) and d.conclusion == g and check_derivation(d, g)
+
+
+def _chain_length(d: Derivation) -> int:
+    """The number of bisimplicial-edge nodes above the first other node."""
+    count = 0
+    while d.rule == RULE_BISIMP:
+        count += 1
+        (d,) = d.children
+    return count
 
 
 def test_find_induced_cycle_examples():
@@ -64,15 +77,13 @@ def test_find_induced_cycle_matches_iterative_deepening_oracle():
 
 def test_is_chordal_examples():
     tree = standard_graph("path", 6)
-    res = is_chordal(tree)
-    assert isinstance(res, ChordalCertificate)
-    assert validate_chordal_certificate(tree, res)
+    assert _derives(is_chordal(tree), tree)
     c4 = standard_graph("cycle", 4)
     res = is_chordal(c4)
     assert isinstance(res, CycleWitness) and len(res.vertices) == 4
     assert validate_cycle_witness(c4, res, 4)
     kn = standard_graph("complete", 6)
-    assert isinstance(is_chordal(kn), ChordalCertificate)
+    assert _derives(is_chordal(kn), kn)
 
 
 def test_is_chordal_agrees_with_cycle_search_all_seven_vertex_graphs():
@@ -82,9 +93,10 @@ def test_is_chordal_agrees_with_cycle_search_all_seven_vertex_graphs():
             count += 1
             verdict = is_chordal(g)
             has_cycle = find_induced_cycle(g, 4) is not None
-            if isinstance(verdict, ChordalCertificate):
+            if isinstance(verdict, Derivation):
                 assert not has_cycle
-                assert validate_chordal_certificate(g, verdict)
+                assert _derives(verdict, g)
+                assert verdict == classify(g).derivation
             else:
                 assert has_cycle
                 assert validate_cycle_witness(g, verdict, 4)
@@ -94,9 +106,10 @@ def test_is_chordal_agrees_with_cycle_search_all_seven_vertex_graphs():
                                for a, b, c in combinations(g.vertices, 3))
             has_long_cycle = find_induced_cycle(g, 5) is not None
             verdict = is_chordal_bipartite(g)
-            if isinstance(verdict, EdgeEliminationOrder):
+            if isinstance(verdict, Derivation):
                 assert not has_triangle and not has_long_cycle
-                assert validate_edge_elimination(g, verdict)
+                assert _derives(verdict, g)
+                assert _chain_length(verdict) == g.m
             else:
                 assert has_triangle or has_long_cycle
                 assert len(verdict.vertices) == 3 or len(verdict.vertices) >= 5
@@ -108,14 +121,13 @@ def test_random_chordal_generator_is_chordal():
     rng = random.Random(21)
     for _ in range(50):
         g = random_chordal(rng.randint(1, 8), rng)
-        assert isinstance(is_chordal(g), ChordalCertificate)
+        assert _derives(is_chordal(g), g)
 
 
 def test_is_chordal_bipartite_examples():
     c4 = standard_graph("cycle", 4)
     res = is_chordal_bipartite(c4)
-    assert isinstance(res, EdgeEliminationOrder) and len(res.edges) == 4
-    assert validate_edge_elimination(c4, res)
+    assert _derives(res, c4) and _chain_length(res) == 4
     k3 = standard_graph("complete", 3)
     res = is_chordal_bipartite(k3)
     assert isinstance(res, CycleWitness) and len(res.vertices) == 3
@@ -126,7 +138,7 @@ def test_is_chordal_bipartite_examples():
 
 def test_chordal_bipartite_not_necessarily_chordal():
     c4 = standard_graph("cycle", 4)
-    assert isinstance(is_chordal_bipartite(c4), EdgeEliminationOrder)
+    assert _derives(is_chordal_bipartite(c4), c4)
     assert isinstance(is_chordal(c4), CycleWitness)
 
 
@@ -134,30 +146,29 @@ def test_complete_bipartite_elimination():
     k33 = new_graph(["a1", "a2", "a3", "b1", "b2", "b3"],
                     [(a, b) for a in ("a1", "a2", "a3") for b in ("b1", "b2", "b3")])
     res = is_chordal_bipartite(k33)
-    assert isinstance(res, EdgeEliminationOrder) and len(res.edges) == 9
-    assert validate_edge_elimination(k33, res)
+    assert _derives(res, k33) and _chain_length(res) == 9
 
 
 def test_bipartite_reformulation():
     # on bipartite inputs the verdict equals "no induced cycle of length >= 6"
     rng = random.Random(22)
-    for _ in range(60):
-        g = random_bipartite(rng.randint(2, 8), rng.random(), rng)
+    for _ in range(200):
+        g = random_bipartite(rng.randint(2, 16), rng.random(), rng)
         verdict = is_chordal_bipartite(g)
         long_even = find_induced_cycle(g, 6)
-        if isinstance(verdict, EdgeEliminationOrder):
+        if isinstance(verdict, Derivation):
             assert long_even is None
-            assert validate_edge_elimination(g, verdict)
+            assert _derives(verdict, g) and _chain_length(verdict) == g.m
         else:
             assert long_even is not None
+            assert validate_cycle_witness(g, verdict, 6)
 
 
 def test_disconnected_inputs():
     g = disjoint_union(standard_graph("cycle", 4),
                        new_graph(["z1", "z2"], [("z1", "z2")]))
     res = is_chordal_bipartite(g)
-    assert isinstance(res, EdgeEliminationOrder)
-    assert validate_edge_elimination(g, res)
+    assert _derives(res, g) and _chain_length(res) == 5
     res2 = is_chordal(g)
     assert isinstance(res2, CycleWitness)
 
@@ -165,9 +176,28 @@ def test_disconnected_inputs():
 def test_validators_reject_garbage():
     c4 = standard_graph("cycle", 4)
     assert not validate_cycle_witness(c4, CycleWitness(("v1", "v2", "v3")), 3)
-    assert not validate_chordal_certificate(c4, ChordalCertificate(("v1", "v2", "v3", "v4")))
-    bad = EdgeEliminationOrder((("v1", "v3"),))
-    assert not validate_edge_elimination(c4, bad)
+    # too short to be a cycle, whatever min_len says
+    p3 = standard_graph("path", 3)
+    assert not validate_cycle_witness(p3, CycleWitness(("v1", "v2")), 2)
+    assert not validate_cycle_witness(p3, CycleWitness(()), 0)
+    assert not validate_cycle_witness(p3, CycleWitness(("v1",)), 1)
+    # a bisimplicial-edge node on v2-v3 of P4, which is not bisimplicial;
+    # its child is the right graph and derives
+    p4 = standard_graph("path", 4)
+    d = is_chordal_bipartite(p4)
+    assert d.rule == RULE_BISIMP and _derives(d, p4)
+    child = is_chordal_bipartite(remove_edge_interior(p4, ("v2", "v3")))
+    assert _derives(child, remove_edge_interior(p4, ("v2", "v3")))
+    assert not check_derivation(replace(d, edge=("v2", "v3"), children=(child,)), p4)
+    # an amalgam of C4 along the non-clique {v1, v3}, whose parts derive
+    left = induced(c4, ["v1", "v2", "v3"])
+    right = induced(c4, ["v1", "v3", "v4"])
+    parts = (is_chordal(left), is_chordal(right))
+    assert _derives(parts[0], left) and _derives(parts[1], right)
+    d = is_chordal(p4)
+    assert d.rule == RULE_AMALGAM
+    bad = replace(d, conclusion=c4, children=parts, separator=frozenset({"v1", "v3"}))
+    assert not check_derivation(bad, c4)
 
 
 def test_stuck_graphs_yield_valid_witnesses():
@@ -181,4 +211,14 @@ def test_stuck_graphs_yield_valid_witnesses():
             assert validate_cycle_witness(g, verdict, 4)
             assert verdict == find_induced_cycle(g, 4)
         else:
-            assert validate_chordal_certificate(g, verdict)
+            assert _derives(verdict, g)
+
+
+def test_is_chordal_matches_networkx_on_the_atlas():
+    nx = pytest.importorskip("networkx")
+    for n in range(1, 8):
+        for g in nonisomorphic_graphs(n):
+            h = nx.Graph()
+            h.add_nodes_from(g.vertices)
+            h.add_edges_from(g.edge_pairs)
+            assert isinstance(is_chordal(g), Derivation) == nx.is_chordal(h)
