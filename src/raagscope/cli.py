@@ -318,7 +318,8 @@ def cmd_ops(args) -> int:
     except GraphError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
-    sys.stdout.write(emit_graph(out, args.to).decode("utf-8", errors="strict"))
+    end = "\n" if args.to == "graph6" else ""  # the other formats end their last line
+    sys.stdout.write(emit_graph(out, args.to).decode("utf-8", errors="strict") + end)
     return 0
 
 

@@ -289,17 +289,16 @@ def _fixed_scan_order(extra: Sequence[ForbiddenEntry]) -> list[ForbiddenEntry]:
 
 
 def find_cocontraction_witness(g: Graph, max_depth: int,
-                               extra: Sequence[ForbiddenEntry] = (), *,
-                               derived: Optional[Callable[[Graph], bool]] = None) -> Optional[Obstruction]:
+                               extra: Sequence[ForbiddenEntry] = ()) -> Optional[Obstruction]:
     """The first forbidden induced subgraph of g, or else of a state reached
     by at most max_depth complement-edge contractions: the induced scan of g,
-    then _search_below_clean_root. derived prunes as described there."""
+    then _search_below_clean_root with no pruning."""
     if max_depth < 0:
         raise ValueError("max_depth must be nonnegative")
     hit = find_forbidden_induced(g, extra)
     if hit is not None:
         return hit
-    return _search_below_clean_root(g, max_depth, extra, derived=derived)
+    return _search_below_clean_root(g, max_depth, extra)
 
 
 def _search_below_clean_root(g: Graph, max_depth: int,
@@ -403,22 +402,19 @@ def verify_obstruction(g: Graph, o: Obstruction,
     """Independent certificate check: replay the trail, then re-validate the
     induced embedding against the named entry. Unknown entry names raise; an
     entry with more vertices than the graph at the end of the trail is
-    rejected before its graph is built."""
+    rejected before its graph is built, and so is a trail with a step that
+    co_contract_edge refuses."""
     if o.kind not in (KIND_INDUCED, KIND_TRAIL):
         return False
     if (o.kind == KIND_INDUCED) != (len(o.trail) == 0):
         return False
     order = _entry_order(o.entry, extra)
     current = g
-    for pair in o.trail:
-        if len(pair) != 2:
-            return False
-        u, v = pair
-        if not (current.has_vertex(u) and current.has_vertex(v)):
-            return False
-        if u == v or current.has_edge(u, v):
-            return False
-        current = co_contract_edge(current, (u, v))
+    try:
+        for pair in o.trail:
+            current = co_contract_edge(current, pair)
+    except ValueError:  # GraphError, or a step that does not unpack to two names
+        return False
     # an entry larger than the graph cannot embed; never build it
     if order > current.n:
         return False

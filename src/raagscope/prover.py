@@ -185,7 +185,7 @@ def is_chordal(g: Graph) -> Union[Derivation, CycleWitness]:
     On rigid circuit graphs, Abh. Math. Sem. Univ. Hamburg 1961), which is
     one of g, and find_induced_cycle(g, 4) finds the shortest.
     """
-    order = elimination_order(g.rows, (1 << g.n) - 1)
+    order = elimination_order(g.rows)
     if order is None:
         return find_induced_cycle(g, 4)
     return _chordal_derivation(g, order)
@@ -361,7 +361,7 @@ class _Search:
 
     def _run(self, h: Graph, nonchordal: bool = False) -> Optional[Derivation]:
         if not nonchordal:
-            peo = elimination_order(h.rows, (1 << h.n) - 1)
+            peo = elimination_order(h.rows)
             if peo is not None:
                 return _chordal_derivation(h, peo)
         if h in self.memo:
@@ -469,7 +469,7 @@ def classify(g: Graph, budget: int = DEFAULT_BUDGET,
     """
     search = _Search(budget)
     t0 = perf_counter()
-    peo = elimination_order(g.rows, (1 << g.n) - 1)
+    peo = elimination_order(g.rows)
     obs = None
     if peo is None or cross_check:
         obs = find_forbidden_induced(g, catalog)

@@ -109,14 +109,14 @@ def validate_cycle_witness(g: Graph, w: CycleWitness, min_len: int = 3) -> bool:
                              dict(zip(_standard_names(k), w.vertices)))
 
 
-def elimination_order(rows: tuple[int, ...], left: int) -> Optional[list[int]]:
-    """Greedy simplicial elimination of the vertices in the mask left, the
-    first simplicial position at each step; None on a stall.
+def elimination_order(rows: tuple[int, ...]) -> Optional[list[int]]:
+    """Greedy simplicial elimination of the graph with these adjacency rows,
+    the first simplicial position at each step; None on a stall.
 
     Removing a simplicial vertex never breaks chordality, so the pass returns
-    a perfect elimination order exactly when the induced subgraph on left is
-    chordal.
+    a perfect elimination order exactly when the graph is chordal.
     """
+    left = (1 << len(rows)) - 1
     order: list[int] = []
     while left:
         for v in _bits(left):

@@ -193,27 +193,23 @@ def _cyclic_reduce(commutes: Commutation, w: Word, max_letters: int):
     current = _reduce_full(commutes, w)
     conj: list[Letter] = []
     while True:
-        hit = None
         n = len(current)
         for i in range(n):
             gi, si = current[i]
             star = commutes[gi]
             if not all(current[p][0] in star for p in range(i)):
                 continue
+            # scanning from the back over letters that commute with gi
             for j in range(n - 1, i, -1):
                 gj, sj = current[j]
-                if gj == gi and sj == -si:
-                    if all(current[q][0] in star for q in range(j + 1, n)):
-                        hit = (i, j)
+                if gj == gi and sj == -si or gj not in star:
                     break
-                # scanning from the back: every letter after j must commute
-                if gj not in star:
-                    break
-            if hit:
+            else:
+                continue
+            if gj == gi:  # gi commutes with itself: the stop is its inverse
                 break
-        if not hit:
+        else:
             return tuple(current), tuple(conj)
-        i, j = hit
         conj.append(current[i])
         del current[j]
         del current[i]
@@ -318,7 +314,10 @@ def check_hom(graph: Graph, pres: SurfacePresentation, images: dict[str, Word]) 
 
 def boundary_clique_supports(graph: Graph, pres: SurfacePresentation,
                              images: dict[str, Word]) -> list[Optional[frozenset[str]]]:
-    """Per boundary generator: the clique its image is conjugate into, or None."""
+    """Per boundary generator: the clique its image is conjugate into, or None.
+    Requires at least one boundary."""
+    if pres.boundary < 1:
+        raise WordError("relative test needs at least one boundary component")
     return [conjugate_into_clique(graph, images["d%d" % (i + 1)])
             for i in range(pres.boundary)]
 
@@ -326,8 +325,6 @@ def boundary_clique_supports(graph: Graph, pres: SurfacePresentation,
 def is_relative_hom(graph: Graph, pres: SurfacePresentation, images: dict[str, Word]) -> bool:
     """Boundary-respecting homomorphism test: every boundary image must be
     conjugate into a clique subgroup. Requires at least one boundary."""
-    if pres.boundary < 1:
-        raise WordError("relative test needs at least one boundary component")
     if not check_hom(graph, pres, images):
         raise WordError("images do not define a homomorphism")
     return all(c is not None for c in boundary_clique_supports(graph, pres, images))
@@ -365,19 +362,11 @@ def _iter_reduced_words(gens: list[str], max_len: int):
         yield from rec([], length)
 
 
-def _surface_relator_word(genus: int) -> Word:
-    parts: list[Word] = []
-    for i in range(genus):
-        x = (("x%d" % (i + 1), 1),)
-        y = (("y%d" % (i + 1), 1),)
-        parts += [x, y, inverse(x), inverse(y)]
-    return concat(*parts)
-
-
 def _dehn_data(genus: int):
     """The standard relator's cyclic variants (both orientations, 2·4g of
     them) and the free commutation table, for _dehn_trivial."""
-    rel = _surface_relator_word(genus)
+    pres = SurfacePresentation(genus, 0)
+    rel = relator(pres, {g: ((g, 1),) for g in pres.generators})
     variants = [base[k:] + base[:k] for base in (rel, inverse(rel)) for k in range(len(rel))]
     free = {g: frozenset((g,)) for g, _ in rel}  # generators commute only with themselves
     return variants, free

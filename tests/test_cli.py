@@ -136,6 +136,7 @@ def test_exit_codes_stable_across_runs(capsys):
 def test_ops_complement(capsys):
     code, out, _ = run(capsys, "ops", "complement", C5_G6, "--to", "graph6")
     assert code == 0
+    assert out.endswith("\n") and out.count("\n") == 1
     got = parse_graph6(out.strip().encode())
     assert is_isomorphic(got, standard_graph("cycle", 5)) is not None
 
@@ -223,6 +224,23 @@ def test_surf_commands(capsys, tmp_path):
     }))
     code, out, _ = run(capsys, "surf", "relative", "-g", str(p3), str(pants))
     assert out.strip().startswith("false") and "3" in out
+
+
+def test_surf_relative_refuses_a_closed_surface(capsys, tmp_path):
+    # the images define a homomorphism, but a closed surface has no boundary
+    # to test: one error line and exit 64, as words.is_relative_hom refuses it
+    graph = tmp_path / "two.el"
+    graph.write_text("vertices: a b\n")
+    hom = tmp_path / "closed.json"
+    hom.write_text(json.dumps({
+        "presentation": {"genus": 2, "boundary": 0},
+        "images": {"x1": "a", "y1": "a", "x2": "b", "y2": "b"},
+    }))
+    code, out, _ = run(capsys, "surf", "check", "-g", str(graph), str(hom))
+    assert code == 0 and out.strip() == "true"
+    code, out, err = run(capsys, "surf", "relative", "-g", str(graph), str(hom))
+    assert code == 64 and out == ""
+    assert "boundary" in err and err.count("\n") == 1
 
 
 def test_batch_mode(capsys, tmp_path):

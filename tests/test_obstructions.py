@@ -254,6 +254,9 @@ def test_verify_rejects_wrong_graph_and_bad_trail():
     edge_pair = q19.edge_pairs[0]
     bad_trail2 = Obstruction(w.kind, w.entry, w.embedding, (edge_pair,))
     assert not verify_obstruction(q19, bad_trail2)
+    # a vertex not in the graph, a repeated vertex, and a step of three names
+    for step in (("a", "zz"), ("zz", "a"), ("t1", "t1"), ("a", "b", "t1")):
+        assert not verify_obstruction(q19, Obstruction(w.kind, w.entry, w.embedding, (step,)))
 
 
 def test_verify_unknown_entry_raises():

@@ -10,6 +10,7 @@ from raagscope.words import (
     SurfacePresentation,
     WordError,
     _commutation,
+    _cyclic_reduce,
     MAX_KERNEL_WORDS,
     _dehn_trivial,
     _iter_reduced_words,
@@ -238,6 +239,26 @@ def test_conjugate_into_clique_agrees_with_rotation_route():
     w = concat(c, x, inverse(c))
     assert len(w) == 512
     assert conjugate_into_clique(G10, w) == _rotation_route(G10, w) == frozenset(g for g, _ in x)
+
+
+def test_cyclic_reduce_returns_a_cyclically_reduced_conjugate():
+    # w = c x c^-1 on random graphs of at most 8 vertices: the result (r, conj)
+    # must give back w as conj r conj^-1, and r r must be reduced, which holds
+    # exactly when r is cyclically reduced
+    rng = random.Random(41)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        graph = new_graph(["v%d" % (i + 1) for i in range(n)],
+                          [("v%d" % (i + 1), "v%d" % (j + 1))
+                           for i, j in combinations(range(n), 2) if rng.random() < 0.5])
+        commutes = _commutation(graph)
+        letters = _letters(graph)
+        x = tuple(rng.choice(letters) for _ in range(rng.randint(0, 12)))
+        c = tuple(rng.choice(letters) for _ in range(rng.randint(0, 8)))
+        w = concat(c, x, inverse(c))
+        r, conj = _cyclic_reduce(commutes, w, 512)
+        assert are_equal(graph, concat(conj, r, inverse(conj)), w)
+        assert len(_reduce_full(commutes, r + r)) == 2 * len(r)
 
 
 def test_cyclic_normal_form_examples():
