@@ -311,18 +311,18 @@ def co_contract(g: Graph, b: Iterable[str]) -> Graph:
     merged vertex is named "$co(...)" over the sorted members; its link is the
     set of common neighbors of b.
     """
-    bset = frozenset(b)
-    if not bset:
+    names = sorted(set(b))  # sorted, so the least unknown name is the one reported
+    if not names:
         raise GraphError("co-contraction set must be nonempty")
-    bm = g.mask(bset)
+    bm = g.mask(names)
     rows = g.rows
     co_rows = tuple(~r & bm & ~(1 << i) for i, r in enumerate(rows))
     if len(_component_masks(co_rows, bm)) > 1:
         raise GraphError("complement of the induced subgraph on %r is disconnected"
-                         % (sorted(bset),))
-    if len(bset) == 1:
+                         % (names,))
+    if len(names) == 1:
         return g
-    fresh = "$co(%s)" % ",".join(sorted(bset))
+    fresh = "$co(%s)" % ",".join(names)
     rest = ((1 << g.n) - 1) & ~bm
     if g.has_vertex(fresh) and not bm >> g.index(fresh) & 1:
         raise GraphError("fresh vertex name collision: %r" % (fresh,))

@@ -16,37 +16,42 @@ bisimplicial, and otherwise the node collapses to its child. So a clique
 split decides a graph: g is in F exactly when both parts are, and so does a
 join.
 
-The prover is one sequential depth-first search over the rules in a fixed
-order (amalgam split at the first clique minimal separator, bisimplicial
-edge removal, join decomposition) with a memo keyed by the graph itself. The
-split is decisive: when a part fails, the graph fails, and neither a
-bisimplicial edge nor the join is tried (by heredity neither could succeed).
-Bisimplicial edges still come before the join, so a join such as C4 or K2,3
-keeps its bisimplicial derivation. A chordal
-graph, complete ones included, is not searched: before the memo lookup, its
-derivation is built from a perfect elimination order, one amalgam per
-split-off clique (the paper's proof that chordal graphs lie in N'). It costs
-no memo entry and no node of the budget, so it is answered even after the
-budget has run out. One search holds one memo and one node budget, and every
-other graph it is asked to prove draws on both: classify makes one per call,
-for the graph itself and then for the states of the co-contraction search.
-The memo maps a graph, names and rows, to its derivation or to None, and the
-prover never labels a graph canonically. Every node of the search of g is an
-induced subgraph of g less some edges, on g's own names, so a node that
+The prover peels, then searches. Every graph it meets is first peeled
+(_peel): the clique of a simplicial vertex is split off, again and again, as
+in the paper's proof that chordal graphs lie in N'. Each such split decides,
+and it costs no search. What is left is the core: a complete graph exactly
+when the graph is chordal, and otherwise a graph with no simplicial vertex.
+Only a core that is not complete is searched, by one sequential depth-first
+search over the rules in a fixed order (amalgam split at the first clique
+minimal separator, bisimplicial edge removal, join decomposition), whose
+parts are peeled in turn. The split is decisive: when a part fails, the
+graph fails, and neither a bisimplicial edge nor the join is tried (by
+heredity neither could succeed). Bisimplicial edges still come before the
+join, so a join such as C4 or K2,3 keeps its bisimplicial derivation. The
+derivation of a graph is that of its core wrapped in one amalgam node per
+peeled clique.
+
+One search holds one memo and one node budget, both over cores: a search
+node is a core, and a chordal graph spends neither, so it is derived even
+after the budget has run out. classify makes one search per call, for the
+graph itself and then for the states of the co-contraction search. The memo
+maps a core, names and rows, to its derivation or to None, and the prover
+never labels a graph canonically. Every core met in the search of g is an
+induced subgraph of g less some edges, on g's own names, so a core that
 recurs is an equal graph and hits. Only the searches of co-contraction
 states, whose graphs carry manufactured names, meet isomorphic but unequal
-graphs; such a graph is searched again, which costs less than labelling every
-graph and renaming a derivation. A two-part rule searches its right part only after its left
-part closed, so node counts, budget verdicts and memo contents are
-deterministic.
-It never guesses co-contraction preimages; that rule exists only in the
-checker, so externally supplied derivations using it still validate.
+graphs; such a graph is searched again, which costs less than labelling
+every graph and renaming a derivation. A two-part rule searches its right
+part only after its left part closed, so node counts, budget verdicts and
+memo contents are deterministic. It never guesses co-contraction preimages;
+that rule exists only in the checker, so externally supplied derivations
+using it still validate.
 
-classify works cheapest first: a chordal graph is derived by construction and
-nothing else runs on it, since chordal graphs lie in N' (the paper's
-theorem), so no catalog obstruction can embed in one; any other graph goes
-to the induced obstruction scan, then to the prover, then to the
-co-contraction search.
+classify works cheapest first: it peels the graph, and a chordal graph is
+derived by construction with nothing else run on it, since chordal graphs
+lie in N' (the paper's theorem), so no catalog obstruction can embed in one;
+any other graph goes to the induced obstruction scan, then to the search of
+its core, then to the co-contraction search.
 
 is_chordal and is_chordal_bipartite recognize the graphs of the paper's two
 corollaries, which say that chordal and chordal bipartite graphs lie in N'.
@@ -80,6 +85,7 @@ from .obstructions import (
 )
 from .ops import (
     CliqueSplit,
+    _is_clique_mask,
     co_contract,
     complement,
     connected_components,
@@ -91,8 +97,7 @@ from .ops import (
     remove_edge_interior,
     validate_clique_split,
 )
-from .recognize import (CycleWitness, elimination_order, find_induced_cycle,
-                        find_triangle_or_long_cycle)
+from .recognize import CycleWitness, find_induced_cycle, find_triangle_or_long_cycle
 
 RULE_COMPLETE = "CompleteBase"
 RULE_JOIN = "JoinRule"
@@ -137,24 +142,55 @@ def _leaf(g: Graph) -> Derivation:
     return Derivation(RULE_COMPLETE, g)
 
 
-def _chordal_derivation(h: Graph, order: list[int]) -> Derivation:
-    """The derivation of a chordal graph along a perfect elimination order of
-    its positions.
+@dataclass(frozen=True, slots=True)
+class _Peel:
+    """A graph with the cliques of its simplicial vertices split off: steps
+    holds one (whole, clique, separator) triple of vertex masks per split, in
+    order, and core is what is left, complete exactly when the graph is
+    chordal."""
 
-    The first vertex v of the order still present is simplicial in what is
-    left, so K = N[v] is a maximal clique of it. With S the members of K that
-    have a neighbour outside K, what is left is the amalgam of K and of itself
-    less K - S along the clique S; K - S holds v at least. Restricting a
-    perfect elimination order keeps it one, so the walk goes on down the
-    order until what is left is complete: at most n - 1 amalgam nodes, about
-    one per maximal clique, each with a complete left part.
+    graph: Graph
+    steps: tuple[tuple[int, int, int], ...]
+    core: Graph
+
+    def wrap(self, d: Derivation) -> Derivation:
+        """The derivation of the graph from d, a derivation of the core: one
+        amalgam node per step, each with a complete left part."""
+        h = self.graph
+        full = (1 << h.n) - 1
+        for whole, clique, sep in reversed(self.steps):
+            d = Derivation(RULE_AMALGAM, h if whole == full else h.subgraph(whole),
+                           (_leaf(h.subgraph(clique)), d),
+                           separator=_shared(frozenset(h.names(sep))))
+        return d
+
+
+def _peel(h: Graph) -> _Peel:
+    """Split off the clique of the first simplicial vertex of h until what is
+    left is complete or has no simplicial vertex.
+
+    For a simplicial vertex v of what is left, K = N[v] is a maximal clique
+    of it; with S the members of K that have a neighbour outside K, what is
+    left is the amalgam of K and of itself less K - S along the clique S, and
+    K - S holds v at least. By heredity each step decides: what is left is in
+    F exactly when the smaller graph is. Every vertex of K - S has K as its
+    closed neighbourhood, so it is simplicial and lies on no induced cycle of
+    length >= 4 (Dirac, On rigid circuit graphs, Abh. Math. Sem. Univ.
+    Hamburg 1961); the core keeps every such cycle of h. So on a chordal h the
+    walk ends at a complete graph, after at most n - 1 steps, about one per
+    maximal clique: the paper's proof that chordal graphs lie in N'. On any
+    other h it ends at a core with no simplicial vertex. Subgraphs other than
+    the core are built only by wrap.
     """
     rows = h.rows
     full = rest = (1 << h.n) - 1
     steps = []
-    for v in order:
-        if not rest >> v & 1:
-            continue
+    while True:
+        for v in _bits(rest):
+            if _is_clique_mask(rows, rows[v] & rest):
+                break
+        else:
+            break
         clique = rows[v] & rest | 1 << v
         if clique == rest:
             break
@@ -165,30 +201,21 @@ def _chordal_derivation(h: Graph, order: list[int]) -> Derivation:
                 sep |= 1 << u
         steps.append((rest, clique, sep))
         rest &= ~clique | sep
-
-    def sub(mask: int) -> Graph:
-        return h if mask == full else h.subgraph(mask)
-
-    d = _leaf(sub(rest))
-    for whole, clique, sep in reversed(steps):
-        d = Derivation(RULE_AMALGAM, sub(whole), (_leaf(h.subgraph(clique)), d),
-                       separator=_shared(frozenset(h.names(sep))))
-    return d
+    return _Peel(h, tuple(steps), h if rest == full else h.subgraph(rest))
 
 
 def is_chordal(g: Graph) -> Union[Derivation, CycleWitness]:
-    """The derivation of g that classify builds, or on a stall of the
-    elimination pass the shortest induced cycle of length at least 4.
+    """The derivation of g that classify builds, or, when g's core is not
+    complete, the shortest induced cycle of length at least 4.
 
-    The pass stalls only on a non-chordal g: the stalled subgraph has no
-    simplicial vertex, so it holds an induced cycle of length >= 4 (Dirac,
-    On rigid circuit graphs, Abh. Math. Sem. Univ. Hamburg 1961), which is
-    one of g, and find_induced_cycle(g, 4) finds the shortest.
+    A core that is not complete has no simplicial vertex, so it holds an
+    induced cycle of length >= 4 (Dirac), which is one of g, and
+    find_induced_cycle(g, 4) finds the shortest.
     """
-    order = elimination_order(g.rows)
-    if order is None:
+    peel = _peel(g)
+    if not is_complete(peel.core):
         return find_induced_cycle(g, 4)
-    return _chordal_derivation(g, order)
+    return peel.wrap(_leaf(peel.core))
 
 
 def is_chordal_bipartite(g: Graph) -> Union[Derivation, CycleWitness]:
@@ -294,9 +321,10 @@ def _check_node(node: Derivation) -> bool:
 class UnknownReport:
     """What the derivation search did; the report of an unknown verdict.
 
-    stuck names the first 32 graphs that no rule closed, in the order they
-    failed, each as its graph6 value followed by its vertex names in sorted
-    order, which the graph6 positions follow."""
+    stuck names the first 32 cores that no rule closed (graphs left once
+    simplicial cliques are split off; see _peel), in the order they failed,
+    each as its graph6 value followed by its vertex names in sorted order,
+    which the graph6 positions follow."""
 
     nodes_expanded: int
     budget: int
@@ -323,12 +351,12 @@ class _BudgetExhausted(Exception):
 class _Search:
     """One depth-first derivation search over one memo and one node budget.
 
-    A chordal graph, at the root or at any node, gets the derivation that
-    _chordal_derivation builds, before the memo lookup: it spends no node
-    and is kept in no memo entry. Every other graph draws on the same budget;
-    once the budget has run out, prove answers None except on a chordal graph
-    or a memo hit. The memo maps each graph searched to its derivation, or to
-    None when no rule closed it.
+    prove and every rule take a peeled graph; the memo and the budget see its
+    core alone. A complete core, the core of a chordal graph, spends no node
+    and is kept in no memo entry. Every other core costs one node on its
+    first visit; once the budget has run out, prove answers None except on a
+    chordal graph or a memo hit. The memo maps each core searched to its
+    derivation, or to None when no rule closed it.
     """
 
     def __init__(self, budget: int):
@@ -341,11 +369,10 @@ class _Search:
         self.rules_attempted: set[str] = set()
         self.stuck: list[str] = []
 
-    def prove(self, h: Graph, nonchordal: bool = False) -> Optional[Derivation]:
-        """The derivation of h, or None. nonchordal says that the caller's
-        elimination pass already stalled on h, so h is searched at once."""
+    def prove(self, peel: _Peel) -> Optional[Derivation]:
+        """The derivation of the peeled graph, or None."""
         try:
-            return self._run(h, nonchordal)
+            return self._run(peel)
         except _BudgetExhausted:
             self.exhausted = True
             return None
@@ -359,28 +386,29 @@ class _Search:
             stuck=tuple(self.stuck),
         )
 
-    def _run(self, h: Graph, nonchordal: bool = False) -> Optional[Derivation]:
-        if not nonchordal:
-            peo = elimination_order(h.rows)
-            if peo is not None:
-                return _chordal_derivation(h, peo)
-        if h in self.memo:
-            return self.memo[h]
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise _BudgetExhausted
-        d = self.memo[h] = self._expand(h)
-        if d is None and len(self.stuck) < 32:
-            self.stuck.append("%s %s" % (emit_graph6(h).decode("ascii"), " ".join(h.vertices)))
-        return d
+    def _run(self, peel: _Peel) -> Optional[Derivation]:
+        core = peel.core
+        if is_complete(core):
+            d = _leaf(core)
+        elif core in self.memo:
+            d = self.memo[core]
+        else:
+            self.nodes += 1
+            if self.nodes > self.budget:
+                raise _BudgetExhausted
+            d = self.memo[core] = self._expand(core)
+            if d is None and len(self.stuck) < 32:
+                self.stuck.append("%s %s" % (emit_graph6(core).decode("ascii"),
+                                             " ".join(core.vertices)))
+        return None if d is None else peel.wrap(d)
 
     def _pair(self, left: Graph, right: Graph):
-        dl = self._run(left)
-        dr = self._run(right) if dl is not None else None
+        dl = self._run(_peel(left))
+        dr = self._run(_peel(right)) if dl is not None else None
         return dl, dr
 
     def _expand(self, h: Graph) -> Optional[Derivation]:
-        # h is not chordal, so not complete
+        # h is a core: no simplicial vertex, so not complete
         split = next(iter_clique_splits(h), None)
         if split is not None:
             # decisive: both parts are induced subgraphs of h, so by heredity
@@ -394,7 +422,7 @@ class _Search:
             if not is_bisimplicial_edge(h, e):
                 continue
             self.rules_attempted.add(RULE_BISIMP)
-            child = self._run(remove_edge_interior(h, e))
+            child = self._run(_peel(remove_edge_interior(h, e)))
             if child is not None:
                 return Derivation(RULE_BISIMP, h, (child,), edge=e)
         comp_parts = connected_components(complement(h))
@@ -411,7 +439,7 @@ class _Search:
 def prove_in_f(g: Graph, budget: int = DEFAULT_BUDGET) -> Optional[Derivation]:
     """Search for a derivation concluding g; None on exhaustion or budget.
     Absence of a derivation is not a negative result."""
-    return _Search(budget).prove(g)
+    return _Search(budget).prove(_peel(g))
 
 
 # ---------------------------------------------------------------------------
@@ -433,30 +461,30 @@ def classify(g: Graph, budget: int = DEFAULT_BUDGET,
     """Run the searches cheapest first, verify whichever certificates come
     back with the independent checkers, and pick a verdict.
 
-    The order: a chordal g gets the derivation _chordal_derivation builds
-    along its perfect elimination order, checked, and nothing else runs;
-    otherwise the induced obstruction scan; the derivation search, only if
-    the scan found nothing; the co-contraction search below g, only if neither
-    found a certificate. Whenever that search runs, the scan of g ran and found
+    The order: g is peeled once, and a chordal g (its core is complete) gets
+    the derivation the peel builds, checked, and nothing else runs; otherwise
+    the induced obstruction scan; the search of g's core, only if the scan
+    found nothing; the co-contraction search below g, only if neither found
+    a certificate. Whenever that search runs, the scan of g ran and found
     nothing, so it is _search_below_clean_root, which does not scan g again
     and scans the states below it for the fixed entries alone. Skipping the
     scan on a chordal g is sound: chordal graphs lie in N' within N (the
     paper's theorem; the derivation is its proof), so no obstruction of g can
     exist, and indeed every built-in catalog entry is non-chordal while every
-    induced subgraph of a chordal graph is chordal. A user catalog entry that is chordal contradicts the
-    theorem; only cross_check, which scans g as well, exposes it. The
-    elimination pass runs once, and its time counts as part of the scan
-    phase. The co-contraction search does not expand a state the prover derives
+    induced subgraph of a chordal graph is chordal. A user catalog entry
+    that is chordal contradicts the theorem; only cross_check, which scans g
+    as well, exposes it. The peel of g counts as part of the scan phase. The
+    co-contraction search does not expand a state the prover derives
     (see _search_below_clean_root): that state lies in N', so nothing below
     it holds a witness. One derivation search serves g and that pruning, over
     one memo and one budget of at most budget nodes: the pruning expands only
     the nodes the search of g left, and a state it cannot decide within them
-    is expanded. A chordal graph, g or a
-    state, is decided by construction before the memo lookup and spends no
-    node, so it is decided even after the budget has run out, and budget=1
-    still derives any chordal g. The report of an unknown verdict counts the
-    search of g alone. The pruning takes the prover's answers on the states
-    unchecked, so a prover that wrongly derived a state could hide a witness.
+    is expanded. Peeling spends no node, so a chordal graph, g or a state,
+    is decided even after the budget has run out, and budget=1 still derives
+    any chordal g. The report of an unknown verdict counts the search of g
+    alone, and its stuck entries are cores. The pruning takes the prover's
+    answers on the states unchecked, so a prover that wrongly derived a state
+    could hide a witness.
     A budget below 1 raises ValueError, whichever search would run.
 
     A graph may end up with neither certificate: membership of the derived
@@ -469,25 +497,22 @@ def classify(g: Graph, budget: int = DEFAULT_BUDGET,
     """
     search = _Search(budget)
     t0 = perf_counter()
-    peo = elimination_order(g.rows)
+    peel = _peel(g)
     obs = None
-    if peo is None or cross_check:
+    if cross_check or not is_complete(peel.core):
         obs = find_forbidden_induced(g, catalog)
         if obs is not None and not verify_obstruction(g, obs, catalog):
             raise SoundnessError("obstruction search emitted an invalid certificate")
     t1 = perf_counter()
     deriv = report = None
     if obs is None or cross_check:
-        if peo is not None:
-            deriv = _chordal_derivation(g, peo)
-        else:
-            deriv = search.prove(g, nonchordal=True)
+        deriv = search.prove(peel)
         report = search.report()
         if deriv is not None and not check_derivation(deriv, g):
             raise SoundnessError("prover emitted an invalid derivation")
     t2 = perf_counter()
     if obs is None and cocontract_depth > 0 and (deriv is None or cross_check):
-        derived = None if cross_check else lambda h: search.prove(h) is not None
+        derived = None if cross_check else lambda h: search.prove(_peel(h)) is not None
         obs = _search_below_clean_root(g, cocontract_depth, catalog, derived=derived)
         if obs is not None and not verify_obstruction(g, obs, catalog):
             raise SoundnessError("co-contraction search emitted an invalid certificate")

@@ -1,16 +1,16 @@
-"""Induced cycles and simplicial elimination orders.
+"""Induced cycles.
 
 find_induced_cycle finds the shortest induced cycle of a given least length,
 and CycleWitness holds one in cyclic order; validate_cycle_witness re-checks a
 witness as an induced embedding of a cycle, the check verify_obstruction
 makes for a C_k entry. find_triangle_or_long_cycle decides chordal
 bipartiteness: a graph is chordal bipartite exactly when it has no triangle
-and no induced cycle of length >= 5. elimination_order is the greedy
-perfect-elimination pass that decides chordality.
+and no induced cycle of length >= 5.
 
 The recognizers of the paper's two corollaries, prover.is_chordal and
 prover.is_chordal_bipartite, answer with a derivation or with a witness from
 here; they live in prover because prover and obstructions import this module.
+Chordality is decided there, by the prover's own peel of simplicial cliques.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graphs import Graph, _bits, _standard_names, standard_graph, verify_vertex_map
-from .ops import _is_clique_mask
 
 
 @dataclass(frozen=True)
@@ -107,23 +106,3 @@ def validate_cycle_witness(g: Graph, w: CycleWitness, min_len: int = 3) -> bool:
         return False
     return verify_vertex_map(standard_graph("cycle", k), g,
                              dict(zip(_standard_names(k), w.vertices)))
-
-
-def elimination_order(rows: tuple[int, ...]) -> Optional[list[int]]:
-    """Greedy simplicial elimination of the graph with these adjacency rows,
-    the first simplicial position at each step; None on a stall.
-
-    Removing a simplicial vertex never breaks chordality, so the pass returns
-    a perfect elimination order exactly when the graph is chordal.
-    """
-    left = (1 << len(rows)) - 1
-    order: list[int] = []
-    while left:
-        for v in _bits(left):
-            if _is_clique_mask(rows, rows[v] & left):
-                break
-        else:
-            return None
-        order.append(v)
-        left &= ~(1 << v)
-    return order

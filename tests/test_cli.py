@@ -150,6 +150,21 @@ def test_ops_cocontract_reaches_smaller_entry(capsys, tmp_path):
     assert is_isomorphic(got, entry_graph("P1(8)")) is not None
 
 
+def test_ops_cocontract_names_the_least_unknown_vertex_whatever_the_hash_seed(tmp_path):
+    # the named set is a set; the error must not depend on its iteration order
+    g = tmp_path / "abc.el"
+    g.write_text("vertices: a b c\n")
+    src = os.path.dirname(os.path.dirname(raagscope.__file__))
+    for seed in range(1, 6):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "raagscope.cli", "ops", "cocontract", str(g), "xx,yy"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            64, "", "error: unknown vertex 'xx'\n"), seed
+
+
 def parse_graph_from_edgelist_with_reserved(text):
     # CLI output may contain generated "$" names, which the strict user-input
     # parser rejects; rebuild through the raw constructor

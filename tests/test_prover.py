@@ -6,11 +6,11 @@ import pytest
 
 from conftest import add_edge, random_chordal, random_graph
 from raagscope.generate import nonisomorphic_graphs
-from raagscope.graphs import Graph, new_graph, parse_graph6, standard_graph
+from raagscope.graphs import Graph, emit_graph6, new_graph, parse_graph6, standard_graph
 from raagscope.obstructions import (builtin_catalog, entry_graph, find_cocontraction_witness,
                                     find_forbidden_induced)
-from raagscope.ops import (co_contract, is_bisimplicial_edge, is_clique,
-                           iter_clique_splits, remove_edge_interior)
+from raagscope.ops import (co_contract, is_bisimplicial_edge, is_clique, is_complete,
+                           is_simplicial_vertex, iter_clique_splits, remove_edge_interior)
 from raagscope.prover import (
     DEFAULT_BUDGET,
     HAS_SURFACE,
@@ -23,14 +23,15 @@ from raagscope.prover import (
     UNKNOWN,
     Derivation,
     SoundnessError,
+    _peel,
     _Search,
     check_derivation,
     classify,
     derivation_from_json,
     derivation_to_json,
+    is_chordal,
     prove_in_f,
 )
-from raagscope.recognize import elimination_order
 
 P3 = new_graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
 
@@ -77,9 +78,9 @@ def _nodes(d):
         yield from _nodes(ch)
 
 
-def test_chordal_derivations_are_built_without_canonical_labeling(monkeypatch):
-    # a chordal graph is derived along its perfect elimination order, one
-    # amalgam per split-off clique, before any memo lookup. The patch is on
+def test_chordal_graphs_are_derived_without_canonical_labeling(monkeypatch):
+    # a chordal graph is peeled down to a complete graph, one amalgam per
+    # split-off clique, before any memo lookup. The patch is on
     # the name the co-contraction search's IsoTable calls; the control at the
     # end shows that it is reached.
     import raagscope.graphs as graphs
@@ -109,14 +110,14 @@ def test_chordal_derivations_are_built_without_canonical_labeling(monkeypatch):
 
 def test_a_search_whose_nodes_differ_in_degree_sequence_labels_nothing(monkeypatch):
     # F]oxo is prime (no clique separator) and not chordal; its search
-    # expands 9 nodes and labels none of them, the root included
+    # expands 6 nodes and labels none of them, the root included
     import raagscope.graphs as graphs
 
     def refuse(h):
         raise AssertionError("canonical_form called")
 
     g = parse_graph6(b"F]oxo")
-    assert elimination_order(g.rows) is None
+    assert not isinstance(is_chordal(g), Derivation)
     assert next(iter_clique_splits(g), None) is None
     monkeypatch.setattr(graphs, "canonical_form", refuse)
     v = classify(g)
@@ -131,7 +132,7 @@ def test_chordal_graphs_spend_no_budget():
         v = classify(g, budget=1)
         assert v.status == NO_SURFACE and check_derivation(v.derivation, g)
     search = _Search(1)
-    assert search.prove(P3) is not None and search.memo == {} and search.nodes == 0
+    assert search.prove(_peel(P3)) is not None and search.memo == {} and search.nodes == 0
 
 
 def test_the_prover_never_labels_a_graph(monkeypatch):
@@ -194,11 +195,11 @@ def test_every_builtin_catalog_entry_is_non_chordal():
     # the premise of classify's chordal skip: an induced subgraph of a
     # chordal graph is chordal, so no entry can embed in one
     for e in builtin_catalog():
-        assert elimination_order(e.graph.rows) is None, e.name
+        assert not isinstance(is_chordal(e.graph), Derivation), e.name
     for n in range(5, 17):
         for name in ("C%d" % n, "coC%d" % n):
             h = entry_graph(name)
-            assert elimination_order(h.rows) is None, name
+            assert not isinstance(is_chordal(h), Derivation), name
 
 
 def test_chordal_graphs_are_never_scanned(monkeypatch):
@@ -375,13 +376,20 @@ def test_classify_unknown_on_tiny_budget():
     assert v.status == UNKNOWN
     assert v.report is not None
     assert v.obstruction is None and v.derivation is None
-    # a decomposable graph genuinely runs out of budget at 1 node: C4 with a
-    # pendant vertex is not chordal (a chordal graph spends no node) and has
-    # no obstruction
+    # a decomposable graph genuinely runs out of budget at 1 node: two
+    # disjoint 4-cycles have no simplicial vertex, so the graph is its own
+    # core, and its split leaves a second core for a second node
+    two_c4 = new_graph(["a", "b", "c", "d", "w", "x", "y", "z"],
+                       [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"),
+                        ("w", "x"), ("x", "y"), ("y", "z"), ("z", "w")])
+    v2 = classify(two_c4, budget=1, cocontract_depth=0)
+    assert v2.status == UNKNOWN and v2.report.budget_exhausted
+    # a peel spends no node: a 4-cycle with a pendant vertex peels to the
+    # 4-cycle, whose one node removes a bisimplicial edge and leaves a path
     c4_pendant = new_graph(["a", "b", "c", "d", "e"],
                            [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "e")])
-    v2 = classify(c4_pendant, budget=1, cocontract_depth=0)
-    assert v2.status == UNKNOWN and v2.report.budget_exhausted
+    v3 = classify(c4_pendant, budget=1, cocontract_depth=0)
+    assert v3.status == NO_SURFACE and check_derivation(v3.derivation, c4_pendant)
 
 
 def test_classify_cross_check_mode():
@@ -438,7 +446,7 @@ def test_classify_spends_one_budget_of_prover_nodes(monkeypatch):
     exhausted = 0
     for g in graphs:
         unpruned = find_cocontraction_witness(g, 2)
-        for budget in (2, 5, 20):
+        for budget in (1, 2, 5):
             expanded.clear()
             v = classify(g, budget=budget)
             assert len(expanded) <= budget
@@ -480,7 +488,7 @@ def test_derivation_json_round_trip():
 
 def _forge_prover(monkeypatch, fake):
     # every derivation search answers with fake
-    monkeypatch.setattr(_Search, "prove", lambda self, h, nonchordal=False: fake)
+    monkeypatch.setattr(_Search, "prove", lambda self, peel: fake)
 
 
 def test_soundness_guard_trips_on_forged_cache(monkeypatch):
@@ -521,7 +529,7 @@ def test_amalgam_skips_right_part_when_left_part_fails():
     split = next(iter_clique_splits(g))
     assert split.separator == frozenset({"a1"}) and split.left.vertices[-1] == "a5"
     search = _Search(DEFAULT_BUDGET)
-    assert search.prove(g) is None
+    assert search.prove(_peel(g)) is None
     assert search.memo == {g: None, split.left: None}
 
 
@@ -559,3 +567,76 @@ def test_unknown_report_names_its_stuck_graphs():
     rename = dict(zip(h.vertices, names))
     assert Graph(names, [(rename[u], rename[v]) for u, v in h.edge_pairs]) == g
     assert report.to_json()["stuck"] == list(report.stuck)
+
+
+def _peel_inputs():
+    rng = random.Random(81)
+    atlas = [g for n in range(1, 8) for g in nonisomorphic_graphs(n)]
+    return atlas + [random_graph(rng.randint(8, 12), rng.random(), rng) for _ in range(150)]
+
+
+def _has_simplicial_vertex(g):
+    return any(is_simplicial_vertex(g, v) for v in g.vertices)
+
+
+def test_the_peel_leaves_a_complete_graph_exactly_on_chordal_graphs():
+    # the walk stops only at a complete graph or at one with no simplicial
+    # vertex, and the first happens exactly when g is chordal
+    chordal = 0
+    for g in _peel_inputs():
+        core = _peel(g).core
+        complete = is_complete(core)
+        assert complete or not _has_simplicial_vertex(core), emit_graph6(g)
+        assert complete == isinstance(is_chordal(g), Derivation), emit_graph6(g)
+        chordal += complete
+    assert 500 < chordal < 1000
+
+
+def test_a_graph_is_derived_exactly_when_its_core_is():
+    # heredity: every peel step is a decisive clique split
+    derived = 0
+    for g in _peel_inputs():
+        core = _peel(g).core
+        d = prove_in_f(g)
+        assert (d is None) == (prove_in_f(core) is None), emit_graph6(g)
+        if d is not None:
+            assert check_derivation(d, g)
+            derived += core.n < g.n and not is_complete(core)
+    assert derived > 50
+
+
+def test_stuck_entries_name_cores():
+    rng = random.Random(82)
+    graphs = [g for n in range(6, 8) for g in nonisomorphic_graphs(n)]
+    graphs += [random_graph(rng.randint(8, 11), rng.random(), rng) for _ in range(100)]
+    entries = 0
+    for g in graphs:
+        report = classify(g, cocontract_depth=0).report
+        for entry in report.stuck if report is not None else ():
+            text, *names = entry.split()
+            h = parse_graph6(text.encode("ascii"))
+            assert len(names) == h.n and names == sorted(names)
+            assert h.n and not _has_simplicial_vertex(h), entry
+            entries += 1
+    assert entries > 40
+
+
+def test_classify_peels_its_root_once(monkeypatch):
+    import raagscope.prover as prover
+
+    peeled = []
+    peel = prover._peel
+
+    def counting(h):
+        peeled.append(h)
+        return peel(h)
+
+    monkeypatch.setattr(prover, "_peel", counting)
+    c4_pendant = new_graph(["a", "b", "c", "d", "e"],
+                           [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "e")])
+    for g in (standard_graph("path", 4), c4_pendant, standard_graph("cycle", 5),
+              parse_graph6(b"EUzo"), parse_graph6(b"IypEtv?sG")):
+        for cross_check in (False, True):
+            peeled.clear()
+            classify(g, cross_check=cross_check)
+            assert sum(h == g for h in peeled) == 1, (emit_graph6(g), cross_check)
