@@ -6,15 +6,22 @@ every operation that returns a collection returns it in a deterministic order.
 
 A graph is its sorted tuple of names plus one adjacency row per vertex: a
 Python int whose bit j is set when the vertex is adjacent to the j-th name.
-Edge pairs, neighbourhoods and degrees are derived from the rows; library
-code works on the rows directly, as mask arithmetic.
+Edge pairs and neighbourhoods are derived from the rows; library code works
+on the rows directly, as mask arithmetic. Every graph derived from another
+(an induced subgraph, a re-sorted graph, a co-contraction, a canonical
+leaf) has its rows renumbered by one function, _relabel.
 
-Canonical labeling is individualization-refinement (McKay, Practical graph
+Two searches answer structural questions. find_induced is a backtracking
+search for an induced copy of a pattern; the obstruction scans use it, and
+its search order fixes the embeddings they report. Isomorphism is decided
+by canonical labeling, individualization-refinement (McKay, Practical graph
 isomorphism, 1981; McKay and Piperno, Practical graph isomorphism II, JSC
 2014): refine to the coarsest equitable ordered partition, branch on the
 first smallest non-singleton cell, and keep the leaf whose relabelled
 adjacency matrix is least. Twins and automorphisms found from equal leaves
-prune the branching. Target scale is a few dozen vertices at most.
+prune the branching. Two graphs are isomorphic exactly when their keys
+agree, and their canonical orders then give the bijection. Target scale is
+a few dozen vertices at most.
 """
 
 from __future__ import annotations
@@ -66,6 +73,26 @@ def _bits(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def _relabel(rows: tuple[int, ...], order: list[int]) -> tuple[int, ...]:
+    """Rows of the graph induced on the positions listed in order, position
+    order[i] renumbered i. The one place adjacency rows are renumbered."""
+    pos = [0] * len(rows)
+    mask = 0
+    for new, old in enumerate(order):
+        pos[old] = new
+        mask |= 1 << old
+    out = []
+    for old in order:
+        row = rows[old] & mask
+        r = 0
+        while row:
+            low = row & -row
+            r |= 1 << pos[low.bit_length() - 1]
+            row ^= low
+        out.append(r)
+    return tuple(out)
 
 
 class Graph:
@@ -155,22 +182,11 @@ class Graph:
     def adj(self, v: str) -> frozenset[str]:
         return frozenset(self.names(self.rows[self.index(v)]))
 
-    def degree(self, v: str) -> int:
-        return self.rows[self.index(v)].bit_count()
-
     def subgraph(self, mask: int) -> "Graph":
         """Induced subgraph on a vertex bitmask."""
         keep = _bits(mask)
-        pos = {old: new for new, old in enumerate(keep)}
-        rows = self.rows
-        new_rows = []
-        for i in keep:
-            r = 0
-            for j in _bits(rows[i] & mask):
-                r |= 1 << pos[j]
-            new_rows.append(r)
         vs = self.vertices
-        return _from_sorted(tuple(vs[i] for i in keep), tuple(new_rows))
+        return _from_sorted(tuple(vs[i] for i in keep), _relabel(self.rows, keep))
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -202,17 +218,8 @@ def _from_rows(names: tuple[str, ...], rows: tuple[int, ...]) -> Graph:
     """
     order = sorted(range(len(names)), key=names.__getitem__)
     if any(i != k for i, k in enumerate(order)):
-        pos = [0] * len(order)
-        for new, old in enumerate(order):
-            pos[old] = new
-        permuted = []
-        for old in order:
-            r = 0
-            for j in _bits(rows[old]):
-                r |= 1 << pos[j]
-            permuted.append(r)
         names = tuple(names[i] for i in order)
-        rows = tuple(permuted)
+        rows = _relabel(rows, order)
     return _from_sorted(names, rows)
 
 
@@ -257,7 +264,7 @@ def standard_graph(kind: str, n: int) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# isomorphism and induced-subgraph search
+# induced-subgraph search
 
 
 def find_induced(pattern: Graph, host: Graph) -> Optional[dict[str, str]]:
@@ -306,19 +313,6 @@ def find_induced(pattern: Graph, host: Graph) -> Optional[dict[str, str]]:
     return None
 
 
-def is_isomorphic(g: Graph, h: Graph) -> Optional[dict[str, str]]:
-    """Edge-preserving bijection between g and h, or None.
-
-    Deterministic: the first witness in sorted backtracking order, so
-    is_isomorphic(g, g) starts from the identity.
-    """
-    if g.n != h.n or g.m != h.m:
-        return None
-    if sorted(r.bit_count() for r in g.rows) != sorted(r.bit_count() for r in h.rows):
-        return None
-    return find_induced(g, h)
-
-
 def verify_vertex_map(pattern: Graph, host: Graph, mapping: dict[str, str]) -> bool:
     """Re-check that mapping is an injective, adjacency-reflecting embedding."""
     if set(mapping.keys()) != set(pattern.vertices):
@@ -335,7 +329,7 @@ def verify_vertex_map(pattern: Graph, host: Graph, mapping: dict[str, str]) -> b
 
 
 # ---------------------------------------------------------------------------
-# canonical form (memoization key for isomorphism classes)
+# canonical form and isomorphism
 #
 # An ordered partition is a list of cells, each a bitmask of vertices; a
 # cell's position is the number of vertices in the cells before it. Every step
@@ -459,17 +453,9 @@ def _canonical_labeling(rows: tuple[int, ...]) -> tuple[int, list[int]]:
     def leaf(cells: list[int], path: tuple[int, ...]) -> int:
         nonlocal first, best
         order = [c.bit_length() - 1 for c in cells]
-        pos = [0] * n
-        for i, v in enumerate(order):
-            pos[v] = i
         cert = 0
-        shift = 0
-        for v in order:
-            r = 0
-            for u in _bits(rows[v]):
-                r |= 1 << pos[u]
-            cert |= r << shift
-            shift += n
+        for r in reversed(_relabel(rows, order)):
+            cert = cert << n | r
         if first is None:
             first = best = (cert, order, path)
             return len(path) - 1
@@ -545,6 +531,23 @@ def canonical_form(g: Graph) -> tuple[tuple[int, int], tuple[str, ...]]:
 
 def canonical_key(g: Graph) -> tuple[int, int]:
     return canonical_form(g)[0]
+
+
+def is_isomorphic(g: Graph, h: Graph) -> Optional[dict[str, str]]:
+    """Adjacency-preserving bijection from g onto h, or None.
+
+    Equal graphs get the identity. Otherwise both graphs are labelled, and
+    their canonical orders, position by position, are the bijection when the
+    keys agree.
+    """
+    if g == h:
+        return {v: v for v in g.vertices}
+    if g.n != h.n or g.m != h.m:
+        return None
+    (key_g, order_g), (key_h, order_h) = canonical_form(g), canonical_form(h)
+    if key_g != key_h:
+        return None
+    return dict(zip(order_g, order_h))
 
 
 class IsoTable:

@@ -8,10 +8,11 @@ can never collide with user input.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .graphs import Graph, GraphError, _bits, _from_rows, _from_sorted, _shared
+from .graphs import Graph, GraphError, _bits, _from_rows, _from_sorted, _relabel, _shared
 
 __all__ = [
     "CliqueSplit",
@@ -229,27 +230,14 @@ def iter_clique_splits(g: Graph) -> Iterator[CliqueSplit]:
             yield CliqueSplit(g.subgraph(left), g.subgraph(right), separator)
 
 
-def _is_induced_part(g: Graph, part: Graph, mask: int) -> bool:
-    # part's rows are g's rows restricted to mask: part holds exactly the
-    # names of mask, and both name tuples are sorted, so part's i-th vertex is
-    # g's vertex at the i-th set bit of mask
-    keep = _bits(mask)
-    rows = g.rows
-    for i, r in enumerate(part.rows):
-        lifted = 0
-        for j in _bits(r):
-            lifted |= 1 << keep[j]
-        if lifted != rows[keep[i]] & mask:
-            return False
-    return True
-
-
 def validate_clique_split(g: Graph, split: CliqueSplit) -> bool:
     """Re-check every CliqueSplit invariant from scratch, on bitmasks: the
     parts cover g, meet exactly in the separator, neither is all of g, the
-    separator is a clique, each part is the subgraph of g induced on its
-    vertices, and no edge joins the two parts outside the separator. A name
-    that is not a vertex of g fails the check."""
+    separator is a clique, and no edge joins the two parts outside the
+    separator. Each part must be the subgraph of g induced on its vertices:
+    its rows must equal g's rows restricted to the part and renumbered, which
+    is compared row by row without building a graph. A name that is not a
+    vertex of g fails the check."""
     try:
         left = g.mask(split.left.vertices)
         right = g.mask(split.right.vertices)
@@ -264,8 +252,8 @@ def validate_clique_split(g: Graph, split: CliqueSplit) -> bool:
     rows = g.rows
     if not _is_clique_mask(rows, sep):
         return False
-    if not (_is_induced_part(g, split.left, left)
-            and _is_induced_part(g, split.right, right)):
+    if (_relabel(rows, _bits(left)) != split.left.rows
+            or _relabel(rows, _bits(right)) != split.right.rows):
         return False
     only_right = right & ~sep
     return all(not rows[v] & only_right for v in _bits(left & ~sep))
@@ -323,21 +311,24 @@ def co_contract(g: Graph, b: Iterable[str]) -> Graph:
     if len(names) == 1:
         return g
     fresh = "$co(%s)" % ",".join(names)
-    rest = ((1 << g.n) - 1) & ~bm
+    n = g.n
+    rest = ((1 << n) - 1) & ~bm
     if g.has_vertex(fresh) and not bm >> g.index(fresh) & 1:
         raise GraphError("fresh vertex name collision: %r" % (fresh,))
     common = rest
     for v in _bits(bm):
         common &= rows[v]
-    sub = g.subgraph(rest)
-    k = sub.n
+    # the merged vertex enters as a virtual row n, then one renumbering keeps
+    # the rest and puts it at its sorted place among their names
+    extended = list(rows)
+    for v in _bits(common):
+        extended[v] |= 1 << n
+    extended.append(common)
     keep = _bits(rest)
-    link = 0
-    for new, old in enumerate(keep):
-        if common >> old & 1:
-            link |= 1 << new
-    new_rows = tuple(r | (link >> i & 1) << k for i, r in enumerate(sub.rows)) + (link,)
-    return _from_rows(sub.vertices + (fresh,), new_rows)
+    kept = [g.vertices[i] for i in keep]
+    at = bisect_left(kept, fresh)
+    kept.insert(at, fresh)
+    return _from_sorted(tuple(kept), _relabel(extended, keep[:at] + [n] + keep[at:]))
 
 
 def co_contract_edge(g: Graph, pair: tuple[str, str]) -> Graph:

@@ -256,7 +256,7 @@ def is_chordal_bipartite(g: Graph) -> Union[Derivation, CycleWitness]:
 def check_derivation(d: Derivation, g: Graph) -> bool:
     """Re-validate every node from first principles and match the root against
     g up to isomorphism; a root equal to g (same names, same rows) matches by
-    the identity, with no isomorphism search. Shares only the elementary graph
+    the identity, with no canonical labeling. Shares only the elementary graph
     operations with the prover, none of its search logic."""
     try:
         if not _check_node(d):

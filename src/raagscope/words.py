@@ -286,10 +286,6 @@ class SurfacePresentation:
         ds = tuple("d%d" % (i + 1) for i in range(self.boundary))
         return xs + ys + ds
 
-    @property
-    def is_hyperbolic(self) -> bool:
-        return 2 - 2 * self.genus - self.boundary < 0
-
 
 def relator(pres: SurfacePresentation, images: dict[str, Word]) -> Word:
     """Image of the defining relation under the generator assignment."""

@@ -110,6 +110,35 @@ def oracle_word_trivial(graph: Graph, word, cap: int = 2_000_000) -> bool:
     return False
 
 
+def trivial_words(graph: Graph, max_len: int) -> set:
+    """Every word of length at most max_len over the graph's generators that
+    the rewriting system of oracle_word_trivial takes to the empty word.
+
+    One reverse closure from the empty word: insert a cancelling pair
+    anywhere, or swap two adjacent letters with distinct commuting
+    generators. A forward step never lengthens a word, so the path from a
+    trivial word to the empty word stays within max_len, and so does its
+    reverse."""
+    letters = [(v, s) for v in graph.vertices for s in (1, -1)]
+    seen = {()}
+    queue = deque([()])
+    while queue:
+        w = queue.popleft()
+        grown = []
+        if len(w) + 2 <= max_len:
+            grown = [w[:i] + ((v, s), (v, -s)) + w[i:]
+                     for i in range(len(w) + 1) for v, s in letters]
+        for i in range(len(w) - 1):
+            g1, g2 = w[i][0], w[i + 1][0]
+            if g1 != g2 and graph.has_edge(g1, g2):
+                grown.append(w[:i] + (w[i + 1], w[i]) + w[i + 2:])
+        for nw in grown:
+            if nw not in seen:
+                seen.add(nw)
+                queue.append(nw)
+    return seen
+
+
 def enumerate_words(letters, max_len: int):
     """Every word (reduced or not) over the letter list, by length then lex."""
     from itertools import product

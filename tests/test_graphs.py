@@ -8,6 +8,7 @@ from raagscope.graphs import (
     Graph,
     GraphError,
     IsoTable,
+    _from_rows,
     canonical_form,
     canonical_key,
     emit_dot,
@@ -96,6 +97,26 @@ def test_p4_self_complementary_matches_brute_force():
 
 def test_not_isomorphic_different_edge_count():
     assert is_isomorphic(standard_graph("complete", 3), standard_graph("path", 3)) is None
+
+
+def test_subgraph_and_from_rows_match_graphs_built_from_names_and_edges():
+    # the references come from the validating constructor, names and an edge
+    # list; names v1..v14 sort as v1, v10, .., v14, v2, .., so positions and
+    # creation order differ
+    rng = random.Random(21)
+    for _ in range(300):
+        g = random_graph(rng.randint(10, 14), rng.random(), rng)
+        mask = rng.getrandbits(g.n)
+        subset = {v for i, v in enumerate(g.vertices) if mask >> i & 1}
+        assert g.subgraph(mask) == Graph(subset, [e for e in g.edge_pairs if set(e) <= subset])
+        names = list(g.vertices)
+        rng.shuffle(names)
+        where = {v: i for i, v in enumerate(names)}
+        rows = [0] * g.n
+        for u, v in g.edge_pairs:
+            rows[where[u]] |= 1 << where[v]
+            rows[where[v]] |= 1 << where[u]
+        assert _from_rows(tuple(names), tuple(rows)) == g
 
 
 def test_find_induced_examples():
@@ -321,9 +342,12 @@ def test_canonical_key_agrees_with_networkx_isomorphism():
         (key_g, order_g), (key_h, order_h) = canonical_form(g), canonical_form(h)
         iso = nx.is_isomorphic(G, H)
         assert (key_g == key_h) == iso
+        found = is_isomorphic(g, h)
+        assert (found is not None) == iso
         if iso:
             isomorphic += 1
             assert verify_vertex_map(g, h, dict(zip(order_g, order_h)))
+            assert verify_vertex_map(g, h, found)
     # every copy is isomorphic; most swaps and draws are not
     assert 67 <= isomorphic < 100
 

@@ -325,6 +325,30 @@ def test_co_contract_edge_link_is_link_intersection():
         done += 1
 
 
+def test_co_contract_edge_matches_a_graph_built_from_names_and_edges():
+    # the reference keeps every edge between the other vertices and joins the
+    # merged vertex to the common neighbours, as names and an edge list; names
+    # starting with "!" or "#" sort before the merged "$co(...)" name and the
+    # others after it, so it lands anywhere in the order
+    rng = random.Random(19)
+    done = 0
+    while done < 200:
+        n = rng.randint(10, 14)
+        names = ["%s%d" % (rng.choice("!#%a"), i) for i in range(n)]
+        g = Graph(names, [(names[i], names[j]) for i, j in combinations(range(n), 2)
+                          if rng.random() < 0.5])
+        nonedges = [(u, v) for u, v in combinations(g.vertices, 2) if not g.has_edge(u, v)]
+        if not nonedges:
+            continue
+        a, b = nonedges[rng.randrange(len(nonedges))]
+        fresh = "$co(%s,%s)" % (a, b)
+        rest = [v for v in g.vertices if v not in (a, b)]
+        edges = [e for e in g.edge_pairs if a not in e and b not in e]
+        edges += [(fresh, w) for w in rest if g.has_edge(a, w) and g.has_edge(b, w)]
+        assert co_contract_edge(g, (a, b)) == Graph(rest + [fresh], edges)
+        done += 1
+
+
 def test_co_contract_set_agrees_with_iterated_edge_contraction():
     # contract along a spanning tree of the complement of the induced subgraph,
     # one complement edge at a time; must agree with the set operation

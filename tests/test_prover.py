@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -88,6 +89,7 @@ def test_chordal_graphs_are_derived_without_canonical_labeling(monkeypatch):
     def refuse(h):
         raise AssertionError("canonical_form called")
 
+    builtin_catalog()  # its self-test labels the fixed trio once
     monkeypatch.setattr(graphs, "canonical_form", refuse)
     rng = random.Random(71)
     for _ in range(40):
@@ -119,6 +121,7 @@ def test_a_search_whose_nodes_differ_in_degree_sequence_labels_nothing(monkeypat
     g = parse_graph6(b"F]oxo")
     assert not isinstance(is_chordal(g), Derivation)
     assert next(iter_clique_splits(g), None) is None
+    builtin_catalog()  # its self-test labels the fixed trio once
     monkeypatch.setattr(graphs, "canonical_form", refuse)
     v = classify(g)
     assert v.status == NO_SURFACE and check_derivation(v.derivation, g)
@@ -145,6 +148,7 @@ def test_the_prover_never_labels_a_graph(monkeypatch):
         raise AssertionError("canonical_form called")
 
     atlas = [g for n in range(1, 8) for g in nonisomorphic_graphs(n)]
+    builtin_catalog()  # its self-test labels the fixed trio once
     monkeypatch.setattr(graphs, "canonical_form", refuse)
     statuses = [classify(g, cocontract_depth=0).status for g in atlas]
     assert statuses.count(NO_SURFACE) == 1051 and statuses.count(UNKNOWN) > 0
@@ -164,7 +168,7 @@ def test_the_co_contraction_search_builds_nothing_on_the_atlas(monkeypatch):
         return call
 
     atlas = {n: nonisomorphic_graphs(n) for n in range(1, 8)}
-    builtin_catalog()  # its self-test contracts the fixed trio once
+    builtin_catalog()  # its self-test contracts and labels the fixed trio once
     monkeypatch.setattr(obstructions, "co_contract_edge", refuse("co_contract_edge"))
     monkeypatch.setattr(graphs, "canonical_form", refuse("canonical_form"))
     golden = json.loads((Path(__file__).parent / "data" / "census7.json").read_text())
@@ -305,6 +309,23 @@ def test_checker_rejects_mutations():
                       (prove_in_f(remove_edge_interior(c4, other_edge)),),
                       edge=dc4.edge)
     assert not check_derivation(bad4, c4)
+
+
+def test_checker_matches_a_relabelled_tree_root_in_bounded_time():
+    # the root is matched by canonical labeling; a backtracking search with
+    # only a degree filter ran past 30 s on the trees of seeds 1 and 3
+    t0 = time.process_time()
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        names = ["v%d" % (i + 1) for i in range(30)]
+        tree = Graph(names, [(names[rng.randrange(i)], names[i]) for i in range(1, 30)])
+        d = prove_in_f(tree)
+        perm = list(range(30))
+        rng.shuffle(perm)
+        rename = {v: "u%d" % perm[i] for i, v in enumerate(names)}
+        relabelled = Graph(rename.values(), [(rename[a], rename[b]) for a, b in tree.edge_pairs])
+        assert d.conclusion != relabelled and check_derivation(d, relabelled)
+    assert time.process_time() - t0 < 5.0
 
 
 def test_checker_rejects_wrong_root():

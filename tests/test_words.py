@@ -3,7 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
-from conftest import enumerate_words, oracle_word_trivial, reference_canonical_sort
+from conftest import enumerate_words, oracle_word_trivial, reference_canonical_sort, trivial_words
 from raagscope.generate import nonisomorphic_graphs
 from raagscope.graphs import new_graph
 from raagscope.words import (
@@ -117,6 +117,21 @@ def test_oracle_agreement_small():
     for g in (EDGE, DISC):
         for w in enumerate_words(letters, 6):
             assert is_trivial(g, w) == oracle_word_trivial(g, w), w
+
+
+def test_reverse_closure_of_trivial_words_agrees_with_the_rewriting_oracle():
+    # acceptance criterion 7 takes the oracle's trivial words from the
+    # reverse closure; both must name the same words, sampled uniformly and
+    # from the closure itself
+    rng = random.Random(15)
+    letters = [("v1", 1), ("v1", -1), ("v2", 1), ("v2", -1)]
+    for edges in ([], [("v1", "v2")]):
+        g = new_graph(["v1", "v2"], edges)
+        trivial = trivial_words(g, 8)
+        for _ in range(3000):
+            w = tuple(letters[rng.randrange(4)] for _ in range(rng.randint(0, 8)))
+            assert (w in trivial) == oracle_word_trivial(g, w), w
+        assert all(oracle_word_trivial(g, w) for w in rng.sample(sorted(trivial), 500))
 
 
 def test_oracle_agreement_three_generators():
