@@ -7,18 +7,20 @@ commuting adjacent swaps; two words are equal in the group iff their
 canonical forms coincide.
 
 Free reduction is one pass with a backward scan, and the canonical sort is
-the least topological order of the word's dependence graph, taken with a
-heap: O(n·k + n log n) for n letters over k distinct generators.
+the least topological order of the word's dependence graph. A generator's
+copies are chained, so at most one letter per generator is ever ready, and
+the ready letters sit in a bitmask over generators ranked by name: the
+lowest set bit is the least letter. The sort is O(n·k) for n letters over
+k generators, with no log factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from heapq import heapify, heappop, heappush
 from typing import Optional
 
-from .graphs import Graph
+from .graphs import Graph, _bits
 
 Letter = tuple[str, int]
 Word = tuple[Letter, ...]
@@ -80,16 +82,32 @@ def power(w: Word, k: int) -> Word:
     return concat(*([w] * k)) if k else ()
 
 
+class _Commutation(dict):
+    """Each generator's closed neighbourhood, plus the canonical sort's
+    tables: ``rank[g]`` is g's place in sorted name order, and
+    ``blockers[r]`` lists the ranks that the generator of rank r waits
+    for, its own and those it does not commute with."""
+
+    __slots__ = ("rank", "blockers")
+
+
 @lru_cache(maxsize=32)
-def _commutation(graph: Graph) -> Commutation:
-    """Each generator's closed neighbourhood: the generators it commutes with.
+def _commutation(graph: Graph) -> _Commutation:
+    """Each generator's closed neighbourhood: the generators it commutes with,
+    with the canonical sort's tables.
 
     Public functions look it up once per call and the helpers below take it
     in place of the graph. Graphs are immutable and hash by value, so equal
-    graphs share one table; no caller mutates it.
+    graphs share one table; no caller mutates it. A graph keeps its vertices
+    in sorted name order, so a generator's rank is its position.
     """
-    return {v: frozenset(graph.names(r | 1 << i))
-            for i, (v, r) in enumerate(zip(graph.vertices, graph.rows))}
+    vs, rows = graph.vertices, graph.rows
+    full = (1 << len(vs)) - 1
+    commutes = _Commutation((v, frozenset(graph.names(r | 1 << i)))
+                            for i, (v, r) in enumerate(zip(vs, rows)))
+    commutes.rank = {v: i for i, v in enumerate(vs)}
+    commutes.blockers = tuple(tuple(_bits(full & ~r)) for r in rows)
+    return commutes
 
 
 def _check_letters(commutes: Commutation, w: Word, max_letters: int) -> None:
@@ -130,40 +148,56 @@ def _letter_key(letter: Letter) -> tuple[str, int]:
     return (g, 0 if s > 0 else 1)
 
 
-def _canonical_sort(commutes: Commutation, letters: list[Letter]) -> list[Letter]:
+def _canonical_sort(commutes: _Commutation, letters: list[Letter]) -> list[Letter]:
     # lexicographically least shuffle of a reduced word: the least topological
     # order of its dependence graph (Anisimov and Knuth, Inhomogeneous sorting,
     # 1979). Each letter waits for the last earlier letter of its own
-    # generator and of every generator it does not commute with; a heap keyed
-    # (letter key, position) hands out the least letter whose wait is over.
-    # Chaining a generator's copies loses nothing: a later copy is available
-    # only once its first one is, and in a reduced word the two then have the
-    # same sign, so the same key, and the lower position wins. Commutations
-    # preserve reducedness so no new cancellations appear.
-    last: dict[str, int] = {}  # generator -> position of its latest letter
+    # generator and of every generator it does not commute with. That chains
+    # a generator's copies: a later copy waits for the one before it, so at
+    # most one letter per generator is ready at a time. The ready letters are
+    # then a bitmask over generator ranks with one slot per rank for the
+    # letter's position, and since ranks follow name order the lowest set bit
+    # is the least letter key. Chaining loses nothing: a later copy is
+    # available only once its first one is, and in a reduced word the two
+    # then have the same sign, so the same key, and the earlier one goes
+    # first. Commutations preserve reducedness so no new cancellations appear.
+    rank = commutes.rank
+    blockers = commutes.blockers
+    last = [-1] * len(blockers)  # rank -> position of its latest letter
+    ranks = [rank[g] for g, _ in letters]
     waiting = [0] * len(letters)
     after: list[list[int]] = [[] for _ in letters]
-    for i, (g, _) in enumerate(letters):
-        star = commutes[g]
-        for h, j in last.items():
-            if h == g or h not in star:
+    slot = [0] * len(blockers)  # rank -> position of its ready letter
+    ready = 0
+    for i, r in enumerate(ranks):
+        wait = 0
+        for b in blockers[r]:
+            j = last[b]
+            if j >= 0:
                 after[j].append(i)
-                waiting[i] += 1
-        last[g] = i
-    heap = [(_letter_key(letters[i]), i) for i in range(len(letters)) if not waiting[i]]
-    heapify(heap)
+                wait += 1
+        last[r] = i
+        if wait:
+            waiting[i] = wait
+        else:
+            ready |= 1 << r
+            slot[r] = i
     out: list[Letter] = []
-    while heap:
-        _, i = heappop(heap)
+    while ready:
+        low = ready & -ready
+        ready ^= low
+        i = slot[low.bit_length() - 1]
         out.append(letters[i])
         for j in after[i]:
             waiting[j] -= 1
             if not waiting[j]:
-                heappush(heap, (_letter_key(letters[j]), j))
+                r = ranks[j]
+                ready |= 1 << r
+                slot[r] = j
     return out
 
 
-def _normal_form(commutes: Commutation, w: Word, max_letters: int) -> Word:
+def _normal_form(commutes: _Commutation, w: Word, max_letters: int) -> Word:
     _check_letters(commutes, w, max_letters)
     letters = _reduce_full(commutes, w)
     return tuple(_canonical_sort(commutes, letters))

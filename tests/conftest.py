@@ -14,6 +14,7 @@ from raagscope.obstructions import (KIND_INDUCED, KIND_TRAIL, Obstruction,
 from raagscope.ops import (CliqueSplit, _component_masks, co_contract_edge,
                            connected_components, induced, is_clique, maximal_cliques)
 from raagscope.recognize import CycleWitness
+from raagscope.words import _commutation, _cyclic_reduce, _reduce_full
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:
@@ -168,6 +169,23 @@ def reference_canonical_sort(graph: Graph, letters) -> list:
             seen.add(gen)
         out.append(remaining.pop(best_i))
     return out
+
+
+def reference_cyclic_normal_form(graph: Graph, word) -> tuple:
+    """The least rotation of the cyclic reduction of word: each rotation
+    reduced and put through reference_canonical_sort, and the least by
+    letter keys (generator, then positive before negative) kept. The word
+    words.cyclic_normal_form must return."""
+    commutes = _commutation(graph)
+    reduced, _ = _cyclic_reduce(commutes, tuple(word), len(word))
+    best, best_key = (), None
+    for k in range(len(reduced)):
+        rot = tuple(reference_canonical_sort(
+            graph, _reduce_full(commutes, reduced[k:] + reduced[:k])))
+        key = tuple((gen, 0 if sign > 0 else 1) for gen, sign in rot)
+        if best_key is None or key < best_key:
+            best, best_key = rot, key
+    return best
 
 
 def reference_induced_cycle(g: Graph, min_len: int):

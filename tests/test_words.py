@@ -3,10 +3,12 @@ from itertools import combinations, product
 
 import pytest
 
-from conftest import enumerate_words, oracle_word_trivial, reference_canonical_sort, trivial_words
+from conftest import (enumerate_words, oracle_word_trivial, reference_canonical_sort,
+                      reference_cyclic_normal_form, trivial_words)
 from raagscope.generate import nonisomorphic_graphs
 from raagscope.graphs import new_graph
 from raagscope.words import (
+    DEFAULT_MAX_LETTERS,
     SurfacePresentation,
     WordError,
     _commutation,
@@ -203,16 +205,27 @@ def _letters(graph):
     return [(g, s) for g in graph.vertices for s in (1, -1)]
 
 
-@pytest.mark.parametrize("graph", [P3, K3, new_graph(["a", "b", "c", "d", "e"],
-                                                     [("a", "b"), ("b", "c"), ("c", "d"),
-                                                      ("d", "e")]),
-                                   new_graph(["a", "b", "c", "d"], []), G10],
-                         ids=["P3", "K3", "P5", "discrete4", "G10"])
-def test_normal_form_is_reduction_then_reference_sort(graph):
+# (graph, words, least length, greatest length). The last three are at full
+# size: five words at the default cap on G10, the benchmark group's shape; a
+# graph on v1..v12, where "v10" sorts before "v2", so the sort must rank
+# generators in name order and not by their numbers; and 70 generators,
+# past the 64 bits of a machine word.
+@pytest.mark.parametrize("graph, count, least, most", [
+    (P3, 60, 0, 128),
+    (K3, 60, 0, 128),
+    (new_graph(["a", "b", "c", "d", "e"], [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")]),
+     60, 0, 128),
+    (new_graph(["a", "b", "c", "d"], []), 60, 0, 128),
+    (G10, 60, 0, 128),
+    (G10, 5, DEFAULT_MAX_LETTERS, DEFAULT_MAX_LETTERS),
+    (_gnm(12, 33, 2), 60, 0, 128),
+    (_gnm(70, 1200, 3), 5, 200, 200),
+], ids=["P3", "K3", "P5", "discrete4", "G10", "G10-at-cap", "v1-v12", "70-generators"])
+def test_normal_form_is_reduction_then_reference_sort(graph, count, least, most):
     rng = random.Random(38)
     letters = _letters(graph)
-    for _ in range(60):
-        w = tuple(rng.choice(letters) for _ in range(rng.randint(0, 128)))
+    for _ in range(count):
+        w = tuple(rng.choice(letters) for _ in range(rng.randint(least, most)))
         reduced = _reduce_full(_commutation(graph), w)
         assert normal_form(graph, w) == tuple(reference_canonical_sort(graph, reduced))
 
@@ -281,6 +294,27 @@ def test_cyclic_normal_form_examples():
     assert cyclic_normal_form(P3, ()) == ()
     free3 = new_graph(["a", "b", "c"], [])
     assert format_word(cyclic_normal_form(free3, parse_word("c b a b^-1 c^-1"))) == "a"
+
+
+def test_cyclic_normal_form_matches_the_reference():
+    # byte for byte, so the form changes only on purpose: conjugates can still
+    # get different forms, as the docstring's pair shows
+    g = new_graph(["v1", "v2", "v3"], [("v1", "v3")])
+    w = parse_word("v1 v3^-1 v1 v2 v2")
+    v3 = parse_word("v3")
+    for word, form in ((w, "v1 v1 v3^-1 v2 v2"),
+                       (concat(v3, w, inverse(v3)), "v1 v1 v2 v2 v3^-1")):
+        assert format_word(cyclic_normal_form(g, word)) == form
+        assert cyclic_normal_form(g, word) == reference_cyclic_normal_form(g, word)
+    rng = random.Random(42)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        names = ["v%d" % (i + 1) for i in range(n)]
+        graph = new_graph(names, [(a, b) for a, b in combinations(names, 2)
+                                  if rng.random() < 0.5])
+        letters = _letters(graph)
+        w = tuple(rng.choice(letters) for _ in range(rng.randint(0, 40)))
+        assert cyclic_normal_form(graph, w) == reference_cyclic_normal_form(graph, w)
 
 
 def test_cyclic_normal_form_conjugation_invariant_length():
