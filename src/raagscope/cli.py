@@ -1,17 +1,21 @@
 """Command-line interface: classify graphs, verify certificates, expose the
 graph operations and the word engine.
 
+A graph is read as an edge list when its first line that is neither blank
+nor a "#" comment starts with "vertices:", and as graph6 otherwise.
+
 Exit codes for classify: 0 no surface subgroup, 1 surface subgroup found,
-2 unknown. 64 marks unparseable input, 65 a malformed certificate, 70 an
-internal soundness violation, 74 a standard output closed by its reader.
-classify --batch exits 0 once every line was classified, whatever the
-verdicts, and 64 if any line failed to parse.
+2 unknown. 64 marks a bad command line or unparseable input, 65 a malformed
+certificate or catalogue, 70 an internal soundness violation, 74 a standard
+output closed by its reader. classify --batch exits 0 once every line was
+classified, whatever the verdicts, and 64 if any line failed to parse.
+Every refusal is one line on standard error.
 """
 
 from __future__ import annotations
 
 import argparse
-import errno
+import functools
 import json
 import os
 import sys
@@ -81,49 +85,90 @@ EXIT_IOERR = 74
 _VERDICT_EXIT = {NO_SURFACE: EXIT_NO, HAS_SURFACE: EXIT_HAS, UNKNOWN: EXIT_UNKNOWN}
 
 
+class _Refused(Exception):
+    """An input the program refuses: main prints line to standard error and
+    returns code."""
+
+    def __init__(self, code: int, line: str):
+        super().__init__(code, line)
+        self.code = code
+        self.line = line
+
+
+class _Parser(argparse.ArgumentParser):
+    # a bad command line is refused like bad input, with exit 64 rather than
+    # argparse's 2, which classify uses for "unknown"; subparsers share the class
+    def error(self, message):
+        raise _Refused(EXIT_PARSE, "%s: error: %s" % (self.prog, message))
+
+
+def _at_least(low: int):
+    """An argparse type for integers no smaller than low."""
+    def convert(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d" % (low, value))
+        return value
+    convert.__name__ = "int"  # argparse names the type in "invalid int value: 'x'"
+    return convert
+
+
+def _input_errors_exit_64(cmd):
+    """cmd, with the GraphError or WordError its input raises refused as exit 64."""
+    @functools.wraps(cmd)
+    def run(args) -> int:
+        try:
+            return cmd(args)
+        except (GraphError, WordError) as exc:
+            raise _Refused(EXIT_PARSE, "error: %s" % exc) from None
+    return run
+
+
 def _read_input(source: str) -> bytes:
     if source == "-":
         return sys.stdin.buffer.read()
-    if os.path.exists(source):
-        try:
-            with open(source, "rb") as fh:
-                return fh.read()
-        except OSError as exc:
-            raise GraphError("cannot read %s: %s" % (source, exc.strerror or exc)) from None
     # allow passing a graph6 value directly on the command line; a source
     # with a byte no graph6 value holds (such as "/" or ".") is a path
     data = source.encode("utf-8")
     value = data.strip()
     if value.startswith(_G6_HEADER):
         value = value[len(_G6_HEADER):].lstrip()
-    if any(b < 63 or b > 126 for b in value):
-        raise GraphError("cannot read %s: %s" % (source, os.strerror(errno.ENOENT)))
-    return data
+    if not os.path.exists(source) and all(63 <= b <= 126 for b in value):
+        return data
+    try:
+        with open(source, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise _Refused(EXIT_PARSE, "parse error: cannot read %s: %s"
+                       % (source, exc.strerror or exc)) from None
 
 
-def _sniff_format(data: bytes) -> str:
-    text = data.decode("utf-8", errors="replace")
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        return "edgelist" if line.startswith("vertices:") else "graph6"
-    return "graph6"
-
-
-def _load_graph(source: str, fmt: str) -> Graph:
+def _load_graph(source: str) -> Graph:
     data = _read_input(source)
-    if fmt == "auto":
-        fmt = _sniff_format(data)
-    return parse_graph(data, fmt)
+    try:
+        return parse_graph(data)
+    except GraphError as exc:
+        raise _Refused(EXIT_PARSE, "parse error: %s" % exc) from None
 
 
 def _load_extra_catalog(path: Optional[str]):
-    if path is None:
-        path = os.environ.get("RAAGSCOPE_CATALOG")
     if not path:
         return ()
-    return tuple(load_catalog(path))
+    try:
+        return tuple(load_catalog(path))
+    except (CatalogError, OSError) as exc:
+        raise _Refused(EXIT_CERT, "catalog error: %s" % exc) from None
+
+
+def _read_json(path: str, code: int, what: str):
+    """The JSON value in the file at path. A file that cannot be read, is not
+    UTF-8, is not JSON or nests deeper than the decoder can follow is refused
+    with code, its line starting with what."""
+    try:
+        with open(path, "rb") as fh:
+            return json.loads(fh.read())
+    except (OSError, ValueError, RecursionError) as exc:
+        raise _Refused(code, "%s: %s" % (what, exc)) from None
 
 
 def _certificate_json(verdict: Verdict) -> Optional[dict]:
@@ -172,22 +217,11 @@ def _print_verdict(verdict: Verdict) -> None:
 
 
 def cmd_classify(args) -> int:
-    if args.budget < 1:
-        print("error: --budget must be at least 1, got %d" % args.budget, file=sys.stderr)
-        return EXIT_PARSE
-    if args.cocontract_depth < 0:
-        print("error: --cocontract-depth must be at least 0, got %d" % args.cocontract_depth,
-              file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        extra = _load_extra_catalog(args.catalog)
-    except (CatalogError, OSError) as exc:
-        print("catalog error: %s" % exc, file=sys.stderr)
-        return EXIT_CERT
+    extra = _load_extra_catalog(args.catalog)
     params = {
         "budget": args.budget,
         "cocontract_depth": args.cocontract_depth,
-        "catalog": args.catalog or os.environ.get("RAAGSCOPE_CATALOG") or None,
+        "catalog": args.catalog or None,
     }
 
     def run_one(g: Graph) -> tuple[int, Verdict, dict]:
@@ -200,12 +234,7 @@ def cmd_classify(args) -> int:
 
     if args.batch:
         return _classify_batch(args, run_one)
-    try:
-        g = _load_graph(args.input, args.format)
-    except GraphError as exc:
-        print("parse error: %s" % exc, file=sys.stderr)
-        return EXIT_PARSE
-    code, verdict, report = run_one(g)
+    code, verdict, report = run_one(_load_graph(args.input))
     if args.json:
         print(json.dumps(report, indent=2))
     else:
@@ -217,17 +246,9 @@ def _classify_batch(args, run_one) -> int:
     """One graph6 value per line, one verdict record per value, in order. A
     line that does not parse gets an error record and the batch carries on;
     the exit code is 64 if any line failed, else 0, whatever the verdicts."""
-    if args.format == "edgelist":
-        print("error: --batch reads one graph6 value per line; --format edgelist "
-              "is not accepted", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        data = _read_input(args.input)
-    except GraphError as exc:
-        print("parse error: %s" % exc, file=sys.stderr)
-        return EXIT_PARSE
     failed = False
-    for number, line in enumerate(data.decode("utf-8", errors="replace").splitlines(), 1):
+    for number, line in enumerate(
+            _read_input(args.input).decode("utf-8", errors="replace").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -251,19 +272,10 @@ def _classify_batch(args, run_one) -> int:
 
 
 def cmd_verify(args) -> int:
+    g = _load_graph(args.graph)
+    extra = _load_extra_catalog(args.catalog)
+    obj = _read_json(args.certificate, EXIT_CERT, "malformed certificate")
     try:
-        g = _load_graph(args.graph, args.format)
-    except GraphError as exc:
-        print("parse error: %s" % exc, file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        extra = _load_extra_catalog(args.catalog)
-    except (CatalogError, OSError) as exc:
-        print("catalog error: %s" % exc, file=sys.stderr)
-        return EXIT_CERT
-    try:
-        with open(args.certificate, "rb") as fh:
-            obj = json.load(fh)
         if isinstance(obj, dict) and "certificate" in obj and "schema" in obj:
             obj = obj["certificate"]  # accept a full classify report
         if not isinstance(obj, dict) or "certificate_type" not in obj:
@@ -274,86 +286,69 @@ def cmd_verify(args) -> int:
             ok = check_derivation(derivation_from_json(obj["root"]), g)
         else:
             raise CatalogError("unknown certificate_type %r" % (obj["certificate_type"],))
-    except (CatalogError, GraphError, OSError, json.JSONDecodeError, KeyError,
-            RecursionError) as exc:
-        # RecursionError: a certificate nested deeper than the decoder or the
-        # checker can follow
-        print("malformed certificate: %s" % exc, file=sys.stderr)
-        return EXIT_CERT
+    except (CatalogError, GraphError, KeyError, RecursionError) as exc:
+        # RecursionError: a certificate nested deeper than the checker can follow
+        raise _Refused(EXIT_CERT, "malformed certificate: %s" % exc) from None
     print("valid" if ok else "invalid")
     return 0 if ok else 1
 
 
+@_input_errors_exit_64
 def cmd_ops(args) -> int:
-    try:
-        if args.op == "complement":
-            out = complement(_load_graph(args.graph, args.format))
-        elif args.op == "join":
-            out = join(_load_graph(args.graph, args.format),
-                       _load_graph(args.other, args.format))
-        elif args.op == "cocontract":
-            members = [v for v in args.vertices.split(",") if v]
-            out = co_contract(_load_graph(args.graph, args.format), members)
-        elif args.op == "extend":
-            out, _ = simplicial_extension(_load_graph(args.graph, args.format))
-        elif args.op == "separators":
-            g = _load_graph(args.graph, args.format)
-            splits = list(iter_clique_splits(g))
-            if args.json:
-                print(json.dumps([{
-                    "separator": sorted(s.separator),
-                    "left": list(s.left.vertices),
-                    "right": list(s.right.vertices),
-                } for s in splits], indent=2))
-            else:
-                if not splits:
-                    print("no clique separators")
-                for s in splits:
-                    print("separator: {%s} | left: %s | right: %s"
-                          % (" ".join(sorted(s.separator)),
-                             " ".join(s.left.vertices), " ".join(s.right.vertices)))
-            return 0
-        else:  # pragma: no cover
-            raise GraphError("unknown op")
-    except GraphError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_PARSE
+    g = _load_graph(args.graph)
+    if args.op == "complement":
+        out = complement(g)
+    elif args.op == "join":
+        out = join(g, _load_graph(args.other))
+    elif args.op == "cocontract":
+        out = co_contract(g, [v for v in args.vertices.split(",") if v])
+    elif args.op == "extend":
+        out, _ = simplicial_extension(g)
+    else:
+        splits = list(iter_clique_splits(g))
+        if args.json:
+            print(json.dumps([{
+                "separator": sorted(s.separator),
+                "left": list(s.left.vertices),
+                "right": list(s.right.vertices),
+            } for s in splits], indent=2))
+        else:
+            if not splits:
+                print("no clique separators")
+            for s in splits:
+                print("separator: {%s} | left: %s | right: %s"
+                      % (" ".join(sorted(s.separator)),
+                         " ".join(s.left.vertices), " ".join(s.right.vertices)))
+        return 0
     end = "\n" if args.to == "graph6" else ""  # the other formats end their last line
     sys.stdout.write(emit_graph(out, args.to).decode("utf-8", errors="strict") + end)
     return 0
 
 
+@_input_errors_exit_64
 def cmd_word(args) -> int:
-    try:
-        g = _load_graph(args.graph, args.format)
-        if args.op == "nf":
-            print(format_word(normal_form(g, parse_word(args.words[0]))))
-        elif args.op == "trivial":
-            print("true" if is_trivial(g, parse_word(args.words[0])) else "false")
-        elif args.op == "equal":
-            u, v = parse_word(args.words[0]), parse_word(args.words[1])
-            print("true" if are_equal(g, u, v) else "false")
-        elif args.op == "clique-conj":
-            clique = conjugate_into_clique(g, parse_word(args.words[0]))
-            print("none" if clique is None else "{%s}" % " ".join(sorted(clique)))
-    except (GraphError, WordError, IndexError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_PARSE
+    g = _load_graph(args.graph)
+    words = [parse_word(text) for text in args.words]
+    if args.op == "nf":
+        print(format_word(normal_form(g, words[0])))
+    elif args.op == "trivial":
+        print("true" if is_trivial(g, words[0]) else "false")
+    elif args.op == "equal":
+        print("true" if are_equal(g, *words) else "false")
+    else:
+        clique = conjugate_into_clique(g, words[0])
+        print("none" if clique is None else "{%s}" % " ".join(sorted(clique)))
     return 0
 
 
 def _load_hom(path: str) -> tuple[SurfacePresentation, dict]:
     """The presentation and generator images of a homomorphism file:
     {"presentation": {"genus": g, "boundary": m}, "images": {gen: word}}
-    with integer counts and word strings. A malformed file raises WordError.
-    So does a presentation with more generators than the file has images,
-    before any generator name is built, so an absurd genus costs nothing."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        obj = json.loads(raw)
-    except (ValueError, RecursionError) as exc:
-        raise WordError("homomorphism file is not valid JSON: %s" % exc) from None
+    with integer counts and word strings. A file that is not JSON is refused;
+    a malformed one raises WordError. So does a presentation with more
+    generators than the file has images, before any generator name is built,
+    so an absurd genus costs nothing."""
+    obj = _read_json(path, EXIT_PARSE, "error: homomorphism file")
     pres = obj.get("presentation") if isinstance(obj, dict) else None
     images = obj.get("images") if isinstance(obj, dict) else None
     if not isinstance(pres, dict) or not isinstance(images, dict):
@@ -373,62 +368,47 @@ def _load_hom(path: str) -> tuple[SurfacePresentation, dict]:
             {gen: parse_word(text) for gen, text in images.items()})
 
 
+@_input_errors_exit_64
 def cmd_surf(args) -> int:
-    if args.op == "kernel" and args.max_len < 0:
-        print("error: --max-len must be at least 0, got %d" % args.max_len, file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        g = _load_graph(args.graph, args.format)
-        pres, images = _load_hom(args.homfile)
-        if args.op == "check":
-            print("true" if check_hom(g, pres, images) else "false")
-        elif args.op == "relative":
-            if not check_hom(g, pres, images):
-                print("not a homomorphism")
-                return 1
-            supports = boundary_clique_supports(g, pres, images)
-            bad = [i + 1 for i, c in enumerate(supports) if c is None]
-            if bad:
-                print("false (boundary %s not conjugate into a clique)"
-                      % ", ".join(str(i) for i in bad))
-            else:
-                print("true")
-        elif args.op == "kernel":
-            w = kernel_search(g, pres, images, args.max_len)
-            print("none up to %d" % args.max_len if w is None else format_word(w))
-    except (GraphError, WordError, OSError, json.JSONDecodeError, KeyError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_PARSE
+    g = _load_graph(args.graph)
+    pres, images = _load_hom(args.homfile)
+    if args.op == "check":
+        print("true" if check_hom(g, pres, images) else "false")
+    elif args.op == "relative":
+        if not check_hom(g, pres, images):
+            print("not a homomorphism")
+            return 1
+        supports = boundary_clique_supports(g, pres, images)
+        bad = [i + 1 for i, c in enumerate(supports) if c is None]
+        if bad:
+            print("false (boundary %s not conjugate into a clique)"
+                  % ", ".join(str(i) for i in bad))
+        else:
+            print("true")
+    else:
+        w = kernel_search(g, pres, images, args.max_len)
+        print("none up to %d" % args.max_len if w is None else format_word(w))
     return 0
 
 
 def cmd_catalog(args) -> int:
-    entries = builtin_catalog()
-    try:
-        entries = list(entries) + list(_load_extra_catalog(args.catalog))
-    except (CatalogError, OSError) as exc:
-        print("catalog error: %s" % exc, file=sys.stderr)
-        return EXIT_CERT
-    for e in entries:
+    for e in [*builtin_catalog(), *_load_extra_catalog(args.catalog)]:
         print("%-8s %2d vertices  %s" % (e.name, e.graph.n, e.provenance))
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="raagscope", description=__doc__)
+    ap = _Parser(prog="raagscope", description=__doc__)
     ap.add_argument("--version", action="version", version="raagscope %s" % __version__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def add_format(p):
-        p.add_argument("--format", default="auto", choices=["auto", "graph6", "edgelist"],
-                       help="input graph format (default: sniff)")
+    catalog = os.environ.get("RAAGSCOPE_CATALOG")
 
     p = sub.add_parser("classify", help="classify a graph and emit a certificate")
     p.add_argument("input", nargs="?", default="-", help="graph file, '-' for stdin, or a graph6 value")
-    add_format(p)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--cocontract-depth", type=int, default=DEFAULT_COCONTRACT_DEPTH)
-    p.add_argument("--catalog", default=None, help="extra forbidden-graph catalog (JSON)")
+    p.add_argument("--budget", type=_at_least(1), default=DEFAULT_BUDGET)
+    p.add_argument("--cocontract-depth", type=_at_least(0), default=DEFAULT_COCONTRACT_DEPTH)
+    p.add_argument("--catalog", default=catalog,
+                   help="extra forbidden-graph catalog (JSON; default $RAAGSCOPE_CATALOG)")
     p.add_argument("--json", action="store_true", help="emit the full JSON report")
     p.add_argument("--batch", action="store_true",
                    help="treat stdin/file as one graph6 value per line; exit 64 if any "
@@ -441,8 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a certificate against a graph")
     p.add_argument("graph")
     p.add_argument("certificate", help="certificate JSON (or a full classify report)")
-    add_format(p)
-    p.add_argument("--catalog", default=None)
+    p.add_argument("--catalog", default=catalog)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("ops", help="graph operations")
@@ -454,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
             q.add_argument("other")
         if name == "cocontract":
             q.add_argument("vertices", help="comma-separated vertex set to co-contract")
-        add_format(q)
         q.add_argument("--to", default="edgelist", choices=["edgelist", "graph6", "dot"])
         if name == "separators":
             q.add_argument("--json", action="store_true")
@@ -465,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, nwords in (("nf", 1), ("trivial", 1), ("equal", 2), ("clique-conj", 1)):
         q = wsub.add_parser(name)
         q.add_argument("-g", "--graph", required=True)
-        add_format(q)
         q.add_argument("words", nargs=nwords)
         q.set_defaults(func=cmd_word)
 
@@ -474,24 +451,26 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("check", "relative", "kernel"):
         q = ssub.add_parser(name)
         q.add_argument("-g", "--graph", required=True)
-        add_format(q)
         q.add_argument("homfile", help="JSON homomorphism file")
         if name == "kernel":
-            q.add_argument("--max-len", type=int, default=8)
+            q.add_argument("--max-len", type=_at_least(0), default=8)
         q.set_defaults(func=cmd_surf)
 
     p = sub.add_parser("catalog", help="list the forbidden-graph catalog")
-    p.add_argument("--catalog", default=None)
+    p.add_argument("--catalog", default=catalog)
     p.set_defaults(func=cmd_catalog)
     return ap
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code
+    except _Refused as exc:
+        print(exc.line, file=sys.stderr)
+        return exc.code
     except SoundnessError as exc:
         print("internal soundness violation: %s" % exc, file=sys.stderr)
         return EXIT_SOUNDNESS

@@ -159,9 +159,13 @@ class Graph:
 
     def mask(self, names: Iterable[str]) -> int:
         """Bitmask of the named vertices."""
+        index = _name_index(self.vertices)
         out = 0
-        for v in names:
-            out |= 1 << self.index(v)
+        try:
+            for v in names:
+                out |= 1 << index[v]
+        except KeyError:
+            raise GraphError("unknown vertex %r" % (v,)) from None
         return out
 
     def names(self, mask: int) -> tuple[str, ...]:
@@ -667,7 +671,10 @@ def parse_edgelist(data: bytes) -> Graph:
     reserved "$" names are rejected.
     """
     if isinstance(data, bytes):
-        text = data.decode("utf-8")
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise GraphError("edgelist input is not UTF-8: %s" % exc) from None
     else:
         text = data
     lines = [ln.strip() for ln in text.splitlines()]
@@ -701,12 +708,18 @@ def emit_dot(g: Graph) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def parse_graph(data: bytes, fmt: str) -> Graph:
-    if fmt == "graph6":
-        return parse_graph6(data)
-    if fmt == "edgelist":
-        return parse_edgelist(data)
-    raise GraphError("unknown input format %r" % (fmt,))
+def parse_graph(data: bytes) -> Graph:
+    """Parse graph6 or the edgelist format, whichever the input is: an edge
+    list exactly when its first line that is neither blank nor a "#" comment
+    starts with "vertices:", else graph6. No graph6 value holds ":", so no
+    input parses as both."""
+    for line in data.decode("utf-8", errors="replace").splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            if line.startswith("vertices:"):
+                return parse_edgelist(data)
+            break
+    return parse_graph6(data)
 
 
 def emit_graph(g: Graph, fmt: str) -> bytes:

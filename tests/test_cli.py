@@ -16,6 +16,7 @@ from raagscope.graphs import (
     is_isomorphic,
     new_graph,
     parse_edgelist,
+    parse_graph,
     parse_graph6,
     standard_graph,
 )
@@ -288,10 +289,28 @@ def test_batch_reports_a_bad_line_and_carries_on(capsys, tmp_path):
 
 
 def test_batch_refuses_edgelist_format(capsys, tmp_path):
-    feed = tmp_path / "batch.g6"
-    feed.write_text("%s\n" % C5_G6)
-    code, out, err = run(capsys, "classify", "--batch", "--format", "edgelist", str(feed))
-    assert code == 64 and out == "" and "edgelist" in err
+    # --batch reads graph6 only: each line of an edge list is a bad graph6 value
+    feed = tmp_path / "p3.el"
+    feed.write_text("# a path\nvertices: a b c\na b\nb c\n")
+    code, out, err = run(capsys, "classify", "--batch", str(feed))
+    assert code == 64 and err == ""
+    assert [line.split(" parse error:")[0] for line in out.splitlines()] == [
+        "vertices: a b c", "a b", "b c"]
+    code, out, _ = run(capsys, "classify", "--batch", "--json", str(feed))
+    assert code == 64
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r["input"]["line"] for r in records] == [2, 3, 4]
+    assert all(r["verdict"] is None and r["error"].startswith("parse error:") for r in records)
+
+
+def test_input_decides_its_format_over_the_atlas():
+    # an edge list exactly when the first line that is neither blank nor a
+    # comment starts with "vertices:"; every other input is read as graph6
+    for n in range(1, 8):
+        for g in nonisomorphic_graphs(n):
+            edgelist = emit_edgelist(g)
+            for data in (emit_graph6(g), edgelist, b"# a comment\n\n" + edgelist):
+                assert parse_graph(data) == g
 
 
 def test_catalog_listing(capsys):
@@ -482,6 +501,23 @@ def test_verify_join_without_two_parts_is_invalid(capsys, tmp_path):
         assert code == 1 and out == "invalid\n" and err == ""
 
 
+def test_certificate_that_is_not_utf8_is_malformed(capsys, tmp_path):
+    cert = tmp_path / "latin1.json"
+    cert.write_bytes('{"certificate_type": "dérivation"}'.encode("latin-1"))
+    code, out, err = run(capsys, "verify", P4_G6, str(cert))
+    assert code == 65 and out == ""
+    assert err.count("\n") == 1 and err.startswith("malformed certificate:")
+
+
+@pytest.mark.parametrize("argv", [["classify", "{graph}"], ["word", "nf", "-g", "{graph}", "a"]])
+def test_edge_list_that_is_not_utf8_exits_64(capsys, tmp_path, argv):
+    graph = tmp_path / "latin1.el"
+    graph.write_bytes("vertices: a é\na é\n".encode("latin-1"))
+    code, out, err = run(capsys, *[a.format(graph=graph) for a in argv])
+    assert code == 64 and out == ""
+    assert err.count("\n") == 1 and "not UTF-8" in err
+
+
 def test_verify_deeply_nested_certificate_is_malformed(capsys, tmp_path):
     graph = json.dumps(graph_to_json(standard_graph("path", 4)))
     leaf = '{"rule": "CompleteBase", "graph": %s, "children": []}' % graph
@@ -567,3 +603,64 @@ def test_malformed_homomorphism_file_exits_64_with_one_line(capsys, tmp_path, do
     code, out, err = run(capsys, "surf", op, "-g", str(graph), str(hom))
     assert code == 64 and out == ""
     assert "Traceback" not in err and err.count("\n") == 1
+
+
+# one accepted command line per subcommand; the graph is C5 on v1..v5
+_COMMAND_LINES = [
+    ["classify", C5_G6],
+    ["verify", C5_G6, "{cert}"],
+    ["ops", "complement", C5_G6],
+    ["ops", "join", C5_G6, "{edge}"],
+    ["ops", "cocontract", C5_G6, "v1,v3"],
+    ["ops", "extend", C5_G6],
+    ["ops", "separators", C5_G6],
+    ["word", "nf", "-g", C5_G6, "v1"],
+    ["word", "trivial", "-g", C5_G6, "v1"],
+    ["word", "equal", "-g", C5_G6, "v1", "v2"],
+    ["word", "clique-conj", "-g", C5_G6, "v1"],
+    ["surf", "check", "-g", C5_G6, "{hom}"],
+    ["surf", "relative", "-g", C5_G6, "{hom}"],
+    ["surf", "kernel", "-g", C5_G6, "--max-len", "2", "{hom}"],
+    ["catalog"],
+]
+
+_BAD_COMMAND_LINES = (
+    [[], ["bogus"]]
+    + [argv + ["--bogus"] for argv in _COMMAND_LINES]
+    # every subcommand but classify (its input defaults to stdin) and catalog
+    # takes a positional last
+    + [argv[:-1] for argv in _COMMAND_LINES[1:-1]]
+    + [["classify", C5_G6, "--budget", "x"],
+       ["classify", C5_G6, "--cocontract-depth", "1.5"],
+       ["surf", "kernel", "-g", C5_G6, "{hom}", "--max-len", "two"],
+       ["classify", C5_G6, "--catalog"],
+       ["ops", "complement", C5_G6, "--to", "png"]]
+)
+
+
+def _command_files(capsys, tmp_path):
+    code, out, _ = run(capsys, "classify", "--json", C5_G6)
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(json.loads(out)["certificate"]))
+    hom = tmp_path / "hom.json"
+    hom.write_text(json.dumps({"presentation": {"genus": 1, "boundary": 1},
+                               "images": {"x1": "v1", "y1": "v2", "d1": "v2 v1 v2^-1 v1^-1"}}))
+    edge = tmp_path / "edge.el"
+    edge.write_text("vertices: a b\na b\n")
+    return {"cert": cert, "hom": hom, "edge": edge}
+
+
+@pytest.mark.parametrize("argv", _COMMAND_LINES, ids=" ".join)
+def test_every_subcommand_accepts_its_table_line(capsys, tmp_path, argv):
+    files = _command_files(capsys, tmp_path)
+    code, out, err = run(capsys, *[a.format(**files) for a in argv])
+    assert code in (0, 1) and out and err == ""
+
+
+@pytest.mark.parametrize("argv", _BAD_COMMAND_LINES, ids=lambda argv: " ".join(argv) or "none")
+def test_bad_command_line_exits_64_with_one_line(capsys, tmp_path, argv):
+    # argparse's own exit code, 2, would read as "unknown" from classify
+    files = _command_files(capsys, tmp_path)
+    code, out, err = run(capsys, *[a.format(**files) for a in argv])
+    assert code == 64 and out == ""
+    assert "Traceback" not in err and err.count("\n") == 1 and "error:" in err
