@@ -27,8 +27,8 @@ from .graphs import (
     _G6_HEADER,
     Graph,
     GraphError,
+    echo_graph6,
     emit_graph,
-    emit_graph6,
     parse_graph,
     parse_graph6,
 )
@@ -187,7 +187,7 @@ def _report(g: Graph, verdict: Verdict, params: dict, timings: dict) -> dict:
         "schema": "raagscope/1",
         "version": __version__,
         "input": {
-            "graph6": emit_graph6(g).decode("ascii"),
+            "graph6": echo_graph6(g).decode("ascii"),
             "vertices": list(g.vertices),
             "edges": [list(e) for e in g.edge_pairs],
         },

@@ -597,12 +597,27 @@ _G6_MAX = 258047  # the largest order with a four-byte graph6 header
 
 def emit_graph6(g: Graph) -> bytes:
     """Standard graph6 bytes; vertices taken in sorted-name order."""
-    n = g.n
+    return _graph6(g.rows)
+
+
+def echo_graph6(g: Graph) -> bytes:
+    """Graph6 bytes that parse_graph6 reads back as g itself when g's names
+    are v1..vn, the names parse_graph6 gives: position k holds v(k+1). A g on
+    other names is taken in sorted-name order, as by emit_graph6, which for
+    v1..vn would put v10 before v2 once n >= 10."""
+    index = _name_index(g.vertices)
+    order = [index.get(v) for v in _standard_names(g.n)]
+    if None in order:
+        return emit_graph6(g)
+    return _graph6(_relabel(g.rows, order))
+
+
+def _graph6(rows: tuple[int, ...]) -> bytes:
+    n = len(rows)
     if n > _G6_MAX:
         raise GraphError("graph6 emitter supports at most %d vertices" % _G6_MAX)
     # n up to 62 in one byte, else byte 126 and n in three 6-bit bytes
     out = [n + 63] if n < 63 else [126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63]
-    rows = g.rows
     bits: list[int] = []
     for j in range(1, n):
         for i in range(j):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -27,6 +28,9 @@ from .graphs import (
     GraphError,
     IsoTable,
     _bits,
+    _from_sorted,
+    _name_index,
+    _relabel,
     _standard_names,
     find_induced,
     is_isomorphic,
@@ -307,7 +311,10 @@ def _search_below_clean_root(g: Graph, max_depth: int,
     """Breadth-first search over complement-edge contraction sequences of
     length at most max_depth below a g that find_forbidden_induced scanned
     clean; the first state holding a fixed entry (P1(8) or an extra) wins,
-    with its trail.
+    with its trail. Each state is built by _step on the positions of its
+    parent's pair; verify_obstruction replays the trail by name through
+    ops.co_contract_edge, so the search and the checker share no
+    co-contraction code.
 
     Lemma: every state is weakly chordal, that is, neither it nor its
     complement holds an induced cycle of length >= 5 (Hayward, Weakly
@@ -382,7 +389,7 @@ def _search_below_clean_root(g: Graph, max_depth: int,
         for i, row in enumerate(current.rows):
             for j in _bits(full & ~row & ~((2 << i) - 1)):
                 pair = (verts[i], verts[j])
-                child = co_contract_edge(current, pair)
+                child = _step(current, i, j)
                 if not last and not seen.add(child):
                     continue
                 for e in fixed:
@@ -395,6 +402,38 @@ def _search_below_clean_root(g: Graph, max_depth: int,
                 if not last:
                     queue.append((child, trail + (pair,)))
     return None
+
+
+def _step(g: Graph, i: int, j: int) -> Graph:
+    """co_contract_edge(g, (g.vertices[i], g.vertices[j])) for the
+    non-adjacent pair at positions i < j, taken on positions.
+
+    The names are sorted, so the pair is already in the order of the fresh
+    name $co(a,b), and the complement of the induced pair is an edge, hence
+    connected: neither is looked up or checked. That the fresh name is new
+    is checked, since a graph built with Graph(...) may hold it already.
+    """
+    verts = g.vertices
+    rows = g.rows
+    fresh = "$co(%s,%s)" % (verts[i], verts[j])
+    if fresh in _name_index(verts):
+        raise GraphError("fresh vertex name collision: %r" % (fresh,))
+    n = len(verts)
+    common = rows[i] & rows[j]
+    # the merged vertex enters as a virtual row n, then one renumbering keeps
+    # the rest and puts it at its sorted place among their names
+    extended = list(rows)
+    for v in _bits(common):
+        extended[v] |= 1 << n
+    extended.append(common)
+    keep = list(range(n))
+    del keep[j], keep[i]
+    kept = list(verts)
+    del kept[j], kept[i]
+    at = bisect_left(kept, fresh)
+    kept.insert(at, fresh)
+    keep.insert(at, n)
+    return _from_sorted(tuple(kept), _relabel(extended, keep))
 
 
 def verify_obstruction(g: Graph, o: Obstruction,

@@ -35,10 +35,14 @@ One search holds one memo and one node budget, both over cores: a search
 node is a core, and a chordal graph spends neither, so it is derived even
 after the budget has run out. classify makes one search per call, for the
 graph itself and then for the states of the co-contraction search. The memo
-maps a core, names and rows, to its derivation or to None, and the prover
-never labels a graph canonically. Every core met in the search of g is an
-induced subgraph of g less some edges, on g's own names, so a core that
-recurs is an equal graph and hits. Only the searches of co-contraction
+maps a core, names and rows, to a decision, the rule that closed it with its
+separator, edge or bipartition and its peeled parts, or to None, and the
+prover never labels a graph canonically. A search decides first and
+assembles after: only a graph it was asked to prove gets a derivation, built
+once from the decisions, while the states of the co-contraction search are
+only decided. Every core met in the search of g is an induced subgraph of g
+less some edges, on g's own names, so a core that recurs is an equal graph
+and hits. Only the searches of co-contraction
 states, whose graphs carry manufactured names, meet isomorphic but unequal
 graphs; such a graph is searched again, which costs less than labelling
 every graph and renaming a derivation. A two-part rule searches its right
@@ -348,21 +352,40 @@ class _BudgetExhausted(Exception):
     pass
 
 
+@dataclass(frozen=True, slots=True)
+class _Decision:
+    """How the search closed a core: the rule, its separator, edge or
+    bipartition, and the peeled parts the rule closed it from, in the order
+    of the derivation's children."""
+
+    rule: str
+    parts: tuple[_Peel, ...]
+    separator: Optional[frozenset[str]] = None
+    edge: Optional[tuple[str, str]] = None
+    bipartition: Optional[tuple[frozenset[str], frozenset[str]]] = None
+
+
 class _Search:
     """One depth-first derivation search over one memo and one node budget.
 
-    prove and every rule take a peeled graph; the memo and the budget see its
-    core alone. A complete core, the core of a chordal graph, spends no node
-    and is kept in no memo entry. Every other core costs one node on its
-    first visit; once the budget has run out, prove answers None except on a
-    chordal graph or a memo hit. The memo maps each core searched to its
-    derivation, or to None when no rule closed it.
+    The search decides first and assembles after. _decide and every rule
+    take a peeled graph; the memo and the budget see its core alone. A
+    complete core, the core of a chordal graph, spends no node and is kept in
+    no memo entry. Every other core costs one node on its first visit; once
+    the budget has run out, a graph is decided only if it is chordal or its
+    core hits the memo. The memo maps each core searched to its _Decision, or to None when
+    no rule closed it, so a graph decided only for a yes or no (the pruning
+    of the co-contraction search) builds no derivation. prove builds the
+    derivation of the graph it was asked about from the decisions, once:
+    built keeps one derivation per core, so a core met twice shares one
+    sub-derivation.
     """
 
     def __init__(self, budget: int):
         if budget < 1:
             raise ValueError("budget must be at least 1")
-        self.memo: dict[Graph, Optional[Derivation]] = {}
+        self.memo: dict[Graph, Optional[_Decision]] = {}
+        self.built: dict[Graph, Derivation] = {}
         self.budget = budget
         self.nodes = 0
         self.exhausted = False
@@ -371,11 +394,18 @@ class _Search:
 
     def prove(self, peel: _Peel) -> Optional[Derivation]:
         """The derivation of the peeled graph, or None."""
+        return self._build(peel) if self._closes(peel) else None
+
+    def derives(self, h: Graph) -> bool:
+        """Whether prove would derive h; builds no derivation."""
+        return self._closes(_peel(h))
+
+    def _closes(self, peel: _Peel) -> bool:
         try:
-            return self._run(peel)
+            return self._decide(peel)
         except _BudgetExhausted:
             self.exhausted = True
-            return None
+            return False
 
     def report(self) -> UnknownReport:
         return UnknownReport(
@@ -386,53 +416,68 @@ class _Search:
             stuck=tuple(self.stuck),
         )
 
-    def _run(self, peel: _Peel) -> Optional[Derivation]:
+    def _decide(self, peel: _Peel) -> bool:
         core = peel.core
         if is_complete(core):
-            d = _leaf(core)
-        elif core in self.memo:
-            d = self.memo[core]
-        else:
-            self.nodes += 1
-            if self.nodes > self.budget:
-                raise _BudgetExhausted
-            d = self.memo[core] = self._expand(core)
-            if d is None and len(self.stuck) < 32:
-                self.stuck.append("%s %s" % (emit_graph6(core).decode("ascii"),
-                                             " ".join(core.vertices)))
-        return None if d is None else peel.wrap(d)
+            return True
+        if core in self.memo:
+            return self.memo[core] is not None
+        self.nodes += 1
+        if self.nodes > self.budget:
+            raise _BudgetExhausted
+        decision = self.memo[core] = self._expand(core)
+        if decision is None and len(self.stuck) < 32:
+            self.stuck.append("%s %s" % (emit_graph6(core).decode("ascii"),
+                                         " ".join(core.vertices)))
+        return decision is not None
 
-    def _pair(self, left: Graph, right: Graph):
-        dl = self._run(_peel(left))
-        dr = self._run(_peel(right)) if dl is not None else None
-        return dl, dr
+    def _build(self, peel: _Peel) -> Derivation:
+        # peel was decided: its core is complete or has a decision
+        core = peel.core
+        d = self.built.get(core)
+        if d is None:
+            decision = self.memo.get(core)
+            if decision is None:
+                d = _leaf(core)
+            else:
+                d = self.built[core] = Derivation(
+                    decision.rule, core, tuple(self._build(p) for p in decision.parts),
+                    separator=decision.separator, edge=decision.edge,
+                    bipartition=decision.bipartition)
+        return peel.wrap(d)
 
-    def _expand(self, h: Graph) -> Optional[Derivation]:
-        # h is a core: no simplicial vertex, so not complete
+    def _expand(self, h: Graph) -> Optional[_Decision]:
+        # h is a core: no simplicial vertex, so not complete. A two-part rule
+        # decides its right part only after its left part closed.
         split = next(iter_clique_splits(h), None)
         if split is not None:
             # decisive: both parts are induced subgraphs of h, so by heredity
             # h is in F exactly when both are; no other rule is tried
             self.rules_attempted.add(RULE_AMALGAM)
-            dl, dr = self._pair(split.left, split.right)
-            if dl is None or dr is None:
+            left = _peel(split.left)
+            if not self._decide(left):
                 return None
-            return Derivation(RULE_AMALGAM, h, (dl, dr), separator=split.separator)
+            right = _peel(split.right)
+            if not self._decide(right):
+                return None
+            return _Decision(RULE_AMALGAM, (left, right), separator=split.separator)
         for e in h.edge_pairs:
             if not is_bisimplicial_edge(h, e):
                 continue
             self.rules_attempted.add(RULE_BISIMP)
-            child = self._run(_peel(remove_edge_interior(h, e)))
-            if child is not None:
-                return Derivation(RULE_BISIMP, h, (child,), edge=e)
+            child = _peel(remove_edge_interior(h, e))
+            if self._decide(child):
+                return _Decision(RULE_BISIMP, (child,), edge=e)
         comp_parts = connected_components(complement(h))
         if len(comp_parts) > 1:
             self.rules_attempted.add(RULE_JOIN)
             a = frozenset(comp_parts[0])
             b = frozenset(h.vertices) - a
-            dl, dr = self._pair(induced(h, a), induced(h, b))
-            if dl is not None and dr is not None:
-                return Derivation(RULE_JOIN, h, (dl, dr), bipartition=(a, b))
+            left = _peel(induced(h, a))
+            if self._decide(left):
+                right = _peel(induced(h, b))
+                if self._decide(right):
+                    return _Decision(RULE_JOIN, (left, right), bipartition=(a, b))
         return None
 
 
@@ -479,9 +524,10 @@ def classify(g: Graph, budget: int = DEFAULT_BUDGET,
     it holds a witness. One derivation search serves g and that pruning, over
     one memo and one budget of at most budget nodes: the pruning expands only
     the nodes the search of g left, and a state it cannot decide within them
-    is expanded. Peeling spends no node, so a chordal graph, g or a state,
-    is decided even after the budget has run out, and budget=1 still derives
-    any chordal g. The report of an unknown verdict counts the search of g
+    is expanded. The pruning asks the search for a decision alone
+    (_Search.derives), so no derivation of a state is ever assembled.
+    Peeling spends no node, so a chordal graph, g or a state, is decided even
+    after the budget has run out, and budget=1 still derives any chordal g. The report of an unknown verdict counts the search of g
     alone, and its stuck entries are cores. The pruning takes the prover's
     answers on the states unchecked, so a prover that wrongly derived a state
     could hide a witness.
@@ -512,7 +558,7 @@ def classify(g: Graph, budget: int = DEFAULT_BUDGET,
             raise SoundnessError("prover emitted an invalid derivation")
     t2 = perf_counter()
     if obs is None and cocontract_depth > 0 and (deriv is None or cross_check):
-        derived = None if cross_check else lambda h: search.prove(_peel(h)) is not None
+        derived = None if cross_check else search.derives
         obs = _search_below_clean_root(g, cocontract_depth, catalog, derived=derived)
         if obs is not None and not verify_obstruction(g, obs, catalog):
             raise SoundnessError("co-contraction search emitted an invalid certificate")

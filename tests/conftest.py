@@ -5,8 +5,11 @@ only tests use."""
 from __future__ import annotations
 
 import random
+import sys
 from collections import deque
+from functools import lru_cache
 from itertools import permutations
+from pathlib import Path
 
 from raagscope.graphs import Graph, GraphError, _bits, canonical_key, standard_graph
 from raagscope.obstructions import (KIND_INDUCED, KIND_TRAIL, Obstruction,
@@ -22,6 +25,19 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
     edges = [(names[i], names[j])
              for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return Graph(names, edges)
+
+
+@lru_cache(maxsize=None)
+def desk_graph6(seed: int) -> tuple[str, ...]:
+    """The graph6 lines of the benchmark's desk batch at seed, drawn by
+    perfbench's own generator."""
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        from workloads import Desk
+    finally:
+        sys.path.remove(perfbench)
+    return tuple(Desk().make_inputs(seed))
 
 
 def random_chordal(n: int, rng: random.Random) -> Graph:

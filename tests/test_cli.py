@@ -5,6 +5,7 @@ import sys
 import time
 
 import pytest
+from conftest import desk_graph6
 
 import raagscope
 from raagscope.cli import main
@@ -76,6 +77,41 @@ def test_classify_json_report_and_verify_round_trip(capsys, tmp_path):
     dcert.write_text(json.dumps(dreport["certificate"]))
     code, out, _ = run(capsys, "verify", P4_G6, str(dcert))
     assert code == 0 and "valid" in out
+
+
+def test_every_desk_certificate_verifies_against_its_own_echo(capsys, tmp_path):
+    # a graph6 input names its vertices v1..vn by position; sorted-name order
+    # would put v10 before v2, so on 10 or more vertices the echo must keep
+    # the positions for an obstruction's names to resolve against it
+    cert = tmp_path / "cert.json"
+    certificates = 0
+    for text in desk_graph6(1):
+        code, out, _ = run(capsys, "classify", "--json", text)
+        report = json.loads(out)
+        assert parse_graph6(report["input"]["graph6"].encode()) == parse_graph6(text.encode())
+        if report["certificate"] is None:
+            continue
+        certificates += 1
+        cert.write_text(json.dumps(report["certificate"]))
+        code, out, _ = run(capsys, "verify", report["input"]["graph6"], str(cert))
+        assert (code, out) == (0, "valid\n"), text
+    assert certificates == 145
+
+
+def test_an_edgelist_echo_follows_the_sorted_names_unless_they_are_v1_to_vn(capsys, tmp_path):
+    path = tmp_path / "g.el"
+    for names in (["b", "a", "c", "v1"], ["v%d" % k for k in range(1, 12)]):
+        edges = "".join("%s %s\n" % pair for pair in zip(names, names[1:]))
+        path.write_text("vertices: %s\n%s" % (" ".join(names), edges))
+        g = parse_edgelist(path.read_bytes())
+        code, out, _ = run(capsys, "classify", "--json", str(path))
+        report = json.loads(out)
+        assert report["input"]["vertices"] == sorted(names)
+        echo = report["input"]["graph6"].encode()
+        if names[0] == "b":
+            assert echo == emit_graph6(g)
+        else:
+            assert parse_graph6(echo) == g and echo != emit_graph6(g)
 
 
 def test_verify_rejects_corruption_and_wrong_graph(capsys, tmp_path):

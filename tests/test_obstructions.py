@@ -7,13 +7,14 @@ from conftest import (random_bipartite, random_chordal, random_graph,
                       reference_cocontraction_witness, reference_induced_cycle)
 
 from raagscope.generate import nonisomorphic_graphs
-from raagscope.graphs import (Graph, canonical_key, emit_graph6, is_isomorphic, parse_graph6,
-                              standard_graph, verify_vertex_map)
+from raagscope.graphs import (Graph, GraphError, canonical_key, emit_graph6, is_isomorphic,
+                              parse_graph6, standard_graph, verify_vertex_map)
 from raagscope.obstructions import (
     KIND_INDUCED,
     KIND_TRAIL,
     CatalogError,
     Obstruction,
+    _step,
     builtin_catalog,
     entry_graph,
     find_cocontraction_witness,
@@ -181,10 +182,45 @@ def _weakly_chordal(g):
             and reference_induced_cycle(complement(g), 5) is None)
 
 
+def _non_adjacent_pairs(g):
+    return [(i, j) for i in range(g.n) for j in range(i + 1, g.n) if not g.rows[i] >> j & 1]
+
+
 def _co_contractions(g):
     verts = g.vertices
     return [co_contract_edge(g, (verts[i], verts[j]))
             for i in range(g.n) for j in range(i + 1, g.n) if not g.rows[i] >> j & 1]
+
+
+def test_the_search_step_is_co_contract_edge_on_positions():
+    # the search's own step against the checker's: names and rows alike on
+    # every non-adjacent pair, and again on every pair of one child, whose
+    # $co(...) name sorts among the names on both sides of a second merge
+    rng = random.Random(41)
+    pairs = 0
+    for _ in range(400):
+        g = random_graph(rng.randint(2, 12), rng.random(), rng)
+        children = []
+        for i, j in _non_adjacent_pairs(g):
+            child = _step(g, i, j)
+            assert child == co_contract_edge(g, (g.vertices[i], g.vertices[j]))
+            children.append(child)
+        pairs += len(children)
+        if children:
+            h = rng.choice(children)
+            for i, j in _non_adjacent_pairs(h):
+                assert _step(h, i, j) == co_contract_edge(h, (h.vertices[i], h.vertices[j]))
+                pairs += 1
+    assert pairs > 5000
+
+
+def test_the_search_step_refuses_a_fresh_name_the_graph_holds():
+    g = Graph(["a", "b", "$co(a,b)"], [])
+    assert g.vertices == ("$co(a,b)", "a", "b")
+    with pytest.raises(GraphError, match="collision"):
+        _step(g, 1, 2)
+    with pytest.raises(GraphError, match="collision"):
+        co_contract_edge(g, ("a", "b"))
 
 
 def test_co_contractions_of_a_clean_root_hold_no_long_hole_or_antihole():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import add_edge, random_chordal, random_graph
+from conftest import add_edge, desk_graph6, random_chordal, random_graph
 from raagscope.generate import nonisomorphic_graphs
 from raagscope.graphs import Graph, emit_graph6, new_graph, parse_graph6, standard_graph
 from raagscope.obstructions import (builtin_catalog, entry_graph, find_cocontraction_witness,
@@ -24,6 +24,7 @@ from raagscope.prover import (
     UNKNOWN,
     Derivation,
     SoundnessError,
+    _Peel,
     _peel,
     _Search,
     check_derivation,
@@ -169,7 +170,7 @@ def test_the_co_contraction_search_builds_nothing_on_the_atlas(monkeypatch):
 
     atlas = {n: nonisomorphic_graphs(n) for n in range(1, 8)}
     builtin_catalog()  # its self-test contracts and labels the fixed trio once
-    monkeypatch.setattr(obstructions, "co_contract_edge", refuse("co_contract_edge"))
+    monkeypatch.setattr(obstructions, "_step", refuse("_step"))
     monkeypatch.setattr(graphs, "canonical_form", refuse("canonical_form"))
     golden = json.loads((Path(__file__).parent / "data" / "census7.json").read_text())
     totals = {NO_SURFACE: 0, HAS_SURFACE: 0, UNKNOWN: 0}
@@ -181,6 +182,27 @@ def test_the_co_contraction_search_builds_nothing_on_the_atlas(monkeypatch):
         for status, count in counts.items():
             totals[status] += count
     assert totals == {NO_SURFACE: 1051, HAS_SURFACE: 169, UNKNOWN: 32}
+
+
+def test_the_pruning_builds_no_derivation(monkeypatch):
+    # the co-contraction search asks the prover a yes or no on each state it
+    # would expand; an unknown graph, whose states the prover mostly fails,
+    # must get there without assembling a derivation of any of them
+    unknowns = [parse_graph6(b"IypEtv?sG")]
+    unknowns += [g for g in map(parse_graph6, desk_graph6(1)) if classify(g).status == UNKNOWN]
+    assert len(unknowns) == 16
+    reports = [classify(g).report.to_json() for g in unknowns]
+
+    def refuse(self, d):
+        raise AssertionError("a derivation was assembled")
+
+    monkeypatch.setattr(_Peel, "wrap", refuse)
+    for g, report in zip(unknowns, reports):
+        v = classify(g)
+        assert v.status == UNKNOWN and v.report.to_json() == report
+    # positive control: a derived state's derivation goes through wrap
+    with pytest.raises(AssertionError, match="assembled"):
+        classify(standard_graph("path", 4))
 
 
 def _random_forest(n, rng):
