@@ -2,7 +2,8 @@
 graph operations and the word engine.
 
 A graph is read as an edge list when its first line that is neither blank
-nor a "#" comment starts with "vertices:", and as graph6 otherwise.
+nor a "#" comment starts with "vertices:", and as graph6 otherwise. A word,
+on the command line or in a homomorphism file, may have at most 512 letters.
 
 Exit codes for classify: 0 no surface subgroup, 1 surface subgroup found,
 2 unknown. 64 marks a bad command line or unparseable input, 65 a malformed
@@ -27,8 +28,8 @@ from .graphs import (
     _G6_HEADER,
     Graph,
     GraphError,
-    echo_graph6,
     emit_graph,
+    emit_graph6,
     parse_graph,
     parse_graph6,
 )
@@ -62,6 +63,7 @@ from .prover import (
 )
 from .words import (
     SurfacePresentation,
+    Word,
     WordError,
     are_equal,
     boundary_clique_supports,
@@ -83,6 +85,9 @@ EXIT_SOUNDNESS = 70
 EXIT_IOERR = 74
 
 _VERDICT_EXIT = {NO_SURFACE: EXIT_NO, HAS_SURFACE: EXIT_HAS, UNKNOWN: EXIT_UNKNOWN}
+
+# the longest word the CLI reads; the library takes words of any length
+MAX_WORD_LETTERS = 512
 
 
 class _Refused(Exception):
@@ -187,7 +192,7 @@ def _report(g: Graph, verdict: Verdict, params: dict, timings: dict) -> dict:
         "schema": "raagscope/1",
         "version": __version__,
         "input": {
-            "graph6": echo_graph6(g).decode("ascii"),
+            "graph6": emit_graph6(g).decode("ascii"),
             "vertices": list(g.vertices),
             "edges": [list(e) for e in g.edge_pairs],
         },
@@ -328,7 +333,7 @@ def cmd_ops(args) -> int:
 @_input_errors_exit_64
 def cmd_word(args) -> int:
     g = _load_graph(args.graph)
-    words = [parse_word(text) for text in args.words]
+    words = [_read_word(text) for text in args.words]
     if args.op == "nf":
         print(format_word(normal_form(g, words[0])))
     elif args.op == "trivial":
@@ -339,6 +344,14 @@ def cmd_word(args) -> int:
         clique = conjugate_into_clique(g, words[0])
         print("none" if clique is None else "{%s}" % " ".join(sorted(clique)))
     return 0
+
+
+def _read_word(text: str) -> Word:
+    """The word text spells; past MAX_WORD_LETTERS letters it raises WordError."""
+    w = parse_word(text)
+    if len(w) > MAX_WORD_LETTERS:
+        raise WordError("word has %d letters, cap is %d" % (len(w), MAX_WORD_LETTERS))
+    return w
 
 
 def _load_hom(path: str) -> tuple[SurfacePresentation, dict]:
@@ -365,7 +378,7 @@ def _load_hom(path: str) -> tuple[SurfacePresentation, dict]:
     if not all(isinstance(text, str) for text in images.values()):
         raise WordError("every generator image must be a word string")
     return (SurfacePresentation(genus=genus, boundary=boundary),
-            {gen: parse_word(text) for gen, text in images.items()})
+            {gen: _read_word(text) for gen, text in images.items()})
 
 
 @_input_errors_exit_64

@@ -595,27 +595,22 @@ _G6_HEADER = b">>graph6<<"
 _G6_MAX = 258047  # the largest order with a four-byte graph6 header
 
 
-def emit_graph6(g: Graph) -> bytes:
-    """Standard graph6 bytes; vertices taken in sorted-name order."""
-    return _graph6(g.rows)
-
-
-def echo_graph6(g: Graph) -> bytes:
-    """Graph6 bytes that parse_graph6 reads back as g itself when g's names
-    are v1..vn, the names parse_graph6 gives: position k holds v(k+1). A g on
-    other names is taken in sorted-name order, as by emit_graph6, which for
-    v1..vn would put v10 before v2 once n >= 10."""
+def _graph6_order(g: Graph) -> list[int]:
+    """g's positions in graph6 order: v1..vn in that order when those are g's
+    names, the names parse_graph6 gives, and sorted-name order otherwise,
+    which for v1..vn would put v10 before v2 once n >= 10."""
     index = _name_index(g.vertices)
     order = [index.get(v) for v in _standard_names(g.n)]
-    if None in order:
-        return emit_graph6(g)
-    return _graph6(_relabel(g.rows, order))
+    return list(range(g.n)) if None in order else order
 
 
-def _graph6(rows: tuple[int, ...]) -> bytes:
-    n = len(rows)
+def emit_graph6(g: Graph) -> bytes:
+    """Standard graph6 bytes, position k holding the k-th vertex of
+    _graph6_order, so parse_graph6 reads a graph on v1..vn back as itself."""
+    n = g.n
     if n > _G6_MAX:
         raise GraphError("graph6 emitter supports at most %d vertices" % _G6_MAX)
+    rows = _relabel(g.rows, _graph6_order(g))
     # n up to 62 in one byte, else byte 126 and n in three 6-bit bytes
     out = [n + 63] if n < 63 else [126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63]
     bits: list[int] = []
@@ -703,9 +698,6 @@ def parse_edgelist(data: bytes) -> Graph:
         if len(parts) != 2:
             raise GraphError("bad edge line %r" % (ln,))
         edges.append((parts[0], parts[1]))
-    for u, v in edges:
-        if u not in names or v not in names:
-            raise GraphError("dangling edge reference %r" % ((u, v),))
     return new_graph(names, edges)
 
 

@@ -133,14 +133,6 @@ def _fixed_entries() -> tuple[ForbiddenEntry, ...]:
     )
 
 
-def _scan_entries() -> tuple[ForbiddenEntry, ...]:
-    # Only directly-justified graphs serve as induced-subgraph patterns.
-    # Q1(9) and Q2(10) are forbidden *because* they contract onto P1(8), so
-    # their honest certificate is a contraction trail; using them as patterns
-    # would let them match themselves and shadow that trail.
-    return _fixed_entries()[:1]
-
-
 def builtin_catalog() -> list[ForbiddenEntry]:
     """The shipped entries: cycles and cycle complements from 5 up to
     _MAX_LISTED_CYCLE (deduplicating the self-complementary 5-cycle), plus the
@@ -233,22 +225,16 @@ def _named_entry(name: str, extra: Sequence[ForbiddenEntry]) -> ForbiddenEntry:
     raise CatalogError("unknown catalog entry name %r" % (name,))
 
 
-def _entry_order(name: str, extra: Sequence[ForbiddenEntry] = ()) -> int:
-    """Vertex count of a catalog entry; for the cycle families it is read
-    from the name, so no graph is built."""
-    family = _cycle_family(name)
-    if family is not None:
-        return family[1]
-    return _named_entry(name, extra).graph.n
+def _cycle_graph(complemented: bool, n: int) -> Graph:
+    cycle = standard_graph("cycle", n)
+    return complement(cycle) if complemented else cycle
 
 
 def entry_graph(name: str, extra: Sequence[ForbiddenEntry] = ()) -> Graph:
     """Resolve a catalog entry name to its graph; cycle families are generated."""
     family = _cycle_family(name)
     if family is not None:
-        complemented, n = family
-        cycle = standard_graph("cycle", n)
-        return complement(cycle) if complemented else cycle
+        return _cycle_graph(*family)
     return _named_entry(name, extra).graph
 
 
@@ -289,7 +275,11 @@ def find_forbidden_induced(g: Graph, extra: Sequence[ForbiddenEntry] = ()) -> Op
 def _fixed_scan_order(extra: Sequence[ForbiddenEntry]) -> list[ForbiddenEntry]:
     """The fixed entries an induced scan tries, P1(8) and the extras, in the
     order it tries them: by size, then by name."""
-    return sorted(list(_scan_entries()) + list(extra), key=lambda e: (e.graph.n, e.name))
+    # Only directly-justified graphs serve as induced-subgraph patterns.
+    # Q1(9) and Q2(10) are forbidden *because* they contract onto P1(8), so
+    # their honest certificate is a contraction trail; using them as patterns
+    # would let them match themselves and shadow that trail.
+    return sorted([_fixed_entries()[0], *extra], key=lambda e: (e.graph.n, e.name))
 
 
 def find_cocontraction_witness(g: Graph, max_depth: int,
@@ -447,7 +437,9 @@ def verify_obstruction(g: Graph, o: Obstruction,
         return False
     if (o.kind == KIND_INDUCED) != (len(o.trail) == 0):
         return False
-    order = _entry_order(o.entry, extra)
+    family = _cycle_family(o.entry)
+    named = None if family is not None else _named_entry(o.entry, extra).graph
+    order = family[1] if family is not None else named.n
     current = g
     try:
         for pair in o.trail:
@@ -457,7 +449,8 @@ def verify_obstruction(g: Graph, o: Obstruction,
     # an entry larger than the graph cannot embed; never build it
     if order > current.n:
         return False
-    return verify_vertex_map(entry_graph(o.entry, extra), current, dict(o.embedding))
+    pattern = _cycle_graph(*family) if family is not None else named
+    return verify_vertex_map(pattern, current, dict(o.embedding))
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,7 @@ from .graphs import (
     Graph,
     GraphError,
     _bits,
+    _graph6_order,
     _shared,
     emit_graph6,
     graph_from_json,
@@ -327,8 +328,9 @@ class UnknownReport:
 
     stuck names the first 32 cores that no rule closed (graphs left once
     simplicial cliques are split off; see _peel), in the order they failed,
-    each as its graph6 value followed by its vertex names in sorted order,
-    which the graph6 positions follow."""
+    each as its graph6 value followed by its vertex names in the order of
+    the graph6 positions: sorted order, except v1..vk in that order for a
+    core named exactly so."""
 
     nodes_expanded: int
     budget: int
@@ -390,7 +392,7 @@ class _Search:
         self.nodes = 0
         self.exhausted = False
         self.rules_attempted: set[str] = set()
-        self.stuck: list[str] = []
+        self.stuck: list[Graph] = []
 
     def prove(self, peel: _Peel) -> Optional[Derivation]:
         """The derivation of the peeled graph, or None."""
@@ -413,7 +415,9 @@ class _Search:
             budget=self.budget,
             budget_exhausted=self.exhausted,
             rules_attempted=tuple(sorted(self.rules_attempted)),
-            stuck=tuple(self.stuck),
+            stuck=tuple("%s %s" % (emit_graph6(core).decode("ascii"),
+                                   " ".join(core.vertices[i] for i in _graph6_order(core)))
+                        for core in self.stuck),
         )
 
     def _decide(self, peel: _Peel) -> bool:
@@ -427,8 +431,7 @@ class _Search:
             raise _BudgetExhausted
         decision = self.memo[core] = self._expand(core)
         if decision is None and len(self.stuck) < 32:
-            self.stuck.append("%s %s" % (emit_graph6(core).decode("ascii"),
-                                         " ".join(core.vertices)))
+            self.stuck.append(core)
         return decision is not None
 
     def _build(self, peel: _Peel) -> Derivation:

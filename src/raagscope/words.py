@@ -26,7 +26,6 @@ Letter = tuple[str, int]
 Word = tuple[Letter, ...]
 Commutation = dict[str, frozenset[str]]
 
-DEFAULT_MAX_LETTERS = 512
 # kernel_search refuses a max_len with more reduced words than this. It keeps
 # the default length 8 on four generators (closed genus 2: 7686401 words), and
 # at about 15 us a word on a 2-vCPU VM a search of the cap takes minutes.
@@ -110,9 +109,7 @@ def _commutation(graph: Graph) -> _Commutation:
     return commutes
 
 
-def _check_letters(commutes: Commutation, w: Word, max_letters: int) -> None:
-    if len(w) > max_letters:
-        raise WordError("word has %d letters, cap is %d" % (len(w), max_letters))
+def _check_letters(commutes: Commutation, w: Word) -> None:
     for g, s in w:
         if s not in (1, -1):
             raise WordError("bad letter sign %r" % (s,))
@@ -197,33 +194,33 @@ def _canonical_sort(commutes: _Commutation, letters: list[Letter]) -> list[Lette
     return out
 
 
-def _normal_form(commutes: _Commutation, w: Word, max_letters: int) -> Word:
-    _check_letters(commutes, w, max_letters)
+def _normal_form(commutes: _Commutation, w: Word) -> Word:
+    _check_letters(commutes, w)
     letters = _reduce_full(commutes, w)
     return tuple(_canonical_sort(commutes, letters))
 
 
-def normal_form(graph: Graph, w: Word, max_letters: int = DEFAULT_MAX_LETTERS) -> Word:
+def normal_form(graph: Graph, w: Word) -> Word:
     """Canonical representative; equal normal forms iff equal group elements."""
-    return _normal_form(_commutation(graph), w, max_letters)
+    return _normal_form(_commutation(graph), w)
 
 
-def _is_trivial(commutes: Commutation, w: Word, max_letters: int) -> bool:
-    _check_letters(commutes, w, max_letters)
+def _is_trivial(commutes: Commutation, w: Word) -> bool:
+    _check_letters(commutes, w)
     return not _reduce_full(commutes, w)
 
 
-def is_trivial(graph: Graph, w: Word, max_letters: int = DEFAULT_MAX_LETTERS) -> bool:
-    return _is_trivial(_commutation(graph), w, max_letters)
+def is_trivial(graph: Graph, w: Word) -> bool:
+    return _is_trivial(_commutation(graph), w)
 
 
-def are_equal(graph: Graph, u: Word, v: Word, max_letters: int = DEFAULT_MAX_LETTERS) -> bool:
-    return is_trivial(graph, concat(u, inverse(v)), max_letters=2 * max_letters)
+def are_equal(graph: Graph, u: Word, v: Word) -> bool:
+    return is_trivial(graph, concat(u, inverse(v)))
 
 
-def _cyclic_reduce(commutes: Commutation, w: Word, max_letters: int):
+def _cyclic_reduce(commutes: Commutation, w: Word):
     """(cyclically reduced word, conjugator c) with c^-1 w c = result."""
-    _check_letters(commutes, w, max_letters)
+    _check_letters(commutes, w)
     current = _reduce_full(commutes, w)
     conj: list[Letter] = []
     while True:
@@ -249,7 +246,7 @@ def _cyclic_reduce(commutes: Commutation, w: Word, max_letters: int):
         del current[i]
 
 
-def cyclic_normal_form(graph: Graph, w: Word, max_letters: int = DEFAULT_MAX_LETTERS) -> Word:
+def cyclic_normal_form(graph: Graph, w: Word) -> Word:
     """Shortest conjugacy-class representative reachable by reduction and
     cyclic permutation, deterministically chosen.
 
@@ -261,18 +258,17 @@ def cyclic_normal_form(graph: Graph, w: Word, max_letters: int = DEFAULT_MAX_LET
     words, not the converse.
     """
     commutes = _commutation(graph)
-    reduced, _ = _cyclic_reduce(commutes, w, max_letters)
+    reduced, _ = _cyclic_reduce(commutes, w)
     best = None
     for k in range(len(reduced)):
-        rot = _normal_form(commutes, reduced[k:] + reduced[:k], max_letters)
+        rot = _normal_form(commutes, reduced[k:] + reduced[:k])
         key = tuple(_letter_key(l) for l in rot)
         if best is None or key < best[0]:
             best = (key, rot)
     return best[1] if best else ()
 
 
-def conjugate_into_clique(graph: Graph, w: Word,
-                          max_letters: int = DEFAULT_MAX_LETTERS) -> Optional[frozenset[str]]:
+def conjugate_into_clique(graph: Graph, w: Word) -> Optional[frozenset[str]]:
     """The support of the cyclic normal form, when that support is a clique.
 
     A hit means w is conjugate into the free abelian subgroup on the returned
@@ -287,12 +283,12 @@ def conjugate_into_clique(graph: Graph, w: Word,
     J. Algebra 1989).
     """
     commutes = _commutation(graph)
-    reduced, conj = _cyclic_reduce(commutes, w, max_letters)
+    reduced, conj = _cyclic_reduce(commutes, w)
     support = frozenset(g for g, _ in reduced)
     if not all(support <= commutes[g] for g in support):
         return None
     check = concat(conj, reduced, inverse(conj), inverse(w))
-    if not _is_trivial(commutes, check, 2 * (4 * max_letters + len(w))):
+    if not _is_trivial(commutes, check):
         raise AssertionError("cyclic reduction produced an invalid conjugator")
     return support
 
@@ -338,8 +334,7 @@ def relator(pres: SurfacePresentation, images: dict[str, Word]) -> Word:
 
 def check_hom(graph: Graph, pres: SurfacePresentation, images: dict[str, Word]) -> bool:
     """True iff the assignment extends to a homomorphism into the graph group."""
-    w = relator(pres, images)
-    return is_trivial(graph, w, max_letters=max(DEFAULT_MAX_LETTERS, len(w)))
+    return is_trivial(graph, relator(pres, images))
 
 
 def boundary_clique_supports(graph: Graph, pres: SurfacePresentation,
@@ -472,15 +467,13 @@ def kernel_search(graph: Graph, pres: SurfacePresentation, images: dict[str, Wor
     if _reduced_word_count(len(gens), max_len) > MAX_KERNEL_WORDS:
         raise WordError("max_len %d gives more than %d reduced words over %d generators"
                         % (max_len, MAX_KERNEL_WORDS, len(gens)))
-    image_cap = max(DEFAULT_MAX_LETTERS,
-                    max_len * max((len(w) for w in images.values()), default=1) + 1)
     commutes = _commutation(graph)
     dehn = None if m else _dehn_data(g_)
     for word in _iter_reduced_words(gens, max_len):
         if dehn and _dehn_trivial(g_, word, dehn):
             continue  # trivial in the surface group, not a kernel witness
         img = concat(*(images[g] if s > 0 else inverse(images[g]) for g, s in word))
-        if _is_trivial(commutes, img, image_cap):
+        if _is_trivial(commutes, img):
             return word
     return None
 
@@ -516,4 +509,4 @@ def power_product_nontrivial(us: list[Word], bs: list[Word], ns: list[int]) -> b
                         "hypothesis violation: u_%d = u_%d but b_%d commutes with it"
                         % (i or m, i + 1, i + 1))
     total = concat(*(concat(bs[i], power(us[i], ns[i])) for i in range(m)))
-    return not is_trivial(free, total, max_letters=max(DEFAULT_MAX_LETTERS, len(total)))
+    return not is_trivial(free, total)

@@ -193,7 +193,7 @@ def reference_cyclic_normal_form(graph: Graph, word) -> tuple:
     letter keys (generator, then positive before negative) kept. The word
     words.cyclic_normal_form must return."""
     commutes = _commutation(graph)
-    reduced, _ = _cyclic_reduce(commutes, tuple(word), len(word))
+    reduced, _ = _cyclic_reduce(commutes, tuple(word))
     best, best_key = (), None
     for k in range(len(reduced)):
         rot = tuple(reference_canonical_sort(

@@ -47,6 +47,11 @@ def test_classify_exit_codes(capsys, tmp_path):
     assert code == 2 and "unknown" in out
     code, _, err = run(capsys, "classify", "not-a-graph6???x")
     assert code == 64
+    dangling = tmp_path / "dangling.el"
+    dangling.write_text("vertices: a b\na c\n")
+    code, out, err = run(capsys, "classify", str(dangling))
+    assert code == 64 and out == "" and err.count("\n") == 1
+    assert "edge endpoint not in vertex list" in err
 
 
 def test_classify_json_report_and_verify_round_trip(capsys, tmp_path):
@@ -111,7 +116,7 @@ def test_an_edgelist_echo_follows_the_sorted_names_unless_they_are_v1_to_vn(caps
         if names[0] == "b":
             assert echo == emit_graph6(g)
         else:
-            assert parse_graph6(echo) == g and echo != emit_graph6(g)
+            assert parse_graph6(echo) == g and echo == emit_graph6(g)
 
 
 def test_verify_rejects_corruption_and_wrong_graph(capsys, tmp_path):
@@ -176,6 +181,16 @@ def test_ops_complement(capsys):
     assert out.endswith("\n") and out.count("\n") == 1
     got = parse_graph6(out.strip().encode())
     assert is_isomorphic(got, standard_graph("cycle", 5)) is not None
+
+
+def test_ops_complement_twice_through_graph6_gives_the_input_back(capsys):
+    # a graph6 input names its vertices v1..vn by position, and --to graph6
+    # keeps those positions, so on 10 or more vertices v10 stays after v9
+    for text in desk_graph6(1):
+        code, out, _ = run(capsys, "ops", "complement", text, "--to", "graph6")
+        assert code == 0
+        code, back, _ = run(capsys, "ops", "complement", out.strip(), "--to", "graph6")
+        assert (code, back) == (0, text + "\n")
 
 
 def test_ops_cocontract_reaches_smaller_entry(capsys, tmp_path):
@@ -251,6 +266,22 @@ def test_word_commands(capsys, tmp_path):
     assert out.strip() == "{a}"
     code, _, err = run(capsys, "word", "nf", "-g", str(g), "zz")
     assert code == 64
+
+
+@pytest.mark.parametrize("op", ["nf", "trivial", "equal", "clique-conj"])
+def test_word_commands_refuse_a_word_past_512_letters(capsys, tmp_path, op):
+    g = tmp_path / "edge.el"
+    g.write_text("vertices: a b\na b\n")
+    short = "a b"
+    for letters, code in ((512, 0), (513, 64)):
+        word = " ".join(["a", "a^-1"] * (letters // 2) + ["b"] * (letters % 2))
+        for words in ([word, short], [short, word]) if op == "equal" else ([word],):
+            got, out, err = run(capsys, "word", op, "-g", str(g), *words)
+            if code == 0:
+                assert (got, err) == (0, "") and out.count("\n") == 1
+            else:
+                assert (got, out) == (64, "") and err == (
+                    "error: word has 513 letters, cap is 512\n")
 
 
 def test_surf_commands(capsys, tmp_path):
@@ -629,6 +660,9 @@ def test_malformed_catalog_exits_65_with_one_line(capsys, tmp_path, text, comman
     {"presentation": {"genus": 0, "boundary": 1}, "images": [1]},
     {"presentation": {"genus": 0, "boundary": 1}, "images": {"d1": 1}},
     {"presentation": {"genus": 10 ** 12, "boundary": 1}, "images": {"d1": "a"}},
+    # a homomorphism, but its d1 image has 600 letters, past the word cap
+    {"presentation": {"genus": 1, "boundary": 1},
+     "images": {"x1": "a", "y1": "b", "d1": "b a b^-1 a^-1" + " a a^-1" * 298}},
 ])
 @pytest.mark.parametrize("op", ["check", "relative"])
 def test_malformed_homomorphism_file_exits_64_with_one_line(capsys, tmp_path, doc, op):

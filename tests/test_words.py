@@ -8,7 +8,6 @@ from conftest import (enumerate_words, oracle_word_trivial, reference_canonical_
 from raagscope.generate import nonisomorphic_graphs
 from raagscope.graphs import new_graph
 from raagscope.words import (
-    DEFAULT_MAX_LETTERS,
     SurfacePresentation,
     WordError,
     _commutation,
@@ -206,7 +205,7 @@ def _letters(graph):
 
 
 # (graph, words, least length, greatest length). The last three are at full
-# size: five words at the default cap on G10, the benchmark group's shape; a
+# size: five words at the CLI's cap on G10, the benchmark group's shape; a
 # graph on v1..v12, where "v10" sorts before "v2", so the sort must rank
 # generators in name order and not by their numbers; and 70 generators,
 # past the 64 bits of a machine word.
@@ -217,7 +216,7 @@ def _letters(graph):
      60, 0, 128),
     (new_graph(["a", "b", "c", "d"], []), 60, 0, 128),
     (G10, 60, 0, 128),
-    (G10, 5, DEFAULT_MAX_LETTERS, DEFAULT_MAX_LETTERS),
+    (G10, 5, 512, 512),
     (_gnm(12, 33, 2), 60, 0, 128),
     (_gnm(70, 1200, 3), 5, 200, 200),
 ], ids=["P3", "K3", "P5", "discrete4", "G10", "G10-at-cap", "v1-v12", "70-generators"])
@@ -259,7 +258,7 @@ def test_conjugate_into_clique_agrees_with_rotation_route():
             got = conjugate_into_clique(graph, w)
             assert got == _rotation_route(graph, w)
             assert got is not None and got <= set(clique)
-    # at the default cap: a 16-letter x over a clique of G10 under a
+    # at the CLI's cap: a 16-letter x over a clique of G10 under a
     # 248-letter conjugator
     clique = sorted(max(_maximal_cliques(G10), key=len))
     x = tuple((rng.choice(clique), 1) for _ in range(16))
@@ -284,7 +283,7 @@ def test_cyclic_reduce_returns_a_cyclically_reduced_conjugate():
         x = tuple(rng.choice(letters) for _ in range(rng.randint(0, 12)))
         c = tuple(rng.choice(letters) for _ in range(rng.randint(0, 8)))
         w = concat(c, x, inverse(c))
-        r, conj = _cyclic_reduce(commutes, w, 512)
+        r, conj = _cyclic_reduce(commutes, w)
         assert are_equal(graph, concat(conj, r, inverse(conj)), w)
         assert len(_reduce_full(commutes, r + r)) == 2 * len(r)
 
@@ -483,8 +482,26 @@ def test_power_helper():
     assert power(parse_word("a"), 0) == ()
 
 
-def test_letter_cap_is_enforced_and_configurable():
-    long_word = (("a", 1),) * 513
-    with pytest.raises(WordError):
-        normal_form(DISC, long_word)
-    assert len(normal_form(DISC, long_word, max_letters=600)) == 513
+def test_the_library_takes_words_past_the_cli_cap():
+    # the 512-letter cap is the command line's; the five word functions take
+    # 600 letters on G10 and answer as the references and constructions say
+    rng = random.Random(44)
+    letters = _letters(G10)
+    commutes = _commutation(G10)
+    w = tuple(rng.choice(letters) for _ in range(600))
+    assert normal_form(G10, w) == tuple(
+        reference_canonical_sort(G10, _reduce_full(commutes, w)))
+    u = w[:299]
+    a = ((G10.vertices[0], 1),)
+    assert is_trivial(G10, concat(w[:300], inverse(w[:300])))
+    # a generator's exponent sum is 2, and the abelianization sees it
+    assert not is_trivial(G10, concat(u, a, a, inverse(u)))
+    assert are_equal(G10, w, concat(w[:300], w[300:]))
+    assert not are_equal(G10, w, w[:-1])
+    clique = sorted(max(_maximal_cliques(G10), key=len))
+    x = tuple((rng.choice(clique), 1) for _ in range(16))
+    c = tuple(rng.choice(letters) for _ in range(292))
+    conj = concat(c, x, inverse(c))
+    assert len(conj) == 600
+    assert cyclic_normal_form(G10, conj) == reference_cyclic_normal_form(G10, conj)
+    assert conjugate_into_clique(G10, conj) == frozenset(g for g, _ in x)
