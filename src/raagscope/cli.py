@@ -2,8 +2,9 @@
 graph operations and the word engine.
 
 A graph is read as an edge list when its first line that is neither blank
-nor a "#" comment starts with "vertices:", and as graph6 otherwise. A word,
-on the command line or in a homomorphism file, may have at most 512 letters.
+nor a "#" comment starts with "vertices:", and as graph6 otherwise. A graph
+may have at most 256 vertices, and a word, on the command line or in a
+homomorphism file, at most 512 letters.
 
 Exit codes for classify: 0 no surface subgroup, 1 surface subgroup found,
 2 unknown. 64 marks a bad command line or unparseable input, 65 a malformed
@@ -88,6 +89,11 @@ _VERDICT_EXIT = {NO_SURFACE: EXIT_NO, HAS_SURFACE: EXIT_HAS, UNKNOWN: EXIT_UNKNO
 
 # the longest word the CLI reads; the library takes words of any length
 MAX_WORD_LETTERS = 512
+# the most vertices of a graph the CLI reads; the library takes graphs of any
+# order. A peeled derivation nests one level per peeled clique, and writing
+# and reading its JSON recurse that deep: a path's derivation made the round
+# trip at 400 vertices and overran the recursion limit at 500.
+MAX_VERTICES = 256
 
 
 class _Refused(Exception):
@@ -148,10 +154,17 @@ def _read_input(source: str) -> bytes:
                        % (source, exc.strerror or exc)) from None
 
 
+def _capped(g: Graph) -> Graph:
+    """g; past MAX_VERTICES vertices it raises GraphError."""
+    if g.n > MAX_VERTICES:
+        raise GraphError("graph has %d vertices, cap is %d" % (g.n, MAX_VERTICES))
+    return g
+
+
 def _load_graph(source: str) -> Graph:
     data = _read_input(source)
     try:
-        return parse_graph(data)
+        return _capped(parse_graph(data))
     except GraphError as exc:
         raise _Refused(EXIT_PARSE, "parse error: %s" % exc) from None
 
@@ -249,8 +262,9 @@ def cmd_classify(args) -> int:
 
 def _classify_batch(args, run_one) -> int:
     """One graph6 value per line, one verdict record per value, in order. A
-    line that does not parse gets an error record and the batch carries on;
-    the exit code is 64 if any line failed, else 0, whatever the verdicts."""
+    line that does not parse, or holds a graph past MAX_VERTICES, gets an
+    error record and the batch carries on; the exit code is 64 if any line
+    failed, else 0, whatever the verdicts."""
     failed = False
     for number, line in enumerate(
             _read_input(args.input).decode("utf-8", errors="replace").splitlines(), 1):
@@ -258,7 +272,7 @@ def _classify_batch(args, run_one) -> int:
         if not line or line.startswith("#"):
             continue
         try:
-            g = parse_graph6(line.encode("utf-8"))
+            g = _capped(parse_graph6(line.encode("utf-8")))
         except GraphError as exc:
             failed = True
             if args.json:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 RESERVED_PREFIX = "$"
 
@@ -65,8 +65,16 @@ def _standard_names(n: int) -> tuple[str, ...]:
     return tuple("v%d" % (i + 1) for i in range(n))
 
 
-def _bits(mask: int) -> list[int]:
-    """Positions of the set bits, ascending."""
+# the set-bit positions of every byte value, ascending: the rows and masks
+# of most graphs the library derives are below 256
+_BYTE_BITS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
+
+
+def _bits(mask: int) -> Sequence[int]:
+    """Positions of the set bits, ascending: a shared tuple from a table for
+    a mask below 256, else a new list."""
+    if mask < 256:
+        return _BYTE_BITS[mask]
     out = []
     while mask:
         low = mask & -mask
@@ -75,22 +83,26 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _relabel(rows: tuple[int, ...], order: list[int]) -> tuple[int, ...]:
+def _relabel(rows: tuple[int, ...], order: Sequence[int]) -> tuple[int, ...]:
     """Rows of the graph induced on the positions listed in order, position
     order[i] renumbered i. The one place adjacency rows are renumbered."""
-    pos = [0] * len(rows)
+    bit = [0] * len(rows)
     mask = 0
     for new, old in enumerate(order):
-        pos[old] = new
+        bit[old] = 1 << new
         mask |= 1 << old
     out = []
     for old in order:
         row = rows[old] & mask
         r = 0
-        while row:
-            low = row & -row
-            r |= 1 << pos[low.bit_length() - 1]
-            row ^= low
+        if row < 256:
+            for j in _BYTE_BITS[row]:
+                r |= bit[j]
+        else:
+            while row:
+                low = row & -row
+                r |= bit[low.bit_length() - 1]
+                row ^= low
         out.append(r)
     return tuple(out)
 
@@ -593,6 +605,8 @@ class IsoTable:
 
 _G6_HEADER = b">>graph6<<"
 _G6_MAX = 258047  # the largest order with a four-byte graph6 header
+# each valid graph6 body byte -> its six bits, most significant first
+_G6_BYTE_BITS = {b: format(b - 63, "06b") for b in range(63, 127)}
 
 
 def _graph6_order(g: Graph) -> list[int]:
@@ -649,23 +663,26 @@ def parse_graph6(data: bytes) -> Graph:
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise GraphError("graph6 body has %d bytes, expected %d" % (len(body), need))
-    bits = []
-    for b in body:
-        if b < 63 or b > 126:
-            raise GraphError("graph6 byte out of range: %r" % (b,))
-        v = b - 63
-        bits.extend((v >> k) & 1 for k in range(5, -1, -1))
-    names = _standard_names(n)
-    edges = []
+    try:
+        text = "".join([_G6_BYTE_BITS[b] for b in body])
+    except KeyError as exc:
+        raise GraphError("graph6 byte out of range: %r" % (exc.args[0],)) from None
+    # bit t of stream is the t-th bit of the body, so the bits of the pairs
+    # (0, j) .. (j - 1, j) are the j bits from t = j(j - 1)/2 up: the
+    # neighbours of j below it
+    stream = int(text[::-1] or "0", 2)
+    rows = [0] * n
     t = 0
     for j in range(1, n):
-        for i in range(j):
-            if bits[t]:
-                edges.append((names[i], names[j]))
-            t += 1
-    if any(bits[t:]):
+        below = stream >> t & (1 << j) - 1
+        t += j
+        if below:
+            rows[j] = below
+            for i in _bits(below):
+                rows[i] |= 1 << j
+    if stream >> t:
         raise GraphError("graph6 trailing bits are not zero")
-    return Graph(names, edges)
+    return _from_rows(_standard_names(n), tuple(rows))
 
 
 def emit_edgelist(g: Graph) -> bytes:

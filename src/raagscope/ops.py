@@ -78,13 +78,25 @@ def _edge_indices(g: Graph, e: tuple[str, str]) -> tuple[int, int]:
     return g.index(a), g.index(b)
 
 
+def _is_bisimplicial(rows: tuple[int, ...], a: int, b: int) -> bool:
+    """is_bisimplicial_edge for the edge between positions a and b."""
+    nb = rows[b]
+    return all(not nb & ~(rows[u] | 1 << u) for u in _bits(rows[a]))
+
+
+def _bisimplicial_edges(rows: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+    """The bisimplicial edges as position pairs a < b, in edge_pairs order."""
+    for a, row in enumerate(rows):
+        for b in _bits(row & ~((2 << a) - 1)):
+            if _is_bisimplicial(rows, a, b):
+                yield a, b
+
+
 def is_bisimplicial_edge(g: Graph, e: tuple[str, str]) -> bool:
     """True iff every neighbor of one endpoint is equal or adjacent to every
     neighbor of the other."""
     a, b = _edge_indices(g, e)
-    rows = g.rows
-    nb = rows[b]
-    return all(not nb & ~(rows[u] | 1 << u) for u in _bits(rows[a]))
+    return _is_bisimplicial(g.rows, a, b)
 
 
 def remove_edge_interior(g: Graph, e: tuple[str, str]) -> Graph:
@@ -166,39 +178,55 @@ def _clique_minimal_separators(rows: tuple[int, ...], n: int) -> list[int]:
     exactly its clique minimal separators (Berry, Pogorelcnik and Simonet, An
     introduction to clique minimal separator decomposition, Algorithms 2010;
     Tarjan, Decomposition by clique separators, 1985). O(nm) in all.
+
+    The unnumbered vertices are kept as label classes, one bitmask per label
+    held by some of them, for the whole pass: x is the lowest bit of the top
+    class, which is the first vertex of the largest label, and after each
+    step only the raised vertices move, each up one class.
     """
-    label = [0] * n
     madj = [0] * n
-    unnumbered = (1 << n) - 1
+    levels: dict[int, int] = {0: (1 << n) - 1} if n else {}
     found: set[int] = set()
     previous = -1
-    while unnumbered:
-        x = max(_bits(unnumbered), key=label.__getitem__)
-        if label[x] <= previous and _is_clique_mask(rows, madj[x]):
+    while levels:
+        top = max(levels)
+        at = levels[top]
+        low = at & -at
+        x = low.bit_length() - 1
+        if top <= previous and _is_clique_mask(rows, madj[x]):
             found.add(madj[x])
-        previous = label[x]
-        unnumbered &= ~(1 << x)
-        levels: dict[int, int] = {}
-        for y in _bits(unnumbered):
-            levels[label[y]] = levels.get(label[y], 0) | 1 << y
+        previous = top
+        if at == low:
+            del levels[top]
+        else:
+            levels[top] = at ^ low
         # by ascending level L: reached holds the vertices labelled below L
-        # that x reaches through such vertices, border their neighbours and x's
-        raised = reached = below = 0
+        # that x reaches through such vertices, border their neighbours and
+        # x's; the members of L in border are raised
+        moves = []
+        reached = below = 0
         border = rows[x]
         for level in sorted(levels):
             at = levels[level]
-            raised |= at & border
-            below |= at
             frontier = at & border
+            if frontier:
+                moves.append((level, frontier))
+            below |= at
             while frontier:
                 reached |= frontier
                 for v in _bits(frontier):
                     border |= rows[v]
                 frontier = border & below & ~reached
-        for y in _bits(raised):
-            label[y] += 1
-            madj[y] |= 1 << x
-    return sorted(found, key=lambda s: (s.bit_count(), _bits(s)))
+        for level, up in moves:
+            at = levels[level] ^ up
+            if at:
+                levels[level] = at
+            else:
+                del levels[level]
+            levels[level + 1] = levels.get(level + 1, 0) | up
+            for y in _bits(up):
+                madj[y] |= low
+    return sorted(found, key=lambda s: (s.bit_count(), tuple(_bits(s))))
 
 
 def iter_clique_splits(g: Graph) -> Iterator[CliqueSplit]:
@@ -328,7 +356,7 @@ def co_contract(g: Graph, b: Iterable[str]) -> Graph:
     kept = [g.vertices[i] for i in keep]
     at = bisect_left(kept, fresh)
     kept.insert(at, fresh)
-    return _from_sorted(tuple(kept), _relabel(extended, keep[:at] + [n] + keep[at:]))
+    return _from_sorted(tuple(kept), _relabel(extended, [*keep[:at], n, *keep[at:]]))
 
 
 def co_contract_edge(g: Graph, pair: tuple[str, str]) -> Graph:

@@ -74,6 +74,7 @@ from .graphs import (
     Graph,
     GraphError,
     _bits,
+    _from_sorted,
     _graph6_order,
     _shared,
     emit_graph6,
@@ -90,6 +91,7 @@ from .obstructions import (
 )
 from .ops import (
     CliqueSplit,
+    _bisimplicial_edges,
     _is_clique_mask,
     co_contract,
     complement,
@@ -134,9 +136,12 @@ class Derivation:
     contracted: Optional[frozenset[str]] = None
 
     def rules_used(self) -> set[str]:
-        out = {self.rule}
-        for ch in self.children:
-            out |= ch.rules_used()
+        out = set()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            out.add(node.rule)
+            stack.extend(node.children)
         return out
 
 
@@ -145,6 +150,12 @@ def _leaf(g: Graph) -> Derivation:
     # complete-graph leaves recur across derivations (K1 and K2 on the same
     # names above all), so one copy of each is kept
     return Derivation(RULE_COMPLETE, g)
+
+
+@lru_cache(maxsize=64)
+def _complete_rows(k: int) -> tuple[int, ...]:
+    full = (1 << k) - 1
+    return tuple(full ^ 1 << i for i in range(k))
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,9 +175,9 @@ class _Peel:
         h = self.graph
         full = (1 << h.n) - 1
         for whole, clique, sep in reversed(self.steps):
+            leaf = _leaf(_from_sorted(h.names(clique), _complete_rows(clique.bit_count())))
             d = Derivation(RULE_AMALGAM, h if whole == full else h.subgraph(whole),
-                           (_leaf(h.subgraph(clique)), d),
-                           separator=_shared(frozenset(h.names(sep))))
+                           (leaf, d), separator=_shared(frozenset(h.names(sep))))
         return d
 
 
@@ -186,17 +197,25 @@ def _peel(h: Graph) -> _Peel:
     maximal clique: the paper's proof that chordal graphs lie in N'. On any
     other h it ends at a core with no simplicial vertex. Subgraphs other than
     the core are built only by wrap.
+
+    The simplicial vertices of what is left are kept as a mask, and a step
+    re-tests only the members of S. Every neighbour of a removed vertex lies
+    in K, and K meets what is left after the step in S, so a vertex outside
+    S keeps its neighbourhood and with it its answer; a vertex of S that was
+    simplicial stays so, since a simplicial vertex stays simplicial in an
+    induced subgraph. The lowest bit of the mask is then the first
+    simplicial vertex by position, the one a scan from scratch would take.
     """
     rows = h.rows
     full = rest = (1 << h.n) - 1
+    simplicial = 0
+    for v in _bits(rest):
+        if _is_clique_mask(rows, rows[v]):
+            simplicial |= 1 << v
     steps = []
-    while True:
-        for v in _bits(rest):
-            if _is_clique_mask(rows, rows[v] & rest):
-                break
-        else:
-            break
-        clique = rows[v] & rest | 1 << v
+    while simplicial:
+        low = simplicial & -simplicial
+        clique = rows[low.bit_length() - 1] & rest | low
         if clique == rest:
             break
         outside = rest & ~clique
@@ -206,6 +225,10 @@ def _peel(h: Graph) -> _Peel:
                 sep |= 1 << u
         steps.append((rest, clique, sep))
         rest &= ~clique | sep
+        simplicial &= rest
+        for u in _bits(sep & ~simplicial):
+            if _is_clique_mask(rows, rows[u] & rest):
+                simplicial |= 1 << u
     return _Peel(h, tuple(steps), h if rest == full else h.subgraph(rest))
 
 
@@ -243,9 +266,10 @@ def is_chordal_bipartite(g: Graph) -> Union[Derivation, CycleWitness]:
     chain = []
     h = g
     while h.m:
-        e = next((e for e in h.edge_pairs if is_bisimplicial_edge(h, e)), None)
-        if e is None:
+        edge = next(_bisimplicial_edges(h.rows), None)
+        if edge is None:
             raise AssertionError("chordal bipartite graph without a bisimplicial edge")
+        e = h.names(1 << edge[0] | 1 << edge[1])
         chain.append((h, e))
         h = remove_edge_interior(h, e)
     d = is_chordal(h)
@@ -271,14 +295,25 @@ def check_derivation(d: Derivation, g: Graph) -> bool:
     return d.conclusion == g or is_isomorphic(d.conclusion, g) is not None
 
 
-def _check_node(node: Derivation) -> bool:
+def _check_node(root: Derivation) -> bool:
+    """Every node of the derivation at root passes _check_rule, checked in
+    preorder, children left to right, on an explicit stack: a derivation
+    nests one level per peel step and per removed edge."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if not _check_rule(node):
+            return False
+        stack.extend(reversed(node.children))
+    return True
+
+
+def _check_rule(node: Derivation) -> bool:
+    """The node's rule holds between its conclusion and its children's."""
     c = node.conclusion
     if node.rule == RULE_COMPLETE:
-        if node.children:
-            return False
-        if not is_complete(c):
-            return False
-    elif node.rule == RULE_JOIN:
+        return not node.children and is_complete(c)
+    if node.rule == RULE_JOIN:
         if len(node.children) != 2 or node.bipartition is None or len(node.bipartition) != 2:
             return False
         a, b = node.bipartition
@@ -286,16 +321,14 @@ def _check_node(node: Derivation) -> bool:
         c1 = node.children[1].conclusion
         if set(c0.vertices) != set(a) or set(c1.vertices) != set(b):
             return False
-        if join(c0, c1) != c:
-            return False
-    elif node.rule == RULE_AMALGAM:
+        return join(c0, c1) == c
+    if node.rule == RULE_AMALGAM:
         if len(node.children) != 2 or node.separator is None:
             return False
         split = CliqueSplit(node.children[0].conclusion,
                             node.children[1].conclusion, node.separator)
-        if not validate_clique_split(c, split):
-            return False
-    elif node.rule == RULE_BISIMP:
+        return validate_clique_split(c, split)
+    if node.rule == RULE_BISIMP:
         if len(node.children) != 1 or node.edge is None:
             return False
         e = tuple(node.edge)
@@ -303,19 +336,15 @@ def _check_node(node: Derivation) -> bool:
             return False
         if not is_bisimplicial_edge(c, e):
             return False
-        if node.children[0].conclusion != remove_edge_interior(c, e):
-            return False
-    elif node.rule == RULE_COCONTRACT:
+        return node.children[0].conclusion == remove_edge_interior(c, e)
+    if node.rule == RULE_COCONTRACT:
         if len(node.children) != 1 or node.contracted is None:
             return False
         child = node.children[0].conclusion
         if not node.contracted <= set(child.vertices):
             return False
-        if co_contract(child, node.contracted) != c:
-            return False
-    else:
-        return False
-    return all(_check_node(ch) for ch in node.children)
+        return co_contract(child, node.contracted) == c
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -464,13 +493,17 @@ class _Search:
             if not self._decide(right):
                 return None
             return _Decision(RULE_AMALGAM, (left, right), separator=split.separator)
-        for e in h.edge_pairs:
-            if not is_bisimplicial_edge(h, e):
-                continue
+        # on positions: the child drops the edge from two rows, and only the
+        # edge that closes h is named
+        rows = h.rows
+        for a, b in _bisimplicial_edges(rows):
             self.rules_attempted.add(RULE_BISIMP)
-            child = _peel(remove_edge_interior(h, e))
+            cut = list(rows)
+            cut[a] ^= 1 << b
+            cut[b] ^= 1 << a
+            child = _peel(_from_sorted(h.vertices, tuple(cut)))
             if self._decide(child):
-                return _Decision(RULE_BISIMP, (child,), edge=e)
+                return _Decision(RULE_BISIMP, (child,), edge=(h.vertices[a], h.vertices[b]))
         comp_parts = connected_components(complement(h))
         if len(comp_parts) > 1:
             self.rules_attempted.add(RULE_JOIN)

@@ -335,3 +335,127 @@ def reference_cocontraction_witness(g: Graph, max_depth: int, extra=()):
                     seen.add(key)
                     queue.append((child, trail + ((verts[i], verts[j]),)))
     return None
+
+
+# ---------------------------------------------------------------------------
+# reference kernels: the bit walks, the peel and the MCS-M pass one step at a
+# time, as the library's table-driven and incremental versions must agree
+
+
+def reference_bits(mask: int) -> list[int]:
+    """Positions of the set bits, ascending, one lowest bit at a time."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def reference_relabel(rows, order) -> tuple[int, ...]:
+    """Rows of the graph induced on the positions in order, order[i]
+    renumbered i, through a position map and one bit at a time."""
+    pos = {old: new for new, old in enumerate(order)}
+    return tuple(sum(1 << pos[j] for j in reference_bits(rows[old]) if j in pos)
+                 for old in order)
+
+
+def reference_peel(g: Graph) -> tuple[list, int]:
+    """(steps, core mask) of the peel, scanning what is left from scratch
+    for its first simplicial vertex at every step."""
+    rows = g.rows
+    rest = (1 << g.n) - 1
+    steps = []
+    while True:
+        for v in reference_bits(rest):
+            near = rows[v] & rest
+            if all(near & ~(rows[u] | 1 << u) == 0 for u in reference_bits(near)):
+                break
+        else:
+            break
+        clique = rows[v] & rest | 1 << v
+        if clique == rest:
+            break
+        outside = rest & ~clique
+        sep = sum(1 << u for u in reference_bits(clique) if rows[u] & outside)
+        steps.append((rest, clique, sep))
+        rest &= ~clique | sep
+    return steps, rest
+
+
+def reference_mcs_m_separators(rows, n: int) -> list[int]:
+    """The clique minimal separators by one MCS-M pass that keeps a label
+    per vertex, takes the first unnumbered vertex of the largest label, and
+    regroups the unnumbered vertices by label at every step; sorted by size,
+    then by ascending member positions."""
+    label = [0] * n
+    madj = [0] * n
+    unnumbered = (1 << n) - 1
+    found = set()
+    previous = -1
+    while unnumbered:
+        x = max(reference_bits(unnumbered), key=label.__getitem__)
+        clique = all((rows[i] | 1 << i) & madj[x] == madj[x] for i in reference_bits(madj[x]))
+        if label[x] <= previous and clique:
+            found.add(madj[x])
+        previous = label[x]
+        unnumbered &= ~(1 << x)
+        levels = {}
+        for y in reference_bits(unnumbered):
+            levels[label[y]] = levels.get(label[y], 0) | 1 << y
+        raised = reached = below = 0
+        border = rows[x]
+        for level in sorted(levels):
+            at = levels[level]
+            raised |= at & border
+            below |= at
+            frontier = at & border
+            while frontier:
+                reached |= frontier
+                for v in reference_bits(frontier):
+                    border |= rows[v]
+                frontier = border & below & ~reached
+        for y in reference_bits(raised):
+            label[y] += 1
+            madj[y] |= 1 << x
+    return sorted(found, key=lambda s: (s.bit_count(), reference_bits(s)))
+
+
+def reference_parse_graph6(data: bytes) -> Graph:
+    """graph6 decoded bit by bit into an edge list on v1..vn, through the
+    validating Graph constructor, with the same checks and messages as
+    graphs.parse_graph6."""
+    s = data.strip()
+    if s.startswith(b">>graph6<<"):
+        s = s[len(b">>graph6<<"):].lstrip()
+    if not s:
+        raise GraphError("empty graph6 input")
+    n, body = s[0] - 63, s[1:]
+    if n == 63:
+        head, body = s[1:4], s[4:]
+        n = 0
+        for b in head:
+            n = n << 6 | b - 63
+        if len(head) != 3 or any(b < 63 or b > 126 for b in head) or not 63 <= n <= 258047:
+            raise GraphError("malformed graph6 header %r" % (s[:4],))
+    elif n < 0:
+        raise GraphError("malformed graph6 header byte %r" % (s[0],))
+    need = (n * (n - 1) // 2 + 5) // 6
+    if len(body) != need:
+        raise GraphError("graph6 body has %d bytes, expected %d" % (len(body), need))
+    bits = []
+    for b in body:
+        if b < 63 or b > 126:
+            raise GraphError("graph6 byte out of range: %r" % (b,))
+        bits.extend((b - 63) >> k & 1 for k in range(5, -1, -1))
+    names = ["v%d" % (i + 1) for i in range(n)]
+    edges = []
+    t = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[t]:
+                edges.append((names[i], names[j]))
+            t += 1
+    if any(bits[t:]):
+        raise GraphError("graph6 trailing bits are not zero")
+    return Graph(names, edges)

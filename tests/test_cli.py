@@ -8,7 +8,7 @@ import pytest
 from conftest import desk_graph6
 
 import raagscope
-from raagscope.cli import main
+from raagscope.cli import MAX_VERTICES, main
 from raagscope.generate import nonisomorphic_graphs
 from raagscope.graphs import (
     emit_edgelist,
@@ -353,6 +353,34 @@ def test_batch_reports_a_bad_line_and_carries_on(capsys, tmp_path):
     assert records[1]["input"] == {"line": 2, "text": "not-a-graph"}
     assert records[1]["error"].startswith("parse error:")
     assert "error" not in records[0] and "error" not in records[2]
+
+
+def test_a_graph_past_the_vertex_cap_is_refused(capsys, tmp_path):
+    # one error line and exit 64 from every subcommand that reads a graph;
+    # a graph at the cap is classified
+    at_cap = emit_graph6(standard_graph("path", MAX_VERTICES)).decode()
+    past = tmp_path / "p257.el"
+    past.write_bytes(emit_edgelist(standard_graph("path", MAX_VERTICES + 1)))
+    line = "parse error: graph has %d vertices, cap is %d\n" % (MAX_VERTICES + 1, MAX_VERTICES)
+    for argv in (["classify", str(past)], ["classify", "--json", str(past)],
+                 ["verify", str(past), str(past)], ["ops", "complement", str(past)],
+                 ["word", "nf", "-g", str(past), "v1"]):
+        assert run(capsys, *argv) == (64, "", line), argv
+    assert run(capsys, "classify", at_cap)[:2] == (0, "verdict: no_surface_subgroup\n"
+                                                      "derivation rules: AmalgamRule, CompleteBase\n")
+
+
+def test_batch_reports_a_graph_past_the_vertex_cap_and_carries_on(capsys, tmp_path):
+    feed = tmp_path / "batch.g6"
+    big = emit_graph6(standard_graph("path", 300)).decode()
+    feed.write_text("%s\n%s\n%s\n" % (P4_G6, big, C5_G6))
+    code, out, err = run(capsys, "classify", "--batch", "--json", str(feed))
+    assert code == 64 and err == ""
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r["verdict"] for r in records] == ["no_surface_subgroup", None,
+                                               "has_surface_subgroup"]
+    assert records[1]["input"] == {"line": 2, "text": big}
+    assert records[1]["error"] == "parse error: graph has 300 vertices, cap is %d" % MAX_VERTICES
 
 
 def test_batch_refuses_edgelist_format(capsys, tmp_path):

@@ -3,12 +3,15 @@ import time
 
 import pytest
 
-from conftest import brute_induced, random_graph
+from conftest import (brute_induced, random_graph, reference_bits, reference_parse_graph6,
+                      reference_relabel)
 from raagscope.graphs import (
     Graph,
     GraphError,
     IsoTable,
+    _bits,
     _from_rows,
+    _relabel,
     canonical_form,
     canonical_key,
     emit_dot,
@@ -210,6 +213,70 @@ def test_graph6_header_and_errors():
     for bad in (b"~", b"~??~", b"~~??????"):  # short, order below 63, eight-byte form
         with pytest.raises(GraphError):
             parse_graph6(bad)
+
+
+def _parse_outcome(parse, data):
+    try:
+        g = parse(data)
+    except GraphError as exc:
+        return "error", str(exc)
+    return g.vertices, g.rows
+
+
+def test_parse_graph6_matches_the_edge_list_reference():
+    # rows built straight from the bits give the graph the validating
+    # constructor builds from the edge list, on the atlas and on orders 63
+    # to 70, which take the four-byte header
+    rng = random.Random(26)
+    values = [emit_graph6(g) for n in range(1, 8) for g in nonisomorphic_graphs(n)]
+    for n in range(63, 71):
+        values += [emit_graph6(random_graph(n, p, rng)) for p in (0.0, 0.1, 0.5, 1.0)]
+    assert len(values) == 1252 + 32
+    for data in values:
+        expected = reference_parse_graph6(data)
+        got = parse_graph6(data)
+        assert got == expected and got.vertices == expected.vertices, data
+        assert emit_graph6(got) == data
+
+
+def test_parse_graph6_refuses_what_the_reference_refuses():
+    # every header, body and trailing-bit check, with the same message
+    rng = random.Random(27)
+    cases = [b"", b"?", b"@", b"A_", b"A`", b"Bw", b"Bx", b"B", b"A" + bytes([20]),
+             b"A" + bytes([127]), b"~", b"~??~", b"~~??????", b"~?@~", b">>graph6<<Dhc"]
+    for _ in range(400):
+        data = bytearray(emit_graph6(random_graph(rng.randint(1, 12), rng.random(), rng)))
+        k = rng.randrange(len(data))
+        data[k] = rng.choice((rng.randrange(256), data[k] ^ 1, data[k] ^ 32))
+        cases.append(bytes(data[:rng.randint(1, len(data))] if rng.random() < 0.2 else data))
+    errors = 0
+    for data in cases:
+        expected = _parse_outcome(reference_parse_graph6, data)
+        assert _parse_outcome(parse_graph6, data) == expected, data
+        errors += expected[0] == "error"
+    assert 100 < errors < len(cases)
+
+
+def test_bits_matches_the_bit_at_a_time_walk():
+    # the table below 256 and the loop above it: every mask below 2^12, and
+    # random masks up to 2^70
+    for mask in range(1 << 12):
+        assert list(_bits(mask)) == reference_bits(mask), mask
+    rng = random.Random(28)
+    for _ in range(3000):
+        mask = rng.getrandbits(rng.randint(1, 70))
+        assert list(_bits(mask)) == reference_bits(mask), mask
+
+
+def test_relabel_matches_the_position_map():
+    rng = random.Random(29)
+    for _ in range(2000):
+        n = rng.randint(0, 20)
+        g = random_graph(n, rng.random(), rng)
+        order = rng.sample(range(n), rng.randint(0, n))
+        if rng.random() < 0.5:
+            order.sort()
+        assert _relabel(g.rows, order) == reference_relabel(g.rows, order)
 
 
 def test_edgelist_round_trip():

@@ -3,12 +3,15 @@ from itertools import combinations
 
 import pytest
 from conftest import (add_edge, disjoint_union, is_connected, random_chordal, random_graph,
-                      reference_clique_splits, reference_validate_clique_split)
+                      reference_clique_splits, reference_mcs_m_separators,
+                      reference_validate_clique_split)
 
 from raagscope.graphs import Graph, GraphError, is_isomorphic, new_graph, standard_graph
 from raagscope.generate import nonisomorphic_graphs
 from raagscope.ops import (
     CliqueSplit,
+    _bisimplicial_edges,
+    _clique_minimal_separators,
     co_contract,
     co_contract_edge,
     complement,
@@ -98,6 +101,26 @@ def test_bisimplicial_exhaustive_pair_check():
         is_bisimplicial_edge(c4, ("v1", "v3"))
 
 
+def test_positional_bisimplicial_order_is_the_edge_pairs_order():
+    # the prover's scan on positions finds the bisimplicial edges that a
+    # test by names over edge_pairs finds, in the same order
+    def slow(g, e):
+        a, b = e
+        return all(u == w or g.has_edge(u, w) for u in g.adj(a) for w in g.adj(b))
+
+    rng = random.Random(30)
+    graphs = [g for n in range(1, 8) for g in nonisomorphic_graphs(n)]
+    graphs += [random_graph(rng.randint(8, 16), rng.random(), rng) for _ in range(200)]
+    found = 0
+    for g in graphs:
+        vs = g.vertices
+        positional = [(vs[a], vs[b]) for a, b in _bisimplicial_edges(g.rows)]
+        assert positional == [e for e in g.edge_pairs if slow(g, e)]
+        assert positional == [e for e in g.edge_pairs if is_bisimplicial_edge(g, e)]
+        found += len(positional)
+    assert found > 3000
+
+
 def test_remove_edge_interior():
     k2 = standard_graph("complete", 2)
     assert remove_edge_interior(k2, ("v1", "v2")).m == 0
@@ -180,6 +203,21 @@ def test_clique_splits_are_the_enumerated_splits_along_minimal_separators():
         minimal_seen += bool(got)
         nonminimal_seen += len(every) > len(got)
     assert minimal_seen > 500 and nonminimal_seen > 100
+
+
+def test_mcs_m_label_classes_match_the_per_vertex_labels():
+    # label classes kept as masks across the pass give the separators of
+    # the pass that regroups per-vertex labels at every step
+    rng = random.Random(31)
+    graphs = [g for n in range(1, 8) for g in nonisomorphic_graphs(n)]
+    graphs += [random_graph(rng.randint(8, 16), rng.random(), rng) for _ in range(300)]
+    graphs += [random_chordal(rng.randint(8, 16), rng) for _ in range(100)]
+    separated = 0
+    for g in graphs:
+        seps = _clique_minimal_separators(g.rows, g.n)
+        assert seps == reference_mcs_m_separators(g.rows, g.n), g.edge_pairs
+        separated += bool(seps)
+    assert separated > 800
 
 
 def test_validate_clique_split_rejects_bad():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import add_edge, desk_graph6, random_chordal, random_graph
+from conftest import add_edge, desk_graph6, random_chordal, random_graph, reference_peel
 from raagscope.generate import nonisomorphic_graphs
 from raagscope.graphs import Graph, emit_graph6, new_graph, parse_graph6, standard_graph
 from raagscope.obstructions import (builtin_catalog, entry_graph, find_cocontraction_witness,
@@ -620,6 +620,52 @@ def _peel_inputs():
 
 def _has_simplicial_vertex(g):
     return any(is_simplicial_vertex(g, v) for v in g.vertices)
+
+
+def test_the_peel_matches_a_scan_from_scratch_at_every_step():
+    # the peel re-tests only the separator after a step; a scan of what is
+    # left for its first simplicial vertex must take the same steps, and the
+    # wrapped derivation's complete leaves are the induced cliques
+    rng = random.Random(83)
+    graphs = [g for n in range(1, 8) for g in nonisomorphic_graphs(n)]
+    graphs += [random_graph(rng.randint(8, 16), rng.random(), rng) for _ in range(300)]
+    graphs += [random_chordal(rng.randint(8, 16), rng) for _ in range(100)]
+    steps_taken = 0
+    for g in graphs:
+        peel = _peel(g)
+        steps, core = reference_peel(g)
+        assert list(peel.steps) == steps, emit_graph6(g)
+        assert peel.core == g.subgraph(core), emit_graph6(g)
+        d = peel.wrap(Derivation(RULE_COMPLETE, peel.core))
+        for whole, clique, sep in steps:
+            assert d.rule == RULE_AMALGAM and d.conclusion == g.subgraph(whole)
+            assert d.children[0].conclusion == g.subgraph(clique)
+            assert d.separator == frozenset(g.names(sep))
+            d = d.children[1]
+        steps_taken += len(steps)
+    assert steps_taken > 3000
+
+
+def test_a_long_path_is_derived_and_checked_in_process():
+    # a derivation nests about one level per vertex; the checker and
+    # rules_used walk it on an explicit stack, so no recursion limit binds
+    path = standard_graph("path", 400)
+    v = classify(path)
+    assert v.status == NO_SURFACE
+    assert v.derivation.rules_used() == {RULE_AMALGAM, RULE_COMPLETE}
+    assert check_derivation(v.derivation, path)
+    broken = v.derivation
+    chain = []
+    while broken.children:
+        chain.append(broken)
+        broken = broken.children[1]
+    # a wrong separator at the deepest amalgam fails the whole derivation
+    last = chain[-1]
+    bad = Derivation(RULE_AMALGAM, last.conclusion, last.children, separator=frozenset())
+    for node in reversed(chain[:-1]):
+        bad = Derivation(RULE_AMALGAM, node.conclusion, (node.children[0], bad),
+                         separator=node.separator)
+    assert not check_derivation(bad, path)
 
 
 def test_the_peel_leaves_a_complete_graph_exactly_on_chordal_graphs():
