@@ -4,7 +4,7 @@ graph operations and the word engine.
 A graph is read as an edge list when its first line that is neither blank
 nor a "#" comment starts with "vertices:", and as graph6 otherwise. A graph
 may have at most 256 vertices, and a word, on the command line or in a
-homomorphism file, at most 512 letters.
+homomorphism file, at most 512 letters. Every JSON output is one line.
 
 Exit codes for classify: 0 no surface subgroup, 1 surface subgroup found,
 2 unknown. 64 marks a bad command line or unparseable input, 65 a malformed
@@ -35,6 +35,7 @@ from .graphs import (
     parse_graph6,
 )
 from .obstructions import (
+    CYCLE_FAMILIES,
     CatalogError,
     builtin_catalog,
     load_catalog,
@@ -217,7 +218,7 @@ def _report(g: Graph, verdict: Verdict, params: dict, timings: dict) -> dict:
     }
 
 
-def _print_verdict(verdict: Verdict) -> None:
+def _print_verdict(verdict: Verdict, params: dict) -> None:
     print("verdict: %s" % verdict.status)
     if verdict.obstruction is not None:
         o = verdict.obstruction
@@ -230,8 +231,8 @@ def _print_verdict(verdict: Verdict) -> None:
     if verdict.report is not None:
         r = verdict.report
         print("searched %d prover nodes (budget %d%s); co-contraction depth %d"
-              % (r.nodes_expanded, r.budget,
-                 ", exhausted" if r.budget_exhausted else "", r.cocontract_depth))
+              % (r.nodes_expanded, params["budget"],
+                 ", exhausted" if r.budget_exhausted else "", params["cocontract_depth"]))
 
 
 def cmd_classify(args) -> int:
@@ -242,25 +243,26 @@ def cmd_classify(args) -> int:
         "catalog": args.catalog or None,
     }
 
-    def run_one(g: Graph) -> tuple[int, Verdict, dict]:
+    def run_one(g: Graph) -> tuple[Verdict, dict]:
         timings: dict = {}
         t0 = time.perf_counter()
         verdict = classify(g, budget=args.budget, cocontract_depth=args.cocontract_depth,
                            catalog=extra, cross_check=args.cross_check, timings=timings)
         timings["total"] = time.perf_counter() - t0
-        return _VERDICT_EXIT[verdict.status], verdict, _report(g, verdict, params, timings)
+        return verdict, timings
 
     if args.batch:
-        return _classify_batch(args, run_one)
-    code, verdict, report = run_one(_load_graph(args.input))
+        return _classify_batch(args, run_one, params)
+    g = _load_graph(args.input)
+    verdict, timings = run_one(g)
     if args.json:
-        print(json.dumps(report, indent=2))
+        print(json.dumps(_report(g, verdict, params, timings)))
     else:
-        _print_verdict(verdict)
-    return code
+        _print_verdict(verdict, params)
+    return _VERDICT_EXIT[verdict.status]
 
 
-def _classify_batch(args, run_one) -> int:
+def _classify_batch(args, run_one, params: dict) -> int:
     """One graph6 value per line, one verdict record per value, in order. A
     line that does not parse, or holds a graph past MAX_VERTICES, gets an
     error record and the batch carries on; the exit code is 64 if any line
@@ -282,11 +284,11 @@ def _classify_batch(args, run_one) -> int:
             else:
                 print("%s parse error: %s" % (line, exc))
             continue
-        _, _, report = run_one(g)
+        verdict, timings = run_one(g)
         if args.json:
-            print(json.dumps(report))
+            print(json.dumps(_report(g, verdict, params, timings)))
         else:
-            print("%s %s" % (line, report["verdict"]))
+            print("%s %s" % (line, verdict.status))
     return EXIT_PARSE if failed else EXIT_NO
 
 
@@ -330,7 +332,7 @@ def cmd_ops(args) -> int:
                 "separator": sorted(s.separator),
                 "left": list(s.left.vertices),
                 "right": list(s.right.vertices),
-            } for s in splits], indent=2))
+            } for s in splits]))
         else:
             if not splits:
                 print("no clique separators")
@@ -419,7 +421,10 @@ def cmd_surf(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    for e in [*builtin_catalog(), *_load_extra_catalog(args.catalog)]:
+    extra = _load_extra_catalog(args.catalog)
+    for name, least, provenance in CYCLE_FAMILIES:
+        print("%-8s %-11s  %s" % (name, "n >= %d" % least, provenance))
+    for e in [*builtin_catalog(), *extra]:
         print("%-8s %2d vertices  %s" % (e.name, e.graph.n, e.provenance))
     return 0
 

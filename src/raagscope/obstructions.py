@@ -5,11 +5,12 @@ trail of complement-edge contractions ending at a graph with such a copy
 (contraction embeds the smaller graph group into the larger one, so a hit
 anywhere along the trail certifies the original graph).
 
-The built-in catalog holds the long-cycle families plus three fixed graphs,
-stored as their complements' edge lists. The fixed trio is transcribed data,
-so building the catalog runs a self-test: the second graph must contract onto
-the first and the third onto the second, and every entry must be non-chordal
-with a triangle or a long induced cycle. A failed self-test is a build error.
+The built-in catalog holds the long-cycle families, which cycle searches
+realize at any size, plus three fixed graphs, stored as their complements'
+edge lists. The fixed trio is transcribed data, so building the catalog runs
+a self-test: the second graph must contract onto the first and the third onto
+the second, and every entry must be non-chordal with a triangle or a long
+induced cycle. A failed self-test is a build error.
 """
 
 from __future__ import annotations
@@ -45,7 +46,12 @@ KIND_TRAIL = "CoContractionTrail"
 
 _CYCLE_RE = re.compile(r"^C(\d+)$")
 _COCYCLE_RE = re.compile(r"^coC(\d+)$")
-_MAX_LISTED_CYCLE = 9
+# the unbounded families as (name, least n, provenance); the searches realize
+# them at any size. C5 is self-complementary, so coCn starts at 6.
+CYCLE_FAMILIES = (
+    ("Cn", 5, "induced cycle of length >= 5 forces a hyperbolic surface subgroup"),
+    ("coCn", 6, "complement of a cycle of length >= 5 forces a hyperbolic surface subgroup"),
+)
 
 
 class CatalogError(ValueError):
@@ -134,20 +140,8 @@ def _fixed_entries() -> tuple[ForbiddenEntry, ...]:
 
 
 def builtin_catalog() -> list[ForbiddenEntry]:
-    """The shipped entries: cycles and cycle complements from 5 up to
-    _MAX_LISTED_CYCLE (deduplicating the self-complementary 5-cycle), plus the
-    fixed trio. Searches extend the cycle families dynamically past it."""
-    entries: list[ForbiddenEntry] = []
-    for n in range(5, _MAX_LISTED_CYCLE + 1):
-        entries.append(ForbiddenEntry(
-            "C%d" % n, standard_graph("cycle", n),
-            "induced cycle of length >= 5 forces a hyperbolic surface subgroup"))
-    for n in range(6, _MAX_LISTED_CYCLE + 1):
-        entries.append(ForbiddenEntry(
-            "coC%d" % n, complement(standard_graph("cycle", n)),
-            "complement of a cycle of length >= 5 forces a hyperbolic surface subgroup"))
-    entries.extend(_fixed_entries())
-    return sorted(entries, key=lambda e: (e.graph.n, e.name))
+    """The shipped fixed entries, by size; CYCLE_FAMILIES lists the rest."""
+    return list(_fixed_entries())
 
 
 def load_catalog(path: str) -> list[ForbiddenEntry]:
@@ -260,7 +254,8 @@ def find_forbidden_induced(g: Graph, extra: Sequence[ForbiddenEntry] = ()) -> Op
         if cyc is not None and len(cyc.vertices) == size:
             mapping = dict(zip(_standard_names(size), cyc.vertices))
             return Obstruction(KIND_INDUCED, "C%d" % size, _embedding(mapping))
-        if cocyc is not None and len(cocyc.vertices) == size and size >= 6:
+        # a 5-antihole is a 5-cycle, and cyc returned it above
+        if cocyc is not None and len(cocyc.vertices) == size:
             mapping = dict(zip(_standard_names(size), cocyc.vertices))
             return Obstruction(KIND_INDUCED, "coC%d" % size, _embedding(mapping))
         for e in fixed:

@@ -351,9 +351,10 @@ def _check_rule(node: Derivation) -> bool:
 # prover
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class UnknownReport:
-    """What the derivation search did; the report of an unknown verdict.
+    """What the derivation search did; the report of an unknown verdict. The
+    budget and co-contraction depth it ran under are the caller's to state.
 
     stuck names the first 32 cores that no rule closed (graphs left once
     simplicial cliques are split off; see _peel), in the order they failed,
@@ -362,19 +363,15 @@ class UnknownReport:
     core named exactly so."""
 
     nodes_expanded: int
-    budget: int
     budget_exhausted: bool
     rules_attempted: tuple[str, ...]
     stuck: tuple[str, ...] = ()
-    cocontract_depth: int = 0
 
     def to_json(self) -> dict:
         return {
             "nodes_expanded": self.nodes_expanded,
-            "budget": self.budget,
             "budget_exhausted": self.budget_exhausted,
             "rules_attempted": list(self.rules_attempted),
-            "cocontract_depth": self.cocontract_depth,
             "stuck": list(self.stuck),
         }
 
@@ -441,7 +438,6 @@ class _Search:
     def report(self) -> UnknownReport:
         return UnknownReport(
             nodes_expanded=self.nodes,
-            budget=self.budget,
             budget_exhausted=self.exhausted,
             rules_attempted=tuple(sorted(self.rules_attempted)),
             stuck=tuple("%s %s" % (emit_graph6(core).decode("ascii"),
@@ -610,7 +606,6 @@ def classify(g: Graph, budget: int = DEFAULT_BUDGET,
         return Verdict(HAS_SURFACE, obstruction=obs)
     if deriv is not None:
         return Verdict(NO_SURFACE, derivation=deriv)
-    report.cocontract_depth = cocontract_depth
     return Verdict(UNKNOWN, report=report)
 
 

@@ -23,10 +23,12 @@ from raagscope.graphs import (
 )
 from raagscope.obstructions import entry_graph
 from raagscope.ops import complement
-from raagscope.prover import derivation_to_json, is_chordal_bipartite
+from raagscope.prover import (DEFAULT_BUDGET, DEFAULT_COCONTRACT_DEPTH, derivation_to_json,
+                              is_chordal_bipartite)
 
 C5_G6 = emit_graph6(standard_graph("cycle", 5)).decode()
 P4_G6 = emit_graph6(standard_graph("path", 4)).decode()
+UNKNOWN_G6 = "IypEtv?sG"  # a 10-vertex unknown
 
 
 def run(capsys, *argv):
@@ -355,6 +357,64 @@ def test_batch_reports_a_bad_line_and_carries_on(capsys, tmp_path):
     assert "error" not in records[0] and "error" not in records[2]
 
 
+def test_text_classify_builds_no_json_record(capsys, tmp_path, monkeypatch):
+    # text output reads the verdict; the JSON report and the derivation's
+    # JSON are built only under --json
+    import raagscope.cli as cli
+    import raagscope.prover as prover
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("text output built a JSON record")
+    for module, name in ((cli, "_report"), (cli, "derivation_to_json"),
+                         (prover, "derivation_to_json")):
+        monkeypatch.setattr(module, name, refuse)
+    for g6, code in ((P4_G6, 0), (C5_G6, 1)):
+        assert run(capsys, "classify", g6)[0] == code
+    code, out, _ = run(capsys, "classify", UNKNOWN_G6, "--budget", "7", "--cocontract-depth", "1")
+    assert code == 2 and out.splitlines()[1] == (
+        "searched 1 prover nodes (budget 7); co-contraction depth 1")
+    feed = tmp_path / "batch.g6"
+    feed.write_text("%s\n%s\n%s\nnot-a-graph\n" % (P4_G6, C5_G6, UNKNOWN_G6))
+    code, out, _ = run(capsys, "classify", "--batch", str(feed))
+    assert code == 64 and [line.split()[1] for line in out.splitlines()] == [
+        "no_surface_subgroup", "has_surface_subgroup", "unknown", "parse"]
+
+
+def test_every_json_output_is_one_line(capsys, tmp_path):
+    feed = tmp_path / "batch.g6"
+    feed.write_text("%s\nnot-a-graph\n%s\n%s\n" % (P4_G6, C5_G6, UNKNOWN_G6))
+    p3 = tmp_path / "p3.el"
+    p3.write_text("vertices: x y z\nx y\ny z\n")
+    for argv, records in ((["classify", "--json", P4_G6], 1),
+                          (["classify", "--json", C5_G6], 1),
+                          (["classify", "--json", UNKNOWN_G6], 1),
+                          (["classify", "--batch", "--json", str(feed)], 4),
+                          (["ops", "separators", "--json", str(p3)], 1)):
+        _, out, _ = run(capsys, *argv)
+        assert out.endswith("\n") and out.count("\n") == records, argv
+        for line in out.splitlines():
+            json.loads(line)
+
+
+def test_unknown_report_states_no_parameter(capsys):
+    # the budget and the depth are stated once, under parameters
+    code, out, _ = run(capsys, "classify", "--json", UNKNOWN_G6)
+    report = json.loads(out)
+    assert code == 2 and set(report["unknown_report"]) == {
+        "nodes_expanded", "budget_exhausted", "rules_attempted", "stuck"}
+    assert report["parameters"]["budget"] == DEFAULT_BUDGET
+    assert report["parameters"]["cocontract_depth"] == DEFAULT_COCONTRACT_DEPTH
+
+
+def test_a_path_at_the_vertex_cap_reports_compactly_and_verifies(capsys, tmp_path):
+    at_cap = emit_graph6(standard_graph("path", MAX_VERTICES)).decode()
+    code, out, _ = run(capsys, "classify", "--json", at_cap)
+    assert code == 0 and len(out) < 10 ** 6 and out.count("\n") == 1
+    report = tmp_path / "report.json"
+    report.write_text(out)
+    assert run(capsys, "verify", at_cap, str(report))[:2] == (0, "valid\n")
+
+
 def test_a_graph_past_the_vertex_cap_is_refused(capsys, tmp_path):
     # one error line and exit 64 from every subcommand that reads a graph;
     # a graph at the cap is classified
@@ -409,8 +469,12 @@ def test_input_decides_its_format_over_the_atlas():
 
 
 def test_catalog_listing(capsys):
+    # one row per cycle family, then the fixed entries
     code, out, _ = run(capsys, "catalog")
-    assert code == 0 and "P1(8)" in out and "C5" in out
+    rows = out.splitlines()
+    assert code == 0 and [row.split()[0] for row in rows] == [
+        "Cn", "coCn", "P1(8)", "Q1(9)", "Q2(10)"]
+    assert "n >= 5" in rows[0] and "n >= 6" in rows[1]
 
 
 def _k5_minus_edge_catalog(tmp_path):
@@ -462,12 +526,11 @@ def test_classify_depth_past_the_size_gate_adds_nothing(capsys):
     reports = []
     for depth in ("2", "1000000"):
         t0 = time.process_time()
-        code, out, _ = run(capsys, "classify", "--json", "IypEtv?sG", "--cocontract-depth", depth)
+        code, out, _ = run(capsys, "classify", "--json", UNKNOWN_G6, "--cocontract-depth", depth)
         assert code == 2 and time.process_time() - t0 < 5.0
         report = json.loads(out)
         del report["timings"]
         assert report["parameters"].pop("cocontract_depth") == int(depth)
-        assert report["unknown_report"].pop("cocontract_depth") == int(depth)
         reports.append(report)
     assert reports[0] == reports[1]
 

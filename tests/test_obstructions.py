@@ -10,6 +10,7 @@ from raagscope.generate import nonisomorphic_graphs
 from raagscope.graphs import (Graph, GraphError, canonical_key, emit_graph6, is_isomorphic,
                               parse_graph6, standard_graph, verify_vertex_map)
 from raagscope.obstructions import (
+    CYCLE_FAMILIES,
     KIND_INDUCED,
     KIND_TRAIL,
     CatalogError,
@@ -30,13 +31,20 @@ from raagscope.recognize import find_induced_cycle
 
 
 def test_builtin_catalog_contents():
+    # the fixed trio; the cycle families are listed once, as families
     cat = builtin_catalog()
-    names = [e.name for e in cat]
-    assert "C5" in names and "C9" in names
-    assert "coC5" not in names  # self-complementary, deduplicated into C5
-    assert "coC6" in names and "coC9" in names
-    assert {"P1(8)", "Q1(9)", "Q2(10)"} <= set(names)
+    assert [e.name for e in cat] == ["P1(8)", "Q1(9)", "Q2(10)"]
     assert all(e.provenance for e in cat)
+    # coC5 is C5, which is self-complementary
+    assert [family[:2] for family in CYCLE_FAMILIES] == [("Cn", 5), ("coCn", 6)]
+    assert all(provenance for _, _, provenance in CYCLE_FAMILIES)
+
+
+def test_scan_names_a_5_antihole_as_c5():
+    for n in (5, 6, 7):
+        for g in nonisomorphic_graphs(n):
+            o = find_forbidden_induced(g)
+            assert o is None or o.entry != "coC5"
 
 
 def test_fixed_graph_shapes():
