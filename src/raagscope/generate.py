@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .graphs import Graph, _from_rows, canonical_key, standard_graph
+from .graphs import Graph, _from_rows, canonical_key
 
 
 @lru_cache(maxsize=None)
@@ -14,8 +14,6 @@ def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
     neighborhood and deduplicating by canonical form."""
     if n == 0:
         return (Graph([], []),)
-    if n == 1:
-        return (standard_graph("discrete", 1),)
     smaller = nonisomorphic_graphs(n - 1)
     fresh = "v%d" % n
     seen = {}

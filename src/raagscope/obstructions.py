@@ -7,10 +7,10 @@ anywhere along the trail certifies the original graph).
 
 The built-in catalog holds the long-cycle families, which cycle searches
 realize at any size, plus three fixed graphs, stored as their complements'
-edge lists. The fixed trio is transcribed data, so building the catalog runs
-a self-test: the second graph must contract onto the first and the third onto
-the second, and every entry must be non-chordal with a triangle or a long
-induced cycle. A failed self-test is a build error.
+edge lists. ForbiddenEntry refuses a chordal or chordal bipartite entry,
+built in or loaded. The fixed trio is transcribed data, so building the
+catalog also runs a self-test: the second graph must contract onto the first
+and the third onto the second. A failed self-test is a build error.
 """
 
 from __future__ import annotations
@@ -60,9 +60,30 @@ class CatalogError(ValueError):
 
 @dataclass(frozen=True)
 class ForbiddenEntry:
+    """A fixed catalog entry. The paper's corollaries put chordal and chordal
+    bipartite graphs in N', so making either an entry raises CatalogError, as
+    does a graph too large for the cycle searches that check it. A
+    non-chordal graph on at most 4 vertices is C4, which is chordal
+    bipartite, so every entry has at least 5 vertices."""
+
     name: str
     graph: Graph
     provenance: str
+
+    def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise CatalogError("catalog entry name must be a string, got %r" % (self.name,))
+        if not self.provenance or not isinstance(self.provenance, str):
+            raise CatalogError("catalog entry %r needs a provenance string" % (self.name,))
+        try:
+            chordal = find_induced_cycle(self.graph, 4) is None
+            refused = chordal or find_triangle_or_long_cycle(self.graph) is None
+        except RecursionError:
+            raise CatalogError("catalog entry %r is too large to check" % (self.name,)) from None
+        if refused:
+            kind = "chordal" if chordal else "chordal bipartite"
+            raise CatalogError("catalog entry %r is %s, so its graph group contains no "
+                               "hyperbolic surface group" % (self.name, kind))
 
 
 @dataclass(frozen=True, eq=True, slots=True)
@@ -122,11 +143,6 @@ def _fixed_entries() -> tuple[ForbiddenEntry, ...]:
         raise RuntimeError("catalog self-test failed: Q1(9) does not contract onto P1(8)")
     if is_isomorphic(co_contract_edge(q2x, ("c", "d")), q19) is None:
         raise RuntimeError("catalog self-test failed: Q2(10) does not contract onto Q1(9)")
-    for name, g in (("P1(8)", p18), ("Q1(9)", q19), ("Q2(10)", q2x)):
-        if find_induced_cycle(g, 4) is None:
-            raise RuntimeError("catalog self-test failed: %s is chordal" % name)
-        if find_triangle_or_long_cycle(g) is None:
-            raise RuntimeError("catalog self-test failed: %s is chordal bipartite" % name)
     return (
         ForbiddenEntry("P1(8)", p18,
                        "Crisp-Sageev-Sapir (2008): its graph group contains a closed "
@@ -148,10 +164,10 @@ def load_catalog(path: str) -> list[ForbiddenEntry]:
     """User catalog extensions: a JSON array of entries, each graph stored as
     its complement's edge list. Every entry must carry a provenance string.
 
-    Any malformed document raises CatalogError: text that is not JSON, and an
-    entry that is not an object with a string name, a nonempty string
-    provenance, a list of vertex names and a list of two-name complement
-    edges that make a valid graph.
+    Any malformed document raises CatalogError: text that is not JSON, an
+    entry that is not an object with a list of vertex names and a list of
+    two-name complement edges that make a valid graph, an entry that
+    ForbiddenEntry refuses, and a name a cycle family or another entry holds.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -173,14 +189,6 @@ def load_catalog(path: str) -> list[ForbiddenEntry]:
             comp_edges = item["complement_edges"]
         except KeyError as exc:
             raise CatalogError("bad catalog entry: missing %s" % exc) from None
-        if not isinstance(name, str):
-            raise CatalogError("catalog entry name must be a string, got %r" % (name,))
-        if not provenance or not isinstance(provenance, str):
-            raise CatalogError("catalog entry %r needs a provenance string" % (name,))
-        if _CYCLE_RE.match(name) or _COCYCLE_RE.match(name):
-            raise CatalogError("catalog entry name %r collides with the cycle families" % (name,))
-        if name in {e.name for e in _fixed_entries()}:
-            raise CatalogError("catalog entry name %r collides with a built-in entry" % (name,))
         if not (isinstance(vertices, list) and isinstance(comp_edges, list)
                 and all(isinstance(e, list) and len(e) == 2 for e in comp_edges)):
             raise CatalogError("catalog entry %r needs a vertex list and complement edges "
@@ -190,10 +198,12 @@ def load_catalog(path: str) -> list[ForbiddenEntry]:
         except (GraphError, TypeError) as exc:
             # TypeError: an unhashable vertex name, such as a list
             raise CatalogError("catalog entry %r: %s" % (name, exc)) from None
-        if graph.n < 5:
-            raise CatalogError("catalog entry %r has fewer than 5 vertices; such graph "
-                               "groups never contain hyperbolic surface groups" % (name,))
-        out.append(ForbiddenEntry(name, graph, provenance))
+        entry = ForbiddenEntry(name, graph, provenance)
+        if _CYCLE_RE.match(name) or _COCYCLE_RE.match(name):
+            raise CatalogError("catalog entry name %r collides with the cycle families" % (name,))
+        if name in {e.name for e in _fixed_entries()}:
+            raise CatalogError("catalog entry name %r collides with a built-in entry" % (name,))
+        out.append(entry)
     names = [e.name for e in out]
     if len(set(names)) != len(names):
         raise CatalogError("duplicate catalog entry name")

@@ -266,9 +266,7 @@ def is_chordal_bipartite(g: Graph) -> Union[Derivation, CycleWitness]:
     chain = []
     h = g
     while h.m:
-        edge = next(_bisimplicial_edges(h.rows), None)
-        if edge is None:
-            raise AssertionError("chordal bipartite graph without a bisimplicial edge")
+        edge = next(_bisimplicial_edges(h.rows))
         e = h.names(1 << edge[0] | 1 << edge[1])
         chain.append((h, e))
         h = remove_edge_interior(h, e)
@@ -404,16 +402,13 @@ class _Search:
     core hits the memo. The memo maps each core searched to its _Decision, or to None when
     no rule closed it, so a graph decided only for a yes or no (the pruning
     of the co-contraction search) builds no derivation. prove builds the
-    derivation of the graph it was asked about from the decisions, once:
-    built keeps one derivation per core, so a core met twice shares one
-    sub-derivation.
+    derivation of the graph it was asked about from the decisions, once.
     """
 
     def __init__(self, budget: int):
         if budget < 1:
             raise ValueError("budget must be at least 1")
         self.memo: dict[Graph, Optional[_Decision]] = {}
-        self.built: dict[Graph, Derivation] = {}
         self.budget = budget
         self.nodes = 0
         self.exhausted = False
@@ -462,16 +457,13 @@ class _Search:
     def _build(self, peel: _Peel) -> Derivation:
         # peel was decided: its core is complete or has a decision
         core = peel.core
-        d = self.built.get(core)
-        if d is None:
-            decision = self.memo.get(core)
-            if decision is None:
-                d = _leaf(core)
-            else:
-                d = self.built[core] = Derivation(
-                    decision.rule, core, tuple(self._build(p) for p in decision.parts),
-                    separator=decision.separator, edge=decision.edge,
-                    bipartition=decision.bipartition)
+        decision = self.memo.get(core)
+        if decision is None:
+            d = _leaf(core)
+        else:
+            d = Derivation(decision.rule, core, tuple(self._build(p) for p in decision.parts),
+                           separator=decision.separator, edge=decision.edge,
+                           bipartition=decision.bipartition)
         return peel.wrap(d)
 
     def _expand(self, h: Graph) -> Optional[_Decision]:
@@ -547,10 +539,9 @@ def classify(g: Graph, budget: int = DEFAULT_BUDGET,
     and scans the states below it for the fixed entries alone. Skipping the
     scan on a chordal g is sound: chordal graphs lie in N' within N (the
     paper's theorem; the derivation is its proof), so no obstruction of g can
-    exist, and indeed every built-in catalog entry is non-chordal while every
-    induced subgraph of a chordal graph is chordal. A user catalog entry
-    that is chordal contradicts the theorem; only cross_check, which scans g
-    as well, exposes it. The peel of g counts as part of the scan phase. The
+    exist, and indeed no catalog entry is chordal (ForbiddenEntry refuses
+    one) while every induced subgraph of a chordal graph is chordal. The
+    peel of g counts as part of the scan phase. The
     co-contraction search does not expand a state the prover derives
     (see _search_below_clean_root): that state lies in N', so nothing below
     it holds a witness. One derivation search serves g and that pruning, over

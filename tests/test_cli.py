@@ -477,34 +477,49 @@ def test_catalog_listing(capsys):
     assert "n >= 5" in rows[0] and "n >= 6" in rows[1]
 
 
-def _k5_minus_edge_catalog(tmp_path):
+_HOUSE = {"name": "house(5)", "provenance": "test", "vertices": ["p", "q", "r", "s", "t"],
+          "complement_edges": [["p", "q"], ["q", "r"], ["r", "s"], ["s", "t"]]}
+
+
+def _catalog(tmp_path, *entries):
     extra = tmp_path / "extra.json"
-    extra.write_text(json.dumps([{
-        "name": "envtest(5)", "provenance": "test",
-        "vertices": ["p", "q", "r", "s", "t"],
-        "complement_edges": [["p", "q"]]}]))
-    return extra
+    extra.write_text(json.dumps(list(entries)))
+    return str(extra)
 
 
 def test_catalog_env_var(capsys, tmp_path, monkeypatch):
-    extra = _k5_minus_edge_catalog(tmp_path)
-    monkeypatch.setenv("RAAGSCOPE_CATALOG", str(extra))
+    extra = _catalog(tmp_path, {**_HOUSE, "name": "envtest(5)"})
+    monkeypatch.setenv("RAAGSCOPE_CATALOG", extra)
     code, out, _ = run(capsys, "catalog")
     assert code == 0 and "envtest(5)" in out
     # classify picks the env catalog up as well
     code, out, _ = run(capsys, "classify", "--json", C5_G6)
-    assert json.loads(out)["parameters"]["catalog"] == str(extra)
+    assert json.loads(out)["parameters"]["catalog"] == extra
 
 
-def test_chordal_graph_is_derived_past_a_chordal_catalog_entry(capsys, tmp_path):
-    # envtest(5) is K5 - e, a chordal graph, which the theorem that chordal
-    # graphs lie in N' rules out as an obstruction: classify derives K5 - e
-    # without scanning it, and only --cross-check meets the contradiction
-    extra = str(_k5_minus_edge_catalog(tmp_path))
-    code, out, _ = run(capsys, "classify", "--catalog", extra, "D^{")
+def _refused_at_load(capsys, extra, g6, kind):
+    for flags in ([], ["--cross-check"]):
+        code, out, err = run(capsys, "classify", "--catalog", extra, *flags, g6)
+        assert code == 65 and out == "" and err.count("\n") == 1
+        assert err.startswith("catalog error") and kind in err
+
+
+def test_a_chordal_catalog_entry_is_refused_at_load(capsys, tmp_path):
+    # K5 - e is chordal, and the paper puts chordal graphs in N', so it cannot
+    # be an entry: the catalog is refused before K5 - e itself is classified
+    extra = _catalog(tmp_path, {**_HOUSE, "name": "k5e(5)", "complement_edges": [["p", "q"]]})
+    _refused_at_load(capsys, extra, "D^{", "is chordal,")
+
+
+def test_a_chordal_bipartite_catalog_entry_is_refused_at_load(capsys, tmp_path):
+    # C4 plus a pendant vertex is chordal bipartite, so in N'; as an entry it
+    # would certify El__, which contains it, although El__ is derived
+    extra = _catalog(tmp_path, {
+        "name": "c4p(5)", "provenance": "test", "vertices": ["a", "b", "c", "d", "e"],
+        "complement_edges": [["a", "c"], ["b", "d"], ["a", "e"], ["b", "e"], ["c", "e"]]})
+    _refused_at_load(capsys, extra, "El__", "is chordal bipartite")
+    code, out, _ = run(capsys, "classify", "El__")
     assert code == 0 and "no_surface_subgroup" in out
-    code, out, err = run(capsys, "classify", "--catalog", extra, "--cross-check", "D^{")
-    assert code == 70 and out == "" and "soundness" in err
 
 
 def test_classify_rejects_nonpositive_budget(capsys):
@@ -720,15 +735,11 @@ def test_missing_input_path_exits_64_without_traceback(capsys, tmp_path, argv):
     assert "cannot read %s: No such file or directory" % missing in err
 
 
-_ENTRY = {"name": "house(5)", "provenance": "test", "vertices": ["p", "q", "r", "s", "t"],
-          "complement_edges": [["p", "q"]]}
-
-
 @pytest.mark.parametrize("text", [
     "not json",
-    json.dumps([{**_ENTRY, "complement_edges": [["p", "q", "r"]]}]),
-    json.dumps([{**_ENTRY, "name": 5}]),
-    json.dumps([{**_ENTRY, "vertices": [1, 2, 3, 4, 5]}]),
+    json.dumps([{**_HOUSE, "complement_edges": [["p", "q", "r"]]}]),
+    json.dumps([{**_HOUSE, "name": 5}]),
+    json.dumps([{**_HOUSE, "vertices": [1, 2, 3, 4, 5]}]),
 ])
 @pytest.mark.parametrize("command", [["classify", C5_G6], ["verify", C5_G6, "{cert}"],
                                      ["catalog"]])

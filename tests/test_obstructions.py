@@ -14,6 +14,7 @@ from raagscope.obstructions import (
     KIND_INDUCED,
     KIND_TRAIL,
     CatalogError,
+    ForbiddenEntry,
     Obstruction,
     _step,
     builtin_catalog,
@@ -326,15 +327,16 @@ def test_obstruction_json_round_trip():
     assert verify_obstruction(q2x, back)
 
 
+_HOUSE = {"name": "house(5)", "provenance": "test data",
+          "vertices": ["p", "q", "r", "s", "t"],
+          "complement_edges": [["p", "q"], ["q", "r"], ["r", "s"], ["s", "t"]]}
+
+
 def test_user_catalog_load(tmp_path):
-    # a bowtie-shaped fake entry, stored as its complement
+    # the house, the complement of P5: an induced C4 and a triangle, so it
+    # is neither chordal nor chordal bipartite
     path = tmp_path / "extra.json"
-    path.write_text(json.dumps([{
-        "name": "house(5)",
-        "provenance": "test data",
-        "vertices": ["p", "q", "r", "s", "t"],
-        "complement_edges": [["p", "q"], ["q", "r"]],
-    }]))
+    path.write_text(json.dumps([_HOUSE]))
     entries = load_catalog(str(path))
     assert entries[0].name == "house(5)" and entries[0].graph.n == 5
     host = entries[0].graph
@@ -342,28 +344,32 @@ def test_user_catalog_load(tmp_path):
     assert o is not None
     assert verify_obstruction(host, o, entries)
 
-    path2 = tmp_path / "bad.json"
-    path2.write_text(json.dumps([{
-        "name": "C12", "provenance": "x", "vertices": [], "complement_edges": []}]))
-    with pytest.raises(CatalogError):
-        load_catalog(str(path2))
-    path3 = tmp_path / "bad2.json"
-    path3.write_text(json.dumps([{
-        "name": "ok", "provenance": "", "vertices": [], "complement_edges": []}]))
-    with pytest.raises(CatalogError):
-        load_catalog(str(path3))
-    path4 = tmp_path / "toosmall.json"
-    path4.write_text(json.dumps([{
-        "name": "tiny", "provenance": "x", "vertices": ["a", "b"],
-        "complement_edges": []}]))
-    with pytest.raises(CatalogError):
-        load_catalog(str(path4))
-    path5 = tmp_path / "shadow.json"
-    path5.write_text(json.dumps([{
-        "name": "P1(8)", "provenance": "x",
-        "vertices": ["a", "b", "c", "d", "e"], "complement_edges": []}]))
-    with pytest.raises(CatalogError):
-        load_catalog(str(path5))
+    def refused(entry, match):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps([{**_HOUSE, **entry}]))
+        with pytest.raises(CatalogError, match=match):
+            load_catalog(str(bad))
+
+    refused({"name": "C12"}, "collides with the cycle families")
+    refused({"name": "P1(8)"}, "collides with a built-in entry")
+    refused({"provenance": ""}, "needs a provenance string")
+    # the paper's corollaries put these in N': K5 - e is chordal, C4 plus a
+    # pendant vertex is chordal bipartite, and so is C4, the one non-chordal
+    # graph on at most 4 vertices
+    refused({"name": "k5e(5)", "complement_edges": [["p", "q"]]}, "is chordal,")
+    refused({"name": "c4p(5)", "vertices": ["a", "b", "c", "d", "e"],
+             "complement_edges": [["a", "c"], ["b", "d"], ["a", "e"], ["b", "e"], ["c", "e"]]},
+            "is chordal bipartite")
+    refused({"name": "c4", "vertices": ["a", "b", "c", "d"],
+             "complement_edges": [["a", "c"], ["b", "d"]]}, "is chordal bipartite")
+    two = tmp_path / "two.json"
+    two.write_text(json.dumps([_HOUSE, _HOUSE]))
+    with pytest.raises(CatalogError, match="duplicate"):
+        load_catalog(str(two))
+    # the cycle searches that admit an entry recurse along a path; on a
+    # 2000-vertex path they hit the recursion limit, which is a refusal
+    with pytest.raises(CatalogError, match="too large to check"):
+        ForbiddenEntry("p2000", standard_graph("path", 2000), "test data")
 
 
 def test_fixed_entries_contain_required_witness_structure():

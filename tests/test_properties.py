@@ -200,7 +200,7 @@ def test_verify_answers_mutated_certificates_with_a_documented_exit(tmp_path_fac
 
 _CATALOG = [
     {"name": "house(5)", "provenance": "test data", "vertices": ["p", "q", "r", "s", "t"],
-     "complement_edges": [["p", "q"], ["q", "r"]]},
+     "complement_edges": [["p", "q"], ["q", "r"], ["r", "s"], ["s", "t"]]},
     {"name": "prism(6)", "provenance": "test data",
      "vertices": ["a", "b", "c", "d", "e", "f"],
      "complement_edges": [["a", "d"], ["b", "e"], ["c", "f"], ["a", "e"]]},
