@@ -91,9 +91,9 @@ _VERDICT_EXIT = {NO_SURFACE: EXIT_NO, HAS_SURFACE: EXIT_HAS, UNKNOWN: EXIT_UNKNO
 # the longest word the CLI reads; the library takes words of any length
 MAX_WORD_LETTERS = 512
 # the most vertices of a graph the CLI reads; the library takes graphs of any
-# order. A peeled derivation nests one level per peeled clique, and writing
-# and reading its JSON recurse that deep: a path's derivation made the round
-# trip at 400 vertices and overran the recursion limit at 500.
+# order. A derivation nests once per clique split or join, so its JSON stays
+# shallow, but the prover's search recurses once per core it searches: a run
+# of bisimplicial removals in K24,24 overruns the recursion limit.
 MAX_VERTICES = 256
 
 

@@ -27,9 +27,15 @@ minimal separator, bisimplicial edge removal, join decomposition), whose
 parts are peeled in turn. The split is decisive: when a part fails, the
 graph fails, and neither a bisimplicial edge nor the join is tried (by
 heredity neither could succeed). Bisimplicial edges still come before the
-join, so a join such as C4 or K2,3 keeps its bisimplicial derivation. The
-derivation of a graph is that of its core wrapped in one amalgam node per
-peeled clique.
+join, so a join such as C4 or K2,3 keeps its bisimplicial derivation.
+
+Both unary rules, a peel step and a bisimplicial edge, come in long runs: a
+chordal graph is all peel steps, a chordal bipartite one all edges and peel
+steps. A derivation holds each run as one chain node (ChainRule): its
+conclusion is the run's top graph, its steps are the run's clique and edge
+steps by name, and its one child derives what is left, a complete graph, a
+clique split or a join. So a derivation nests once per split or join, not
+once per step.
 
 One search holds one memo and one node budget, both over cores: a search
 node is a core, and a chordal graph spends neither, so it is derived even
@@ -76,6 +82,8 @@ from .graphs import (
     _bits,
     _from_sorted,
     _graph6_order,
+    _name_index,
+    _relabel,
     _shared,
     emit_graph6,
     graph_from_json,
@@ -92,6 +100,7 @@ from .obstructions import (
 from .ops import (
     CliqueSplit,
     _bisimplicial_edges,
+    _is_bisimplicial,
     _is_clique_mask,
     co_contract,
     complement,
@@ -111,6 +120,7 @@ RULE_JOIN = "JoinRule"
 RULE_AMALGAM = "AmalgamRule"
 RULE_BISIMP = "BisimplicialRule"
 RULE_COCONTRACT = "CoContractRule"
+RULE_CHAIN = "ChainRule"
 
 NO_SURFACE = "no_surface_subgroup"
 HAS_SURFACE = "has_surface_subgroup"
@@ -127,6 +137,12 @@ class SoundnessError(RuntimeError):
 
 @dataclass(frozen=True, slots=True)
 class Derivation:
+    """One node of a derivation. A chain node (RULE_CHAIN) replays its steps
+    on its conclusion, in order, and its one child derives what is left. A
+    clique step (K, S), two sorted name tuples, splits off the clique K
+    along S, a proper subset of K, and removes K - S; an edge step (a, b),
+    two names, deletes the edge, bisimplicial where it is deleted."""
+
     rule: str
     conclusion: Graph
     children: tuple["Derivation", ...] = ()
@@ -134,15 +150,32 @@ class Derivation:
     edge: Optional[tuple[str, str]] = None
     bipartition: Optional[tuple[frozenset[str], frozenset[str]]] = None
     contracted: Optional[frozenset[str]] = None
+    steps: Optional[tuple[tuple, ...]] = None
 
     def rules_used(self) -> set[str]:
+        """The rules applied: a chain's steps count as the amalgam and
+        bisimplicial-edge rules they apply."""
         out = set()
         stack = [self]
         while stack:
             node = stack.pop()
-            out.add(node.rule)
+            if node.rule == RULE_CHAIN and node.steps:
+                out.update(RULE_BISIMP if _is_edge_step(step) else RULE_AMALGAM
+                           for step in node.steps)
+            else:
+                out.add(node.rule)
             stack.extend(node.children)
         return out
+
+
+def _is_edge_step(step: tuple) -> bool:
+    return isinstance(step[0], str)
+
+
+def _chain(top: Graph, steps: list, end: Derivation) -> Derivation:
+    """The chain node that takes top by steps to the conclusion of end; end
+    itself when there is no step."""
+    return Derivation(RULE_CHAIN, top, (end,), steps=tuple(steps)) if steps else end
 
 
 @lru_cache(maxsize=256)
@@ -152,33 +185,24 @@ def _leaf(g: Graph) -> Derivation:
     return Derivation(RULE_COMPLETE, g)
 
 
-@lru_cache(maxsize=64)
-def _complete_rows(k: int) -> tuple[int, ...]:
-    full = (1 << k) - 1
-    return tuple(full ^ 1 << i for i in range(k))
-
-
 @dataclass(frozen=True, slots=True)
 class _Peel:
     """A graph with the cliques of its simplicial vertices split off: steps
-    holds one (whole, clique, separator) triple of vertex masks per split, in
+    holds one (clique, separator) pair of vertex masks per split, in
     order, and core is what is left, complete exactly when the graph is
     chordal."""
 
     graph: Graph
-    steps: tuple[tuple[int, int, int], ...]
+    steps: tuple[tuple[int, int], ...]
     core: Graph
 
-    def wrap(self, d: Derivation) -> Derivation:
-        """The derivation of the graph from d, a derivation of the core: one
-        amalgam node per step, each with a complete left part."""
-        h = self.graph
-        full = (1 << h.n) - 1
-        for whole, clique, sep in reversed(self.steps):
-            leaf = _leaf(_from_sorted(h.names(clique), _complete_rows(clique.bit_count())))
-            d = Derivation(RULE_AMALGAM, h if whole == full else h.subgraph(whole),
-                           (leaf, d), separator=_shared(frozenset(h.names(sep))))
-        return d
+    def named_steps(self) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
+        """The steps as clique steps of a chain node, (K, S) by name. The
+        pair and both name tuples are shared copies: derivations of graphs
+        on the same names repeat them."""
+        names = self.graph.names
+        return [_shared((_shared(names(clique)), _shared(names(sep))))
+                for clique, sep in self.steps]
 
 
 def _peel(h: Graph) -> _Peel:
@@ -195,8 +219,8 @@ def _peel(h: Graph) -> _Peel:
     Hamburg 1961); the core keeps every such cycle of h. So on a chordal h the
     walk ends at a complete graph, after at most n - 1 steps, about one per
     maximal clique: the paper's proof that chordal graphs lie in N'. On any
-    other h it ends at a core with no simplicial vertex. Subgraphs other than
-    the core are built only by wrap.
+    other h it ends at a core with no simplicial vertex. No subgraph but the
+    core is built.
 
     The simplicial vertices of what is left are kept as a mask, and a step
     re-tests only the members of S. Every neighbour of a removed vertex lies
@@ -223,7 +247,7 @@ def _peel(h: Graph) -> _Peel:
         for u in _bits(clique):
             if rows[u] & outside:
                 sep |= 1 << u
-        steps.append((rest, clique, sep))
+        steps.append((clique, sep))
         rest &= ~clique | sep
         simplicial &= rest
         for u in _bits(sep & ~simplicial):
@@ -243,37 +267,36 @@ def is_chordal(g: Graph) -> Union[Derivation, CycleWitness]:
     peel = _peel(g)
     if not is_complete(peel.core):
         return find_induced_cycle(g, 4)
-    return peel.wrap(_leaf(peel.core))
+    return _chain(g, peel.named_steps(), _leaf(peel.core))
 
 
 def is_chordal_bipartite(g: Graph) -> Union[Derivation, CycleWitness]:
     """A derivation of a chordal bipartite g, else the witness
     find_triangle_or_long_cycle returns.
 
-    The derivation is a chain of one bisimplicial-edge node per edge, each
-    removing the first bisimplicial edge of its graph in edge_pairs order,
-    closed by the derivation of the edgeless graph at its end. The chain
-    never stalls: a chordal bipartite graph with an edge has a bisimplicial
-    edge (Golumbic and Goss, Perfect elimination and chordal bipartite
-    graphs, J. Graph Theory 1978), and deleting it keeps the graph bipartite
-    and creates no induced cycle of length >= 6, since such a cycle would
-    pass through both endpoints, each of whose neighbours is adjacent to
-    every neighbour of the other, giving a chord.
+    The derivation is one chain node: an edge step per edge, each removing
+    the first bisimplicial edge of what is left in edge_pairs order, then the
+    peel steps of the edgeless graph at its end, above a one-vertex leaf.
+    The edges are removed on one list of rows, with no graph per edge. The
+    removals never stall: a chordal bipartite graph with an edge has a
+    bisimplicial edge (Golumbic and Goss, Perfect elimination and chordal
+    bipartite graphs, J. Graph Theory 1978), and deleting it keeps the graph
+    bipartite and creates no induced cycle of length >= 6, since such a
+    cycle would pass through both endpoints, each of whose neighbours is
+    adjacent to every neighbour of the other, giving a chord.
     """
     witness = find_triangle_or_long_cycle(g)
     if witness is not None:
         return witness
-    chain = []
-    h = g
-    while h.m:
-        edge = next(_bisimplicial_edges(h.rows))
-        e = h.names(1 << edge[0] | 1 << edge[1])
-        chain.append((h, e))
-        h = remove_edge_interior(h, e)
-    d = is_chordal(h)
-    for c, e in reversed(chain):
-        d = Derivation(RULE_BISIMP, c, (d,), edge=e)
-    return d
+    rows = list(g.rows)
+    steps = []
+    while any(rows):
+        a, b = next(_bisimplicial_edges(rows))
+        rows[a] ^= 1 << b
+        rows[b] ^= 1 << a
+        steps.append(_shared((g.vertices[a], g.vertices[b])))
+    peel = _peel(_from_sorted(g.vertices, tuple(rows)))
+    return _chain(g, steps + peel.named_steps(), _leaf(peel.core))
 
 
 # ---------------------------------------------------------------------------
@@ -288,15 +311,16 @@ def check_derivation(d: Derivation, g: Graph) -> bool:
     try:
         if not _check_node(d):
             return False
-    except (GraphError, TypeError):
+    except (KeyError, TypeError, ValueError):
+        # a malformed node: an unknown name, a step of the wrong shape
         return False
     return d.conclusion == g or is_isomorphic(d.conclusion, g) is not None
 
 
 def _check_node(root: Derivation) -> bool:
     """Every node of the derivation at root passes _check_rule, checked in
-    preorder, children left to right, on an explicit stack: a derivation
-    nests one level per peel step and per removed edge."""
+    preorder, children left to right, on an explicit stack: a supplied
+    derivation may nest as deep as it likes."""
     stack = [root]
     while stack:
         node = stack.pop()
@@ -335,6 +359,8 @@ def _check_rule(node: Derivation) -> bool:
         if not is_bisimplicial_edge(c, e):
             return False
         return node.children[0].conclusion == remove_edge_interior(c, e)
+    if node.rule == RULE_CHAIN:
+        return _check_chain(node)
     if node.rule == RULE_COCONTRACT:
         if len(node.children) != 1 or node.contracted is None:
             return False
@@ -343,6 +369,54 @@ def _check_rule(node: Derivation) -> bool:
             return False
         return co_contract(child, node.contracted) == c
     return False
+
+
+def _check_chain(node: Derivation) -> bool:
+    """Replay the chain's steps on one copy of the conclusion's rows, rest the
+    mask of the vertices still there; a row of a vertex in rest keeps to
+    rest. A clique step (K, S) needs K within rest and not all of it, S
+    within K and not all of it, K a clique and no edge from K - S to the rest
+    outside K: what is there is then the amalgam of K and of itself less
+    K - S along the clique S, and it loses K - S. An edge step needs an edge
+    of what is there, bisimplicial in it, and deletes it. The child must
+    conclude what is left, names and rows."""
+    if len(node.children) != 1 or not node.steps:
+        return False
+    c = node.conclusion
+    index = _name_index(c.vertices)
+    rows = list(c.rows)
+    rest = (1 << c.n) - 1
+    for x, y in node.steps:
+        if isinstance(x, str):
+            a = index[x]
+            b = index[y]
+            if (1 << a | 1 << b) & ~rest or not rows[a] >> b & 1:
+                return False
+            if not _is_bisimplicial(rows, a, b):
+                return False
+            rows[a] ^= 1 << b
+            rows[b] ^= 1 << a
+            continue
+        clique = sep = 0
+        for v in x:
+            clique |= 1 << index[v]
+        for v in y:
+            sep |= 1 << index[v]
+        if clique & ~rest or clique == rest or sep & ~clique or sep == clique:
+            return False
+        if not _is_clique_mask(rows, clique):
+            return False
+        gone = clique & ~sep
+        outside = rest & ~clique
+        if any(rows[u] & outside for u in _bits(gone)):
+            return False
+        rest ^= gone
+        for u in _bits(sep):
+            rows[u] &= ~gone
+    child = node.children[0].conclusion
+    keep = _bits(rest)
+    return (child.vertices == tuple(c.vertices[i] for i in keep)
+            and child.rows == _relabel(rows, keep))
 
 
 # ---------------------------------------------------------------------------
@@ -455,16 +529,26 @@ class _Search:
         return decision is not None
 
     def _build(self, peel: _Peel) -> Derivation:
-        # peel was decided: its core is complete or has a decision
-        core = peel.core
-        decision = self.memo.get(core)
+        """The derivation of a decided peeled graph, whose core is complete or
+        has a decision. One chain node holds the peel steps and, while the
+        core was closed by a bisimplicial edge, that edge and the peel steps
+        of what it leaves; the walk ends at a complete core, a clique split
+        or a join."""
+        top = peel.graph
+        steps = peel.named_steps()
+        decision = self.memo.get(peel.core)
+        while decision is not None and decision.rule == RULE_BISIMP:
+            peel = decision.parts[0]
+            steps.append(decision.edge)
+            steps += peel.named_steps()
+            decision = self.memo.get(peel.core)
         if decision is None:
-            d = _leaf(core)
+            end = _leaf(peel.core)
         else:
-            d = Derivation(decision.rule, core, tuple(self._build(p) for p in decision.parts),
-                           separator=decision.separator, edge=decision.edge,
-                           bipartition=decision.bipartition)
-        return peel.wrap(d)
+            end = Derivation(decision.rule, peel.core,
+                             tuple(self._build(p) for p in decision.parts),
+                             separator=decision.separator, bipartition=decision.bipartition)
+        return _chain(top, steps, end)
 
     def _expand(self, h: Graph) -> Optional[_Decision]:
         # h is a core: no simplicial vertex, so not complete. A two-part rule
@@ -491,7 +575,8 @@ class _Search:
             cut[b] ^= 1 << a
             child = _peel(_from_sorted(h.vertices, tuple(cut)))
             if self._decide(child):
-                return _Decision(RULE_BISIMP, (child,), edge=(h.vertices[a], h.vertices[b]))
+                return _Decision(RULE_BISIMP, (child,),
+                                 edge=_shared((h.vertices[a], h.vertices[b])))
         comp_parts = connected_components(complement(h))
         if len(comp_parts) > 1:
             self.rules_attempted.add(RULE_JOIN)
@@ -614,6 +699,10 @@ def derivation_to_json(d: Derivation) -> dict:
         out["bipartition"] = [sorted(d.bipartition[0]), sorted(d.bipartition[1])]
     if d.contracted is not None:
         out["cocontract_set"] = sorted(d.contracted)
+    if d.steps is not None:
+        out["steps"] = [{"edge": list(step)} if _is_edge_step(step)
+                        else {"clique": list(step[0]), "separator": list(step[1])}
+                        for step in d.steps]
     out["children"] = [derivation_to_json(ch) for ch in d.children]
     return out
 
@@ -629,6 +718,31 @@ def derivation_from_json(obj: dict) -> Derivation:
             bipartition=tuple(frozenset(p) for p in obj["bipartition"])
             if "bipartition" in obj else None,
             contracted=frozenset(obj["cocontract_set"]) if "cocontract_set" in obj else None,
+            steps=_steps_from_json(obj["steps"]) if "steps" in obj else None,
         )
     except (KeyError, TypeError) as exc:
         raise GraphError("bad derivation object: %s" % exc) from None
+
+
+def _names_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _steps_from_json(steps) -> tuple[tuple, ...]:
+    """Chain steps from {"clique": [...], "separator": [...]} and
+    {"edge": [a, b]} objects; any other shape is a GraphError."""
+    if not isinstance(steps, list):
+        raise GraphError("chain steps must be a list")
+    out = []
+    for step in steps:
+        if isinstance(step, dict) and step.keys() == {"edge"}:
+            edge = step["edge"]
+            if _names_list(edge) and len(edge) == 2:
+                out.append(tuple(edge))
+                continue
+        elif isinstance(step, dict) and step.keys() == {"clique", "separator"}:
+            if _names_list(step["clique"]) and _names_list(step["separator"]):
+                out.append((tuple(step["clique"]), tuple(step["separator"])))
+                continue
+        raise GraphError("bad chain step %d" % len(out))
+    return tuple(out)

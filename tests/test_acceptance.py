@@ -352,7 +352,8 @@ def _mutate_derivation(d, rng):
         kids = list(node.children)
         kids[path[0]] = rebuild(kids[path[0]], path[1:], replacement)
         return Derivation(node.rule, node.conclusion, tuple(kids),
-                          node.separator, node.edge, node.bipartition, node.contracted)
+                          node.separator, node.edge, node.bipartition, node.contracted,
+                          node.steps)
 
     node, path = nodes[rng.randrange(len(nodes))]
     choices = []
@@ -364,26 +365,32 @@ def _mutate_derivation(d, rng):
             pair = nonedges[rng.randrange(len(nonedges))]
             choices.append(Derivation(node.rule, node.conclusion, node.children,
                                       frozenset(pair), node.edge,
-                                      node.bipartition, node.contracted))
+                                      node.bipartition, node.contracted, node.steps))
     if node.edge is not None:
         others = [e for e in node.conclusion.edge_pairs if e != tuple(node.edge)]
         if others:
             choices.append(Derivation(node.rule, node.conclusion, node.children,
                                       node.separator, others[rng.randrange(len(others))],
-                                      node.bipartition, node.contracted))
+                                      node.bipartition, node.contracted, node.steps))
     if node.children:
         choices.append(Derivation(node.rule, node.conclusion, node.children[1:],
                                   node.separator, node.edge, node.bipartition,
-                                  node.contracted))
+                                  node.contracted, node.steps))
     if node.bipartition is not None:
         choices.append(Derivation(node.rule, node.conclusion, node.children,
                                   node.separator, node.edge,
                                   (node.bipartition[1], node.bipartition[0]),
-                                  node.contracted))
+                                  node.contracted, node.steps))
     wrong_rule = RULE_AMALGAM if node.rule == RULE_COMPLETE else RULE_COMPLETE
     choices.append(Derivation(wrong_rule, node.conclusion, node.children,
                               node.separator, node.edge, node.bipartition,
-                              node.contracted))
+                              node.contracted, node.steps))
+    if node.steps:
+        # a chain less any one of its steps never reaches its child
+        k = rng.randrange(len(node.steps))
+        choices.append(Derivation(node.rule, node.conclusion, node.children,
+                                  node.separator, node.edge, node.bipartition,
+                                  node.contracted, node.steps[:k] + node.steps[k + 1:]))
     if node.conclusion.m:
         from raagscope.ops import remove_edge_interior
 
@@ -391,7 +398,7 @@ def _mutate_derivation(d, rng):
                                        node.conclusion.edge_pairs[0])
         choices.append(Derivation(node.rule, smaller, node.children,
                                   node.separator, node.edge, node.bipartition,
-                                  node.contracted))
+                                  node.contracted, node.steps))
     replacement = choices[rng.randrange(len(choices))]
     return rebuild(d, path, replacement)
 

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from conftest import desk_graph6
@@ -11,6 +12,7 @@ import raagscope
 from raagscope.cli import MAX_VERTICES, main
 from raagscope.generate import nonisomorphic_graphs
 from raagscope.graphs import (
+    Graph,
     emit_edgelist,
     emit_graph6,
     graph_to_json,
@@ -131,7 +133,8 @@ def test_verify_rejects_corruption_and_wrong_graph(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", C5_G6, str(wrong))
     assert code == 1 and "invalid" in out
 
-    cert["root"]["separator"] = ["v1", "v3"]
+    # the first clique step's separator leaves its clique
+    cert["root"]["steps"][0]["separator"] = ["v1", "v3"]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(cert))
     code, out, _ = run(capsys, "verify", P4_G6, str(bad))
@@ -158,13 +161,53 @@ def test_verify_chordal_bipartite_derivation_round_trip(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", g6, str(cert))
     assert code == 0 and out == "valid\n"
 
-    # the first two chain nodes trade edges: each edge is bisimplicial, but
-    # the root's child is no longer the root less its edge
-    second = root["children"][0]
-    root["edge"], second["edge"] = second["edge"], root["edge"]
+    # the last edge step trades places with the later clique step that
+    # removes one of its ends, which then still has an edge out of its clique
+    steps = root["steps"]
+    i = max(k for k, step in enumerate(steps) if "edge" in step)
+    j = next(k for k, step in enumerate(steps)
+             if k > i and set(step.get("clique", ())) & set(steps[i]["edge"]))
+    steps[i], steps[j] = steps[j], steps[i]
     cert.write_text(json.dumps({"certificate_type": "derivation", "root": root}))
     code, out, _ = run(capsys, "verify", g6, str(cert))
     assert code == 1 and out == "invalid\n"
+
+
+def test_nested_certificates_of_earlier_releases_still_verify(capsys, tmp_path):
+    # classify --json reports written before chain nodes existed, one node
+    # per peel step and per removed edge: a chordal graph, C4 and K3,3
+    lines = (Path(__file__).parent / "data" / "nested_certificates.jsonl").read_text().splitlines()
+    assert len(lines) == 3
+    for line in lines:
+        assert "ChainRule" not in line and '"rule": "AmalgamRule"' in line
+        report = tmp_path / "report.json"
+        report.write_text(line)
+        g6 = json.loads(line)["input"]["graph6"]
+        assert run(capsys, "verify", g6, str(report))[:2] == (0, "valid\n"), g6
+
+
+def test_k23_23_reports_in_one_line_and_verifies(tmp_path):
+    # its derivation removes 529 edges, yet nests two levels deep. The
+    # search recurses about once per removed edge, so this runs in a fresh
+    # process, as the console script does, not under pytest's deeper stack.
+    names = ["a%d" % i for i in range(23)] + ["b%d" % i for i in range(23)]
+    graph = tmp_path / "k23_23.el"
+    graph.write_bytes(emit_edgelist(
+        Graph(names, [(a, b) for a in names[:23] for b in names[23:]])))
+    src = os.path.dirname(os.path.dirname(raagscope.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "raagscope.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    proc = cli("classify", "--json", str(graph))
+    assert proc.returncode == 0 and proc.stdout.count("\n") == 1 and proc.stderr == ""
+    report = tmp_path / "report.json"
+    report.write_text(proc.stdout)
+    proc = cli("verify", str(graph), str(report))
+    assert (proc.returncode, proc.stdout) == (0, "valid\n")
 
 
 def test_exit_codes_stable_across_runs(capsys):

@@ -72,7 +72,7 @@ def test_normal_form_is_reduction_then_reference_sort(data):
 
 _KEYS = ("certificate_type", "kind", "entry", "embedding", "trail", "root", "rule",
          "graph", "vertices", "edges", "children", "separator", "edge", "bipartition",
-         "cocontract_set", "bogus")
+         "cocontract_set", "steps", "clique", "bogus")
 _ODD_VALUES = (None, 0, -1, 2.5, True, "", "v1", "C999999999", [], {}, [["v1"]], {"v1": 3})
 
 
@@ -139,7 +139,7 @@ def _mutate(data, cert):
         for step in path:
             parent = parent[step]
         op = data.draw(st.sampled_from(["drop", "rename", "swap", "retype", "truncate",
-                                        "grow", "nest"]), label="op")
+                                        "grow", "nest", "reorder"]), label="op")
         if op == "drop":
             del parent[key]
         elif op == "rename" and isinstance(parent, dict):
@@ -160,6 +160,12 @@ def _mutate(data, cert):
             value = parent[key]
             parent[key] = ({**copy.deepcopy(value), "children": [value]}
                            if isinstance(value, dict) else [value])
+        elif op == "reorder" and isinstance(parent[key], list) and len(parent[key]) > 1:
+            # two items trade places, such as two steps of a chain
+            items = parent[key]
+            i, j = data.draw(st.lists(st.integers(0, len(items) - 1), min_size=2, max_size=2,
+                                      unique=True), label="pair")
+            items[i], items[j] = items[j], items[i]
     return obj
 
 
@@ -194,6 +200,30 @@ def test_verify_answers_mutated_certificates_with_a_documented_exit(tmp_path_fac
     expected = _checker_verdict(g, obj)
     if expected is not None:
         assert code == (0 if expected else 1)
+
+
+_CHAINS = [(g, cert) for g, cert in _BASES
+           if cert["certificate_type"] == "derivation" and cert["root"]["rule"] == "ChainRule"]
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@hypothesis.given(st.data())
+def test_verify_answers_mutated_chain_steps_with_a_documented_exit(tmp_path_factory, data):
+    # the mutations fall on the steps of a chain root alone: steps dropped,
+    # reordered, renamed or of the wrong shape. A step list that no longer
+    # parses exits 65; one that parses exits as the checker says, and a
+    # reordering that still replays, of two steps far apart, is valid.
+    assert len(_CHAINS) >= 5
+    g, cert = data.draw(st.sampled_from(_CHAINS), label="base")
+    obj = copy.deepcopy(cert)
+    obj["root"]["steps"] = _mutate(data, cert["root"]["steps"])
+    root = tmp_path_factory.getbasetemp()
+    (root / "g.el").write_bytes(emit_edgelist(g))
+    (root / "cert.json").write_text(json.dumps(obj))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["verify", str(root / "g.el"), str(root / "cert.json")])
+    expected = _checker_verdict(g, obj)
+    assert code == (65 if expected is None else 0 if expected else 1)
 
 
 # --- catalogue and homomorphism files under mutation ----------------------------

@@ -1,13 +1,15 @@
 import json
 import random
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from conftest import add_edge, desk_graph6, random_chordal, random_graph, reference_peel
 from raagscope.generate import nonisomorphic_graphs
-from raagscope.graphs import Graph, emit_graph6, new_graph, parse_graph6, standard_graph
+from raagscope.graphs import (Graph, GraphError, emit_graph6, new_graph, parse_graph6,
+                              standard_graph)
 from raagscope.obstructions import (builtin_catalog, entry_graph, find_cocontraction_witness,
                                     find_forbidden_induced)
 from raagscope.ops import (co_contract, is_bisimplicial_edge, is_clique, is_complete,
@@ -18,13 +20,14 @@ from raagscope.prover import (
     NO_SURFACE,
     RULE_AMALGAM,
     RULE_BISIMP,
+    RULE_CHAIN,
     RULE_COCONTRACT,
     RULE_COMPLETE,
     RULE_JOIN,
     UNKNOWN,
     Derivation,
     SoundnessError,
-    _Peel,
+    _chain,
     _peel,
     _Search,
     check_derivation,
@@ -32,6 +35,7 @@ from raagscope.prover import (
     derivation_from_json,
     derivation_to_json,
     is_chordal,
+    is_chordal_bipartite,
     prove_in_f,
 )
 
@@ -50,17 +54,22 @@ def test_complete_graphs_are_leaves():
 
 
 def test_path_uses_amalgam_at_cut_vertex():
+    # one clique step splits off {a, b} along the cut vertex b
     d = prove_in_f(P3)
-    assert d.rule == RULE_AMALGAM and d.separator == frozenset({"b"})
-    assert {c.rule for c in d.children} == {RULE_COMPLETE}
+    assert d.rule == RULE_CHAIN and d.steps == ((("a", "b"), ("b",)),)
+    assert [c.rule for c in d.children] == [RULE_COMPLETE]
+    assert d.rules_used() == {RULE_AMALGAM, RULE_COMPLETE}
     assert check_derivation(d, P3)
 
 
 def test_c4_uses_bisimplicial_edge():
+    # the first step deletes an edge; the path it leaves is peeled
     c4 = standard_graph("cycle", 4)
     d = prove_in_f(c4)
-    assert d.rule == RULE_BISIMP
-    assert d.edge is not None and c4.has_edge(*d.edge)
+    assert d.rule == RULE_CHAIN
+    a, b = d.steps[0]
+    assert isinstance(a, str) and c4.has_edge(a, b)
+    assert d.rules_used() == {RULE_BISIMP, RULE_AMALGAM, RULE_COMPLETE}
     assert check_derivation(d, c4)
 
 
@@ -81,8 +90,8 @@ def _nodes(d):
 
 
 def test_chordal_graphs_are_derived_without_canonical_labeling(monkeypatch):
-    # a chordal graph is peeled down to a complete graph, one amalgam per
-    # split-off clique, before any memo lookup. The patch is on
+    # a chordal graph is peeled down to a complete graph, one clique step
+    # per split-off clique, before any memo lookup. The patch is on
     # the name the co-contraction search's IsoTable calls; the control at the
     # end shows that it is reached.
     import raagscope.graphs as graphs
@@ -98,8 +107,12 @@ def test_chordal_graphs_are_derived_without_canonical_labeling(monkeypatch):
         v = classify(g)
         assert v.status == NO_SURFACE and check_derivation(v.derivation, g)
         nodes = list(_nodes(v.derivation))
-        assert {d.rule for d in nodes} <= {RULE_COMPLETE, RULE_AMALGAM}
-        assert sum(d.rule == RULE_AMALGAM for d in nodes) <= g.n - 1
+        assert {d.rule for d in nodes} <= {RULE_COMPLETE, RULE_CHAIN}
+        assert v.derivation.rules_used() <= {RULE_COMPLETE, RULE_AMALGAM}
+        steps = [step for d in nodes if d.rule == RULE_CHAIN for step in d.steps]
+        assert len(steps) <= g.n - 1
+        for clique, _ in steps:
+            assert is_clique(g, clique)
         for leaf in nodes:
             if leaf.rule == RULE_COMPLETE:
                 assert is_clique(g, leaf.conclusion.vertices)
@@ -193,14 +206,14 @@ def test_the_pruning_builds_no_derivation(monkeypatch):
     assert len(unknowns) == 16
     reports = [classify(g).report.to_json() for g in unknowns]
 
-    def refuse(self, d):
+    def refuse(self, peel):
         raise AssertionError("a derivation was assembled")
 
-    monkeypatch.setattr(_Peel, "wrap", refuse)
+    monkeypatch.setattr(_Search, "_build", refuse)
     for g, report in zip(unknowns, reports):
         v = classify(g)
         assert v.status == UNKNOWN and v.report.to_json() == report
-    # positive control: a derived state's derivation goes through wrap
+    # positive control: a derived graph's derivation goes through _build
     with pytest.raises(AssertionError, match="assembled"):
         classify(standard_graph("path", 4))
 
@@ -312,24 +325,38 @@ def test_checker_validates_cocontract_rule():
 
 def test_checker_rejects_mutations():
     d = prove_in_f(P3)
-    # non-clique separator
-    bad = Derivation(d.rule, d.conclusion, d.children, separator=frozenset({"a", "c"}))
+    # the clique step's clique is the non-clique {a, c}
+    bad = Derivation(d.rule, d.conclusion, d.children, steps=((("a", "c"), ("c",)),))
+    assert not check_derivation(bad, P3)
+    # the binary amalgam along the non-clique {a, c}
+    parts = (prove_in_f(P3.subgraph(0b011)), prove_in_f(P3.subgraph(0b110)))
+    assert check_derivation(Derivation(RULE_AMALGAM, P3, parts, separator=frozenset("b")), P3)
+    bad = Derivation(RULE_AMALGAM, P3, parts, separator=frozenset({"a", "c"}))
     assert not check_derivation(bad, P3)
     # wrong rule tag
-    bad2 = Derivation(RULE_COMPLETE, d.conclusion, d.children, separator=d.separator)
+    bad2 = Derivation(RULE_COMPLETE, d.conclusion, d.children, steps=d.steps)
     assert not check_derivation(bad2, P3)
 
     c4 = standard_graph("cycle", 4)
     dc4 = prove_in_f(c4)
+    edge = dc4.steps[0]
+    binary = Derivation(RULE_BISIMP, c4, (prove_in_f(remove_edge_interior(c4, edge)),),
+                        edge=edge)
+    assert check_derivation(binary, c4)
     # cite an edge that is not bisimplicial in a doctored conclusion
     fake_conclusion = add_edge(c4, ("v1", "v3"))
-    bad3 = Derivation(RULE_BISIMP, fake_conclusion, dc4.children, edge=("v1", "v3"))
+    bad3 = Derivation(RULE_BISIMP, fake_conclusion, binary.children, edge=("v1", "v3"))
+    assert not check_derivation(bad3, fake_conclusion)
+    bad3 = Derivation(RULE_CHAIN, fake_conclusion, dc4.children,
+                      steps=(("v1", "v3"),) + dc4.steps[1:])
     assert not check_derivation(bad3, fake_conclusion)
     # child mismatch: remove a different edge than cited
-    other_edge = next(e for e in c4.edge_pairs if e != dc4.edge)
+    other_edge = next(e for e in c4.edge_pairs if e != edge)
     bad4 = Derivation(RULE_BISIMP, c4,
                       (prove_in_f(remove_edge_interior(c4, other_edge)),),
-                      edge=dc4.edge)
+                      edge=edge)
+    assert not check_derivation(bad4, c4)
+    bad4 = Derivation(RULE_CHAIN, c4, dc4.children, steps=(other_edge,) + dc4.steps[1:])
     assert not check_derivation(bad4, c4)
 
 
@@ -370,11 +397,11 @@ def test_checker_matches_an_equal_root_by_the_identity(monkeypatch):
     monkeypatch.setattr(prover, "is_isomorphic", counting)
     c4 = standard_graph("cycle", 4)
     d = prove_in_f(c4)
-    assert d.conclusion == c4 and d.rule == RULE_BISIMP
+    assert d.conclusion == c4 and d.rule == RULE_CHAIN
     assert check_derivation(d, c4) and calls == []
-    # the child, a path, forged into a complete-graph leaf
-    forged = Derivation(RULE_BISIMP, c4, (Derivation(RULE_COMPLETE, d.children[0].conclusion),),
-                        edge=d.edge)
+    # the chain's first step alone leaves a path, forged into a complete-graph leaf
+    path = remove_edge_interior(c4, d.steps[0])
+    forged = Derivation(RULE_CHAIN, c4, (Derivation(RULE_COMPLETE, path),), steps=d.steps[:1])
     assert not check_derivation(forged, c4) and calls == []
     relabelled = Graph(["w1", "w2", "w3", "w4"],
                        [("w1", "w3"), ("w3", "w2"), ("w2", "w4"), ("w4", "w1")])
@@ -558,7 +585,7 @@ def test_soundness_guard_trips_on_forged_cache_without_obstruction(monkeypatch):
 def test_prover_handles_disconnected_graphs():
     g = Graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
     d = prove_in_f(g)
-    assert d is not None and d.rule == RULE_AMALGAM and d.separator == frozenset()
+    assert d is not None and d.rule == RULE_CHAIN and d.steps == ((("a", "b"), ()),)
     assert check_derivation(d, g)
 
 
@@ -625,7 +652,7 @@ def _has_simplicial_vertex(g):
 def test_the_peel_matches_a_scan_from_scratch_at_every_step():
     # the peel re-tests only the separator after a step; a scan of what is
     # left for its first simplicial vertex must take the same steps, and the
-    # wrapped derivation's complete leaves are the induced cliques
+    # derivation built on them is one chain node of them by name above the core
     rng = random.Random(83)
     graphs = [g for n in range(1, 8) for g in nonisomorphic_graphs(n)]
     graphs += [random_graph(rng.randint(8, 16), rng.random(), rng) for _ in range(300)]
@@ -634,38 +661,149 @@ def test_the_peel_matches_a_scan_from_scratch_at_every_step():
     for g in graphs:
         peel = _peel(g)
         steps, core = reference_peel(g)
-        assert list(peel.steps) == steps, emit_graph6(g)
+        assert list(peel.steps) == [(clique, sep) for _, clique, sep in steps], emit_graph6(g)
         assert peel.core == g.subgraph(core), emit_graph6(g)
-        d = peel.wrap(Derivation(RULE_COMPLETE, peel.core))
-        for whole, clique, sep in steps:
-            assert d.rule == RULE_AMALGAM and d.conclusion == g.subgraph(whole)
-            assert d.children[0].conclusion == g.subgraph(clique)
-            assert d.separator == frozenset(g.names(sep))
-            d = d.children[1]
+        leaf = Derivation(RULE_COMPLETE, peel.core)
+        d = _chain(g, peel.named_steps(), leaf)
+        if steps:
+            assert d.rule == RULE_CHAIN and d.conclusion == g and d.children == (leaf,)
+            assert d.steps == tuple((g.names(clique), g.names(sep)) for clique, sep in peel.steps)
+        else:
+            assert d is leaf
         steps_taken += len(steps)
     assert steps_taken > 3000
 
 
 def test_a_long_path_is_derived_and_checked_in_process():
-    # a derivation nests about one level per vertex; the checker and
-    # rules_used walk it on an explicit stack, so no recursion limit binds
+    # the peel of a path is one chain node of 398 clique steps above an edge
     path = standard_graph("path", 400)
     v = classify(path)
     assert v.status == NO_SURFACE
     assert v.derivation.rules_used() == {RULE_AMALGAM, RULE_COMPLETE}
     assert check_derivation(v.derivation, path)
-    broken = v.derivation
-    chain = []
-    while broken.children:
-        chain.append(broken)
-        broken = broken.children[1]
-    # a wrong separator at the deepest amalgam fails the whole derivation
-    last = chain[-1]
-    bad = Derivation(RULE_AMALGAM, last.conclusion, last.children, separator=frozenset())
-    for node in reversed(chain[:-1]):
-        bad = Derivation(RULE_AMALGAM, node.conclusion, (node.children[0], bad),
-                         separator=node.separator)
+    d = v.derivation
+    assert d.rule == RULE_CHAIN and len(d.steps) == 398 and d.children[0].rule == RULE_COMPLETE
+    # a wrong separator at the last step fails the whole derivation
+    clique, _ = d.steps[-1]
+    bad = Derivation(RULE_CHAIN, path, d.children, steps=d.steps[:-1] + ((clique, ()),))
     assert not check_derivation(bad, path)
+
+
+# C4 on a, b, c, d with the triangle a, e, f hung at a: the triangle is
+# split off, a-b is deleted, and the path b-c-d-a is peeled to the edge c-d
+C4_TRIANGLE = Graph(["a", "b", "c", "d", "e", "f"],
+                    [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"),
+                     ("a", "e"), ("e", "f"), ("a", "f")])
+C4_TRIANGLE_STEPS = ((("a", "e", "f"), ("a",)), ("a", "b"),
+                     (("a", "d"), ("d",)), (("b", "c"), ("c",)))
+
+
+def _with_steps(d, steps, child=None):
+    return Derivation(RULE_CHAIN, d.conclusion, (child or d.children[0],), steps=steps)
+
+
+def test_the_chain_checker_refuses_each_broken_step():
+    d = prove_in_f(C4_TRIANGLE)
+    assert d.rule == RULE_CHAIN and d.steps == C4_TRIANGLE_STEPS
+    assert check_derivation(d, C4_TRIANGLE)
+    s0, s1, s2, s3 = C4_TRIANGLE_STEPS
+    broken = {
+        "no step": (),
+        "a dropped clique step": (s0, s1, s2),
+        "a dropped edge step": (s0, s2, s3),
+        # a still has its edge to b when it goes with d
+        "two swapped steps": (s0, s2, s1, s3),
+        # it removes e and f as the triangle's step does; only the clique
+        # test refuses {a, b, e, f}
+        "K not a clique": ((("a", "b", "e", "f"), ("a", "b")), s1, s2, s3),
+        "S not within K": ((("a", "e", "f"), ("a", "b")), s1, s2, s3),
+        "S all of K": ((("a", "e", "f"), ("a", "e", "f")),) + C4_TRIANGLE_STEPS,
+        "K - S touching the rest": ((("a", "e", "f"), ()), s1, s2, s3),
+        "an absent edge": (s0, ("a", "c"), s2, s3),
+        "an edge with an end already gone": (s0, ("a", "e"), s1, s2, s3),
+        # a-b is bisimplicial only once the triangle at a is gone
+        "an edge that is not bisimplicial": (s1, s0, s2, s3),
+        "an unknown name": (s0, ("a", "z"), s2, s3),
+    }
+    for what, steps in broken.items():
+        assert not check_derivation(_with_steps(d, steps), C4_TRIANGLE), what
+    # the child must conclude what is left: c-d, not c and d apart, nor
+    # c-x; and a chain of no steps is refused even above a derivation
+    # of its own conclusion
+    for child in (new_graph(["c", "d"], []), new_graph(["c", "x"], [("c", "x")])):
+        assert not check_derivation(_with_steps(d, d.steps, prove_in_f(child)), C4_TRIANGLE)
+    assert not check_derivation(_with_steps(d, (), d), C4_TRIANGLE)
+    # steps on vertices already gone, and an absent edge deleted twice,
+    # which would replay as no-ops if only the end graph were compared
+    two_edges = new_graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
+    d = prove_in_f(two_edges)
+    ab = (("a", "b"), ())
+    assert d.steps == (ab,) and check_derivation(d, two_edges)
+    for steps in ((ab, ("a", "b")), (ab, ab, ab)):
+        assert not check_derivation(_with_steps(d, steps), two_edges), steps
+    edgeless = new_graph(["a", "b", "c"], [])
+    d = prove_in_f(edgeless)
+    assert check_derivation(d, edgeless)
+    assert not check_derivation(_with_steps(d, (("a", "b"), ("a", "b")) + d.steps), edgeless)
+    # K - S touching rest - K, and K all of what is there, each the one
+    # fault: the child is what the step would leave
+    p3 = standard_graph("path", 3)
+    k1 = prove_in_f(new_graph(["v3"], []))
+    assert not check_derivation(Derivation(RULE_CHAIN, p3, (k1,),
+                                           steps=((("v1", "v2"), ()),)), p3)
+    k2 = standard_graph("complete", 2)
+    k1 = prove_in_f(new_graph(["v1"], []))
+    assert not check_derivation(Derivation(RULE_CHAIN, k2, (k1,),
+                                           steps=((("v1", "v2"), ("v1",)),)), k2)
+
+
+def test_malformed_chain_steps_are_graph_errors():
+    root = derivation_to_json(prove_in_f(C4_TRIANGLE))
+    assert root["steps"][:2] == [{"clique": ["a", "e", "f"], "separator": ["a"]},
+                                 {"edge": ["a", "b"]}]
+    for bad in ({"edge": ["a"]}, {"edge": ["a", "b", "c"]}, {"edge": ["a", 1]},
+                {"edge": "ab"}, {"clique": ["a", "e"]}, {"clique": ["a"], "separator": "a"},
+                {"clique": ["a"], "separator": [], "edge": ["a", "b"]}, ["a", "b"], "ab", None):
+        obj = json.loads(json.dumps(root))
+        obj["steps"][1] = bad
+        with pytest.raises(GraphError):
+            derivation_from_json(obj)
+    for bad in ({"edge": ["a", "b"]}, "ab", 3):
+        with pytest.raises(GraphError):
+            derivation_from_json({**root, "steps": bad})
+
+
+def _depth(d):
+    return 1 + max(map(_depth, d.children)) if d.children else 0
+
+
+def _graphs_held(d):
+    # the Graph objects reachable from d through its fields
+    seen, stack, graphs = set(), [d], 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Graph):
+            graphs += 1
+        elif isinstance(obj, Derivation):
+            stack.extend(getattr(obj, f.name) for f in fields(obj))
+        elif isinstance(obj, (tuple, list, frozenset)):
+            stack.extend(obj)
+    return graphs
+
+
+def test_a_run_of_unary_steps_is_one_shallow_node():
+    # a chain holds its top graph and its child's; no per-step graph
+    names = ["a%d" % i for i in range(10)] + ["b%d" % i for i in range(10)]
+    k10_10 = Graph(names, [(a, b) for a in names[:10] for b in names[10:]])
+    path = standard_graph("path", 256)
+    d = classify(path).derivation
+    assert _depth(d) == 1 and _graphs_held(d) == 2
+    for d in (classify(k10_10).derivation, is_chordal_bipartite(k10_10)):
+        assert d.rule == RULE_CHAIN and _depth(d) <= 2 and _graphs_held(d) <= 2
+        assert check_derivation(d, k10_10)
 
 
 def test_the_peel_leaves_a_complete_graph_exactly_on_chordal_graphs():

@@ -12,6 +12,7 @@ from raagscope.ops import complement, induced, remove_edge_interior
 from raagscope.prover import (
     RULE_AMALGAM,
     RULE_BISIMP,
+    RULE_CHAIN,
     Derivation,
     check_derivation,
     classify,
@@ -26,12 +27,10 @@ def _derives(d, g) -> bool:
 
 
 def _chain_length(d: Derivation) -> int:
-    """The number of bisimplicial-edge nodes above the first other node."""
-    count = 0
-    while d.rule == RULE_BISIMP:
-        count += 1
-        (d,) = d.children
-    return count
+    """The number of edge steps of a chain node before its first clique step."""
+    if d.rule != RULE_CHAIN:
+        return 0
+    return next((i for i, (x, _) in enumerate(d.steps) if not isinstance(x, str)), len(d.steps))
 
 
 def test_find_induced_cycle_examples():
@@ -182,21 +181,21 @@ def test_validators_reject_garbage():
     assert not validate_cycle_witness(p3, CycleWitness(()), 0)
     assert not validate_cycle_witness(p3, CycleWitness(("v1",)), 1)
     # a bisimplicial-edge node on v2-v3 of P4, which is not bisimplicial;
-    # its child is the right graph and derives
+    # its child is the right graph and derives. The chain's first step,
+    # made v2-v3, fails the same way.
     p4 = standard_graph("path", 4)
     d = is_chordal_bipartite(p4)
-    assert d.rule == RULE_BISIMP and _derives(d, p4)
+    assert d.rule == RULE_CHAIN and _derives(d, p4)
     child = is_chordal_bipartite(remove_edge_interior(p4, ("v2", "v3")))
     assert _derives(child, remove_edge_interior(p4, ("v2", "v3")))
-    assert not check_derivation(replace(d, edge=("v2", "v3"), children=(child,)), p4)
+    assert not check_derivation(Derivation(RULE_BISIMP, p4, (child,), edge=("v2", "v3")), p4)
+    assert not check_derivation(replace(d, steps=(("v2", "v3"),) + d.steps[1:]), p4)
     # an amalgam of C4 along the non-clique {v1, v3}, whose parts derive
     left = induced(c4, ["v1", "v2", "v3"])
     right = induced(c4, ["v1", "v3", "v4"])
     parts = (is_chordal(left), is_chordal(right))
     assert _derives(parts[0], left) and _derives(parts[1], right)
-    d = is_chordal(p4)
-    assert d.rule == RULE_AMALGAM
-    bad = replace(d, conclusion=c4, children=parts, separator=frozenset({"v1", "v3"}))
+    bad = Derivation(RULE_AMALGAM, c4, parts, separator=frozenset({"v1", "v3"}))
     assert not check_derivation(bad, c4)
 
 
