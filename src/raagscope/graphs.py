@@ -336,10 +336,23 @@ def verify_vertex_map(pattern: Graph, host: Graph, mapping: dict[str, str]) -> b
     images = list(mapping.values())
     if len(set(images)) != len(images):
         return False
-    if not all(host.has_vertex(w) for w in images):
+    index = _name_index(host.vertices)
+    if not all(w in index for w in images):
         return False
-    for u, v in combinations(pattern.vertices, 2):
-        if pattern.has_edge(u, v) != host.has_edge(mapping[u], mapping[v]):
+    # pattern row k, carried to host positions, must be the image's row
+    # within the image, stopping at the first row that differs
+    at = [index[mapping[u]] for u in pattern.vertices]
+    image = 0
+    for p in at:
+        image |= 1 << p
+    hrows = host.rows
+    for k, row in enumerate(pattern.rows):
+        carried = 0
+        while row:
+            low = row & -row
+            carried |= 1 << at[low.bit_length() - 1]
+            row ^= low
+        if carried != hrows[at[k]] & image:
             return False
     return True
 

@@ -32,14 +32,15 @@ from .graphs import (
     _from_sorted,
     _name_index,
     _relabel,
+    _shared,
     _standard_names,
     find_induced,
     is_isomorphic,
     standard_graph,
     verify_vertex_map,
 )
-from .ops import co_contract_edge, complement
-from .recognize import find_induced_cycle, find_triangle_or_long_cycle
+from .ops import _is_bipartite, co_contract_edge, complement
+from .recognize import _shortest_cycle, find_induced_cycle, find_triangle_or_long_cycle
 
 KIND_INDUCED = "InducedForbidden"
 KIND_TRAIL = "CoContractionTrail"
@@ -98,7 +99,9 @@ class Obstruction:
 
 
 def _embedding(mapping: dict[str, str]) -> tuple[tuple[str, str], ...]:
-    return tuple(sorted(mapping.items()))
+    # the pairs and the tuple are shared copies: the verdicts of a batch
+    # repeat few embeddings, on the same few names
+    return _shared(tuple(_shared(pair) for pair in sorted(mapping.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +232,10 @@ def _named_entry(name: str, extra: Sequence[ForbiddenEntry]) -> ForbiddenEntry:
     raise CatalogError("unknown catalog entry name %r" % (name,))
 
 
+@lru_cache(maxsize=32)
 def _cycle_graph(complemented: bool, n: int) -> Graph:
+    # every check of a cycle family hit builds its pattern; graphs are
+    # immutable, so one copy per size serves them all
     cycle = standard_graph("cycle", n)
     return complement(cycle) if complemented else cycle
 
@@ -252,29 +258,54 @@ def find_forbidden_induced(g: Graph, extra: Sequence[ForbiddenEntry] = ()) -> Op
 
     The unbounded cycle families are realized by shortest-induced-cycle
     searches in g and in its complement, which is equivalent to scanning every
-    C_n / coC_n entry in size order.
+    C_n / coC_n entry in size order: at each size Cn comes first, then coCn,
+    then the fixed entries by name. Two facts cut the work without
+    changing the first hit:
+
+    - The hole of g, once found, bounds the search of the complement: only a
+      shorter antihole comes first, since at an equal size Cn wins. A 5-hole
+      of the complement is one of g (C5 is self-complementary), so after a
+      C5 of g nothing else is searched, and otherwise the complement is searched from
+      length 6, on its rows, with no complement graph built.
+    - A bipartite g holds no antihole of length >= 5: coC5 is C5, which is
+      odd, and coCk for k >= 6 holds a triangle. A fixed entry that embeds
+      in g is bipartite too, and being admitted it is not chordal
+      bipartite, so it holds an induced cycle of length >= 5 that is no
+      longer than itself; that cycle is one of g, so g's least hole is met
+      first (at the entry's own size only if the entry is that cycle, and
+      then Cn comes first). So a bipartite g returns right after its hole
+      search, with its hole or None. g is tested for being bipartite only
+      when some fixed entry is no larger than g.
     """
     n = g.n
     if n < 5:
         return None
     cyc = find_induced_cycle(g, 5)
-    cocyc = find_induced_cycle(complement(g), 5)
+    hole = n + 1 if cyc is None else len(cyc.vertices)
     fixed = _fixed_scan_order(extra)
-    for size in range(5, n + 1):
-        if cyc is not None and len(cyc.vertices) == size:
-            mapping = dict(zip(_standard_names(size), cyc.vertices))
-            return Obstruction(KIND_INDUCED, "C%d" % size, _embedding(mapping))
-        # a 5-antihole is a 5-cycle, and cyc returned it above
-        if cocyc is not None and len(cocyc.vertices) == size:
-            mapping = dict(zip(_standard_names(size), cocyc.vertices))
-            return Obstruction(KIND_INDUCED, "coC%d" % size, _embedding(mapping))
-        for e in fixed:
-            if e.graph.n != size:
-                continue
-            hit = find_induced(e.graph, g)
-            if hit is not None:
-                return Obstruction(KIND_INDUCED, e.name, _embedding(hit))
-    return None
+    rows = g.rows
+    if hole > 5 and not (fixed[0].graph.n <= n and _is_bipartite(rows)):
+        full = (1 << n) - 1
+        co = _shortest_cycle([full ^ r ^ (1 << i) for i, r in enumerate(rows)], 6, hole)
+        antihole = n + 1 if co is None else len(co)
+        for size in range(5, hole):
+            if size == antihole:
+                return _cycle_hit("coC", tuple(g.vertices[v] for v in co))
+            for e in fixed:
+                if e.graph.n != size:
+                    continue
+                hit = find_induced(e.graph, g)
+                if hit is not None:
+                    return Obstruction(KIND_INDUCED, e.name, _embedding(hit))
+    return None if cyc is None else _cycle_hit("C", cyc.vertices)
+
+
+def _cycle_hit(family: str, vertices: Sequence[str]) -> Obstruction:
+    """The induced hit of the cycle family C or coC that vertices realize,
+    listed in the order of the pattern's v1..vk."""
+    size = len(vertices)
+    mapping = dict(zip(_standard_names(size), vertices))
+    return Obstruction(KIND_INDUCED, "%s%d" % (family, size), _embedding(mapping))
 
 
 def _fixed_scan_order(extra: Sequence[ForbiddenEntry]) -> list[ForbiddenEntry]:
@@ -476,7 +507,9 @@ def obstruction_from_json(obj: dict) -> Obstruction:
         o = Obstruction(
             kind=obj["kind"],
             entry=obj["entry"],
-            embedding=_embedding(dict(obj["embedding"])),
+            # not _embedding: names read from outside may be unhashable, and
+            # are refused as such below
+            embedding=tuple(sorted(dict(obj["embedding"]).items())),
             trail=tuple(tuple(p) for p in obj["trail"]),
         )
     except (KeyError, TypeError, ValueError) as exc:

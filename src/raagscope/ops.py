@@ -56,7 +56,33 @@ def join(g: Graph, h: Graph) -> Graph:
 
 
 def _is_clique_mask(rows: tuple[int, ...], mask: int) -> bool:
-    return all((rows[i] | 1 << i) & mask == mask for i in _bits(mask))
+    # one lowest bit at a time, stopping at the first member that misses
+    # another: the peel, the chain checker and MCS-M ask this of most masks
+    rest = mask
+    while rest:
+        low = rest & -rest
+        if (rows[low.bit_length() - 1] | low) & mask != mask:
+            return False
+        rest ^= low
+    return True
+
+
+def _is_bipartite(rows: tuple[int, ...]) -> bool:
+    """Whether the graph on these rows has no odd cycle: breadth first from
+    the least vertex of each component, no edge joins two vertices of one
+    layer, since every edge joins one layer or two consecutive ones."""
+    unseen = (1 << len(rows)) - 1
+    while unseen:
+        layer = unseen & -unseen
+        while layer:
+            unseen &= ~layer
+            reach = 0
+            for v in _bits(layer):
+                reach |= rows[v]
+            if reach & layer:
+                return False
+            layer = reach & unseen
+    return True
 
 
 def is_clique(g: Graph, s: Iterable[str]) -> bool:

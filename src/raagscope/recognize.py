@@ -41,17 +41,27 @@ def find_induced_cycle(g: Graph, min_len: int) -> Optional[CycleWitness]:
     """
     if min_len < 3:
         raise ValueError("min_len must be at least 3")
-    n = g.n
-    rows = g.rows
-    best = [n + 1, None]  # [bound, cycle]: only lengths below the bound count
+    cycle = _shortest_cycle(g.rows, min_len, g.n + 1)
+    if cycle is None:
+        return None
+    return CycleWitness(tuple(g.vertices[v] for v in cycle))
+
+
+def _shortest_cycle(rows, min_len, bound):
+    """find_induced_cycle on adjacency rows, as a list of positions, counting
+    only cycles shorter than bound: the cycle find_induced_cycle returns if
+    it is shorter than bound, else None. The bound is the search's own from
+    the start, so it prunes from the start; the cycle first by length, start
+    and extensions is never pruned while the bound exceeds its length.
+    obstructions.find_forbidden_induced runs it on complemented rows."""
+    n = len(rows)
+    best = [bound, None]  # [bound, cycle]: only lengths below the bound count
     for start in range(n - min_len + 1):
-        if best[0] == min_len:
+        if best[0] <= min_len:
             break
         later = ((1 << n) - 1) & ~((2 << start) - 1)
         _extend_cycle(rows, [start], 0, later, start, min_len, best)
-    if best[1] is None:
-        return None
-    return CycleWitness(tuple(g.vertices[v] for v in best[1]))
+    return best[1]
 
 
 def _extend_cycle(rows, path, interior, allowed, start, min_len, best):

@@ -8,15 +8,16 @@ import random
 import sys
 from collections import deque
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from pathlib import Path
 
-from raagscope.graphs import Graph, GraphError, _bits, canonical_key, standard_graph
-from raagscope.obstructions import (KIND_INDUCED, KIND_TRAIL, Obstruction,
+from raagscope.graphs import (Graph, GraphError, _bits, canonical_key, find_induced,
+                              standard_graph)
+from raagscope.obstructions import (KIND_INDUCED, KIND_TRAIL, Obstruction, builtin_catalog,
                                     find_forbidden_induced)
-from raagscope.ops import (CliqueSplit, _component_masks, co_contract_edge,
+from raagscope.ops import (CliqueSplit, _component_masks, co_contract_edge, complement,
                            connected_components, induced, is_clique, maximal_cliques)
-from raagscope.recognize import CycleWitness
+from raagscope.recognize import CycleWitness, find_induced_cycle
 from raagscope.words import _commutation, _cyclic_reduce, _reduce_full
 
 
@@ -62,6 +63,27 @@ def random_bipartite(n: int, p: float, rng: random.Random) -> Graph:
     edges = [(u, v) for u in names for v in names
              if u < v and ((u in left) != (v in left)) and rng.random() < p]
     return Graph(names, edges)
+
+
+def random_gnm(n: int, m: int, rng: random.Random) -> Graph:
+    """m edges drawn uniformly from the pairs of n vertices named v0..v(n-1)."""
+    pairs = list(combinations(range(n), 2))
+    edges = rng.sample(pairs, m)
+    return Graph(["v%d" % i for i in range(n)], [("v%d" % a, "v%d" % b) for a, b in edges])
+
+
+def random_chordal_bipartite(n: int, rng: random.Random) -> Graph:
+    """Edges between two sides, each added only if it is bisimplicial once
+    added; read backwards, a bisimplicial edge elimination."""
+    names = ["v%d" % (i + 1) for i in range(n)]
+    left = rng.randint(n // 3, n - n // 3)
+    adj: dict[int, set[int]] = {v: set() for v in range(n)}
+    for _ in range(4 * n):
+        a, b = rng.randrange(left), rng.randrange(left, n)
+        if b not in adj[a] and all(y in adj[x] for x in adj[b] for y in adj[a]):
+            adj[a].add(b)
+            adj[b].add(a)
+    return Graph(names, [(names[a], names[b]) for a in range(left) for b in adj[a]])
 
 
 def add_edge(g: Graph, e: tuple[str, str]) -> Graph:
@@ -350,6 +372,55 @@ def reference_bits(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def reference_is_clique_mask(rows, mask: int) -> bool:
+    """Whether the positions in mask are pairwise adjacent, every member
+    tested through a generator: the answer ops._is_clique_mask must give."""
+    return all((rows[i] | 1 << i) & mask == mask for i in _bits(mask))
+
+
+def reference_verify_vertex_map(pattern: Graph, host: Graph, mapping) -> bool:
+    """Whether mapping embeds pattern in host as an induced subgraph, by name,
+    one has_edge call per pattern pair: the answer graphs.verify_vertex_map
+    must give."""
+    if set(mapping.keys()) != set(pattern.vertices):
+        return False
+    images = list(mapping.values())
+    if len(set(images)) != len(images):
+        return False
+    if not all(host.has_vertex(w) for w in images):
+        return False
+    for u, v in combinations(pattern.vertices, 2):
+        if pattern.has_edge(u, v) != host.has_edge(mapping[u], mapping[v]):
+            return False
+    return True
+
+
+def reference_find_forbidden_induced(g: Graph, extra=()):
+    """The induced scan with nothing cut short: the shortest holes of g and
+    of its complement, then every size from 5 up, Cn before coCn before the
+    fixed entries (P1(8) and the extras) by name. The first hit is the one
+    obstructions.find_forbidden_induced must return."""
+    n = g.n
+    if n < 5:
+        return None
+    cyc = find_induced_cycle(g, 5)
+    cocyc = find_induced_cycle(complement(g), 5)
+    fixed = sorted([e for e in builtin_catalog() if e.name == "P1(8)"] + list(extra),
+                   key=lambda e: (e.graph.n, e.name))
+    for size in range(5, n + 1):
+        for family, w in (("C", cyc), ("coC", cocyc)):
+            if w is not None and len(w.vertices) == size:
+                return Obstruction(KIND_INDUCED, "%s%d" % (family, size),
+                                   tuple(sorted(zip(["v%d" % (i + 1) for i in range(size)],
+                                                    w.vertices))))
+        for e in fixed:
+            if e.graph.n == size:
+                hit = find_induced(e.graph, g)
+                if hit is not None:
+                    return Obstruction(KIND_INDUCED, e.name, tuple(sorted(hit.items())))
+    return None
 
 
 def reference_relabel(rows, order) -> tuple[int, ...]:

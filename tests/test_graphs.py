@@ -4,7 +4,7 @@ import time
 import pytest
 
 from conftest import (brute_induced, random_graph, reference_bits, reference_parse_graph6,
-                      reference_relabel)
+                      reference_relabel, reference_verify_vertex_map)
 from raagscope.graphs import (
     Graph,
     GraphError,
@@ -153,6 +153,49 @@ def test_find_induced_agrees_with_brute_force_random():
         assert (fast is None) == (slow is None)
         if fast is not None:
             assert verify_vertex_map(pat, host, fast)
+
+
+def _mutated_maps(mapping, rng):
+    """mapping, then each mutation: a repeated image, an unknown image, a
+    key dropped, a key renamed, a key added, and two images swapped."""
+    keys = sorted(mapping)
+    a, b = rng.sample(keys, 2)
+    out = [dict(mapping)]
+    m = dict(mapping)
+    m[a] = m[b]
+    out.append(m)
+    m = dict(mapping)
+    m[a] = "nowhere"
+    out.append(m)
+    m = dict(mapping)
+    del m[a]
+    out.append(m)
+    m = dict(mapping)
+    m["nowhere"] = m.pop(a)
+    out.append(m)
+    out.append({**mapping, "nowhere": mapping[a]})
+    m = dict(mapping)
+    m[a], m[b] = m[b], m[a]
+    out.append(m)
+    return out
+
+
+def test_verify_vertex_map_matches_the_pairwise_reference():
+    # embeddings find_induced finds, or random injective maps where it finds
+    # none, each checked as found and under every mutation
+    rng = random.Random(30)
+    answers = [0, 0]
+    for _ in range(300):
+        host = random_graph(rng.randint(4, 13), rng.random(), rng)
+        pattern = random_graph(rng.randint(2, min(host.n, 7)), rng.random(), rng)
+        found = find_induced(pattern, host)
+        if found is None:
+            found = dict(zip(pattern.vertices, rng.sample(host.vertices, pattern.n)))
+        for mapping in _mutated_maps(found, rng):
+            expected = reference_verify_vertex_map(pattern, host, mapping)
+            assert verify_vertex_map(pattern, host, mapping) == expected, (pattern, host, mapping)
+            answers[expected] += 1
+    assert min(answers) > 100
 
 
 def test_graph6_frozen_values():

@@ -1,10 +1,12 @@
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
-from conftest import (random_bipartite, random_chordal, random_graph,
-                      reference_cocontraction_witness, reference_induced_cycle)
+from conftest import (disjoint_union, random_bipartite, random_chordal, random_gnm, random_graph,
+                      reference_cocontraction_witness, reference_find_forbidden_induced,
+                      reference_induced_cycle)
 
 from raagscope.generate import nonisomorphic_graphs
 from raagscope.graphs import (Graph, GraphError, canonical_key, emit_graph6, is_isomorphic,
@@ -102,6 +104,47 @@ def test_find_forbidden_absent_on_chordal_and_chordal_bipartite():
         if isinstance(is_chordal_bipartite(g), Derivation):
             assert find_forbidden_induced(g) is None
             checked += 1
+
+
+_C6_PENDANT = ForbiddenEntry(
+    "c6p(7)", Graph("abcdefg", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "f"),
+                                ("f", "a"), ("f", "g")]), "test data")
+
+
+def test_the_scan_finds_the_full_scans_first_hit():
+    # the bounded antihole search, the C5 return and the bipartite return
+    # against a scan that runs every search in full: on the atlas, seeded
+    # G(n, m) and bipartite graphs on 8-13 vertices, P1(8) with up to three
+    # vertices added or beside a C6 or C7; with no extra, a bipartite extra
+    # (C6 plus a pendant vertex) and a 5-vertex one with a triangle (the
+    # house)
+    rng = random.Random(30)
+    hosts = [g for n in range(5, 8) for g in nonisomorphic_graphs(n)]
+    for _ in range(150):
+        n = rng.randint(8, 13)
+        hosts.append(random_gnm(n, rng.randint(0, n * (n - 1) // 2), rng))
+    hosts += [random_bipartite(rng.randint(8, 13), rng.random(), rng) for _ in range(100)]
+    p18 = entry_graph("P1(8)")
+    for _ in range(30):
+        extra = ["x%d" % i for i in range(rng.randint(1, 3))]
+        hosts.append(Graph(p18.vertices + tuple(extra), p18.edge_pairs + tuple(
+            (x, v) for x in extra for v in p18.vertices + tuple(extra)
+            if x < v and rng.random() < 0.5)))
+    # a hole shorter than P1(8) beside it: the hole must win
+    hosts += [disjoint_union(p18, standard_graph("cycle", k)) for k in (6, 7)]
+    house = ForbiddenEntry("house(5)", complement(Graph("pqrst", [("p", "q"), ("q", "r"),
+                                                                  ("r", "s"), ("s", "t")])),
+                           "test data")
+    entries = set()
+    for extra in ((), (_C6_PENDANT,), (house,)):
+        for g in hosts:
+            got = find_forbidden_induced(g, extra)
+            assert got == reference_find_forbidden_induced(g, extra), g.edge_pairs
+            entries.add(None if got is None else _CYCLE_NAME.sub(r"\1n", got.entry))
+    assert entries == {None, "Cn", "coCn", "P1(8)", "house(5)"}
+
+
+_CYCLE_NAME = re.compile(r"^(C|coC)\d+$")
 
 
 def test_cocontraction_witness_trio():

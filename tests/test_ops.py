@@ -2,9 +2,9 @@ import random
 from itertools import combinations
 
 import pytest
-from conftest import (add_edge, disjoint_union, is_connected, random_chordal, random_graph,
-                      reference_clique_splits, reference_mcs_m_separators,
-                      reference_validate_clique_split)
+from conftest import (add_edge, disjoint_union, is_connected, random_bipartite, random_chordal,
+                      random_gnm, random_graph, reference_clique_splits, reference_is_clique_mask,
+                      reference_mcs_m_separators, reference_validate_clique_split)
 
 from raagscope.graphs import Graph, GraphError, is_isomorphic, new_graph, standard_graph
 from raagscope.generate import nonisomorphic_graphs
@@ -12,6 +12,8 @@ from raagscope.ops import (
     CliqueSplit,
     _bisimplicial_edges,
     _clique_minimal_separators,
+    _is_bipartite,
+    _is_clique_mask,
     co_contract,
     co_contract_edge,
     complement,
@@ -178,12 +180,6 @@ def test_clique_separators_validate_and_disconnected():
             assert validate_clique_split(g, s)
 
 
-def _gnm(n, m, rng):
-    pairs = list(combinations(range(n), 2))
-    edges = rng.sample(pairs, m)
-    return Graph(["v%d" % i for i in range(n)], [("v%d" % a, "v%d" % b) for a, b in edges])
-
-
 def test_clique_splits_are_the_enumerated_splits_along_minimal_separators():
     # MCS-M must find exactly the separators that a clique enumeration finds
     # and that leave at least two full components, in the same order, and
@@ -192,7 +188,7 @@ def test_clique_splits_are_the_enumerated_splits_along_minimal_separators():
     rng = random.Random(21)
     for _ in range(150):
         n = rng.randint(8, 16)
-        graphs.append(_gnm(n, rng.randint(n - 1, n * (n - 1) // 4), rng))
+        graphs.append(random_gnm(n, rng.randint(n - 1, n * (n - 1) // 4), rng))
     graphs += [random_chordal(rng.randint(5, 14), rng) for _ in range(40)]
     minimal_seen = nonminimal_seen = 0
     for g in graphs:
@@ -273,7 +269,7 @@ def test_validate_clique_split_agrees_with_the_set_based_reference():
     graphs = [g for n in range(1, 8) for g in nonisomorphic_graphs(n)]
     for _ in range(100):
         n = rng.randint(8, 14)
-        graphs.append(_gnm(n, rng.randint(n - 1, n * (n - 1) // 3), rng))
+        graphs.append(random_gnm(n, rng.randint(n - 1, n * (n - 1) // 3), rng))
     valid = 0
     refused: dict[str, int] = {}
     for g in graphs:
@@ -508,3 +504,40 @@ def test_add_edge():
     assert is_complete(p3)
     with pytest.raises(GraphError):
         add_edge(P3, ("a", "b"))
+
+
+def test_the_clique_kernel_matches_the_generator_reference():
+    # every mask below 2^min(n, 10) on the rows of the atlas and of seeded
+    # 10-13-vertex graphs, random and chordal (whose masks are often cliques)
+    rng = random.Random(30)
+    graphs = [g for n in range(1, 8) for g in nonisomorphic_graphs(n)]
+    for n in range(10, 14):
+        graphs += [random_gnm(n, rng.randint(0, n * (n - 1) // 2), rng) for _ in range(4)]
+        graphs += [random_chordal(n, rng) for _ in range(4)]
+    cliques = 0
+    for g in graphs:
+        rows = g.rows
+        for mask in range(1 << min(g.n, 10)):
+            expected = reference_is_clique_mask(rows, mask)
+            assert _is_clique_mask(rows, mask) == expected, (g.rows, mask)
+            cliques += expected
+    assert cliques > 10000
+
+
+def test_the_bipartite_kernel_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(30)
+    graphs = [g for n in range(1, 8) for g in nonisomorphic_graphs(n)]
+    for _ in range(100):
+        n = rng.randint(8, 16)
+        graphs.append(random_bipartite(n, rng.random(), rng))
+        graphs.append(random_gnm(n, rng.randint(0, 2 * n), rng))
+    seen = set()
+    for g in graphs:
+        G = nx.Graph()
+        G.add_nodes_from(g.vertices)
+        G.add_edges_from(g.edge_pairs)
+        expected = nx.is_bipartite(G)
+        assert _is_bipartite(g.rows) == expected, g.edge_pairs
+        seen.add(expected)
+    assert seen == {True, False}

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import add_edge, desk_graph6, random_chordal, random_graph, reference_peel
+from conftest import (add_edge, desk_graph6, random_chordal, random_chordal_bipartite,
+                      random_graph, reference_peel)
 from raagscope.generate import nonisomorphic_graphs
 from raagscope.graphs import (Graph, GraphError, emit_graph6, new_graph, parse_graph6,
                               standard_graph)
@@ -195,6 +196,30 @@ def test_the_co_contraction_search_builds_nothing_on_the_atlas(monkeypatch):
         for status, count in counts.items():
             totals[status] += count
     assert totals == {NO_SURFACE: 1051, HAS_SURFACE: 169, UNKNOWN: 32}
+
+
+def test_a_chordal_bipartite_graph_is_classified_without_the_fixed_scan(monkeypatch):
+    # a bipartite graph's scan ends with its hole search: no fixed entry can
+    # come first, so K6,6 and a seeded chordal bipartite graph that is not
+    # chordal are derived without find_induced; P1(8) is the control
+    import raagscope.obstructions as obstructions
+
+    def refuse(*args):
+        raise AssertionError("find_induced called")
+
+    builtin_catalog()
+    monkeypatch.setattr(obstructions, "find_induced", refuse)
+    names = ["a%d" % i for i in range(6)] + ["b%d" % i for i in range(6)]
+    k6_6 = Graph(names, [(a, b) for a in names[:6] for b in names[6:]])
+    rng = random.Random(30)
+    seeded = random_chordal_bipartite(12, rng)
+    while isinstance(is_chordal(seeded), Derivation):
+        seeded = random_chordal_bipartite(12, rng)
+    for g in (k6_6, seeded):
+        v = classify(g)
+        assert v.status == NO_SURFACE and check_derivation(v.derivation, g)
+    with pytest.raises(AssertionError, match="find_induced called"):
+        classify(entry_graph("P1(8)"))
 
 
 def test_the_pruning_builds_no_derivation(monkeypatch):
