@@ -65,16 +65,22 @@ def _standard_names(n: int) -> tuple[str, ...]:
     return tuple("v%d" % (i + 1) for i in range(n))
 
 
-# the set-bit positions of every byte value, ascending: the rows and masks
-# of most graphs the library derives are below 256
+# the set-bit positions of every byte value, ascending, and the same shifted
+# by 8 for the high byte: together they cover every mask below 2^16, that is
+# every row and mask of a graph on up to 16 vertices
 _BYTE_BITS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
+_HIGH_BITS = tuple(tuple(j + 8 for j in low) for low in _BYTE_BITS)
 
 
 def _bits(mask: int) -> Sequence[int]:
-    """Positions of the set bits, ascending: a shared tuple from a table for
-    a mask below 256, else a new list."""
+    """Positions of the set bits, ascending: a shared tuple from the byte
+    table for a mask below 256, a new tuple joined from the two byte tables
+    below 2^16, else a new list walked one lowest bit at a time. The one
+    full walk over a mask's set bits."""
     if mask < 256:
         return _BYTE_BITS[mask]
+    if mask < 65536:
+        return _BYTE_BITS[mask & 255] + _HIGH_BITS[mask >> 8]
     out = []
     while mask:
         low = mask & -mask
@@ -85,7 +91,8 @@ def _bits(mask: int) -> Sequence[int]:
 
 def _relabel(rows: tuple[int, ...], order: Sequence[int]) -> tuple[int, ...]:
     """Rows of the graph induced on the positions listed in order, position
-    order[i] renumbered i. The one place adjacency rows are renumbered."""
+    order[i] renumbered i. The one place adjacency rows are renumbered; each
+    row is walked by _bits, from its tables on up to 16 vertices."""
     bit = [0] * len(rows)
     mask = 0
     for new, old in enumerate(order):
@@ -93,16 +100,9 @@ def _relabel(rows: tuple[int, ...], order: Sequence[int]) -> tuple[int, ...]:
         mask |= 1 << old
     out = []
     for old in order:
-        row = rows[old] & mask
         r = 0
-        if row < 256:
-            for j in _BYTE_BITS[row]:
-                r |= bit[j]
-        else:
-            while row:
-                low = row & -row
-                r |= bit[low.bit_length() - 1]
-                row ^= low
+        for j in _bits(rows[old] & mask):
+            r |= bit[j]
         out.append(r)
     return tuple(out)
 
@@ -130,11 +130,14 @@ class Graph:
             raise GraphError("duplicate vertex name")
         rows = [0] * len(names)
         for e in edges:
-            u, v = e
+            try:
+                u, v = e
+                iu = index.get(u)
+                iv = index.get(v)
+            except (TypeError, ValueError):
+                raise GraphError("edge must be a pair of vertex names: %r" % (e,)) from None
             if u == v:
                 raise GraphError("loop edge at %r" % (u,))
-            iu = index.get(u)
-            iv = index.get(v)
             if iu is None or iv is None:
                 raise GraphError("edge endpoint not in vertex list: %r" % ((u, v),))
             rows[iu] |= 1 << iv
@@ -348,10 +351,8 @@ def verify_vertex_map(pattern: Graph, host: Graph, mapping: dict[str, str]) -> b
     hrows = host.rows
     for k, row in enumerate(pattern.rows):
         carried = 0
-        while row:
-            low = row & -row
-            carried |= 1 << at[low.bit_length() - 1]
-            row ^= low
+        for j in _bits(row):
+            carried |= 1 << at[j]
         if carried != hrows[at[k]] & image:
             return False
     return True

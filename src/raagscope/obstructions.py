@@ -198,8 +198,7 @@ def load_catalog(path: str) -> list[ForbiddenEntry]:
                                "that name two vertices each" % (name,))
         try:
             graph = _from_complement(vertices, [tuple(e) for e in comp_edges])
-        except (GraphError, TypeError) as exc:
-            # TypeError: an unhashable vertex name, such as a list
+        except GraphError as exc:
             raise CatalogError("catalog entry %r: %s" % (name, exc)) from None
         entry = ForbiddenEntry(name, graph, provenance)
         if _CYCLE_RE.match(name) or _COCYCLE_RE.match(name):

@@ -781,6 +781,7 @@ def test_missing_input_path_exits_64_without_traceback(capsys, tmp_path, argv):
 @pytest.mark.parametrize("text", [
     "not json",
     json.dumps([{**_HOUSE, "complement_edges": [["p", "q", "r"]]}]),
+    json.dumps([{**_HOUSE, "complement_edges": [["p", ["q"]]]}]),
     json.dumps([{**_HOUSE, "name": 5}]),
     json.dumps([{**_HOUSE, "vertices": [1, 2, 3, 4, 5]}]),
 ])

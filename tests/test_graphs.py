@@ -63,6 +63,10 @@ def test_new_graph_errors():
         new_graph(["a b"], [])  # whitespace
     with pytest.raises(GraphError):
         new_graph([""], [])
+    # an edge that is not two hashable names
+    for edge in (("a",), ("a", "b", "c"), ("a", ["b"]), None):
+        with pytest.raises(GraphError, match="pair of vertex names"):
+            new_graph(["a", "b"], [edge])
 
 
 def test_standard_graphs():
@@ -301,9 +305,12 @@ def test_parse_graph6_refuses_what_the_reference_refuses():
 
 
 def test_bits_matches_the_bit_at_a_time_walk():
-    # the table below 256 and the loop above it: every mask below 2^12, and
+    # the byte table below 256, the byte-pair table below 2^16 and the loop
+    # above it: every mask below 2^16, the masks on either side of 2^16, and
     # random masks up to 2^70
-    for mask in range(1 << 12):
+    for mask in range(1 << 16):
+        assert list(_bits(mask)) == reference_bits(mask), mask
+    for mask in ((1 << 16) - 1, 1 << 16, (1 << 16) + 1, (1 << 24) - 1):
         assert list(_bits(mask)) == reference_bits(mask), mask
     rng = random.Random(28)
     for _ in range(3000):

@@ -12,9 +12,10 @@ from raagscope.generate import nonisomorphic_graphs
 from raagscope.graphs import (Graph, GraphError, emit_graph6, new_graph, parse_graph6,
                               standard_graph)
 from raagscope.obstructions import (builtin_catalog, entry_graph, find_cocontraction_witness,
-                                    find_forbidden_induced)
-from raagscope.ops import (co_contract, is_bisimplicial_edge, is_clique, is_complete,
-                           is_simplicial_vertex, iter_clique_splits, remove_edge_interior)
+                                    find_forbidden_induced, verify_obstruction)
+from raagscope.ops import (co_contract, complement, is_bisimplicial_edge, is_clique,
+                           is_complete, is_simplicial_vertex, iter_clique_splits,
+                           remove_edge_interior)
 from raagscope.prover import (
     DEFAULT_BUDGET,
     HAS_SURFACE,
@@ -264,6 +265,23 @@ def test_every_builtin_catalog_entry_is_non_chordal():
         for name in ("C%d" % n, "coC%d" % n):
             h = entry_graph(name)
             assert not isinstance(is_chordal(h), Derivation), name
+
+
+def test_classify_on_either_side_of_the_two_byte_bit_table():
+    # every row and mask of a graph on 16 vertices is below 2^16, inside
+    # graphs._bits' byte-pair table; 17 vertices take its bit-at-a-time walk
+    for n in (16, 17):
+        cycle = standard_graph("cycle", n)
+        for g, name in ((cycle, "C%d" % n), (complement(cycle), "coC%d" % n)):
+            v = classify(g)
+            assert v.status == HAS_SURFACE and v.obstruction.entry == name
+            assert verify_obstruction(g, v.obstruction)
+    k89 = new_graph(["a%d" % i for i in range(8)] + ["b%d" % j for j in range(9)],
+                    [("a%d" % i, "b%d" % j) for i in range(8) for j in range(9)])
+    for g in (random_chordal(17, random.Random(31)), k89):
+        assert g.n == 17
+        v = classify(g)
+        assert v.status == NO_SURFACE and check_derivation(v.derivation, g)
 
 
 def test_chordal_graphs_are_never_scanned(monkeypatch):
