@@ -13,7 +13,12 @@ leaf) has its rows renumbered by one function, _relabel.
 
 Two searches answer structural questions. find_induced is a backtracking
 search for an induced copy of a pattern; the obstruction scans use it, and
-its search order fixes the embeddings they report. Isomorphism is decided
+its fixed search order (pattern vertices by position, host positions
+ascending) fixes the embeddings they report. Each pattern vertex keeps a
+mask of the host positions still possible for it, narrowed by every
+assignment before it (forward checking), and an assignment that empties
+one is dropped; that cuts only branches with no completion, so the first
+embedding is the plain depth-first search's. Isomorphism is decided
 by canonical labeling, individualization-refinement (McKay, Practical graph
 isomorphism, 1981; McKay and Piperno, Practical graph isomorphism II, JSC
 2014): refine to the coarsest equitable ordered partition, branch on the
@@ -292,42 +297,68 @@ def find_induced(pattern: Graph, host: Graph) -> Optional[dict[str, str]]:
 
     The map preserves and reflects adjacency: {u,v} is an edge of the pattern
     iff the image pair is an edge of the host.
+
+    The search order is fixed: pattern vertices are assigned by position,
+    each to the host positions in ascending order, and the first complete
+    assignment wins. Each pattern vertex keeps a mask of the host positions
+    still possible for it (Ullmann, An algorithm for subgraph isomorphism,
+    JACM 1976, reduced to forward checking): it starts as the host vertices
+    of at least its degree, and assigning an earlier vertex j to host c
+    narrows it to the neighbours of c if the two pattern vertices are
+    adjacent, else to the non-neighbours of c other than c. A candidate in
+    its mask is consistent with every assignment before it, and an
+    assignment that empties a later mask is dropped: it has no completion.
+    So the masks cut only dead branches, and the first embedding is the one
+    the plain depth-first search over all host positions finds.
     """
     np_, nh = pattern.n, host.n
     if np_ > nh:
         return None
-    pv = pattern.vertices
-    hv = host.vertices
+    if np_ == 0:
+        return {}
     prows = pattern.rows
     hrows = host.rows
-    pdeg = [r.bit_count() for r in prows]
     hdeg = [r.bit_count() for r in hrows]
-    assigned = [-1] * np_
+    at_least: dict[int, int] = {}
+    masks = []
+    for r in prows:
+        d = r.bit_count()
+        m = at_least.get(d)
+        if m is None:
+            m = at_least[d] = sum(1 << c for c in range(nh) if hdeg[c] >= d)
+            if not m:
+                return None
+        masks.append(m)
+    # adjacent[k][i]: pattern vertex k is adjacent to vertex k + 1 + i
+    adjacent = [[r >> i & 1 for i in range(k + 1, np_)] for k, r in enumerate(prows)]
+    full = (1 << nh) - 1
+    last = np_ - 1
+    assigned = [0] * np_
 
-    def extend(k: int, used: int) -> bool:
-        if k == np_:
+    def extend(k: int, masks: list[int]) -> bool:
+        # masks[i] is the candidate mask of pattern vertex k + i, none empty
+        if k == last:
+            assigned[k] = (masks[0] & -masks[0]).bit_length() - 1
             return True
-        prow_k = prows[k]
-        for cand in range(nh):
-            if used >> cand & 1:
-                continue
-            if hdeg[cand] < pdeg[k]:
-                continue
-            ok = True
-            hrow_c = hrows[cand]
-            for j in range(k):
-                if ((prow_k >> j) & 1) != ((hrow_c >> assigned[j]) & 1):
-                    ok = False
+        rest = masks[1:]
+        adj = adjacent[k]
+        for c in _bits(masks[0]):
+            hr = hrows[c]
+            miss = full ^ hr ^ (1 << c)
+            narrowed = []
+            for m, a in zip(rest, adj):
+                m &= hr if a else miss
+                if not m:
                     break
-            if not ok:
-                continue
-            assigned[k] = cand
-            if extend(k + 1, used | (1 << cand)):
-                return True
-            assigned[k] = -1
+                narrowed.append(m)
+            else:
+                assigned[k] = c
+                if extend(k + 1, narrowed):
+                    return True
         return False
 
-    if extend(0, 0):
+    if extend(0, masks):
+        pv, hv = pattern.vertices, host.vertices
         return {pv[k]: hv[assigned[k]] for k in range(np_)}
     return None
 

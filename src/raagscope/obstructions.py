@@ -275,21 +275,45 @@ def find_forbidden_induced(g: Graph, extra: Sequence[ForbiddenEntry] = ()) -> Op
       then Cn comes first). So a bipartite g returns right after its hole
       search, with its hole or None. g is tested for being bipartite only
       when some fixed entry is no larger than g.
+
+    prover.classify runs the same scan with both cycle searches on the core
+    of g's peel, the induced subgraph left once the cliques of simplicial
+    vertices are split off one by one (prover._peel); see
+    _find_forbidden_induced. Lemma: every induced cycle of length >= 5 of g,
+    and every antihole, lies in that core. A simplicial vertex lies on no
+    induced cycle of length >= 4 (Dirac, On rigid circuit graphs, 1961), and
+    no vertex of coCk, k >= 5, is simplicial: v sees v+2 and v+3, which are
+    not adjacent to each other. A vertex simplicial in a graph is simplicial
+    in every induced subgraph that holds it, so each peel step, which removes
+    only vertices simplicial in what is left, keeps every hole and antihole
+    of what is left. The core keeps g's position order, so the first hole
+    and antihole by length, start and extensions are the same ones. The
+    fixed entries are still searched in g itself: an entry may have a
+    simplicial vertex, and its copy in g can use vertices the peel removes.
+    H]o~fy?, G]o~fw with a pendant vertex, peels to G]o~fw, which is too
+    small to hold it, so as an entry it is found in itself only on g.
     """
+    return _find_forbidden_induced(g, g, extra)
+
+
+def _find_forbidden_induced(g: Graph, core: Graph,
+                            extra: Sequence[ForbiddenEntry]) -> Optional[Obstruction]:
+    """find_forbidden_induced(g, extra), with the hole and antihole searches
+    run on core: g itself, or the core of g's peel, which holds every hole
+    and antihole of g (see find_forbidden_induced)."""
     n = g.n
     if n < 5:
         return None
-    cyc = find_induced_cycle(g, 5)
+    cyc = find_induced_cycle(core, 5)
     hole = n + 1 if cyc is None else len(cyc.vertices)
     fixed = _fixed_scan_order(extra)
-    rows = g.rows
-    if hole > 5 and not (fixed[0].graph.n <= n and _is_bipartite(rows)):
-        full = (1 << n) - 1
-        co = _shortest_cycle([full ^ r ^ (1 << i) for i, r in enumerate(rows)], 6, hole)
+    if hole > 5 and not (fixed[0].graph.n <= n and _is_bipartite(g.rows)):
+        full = (1 << core.n) - 1
+        co = _shortest_cycle([full ^ r ^ (1 << i) for i, r in enumerate(core.rows)], 6, hole)
         antihole = n + 1 if co is None else len(co)
         for size in range(5, hole):
             if size == antihole:
-                return _cycle_hit("coC", tuple(g.vertices[v] for v in co))
+                return _cycle_hit("coC", tuple(core.vertices[v] for v in co))
             for e in fixed:
                 if e.graph.n != size:
                     continue

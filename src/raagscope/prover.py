@@ -93,6 +93,7 @@ from .graphs import (
 from .obstructions import (
     ForbiddenEntry,
     Obstruction,
+    _find_forbidden_induced,
     _search_below_clean_root,
     find_forbidden_induced,
     verify_obstruction,
@@ -617,8 +618,10 @@ def classify(g: Graph, budget: int = DEFAULT_BUDGET,
 
     The order: g is peeled once, and a chordal g (its core is complete) gets
     the derivation the peel builds, checked, and nothing else runs; otherwise
-    the induced obstruction scan; the search of g's core, only if the scan
-    found nothing; the co-contraction search below g, only if neither found
+    the induced obstruction scan, its hole and antihole searches run on the
+    peel's core, which holds every hole and antihole of g (see
+    obstructions.find_forbidden_induced); the search of g's core, only if the
+    scan found nothing; the co-contraction search below g, only if neither found
     a certificate. Whenever that search runs, the scan of g ran and found
     nothing, so it is _search_below_clean_root, which does not scan g again
     and scans the states below it for the fixed entries alone. Skipping the
@@ -644,17 +647,21 @@ def classify(g: Graph, budget: int = DEFAULT_BUDGET,
     A graph may end up with neither certificate: membership of the derived
     family in the no-surface class is one-sided, so honest Unknowns are
     unavoidable. Holding both verified certificates at once is a bug and
-    raises SoundnessError. cross_check runs the scan on a chordal g too, the
-    derivation search even after a found obstruction, and the unpruned
-    co-contraction search even after a found derivation, so that the
-    both-certificates guard sees every search.
+    raises SoundnessError. cross_check runs the scan on a chordal g too, and
+    with its cycle searches on g whole, so that the guard does not rest on
+    the core lemma; it runs the derivation search even after a found
+    obstruction, and the unpruned co-contraction search even after a found
+    derivation, so that the both-certificates guard sees every search.
     """
     search = _Search(budget)
     t0 = perf_counter()
     peel = _peel(g)
     obs = None
     if cross_check or not is_complete(peel.core):
-        obs = find_forbidden_induced(g, catalog)
+        if cross_check:
+            obs = find_forbidden_induced(g, catalog)
+        else:
+            obs = _find_forbidden_induced(g, peel.core, catalog)
         if obs is not None and not verify_obstruction(g, obs, catalog):
             raise SoundnessError("obstruction search emitted an invalid certificate")
     t1 = perf_counter()

@@ -397,6 +397,51 @@ def reference_verify_vertex_map(pattern: Graph, host: Graph, mapping) -> bool:
     return True
 
 
+def reference_find_induced(pattern: Graph, host: Graph):
+    """The plain depth-first search for an induced copy of pattern: pattern
+    vertices by position, each tried at every host position in ascending
+    order, filtered by degree and by adjacency to the vertices before it.
+    Its first embedding, or None, is the one graphs.find_induced must
+    return."""
+    np_, nh = pattern.n, host.n
+    if np_ > nh:
+        return None
+    pv = pattern.vertices
+    hv = host.vertices
+    prows = pattern.rows
+    hrows = host.rows
+    pdeg = [r.bit_count() for r in prows]
+    hdeg = [r.bit_count() for r in hrows]
+    assigned = [-1] * np_
+
+    def extend(k: int, used: int) -> bool:
+        if k == np_:
+            return True
+        prow_k = prows[k]
+        for cand in range(nh):
+            if used >> cand & 1:
+                continue
+            if hdeg[cand] < pdeg[k]:
+                continue
+            ok = True
+            hrow_c = hrows[cand]
+            for j in range(k):
+                if ((prow_k >> j) & 1) != ((hrow_c >> assigned[j]) & 1):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            assigned[k] = cand
+            if extend(k + 1, used | (1 << cand)):
+                return True
+            assigned[k] = -1
+        return False
+
+    if extend(0, 0):
+        return {pv[k]: hv[assigned[k]] for k in range(np_)}
+    return None
+
+
 def reference_find_forbidden_induced(g: Graph, extra=()):
     """The induced scan with nothing cut short: the shortest holes of g and
     of its complement, then every size from 5 up, Cn before coCn before the

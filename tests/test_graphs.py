@@ -3,8 +3,9 @@ import time
 
 import pytest
 
-from conftest import (brute_induced, random_graph, reference_bits, reference_parse_graph6,
-                      reference_relabel, reference_verify_vertex_map)
+from conftest import (brute_induced, desk_graph6, random_gnm, random_graph, reference_bits,
+                      reference_find_induced, reference_parse_graph6, reference_relabel,
+                      reference_verify_vertex_map)
 from raagscope.graphs import (
     Graph,
     GraphError,
@@ -26,7 +27,9 @@ from raagscope.graphs import (
     verify_vertex_map,
 )
 from raagscope.generate import nonisomorphic_graphs
-from raagscope.ops import complement
+from raagscope.obstructions import entry_graph
+from raagscope.ops import co_contract_edge, complement
+from raagscope.prover import UNKNOWN, classify
 
 
 def test_new_graph_basic():
@@ -157,6 +160,54 @@ def test_find_induced_agrees_with_brute_force_random():
         assert (fast is None) == (slow is None)
         if fast is not None:
             assert verify_vertex_map(pat, host, fast)
+
+
+def _states_at(g, n):
+    """Every graph on n vertices reached from g by complement-edge
+    contractions, each contraction taken once per state and pair."""
+    states = [g]
+    while states[0].n > n:
+        states = [co_contract_edge(h, (h.vertices[i], h.vertices[j]))
+                  for h in states for i in range(h.n) for j in range(i + 1, h.n)
+                  if not h.rows[i] >> j & 1]
+    return states
+
+
+def test_find_induced_returns_the_plain_searchs_first_embedding():
+    # the candidate masks cut only branches with no completion, so the first
+    # embedding, or None, is the plain depth-first search's: on the small
+    # atlas, seeded pairs, P1(8) in seeded hosts, and P1(8) in every 8-vertex
+    # co-contraction state below a desk unknown, where pattern and host have
+    # equal size
+    pairs = [(pat, host) for pat in (g for n in range(1, 5) for g in nonisomorphic_graphs(n))
+             for host in (g for n in range(1, 7) for g in nonisomorphic_graphs(n))]
+    rng = random.Random(32)
+    for _ in range(400):
+        n = rng.randint(2, 13)
+        k = rng.randint(1, min(n, 8))
+        pairs.append((random_gnm(k, rng.randint(0, k * (k - 1) // 2), rng),
+                      random_gnm(n, rng.randint(0, n * (n - 1) // 2), rng)))
+    # P1(8) in seeded G(n, m) and in P1(8) with up to five vertices added,
+    # renamed at random so that its copy sits anywhere in the host's order
+    p18 = entry_graph("P1(8)")
+    for _ in range(150):
+        n = rng.randint(8, 13)
+        pairs.append((p18, random_gnm(n, rng.randint(n * (n - 1) // 4, n * (n - 1) // 2), rng)))
+        names = list(p18.vertices) + ["x%d" % i for i in range(n - 8)]
+        edges = list(p18.edge_pairs) + [(x, v) for i, x in enumerate(names[8:])
+                                        for v in names[:8 + i] if rng.random() < 0.5]
+        rename = dict(zip(names, rng.sample(["v%d" % i for i in range(n)], n)))
+        pairs.append((p18, Graph(rename.values(), [(rename[u], rename[v]) for u, v in edges])))
+    unknown = next(g for g in map(parse_graph6, desk_graph6(1))
+                   if g.n == 10 and classify(g).status == UNKNOWN)
+    states = _states_at(unknown, 8)
+    pairs += [(p18, h) for h in states]
+    found = 0
+    for pat, host in pairs:
+        got = find_induced(pat, host)
+        assert got == reference_find_induced(pat, host), (pat.edge_pairs, host.edge_pairs)
+        found += got is not None
+    assert len(states) > 50 and 1000 < found < len(pairs) - 1000
 
 
 def _mutated_maps(mapping, rng):

@@ -29,7 +29,8 @@ from raagscope.obstructions import (
     verify_obstruction,
 )
 from raagscope.ops import co_contract_edge, complement
-from raagscope.prover import Derivation, is_chordal_bipartite
+from raagscope.prover import (HAS_SURFACE, UNKNOWN, Derivation, _peel, classify,
+                              is_chordal_bipartite)
 from raagscope.recognize import find_induced_cycle
 
 
@@ -109,6 +110,10 @@ def test_find_forbidden_absent_on_chordal_and_chordal_bipartite():
 _C6_PENDANT = ForbiddenEntry(
     "c6p(7)", Graph("abcdefg", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "f"),
                                 ("f", "a"), ("f", "g")]), "test data")
+# the house, the complement of P5: its roof apex is simplicial
+_HOUSE_ENTRY = ForbiddenEntry(
+    "house(5)", complement(Graph("pqrst", [("p", "q"), ("q", "r"), ("r", "s"), ("s", "t")])),
+    "test data")
 
 
 def test_the_scan_finds_the_full_scans_first_hit():
@@ -132,11 +137,8 @@ def test_the_scan_finds_the_full_scans_first_hit():
             if x < v and rng.random() < 0.5)))
     # a hole shorter than P1(8) beside it: the hole must win
     hosts += [disjoint_union(p18, standard_graph("cycle", k)) for k in (6, 7)]
-    house = ForbiddenEntry("house(5)", complement(Graph("pqrst", [("p", "q"), ("q", "r"),
-                                                                  ("r", "s"), ("s", "t")])),
-                           "test data")
     entries = set()
-    for extra in ((), (_C6_PENDANT,), (house,)):
+    for extra in ((), (_C6_PENDANT,), (_HOUSE_ENTRY,)):
         for g in hosts:
             got = find_forbidden_induced(g, extra)
             assert got == reference_find_forbidden_induced(g, extra), g.edge_pairs
@@ -145,6 +147,43 @@ def test_the_scan_finds_the_full_scans_first_hit():
 
 
 _CYCLE_NAME = re.compile(r"^(C|coC)\d+$")
+
+
+def test_classify_finds_the_whole_graph_scans_first_hit():
+    # classify runs the hole and antihole searches on its peel's core and
+    # the fixed entries on the whole graph: its obstruction, with no
+    # co-contraction search, must be find_forbidden_induced's, on the atlas
+    # and on seeded G(n, m) with pendant trees, which the peel removes
+    rng = random.Random(32)
+    graphs = [g for n in range(1, 8) for g in nonisomorphic_graphs(n)]
+    for _ in range(150):
+        n = rng.randint(6, 11)
+        g = random_gnm(n, rng.randint(n, n * (n - 1) // 2), rng)
+        names, edges = list(g.vertices), list(g.edge_pairs)
+        for k in range(rng.randint(1, 5)):
+            edges.append(("t%d" % k, rng.choice(names)))
+            names.append("t%d" % k)
+        graphs.append(Graph(names, edges))
+    entries = set()
+    for extra in ((), (_C6_PENDANT,), (_HOUSE_ENTRY,)):
+        for g in graphs:
+            got = classify(g, cocontract_depth=0, catalog=extra).obstruction
+            assert got == find_forbidden_induced(g, extra), g.edge_pairs
+            entries.add(None if got is None else _CYCLE_NAME.sub(r"\1n", got.entry))
+    assert entries == {None, "Cn", "coCn", "house(5)"}
+
+
+def test_an_extra_with_a_simplicial_vertex_is_found_in_the_whole_graph():
+    # H]o~fy? is the open core G]o~fw with a pendant vertex: the peel leaves
+    # G]o~fw, too small to hold the graph, so as an extra it is met only by
+    # scanning the fixed entries in the whole graph
+    g = parse_graph6(b"H]o~fy?")
+    extra = [ForbiddenEntry("g8p(9)", g, "test data")]
+    assert _peel(g).core.n == 8 and classify(g).status == UNKNOWN
+    for cross_check in (False, True):
+        v = classify(g, catalog=extra, cross_check=cross_check)
+        assert v.status == HAS_SURFACE and v.obstruction.entry == "g8p(9)"
+        assert v.obstruction.kind == KIND_INDUCED and verify_obstruction(g, v.obstruction, extra)
 
 
 def test_cocontraction_witness_trio():

@@ -291,6 +291,7 @@ def test_chordal_graphs_are_never_scanned(monkeypatch):
         raise AssertionError("find_forbidden_induced called on a chordal graph")
 
     monkeypatch.setattr(prover, "find_forbidden_induced", refuse)
+    monkeypatch.setattr(prover, "_find_forbidden_induced", refuse)
     for g in _chordal_inputs():
         v = classify(g)
         assert v.status == NO_SURFACE and check_derivation(v.derivation, g)
