@@ -70,6 +70,19 @@ def _standard_names(n: int) -> tuple[str, ...]:
     return tuple("v%d" % (i + 1) for i in range(n))
 
 
+@lru_cache(maxsize=64)
+def _graph6_layout(n: int) -> tuple[tuple[str, ...], tuple[int, ...], tuple[int, ...]]:
+    """(names, at, bit): v1..vn in sorted order, which puts v10 before v2
+    once n >= 10; at[k], the position among them of v(k+1), graph6 vertex
+    k; and bit[k] = 1 << at[k]."""
+    names = _standard_names(n)
+    order = sorted(range(n), key=names.__getitem__)
+    at = [0] * n
+    for position, k in enumerate(order):
+        at[k] = position
+    return _shared(tuple(names[k] for k in order)), tuple(at), tuple(1 << p for p in at)
+
+
 # the set-bit positions of every byte value, ascending, and the same shifted
 # by 8 for the high byte: together they cover every mask below 2^16, that is
 # every row and mask of a graph on up to 16 vertices
@@ -654,13 +667,12 @@ _G6_MAX = 258047  # the largest order with a four-byte graph6 header
 _G6_BYTE_BITS = {b: format(b - 63, "06b") for b in range(63, 127)}
 
 
-def _graph6_order(g: Graph) -> list[int]:
+def _graph6_order(g: Graph) -> Sequence[int]:
     """g's positions in graph6 order: v1..vn in that order when those are g's
     names, the names parse_graph6 gives, and sorted-name order otherwise,
     which for v1..vn would put v10 before v2 once n >= 10."""
-    index = _name_index(g.vertices)
-    order = [index.get(v) for v in _standard_names(g.n)]
-    return list(range(g.n)) if None in order else order
+    names, at, _ = _graph6_layout(g.n)
+    return at if g.vertices == names else range(g.n)
 
 
 def emit_graph6(g: Graph) -> bytes:
@@ -714,20 +726,25 @@ def parse_graph6(data: bytes) -> Graph:
         raise GraphError("graph6 byte out of range: %r" % (exc.args[0],)) from None
     # bit t of stream is the t-th bit of the body, so the bits of the pairs
     # (0, j) .. (j - 1, j) are the j bits from t = j(j - 1)/2 up: the
-    # neighbours of j below it
+    # neighbours of j below it. Each graph6 vertex k is written straight to
+    # its sorted-name position at[k], so no rows are renumbered after.
     stream = int(text[::-1] or "0", 2)
+    names, at, bit = _graph6_layout(n)
     rows = [0] * n
     t = 0
     for j in range(1, n):
         below = stream >> t & (1 << j) - 1
         t += j
         if below:
-            rows[j] = below
+            own = bit[j]
+            row = 0
             for i in _bits(below):
-                rows[i] |= 1 << j
+                row |= bit[i]
+                rows[at[i]] |= own
+            rows[at[j]] |= row
     if stream >> t:
         raise GraphError("graph6 trailing bits are not zero")
-    return _from_rows(_standard_names(n), tuple(rows))
+    return _from_sorted(names, tuple(rows))
 
 
 def emit_edgelist(g: Graph) -> bytes:

@@ -7,10 +7,11 @@ anywhere along the trail certifies the original graph).
 
 The built-in catalog holds the long-cycle families, which cycle searches
 realize at any size, plus three fixed graphs, stored as their complements'
-edge lists. ForbiddenEntry refuses a chordal or chordal bipartite entry,
-built in or loaded. The fixed trio is transcribed data, so building the
-catalog also runs a self-test: the second graph must contract onto the first
-and the third onto the second. A failed self-test is a build error.
+edge lists. ForbiddenEntry refuses an entry the prover derives, built in or
+loaded, chordal and chordal bipartite entries among them. The fixed trio is
+transcribed data, so building the catalog also runs a self-test: the second
+graph must contract onto the first and the third onto the second. A failed
+self-test is a build error.
 """
 
 from __future__ import annotations
@@ -62,10 +63,13 @@ class CatalogError(ValueError):
 @dataclass(frozen=True)
 class ForbiddenEntry:
     """A fixed catalog entry. The paper's corollaries put chordal and chordal
-    bipartite graphs in N', so making either an entry raises CatalogError, as
-    does a graph too large for the cycle searches that check it. A
-    non-chordal graph on at most 4 vertices is C4, which is chordal
-    bipartite, so every entry has at least 5 vertices."""
+    bipartite graphs in N', and so does any derivation of prover.prove_in_f,
+    so making such a graph an entry raises CatalogError, as does a graph too
+    large for the searches that check it. An admitted entry could otherwise
+    certify a graph the prover derives: the house (the complement of P5) is
+    derived, and as an entry it met itself. A non-chordal graph on at most
+    4 vertices is C4, which is chordal bipartite, so every entry has at
+    least 5 vertices."""
 
     name: str
     graph: Graph
@@ -76,15 +80,22 @@ class ForbiddenEntry:
             raise CatalogError("catalog entry name must be a string, got %r" % (self.name,))
         if not self.provenance or not isinstance(self.provenance, str):
             raise CatalogError("catalog entry %r needs a provenance string" % (self.name,))
+        # imported here: the prover imports this module
+        from .prover import prove_in_f
+
         try:
-            chordal = find_induced_cycle(self.graph, 4) is None
-            refused = chordal or find_triangle_or_long_cycle(self.graph) is None
+            if find_induced_cycle(self.graph, 4) is None:
+                kind = "chordal"
+            elif find_triangle_or_long_cycle(self.graph) is None:
+                kind = "chordal bipartite"
+            elif prove_in_f(self.graph) is not None:
+                kind = "derived by the prover"
+            else:
+                return
         except RecursionError:
             raise CatalogError("catalog entry %r is too large to check" % (self.name,)) from None
-        if refused:
-            kind = "chordal" if chordal else "chordal bipartite"
-            raise CatalogError("catalog entry %r is %s, so its graph group contains no "
-                               "hyperbolic surface group" % (self.name, kind))
+        raise CatalogError("catalog entry %r is %s, so its graph group contains no "
+                           "hyperbolic surface group" % (self.name, kind))
 
 
 @dataclass(frozen=True, eq=True, slots=True)

@@ -33,9 +33,11 @@ Both unary rules, a peel step and a bisimplicial edge, come in long runs: a
 chordal graph is all peel steps, a chordal bipartite one all edges and peel
 steps. A derivation holds each run as one chain node (ChainRule): its
 conclusion is the run's top graph, its steps are the run's clique and edge
-steps by name, and its one child derives what is left, a complete graph, a
-clique split or a join. So a derivation nests once per split or join, not
-once per step.
+steps as vertex masks over the positions of that graph, and its one child
+derives what is left, a complete graph, a clique split or a join. So a
+derivation nests once per split or join, not once per step. Names appear
+only at the edges: derivation_to_json names each mask, and
+derivation_from_json maps the names back.
 
 One search holds one memo and one node budget, both over cores: a search
 node is a core, and a chordal graph spends neither, so it is derived even
@@ -139,10 +141,13 @@ class SoundnessError(RuntimeError):
 @dataclass(frozen=True, slots=True)
 class Derivation:
     """One node of a derivation. A chain node (RULE_CHAIN) replays its steps
-    on its conclusion, in order, and its one child derives what is left. A
-    clique step (K, S), two sorted name tuples, splits off the clique K
-    along S, a proper subset of K, and removes K - S; an edge step (a, b),
-    two names, deletes the edge, bisimplicial where it is deleted."""
+    on its conclusion, in order, and its one child derives what is left.
+    Steps are vertex masks over the positions of the conclusion, and
+    conclusion.names(mask) names them. A clique step (K, S), a pair of
+    masks, splits off the clique K along S, a proper subset of K, and
+    removes K - S; an edge step, one mask with exactly two bits set, deletes
+    that edge, bisimplicial where it is deleted. The JSON form names every
+    mask (derivation_to_json)."""
 
     rule: str
     conclusion: Graph
@@ -151,7 +156,7 @@ class Derivation:
     edge: Optional[tuple[str, str]] = None
     bipartition: Optional[tuple[frozenset[str], frozenset[str]]] = None
     contracted: Optional[frozenset[str]] = None
-    steps: Optional[tuple[tuple, ...]] = None
+    steps: Optional[tuple[Union[int, tuple[int, int]], ...]] = None
 
     def rules_used(self) -> set[str]:
         """The rules applied: a chain's steps count as the amalgam and
@@ -169,14 +174,24 @@ class Derivation:
         return out
 
 
-def _is_edge_step(step: tuple) -> bool:
-    return isinstance(step[0], str)
+def _is_edge_step(step) -> bool:
+    return isinstance(step, int)
 
 
-def _chain(top: Graph, steps: list, end: Derivation) -> Derivation:
+def _chain(top: Graph, steps: Sequence, end: Derivation) -> Derivation:
     """The chain node that takes top by steps to the conclusion of end; end
     itself when there is no step."""
     return Derivation(RULE_CHAIN, top, (end,), steps=tuple(steps)) if steps else end
+
+
+def _lift(mask: int, at: Optional[Sequence[int]]) -> int:
+    """mask with each bit i moved to at[i]; mask itself when at is None."""
+    if at is None:
+        return mask
+    out = 0
+    for i in _bits(mask):
+        out |= 1 << at[i]
+    return out
 
 
 @lru_cache(maxsize=256)
@@ -190,20 +205,15 @@ def _leaf(g: Graph) -> Derivation:
 class _Peel:
     """A graph with the cliques of its simplicial vertices split off: steps
     holds one (clique, separator) pair of vertex masks per split, in
-    order, and core is what is left, complete exactly when the graph is
-    chordal."""
+    order, each a shared copy, since derivations of graphs on the same
+    positions repeat them; rest is the mask of what is left, and core the
+    subgraph it induces, complete exactly when the graph is chordal. Core
+    position i is graph position _bits(rest)[i]."""
 
     graph: Graph
     steps: tuple[tuple[int, int], ...]
+    rest: int
     core: Graph
-
-    def named_steps(self) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
-        """The steps as clique steps of a chain node, (K, S) by name. The
-        pair and both name tuples are shared copies: derivations of graphs
-        on the same names repeat them."""
-        names = self.graph.names
-        return [_shared((_shared(names(clique)), _shared(names(sep))))
-                for clique, sep in self.steps]
 
 
 def _peel(h: Graph) -> _Peel:
@@ -248,13 +258,13 @@ def _peel(h: Graph) -> _Peel:
         for u in _bits(clique):
             if rows[u] & outside:
                 sep |= 1 << u
-        steps.append((clique, sep))
+        steps.append(_shared((clique, sep)))
         rest &= ~clique | sep
         simplicial &= rest
         for u in _bits(sep & ~simplicial):
             if _is_clique_mask(rows, rows[u] & rest):
                 simplicial |= 1 << u
-    return _Peel(h, tuple(steps), h if rest == full else h.subgraph(rest))
+    return _Peel(h, tuple(steps), rest, h if rest == full else h.subgraph(rest))
 
 
 def is_chordal(g: Graph) -> Union[Derivation, CycleWitness]:
@@ -268,7 +278,7 @@ def is_chordal(g: Graph) -> Union[Derivation, CycleWitness]:
     peel = _peel(g)
     if not is_complete(peel.core):
         return find_induced_cycle(g, 4)
-    return _chain(g, peel.named_steps(), _leaf(peel.core))
+    return _chain(g, peel.steps, _leaf(peel.core))
 
 
 def is_chordal_bipartite(g: Graph) -> Union[Derivation, CycleWitness]:
@@ -295,9 +305,9 @@ def is_chordal_bipartite(g: Graph) -> Union[Derivation, CycleWitness]:
         a, b = next(_bisimplicial_edges(rows))
         rows[a] ^= 1 << b
         rows[b] ^= 1 << a
-        steps.append(_shared((g.vertices[a], g.vertices[b])))
+        steps.append(_shared(1 << a | 1 << b))
     peel = _peel(_from_sorted(g.vertices, tuple(rows)))
-    return _chain(g, steps + peel.named_steps(), _leaf(peel.core))
+    return _chain(g, steps + list(peel.steps), _leaf(peel.core))
 
 
 # ---------------------------------------------------------------------------
@@ -375,34 +385,30 @@ def _check_rule(node: Derivation) -> bool:
 def _check_chain(node: Derivation) -> bool:
     """Replay the chain's steps on one copy of the conclusion's rows, rest the
     mask of the vertices still there; a row of a vertex in rest keeps to
-    rest. A clique step (K, S) needs K within rest and not all of it, S
+    rest. A mask with a bit outside rest, a negative one among them, is
+    refused. A clique step (K, S) needs K within rest and not all of it, S
     within K and not all of it, K a clique and no edge from K - S to the rest
     outside K: what is there is then the amalgam of K and of itself less
-    K - S along the clique S, and it loses K - S. An edge step needs an edge
-    of what is there, bisimplicial in it, and deletes it. The child must
-    conclude what is left, names and rows."""
+    K - S along the clique S, and it loses K - S. An edge step needs two
+    bits, an edge of what is there, bisimplicial in it, and deletes it. The
+    child must conclude what is left, names and rows."""
     if len(node.children) != 1 or not node.steps:
         return False
     c = node.conclusion
-    index = _name_index(c.vertices)
     rows = list(c.rows)
     rest = (1 << c.n) - 1
-    for x, y in node.steps:
-        if isinstance(x, str):
-            a = index[x]
-            b = index[y]
-            if (1 << a | 1 << b) & ~rest or not rows[a] >> b & 1:
+    for step in node.steps:
+        if isinstance(step, int):
+            if step & ~rest or step.bit_count() != 2:
                 return False
-            if not _is_bisimplicial(rows, a, b):
+            a = (step & -step).bit_length() - 1
+            b = step.bit_length() - 1
+            if not rows[a] >> b & 1 or not _is_bisimplicial(rows, a, b):
                 return False
             rows[a] ^= 1 << b
             rows[b] ^= 1 << a
             continue
-        clique = sep = 0
-        for v in x:
-            clique |= 1 << index[v]
-        for v in y:
-            sep |= 1 << index[v]
+        clique, sep = step
         if clique & ~rest or clique == rest or sep & ~clique or sep == clique:
             return False
         if not _is_clique_mask(rows, clique):
@@ -455,14 +461,15 @@ class _BudgetExhausted(Exception):
 
 @dataclass(frozen=True, slots=True)
 class _Decision:
-    """How the search closed a core: the rule, its separator, edge or
-    bipartition, and the peeled parts the rule closed it from, in the order
-    of the derivation's children."""
+    """How the search closed a core: the rule, its separator, the mask of
+    its bisimplicial edge over the core's positions, or its bipartition,
+    and the peeled parts the rule closed it from, in the order of the
+    derivation's children."""
 
     rule: str
     parts: tuple[_Peel, ...]
     separator: Optional[frozenset[str]] = None
-    edge: Optional[tuple[str, str]] = None
+    edge: Optional[int] = None
     bipartition: Optional[tuple[frozenset[str], frozenset[str]]] = None
 
 
@@ -534,14 +541,28 @@ class _Search:
         has a decision. One chain node holds the peel steps and, while the
         core was closed by a bisimplicial edge, that edge and the peel steps
         of what it leaves; the walk ends at a complete core, a clique split
-        or a join."""
+        or a join.
+
+        Every step is a mask over the top graph's positions. The graph
+        below an edge is the core less that edge, on the core's positions,
+        so its masks are lifted through at, the top position of each core
+        position: bit i goes to at[i]. at starts as the top's own positions
+        and composes with _bits(rest) at every peel that removes a vertex."""
         top = peel.graph
-        steps = peel.named_steps()
+        steps = list(peel.steps)
         decision = self.memo.get(peel.core)
+        at = None if peel.core is top else _bits(peel.rest)
         while decision is not None and decision.rule == RULE_BISIMP:
             peel = decision.parts[0]
-            steps.append(decision.edge)
-            steps += peel.named_steps()
+            steps.append(_shared(_lift(decision.edge, at)))
+            if at is None:
+                steps += peel.steps
+            else:
+                steps += [_shared((_lift(clique, at), _lift(sep, at)))
+                          for clique, sep in peel.steps]
+            if peel.core is not peel.graph:
+                keep = _bits(peel.rest)
+                at = keep if at is None else [at[i] for i in keep]
             decision = self.memo.get(peel.core)
         if decision is None:
             end = _leaf(peel.core)
@@ -576,8 +597,7 @@ class _Search:
             cut[b] ^= 1 << a
             child = _peel(_from_sorted(h.vertices, tuple(cut)))
             if self._decide(child):
-                return _Decision(RULE_BISIMP, (child,),
-                                 edge=_shared((h.vertices[a], h.vertices[b])))
+                return _Decision(RULE_BISIMP, (child,), edge=1 << a | 1 << b)
         comp_parts = connected_components(complement(h))
         if len(comp_parts) > 1:
             self.rules_attempted.add(RULE_JOIN)
@@ -707,8 +727,9 @@ def derivation_to_json(d: Derivation) -> dict:
     if d.contracted is not None:
         out["cocontract_set"] = sorted(d.contracted)
     if d.steps is not None:
-        out["steps"] = [{"edge": list(step)} if _is_edge_step(step)
-                        else {"clique": list(step[0]), "separator": list(step[1])}
+        names = d.conclusion.names
+        out["steps"] = [{"edge": list(names(step))} if _is_edge_step(step)
+                        else {"clique": list(names(step[0])), "separator": list(names(step[1]))}
                         for step in d.steps]
     out["children"] = [derivation_to_json(ch) for ch in d.children]
     return out
@@ -716,16 +737,17 @@ def derivation_to_json(d: Derivation) -> dict:
 
 def derivation_from_json(obj: dict) -> Derivation:
     try:
+        conclusion = graph_from_json(obj["graph"])
         return Derivation(
             rule=obj["rule"],
-            conclusion=graph_from_json(obj["graph"]),
+            conclusion=conclusion,
             children=tuple(derivation_from_json(ch) for ch in obj.get("children", [])),
             separator=frozenset(obj["separator"]) if "separator" in obj else None,
             edge=tuple(obj["edge"]) if "edge" in obj else None,
             bipartition=tuple(frozenset(p) for p in obj["bipartition"])
             if "bipartition" in obj else None,
             contracted=frozenset(obj["cocontract_set"]) if "cocontract_set" in obj else None,
-            steps=_steps_from_json(obj["steps"]) if "steps" in obj else None,
+            steps=_steps_from_json(obj["steps"], conclusion) if "steps" in obj else None,
         )
     except (KeyError, TypeError) as exc:
         raise GraphError("bad derivation object: %s" % exc) from None
@@ -735,21 +757,33 @@ def _names_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
-def _steps_from_json(steps) -> tuple[tuple, ...]:
+def _steps_from_json(steps, g: Graph) -> tuple[Union[int, tuple[int, int]], ...]:
     """Chain steps from {"clique": [...], "separator": [...]} and
-    {"edge": [a, b]} objects; any other shape is a GraphError."""
+    {"edge": [a, b]} objects, as masks over the positions of g, the chain's
+    conclusion; any other shape is a GraphError. A name that is not a vertex
+    of g maps to bit g.n, which no replay accepts, so such a step is an
+    invalid certificate, not a malformed one."""
     if not isinstance(steps, list):
         raise GraphError("chain steps must be a list")
+    index = _name_index(g.vertices)
+    absent = 1 << g.n
+
+    def mask(names: list) -> int:
+        out = 0
+        for v in names:
+            out |= 1 << index[v] if v in index else absent
+        return out
+
     out = []
     for step in steps:
         if isinstance(step, dict) and step.keys() == {"edge"}:
             edge = step["edge"]
             if _names_list(edge) and len(edge) == 2:
-                out.append(tuple(edge))
+                out.append(mask(edge))
                 continue
         elif isinstance(step, dict) and step.keys() == {"clique", "separator"}:
             if _names_list(step["clique"]) and _names_list(step["separator"]):
-                out.append((tuple(step["clique"]), tuple(step["separator"])))
+                out.append((mask(step["clique"]), mask(step["separator"])))
                 continue
         raise GraphError("bad chain step %d" % len(out))
     return tuple(out)

@@ -12,7 +12,7 @@ from itertools import combinations, permutations
 from pathlib import Path
 
 from raagscope.graphs import (Graph, GraphError, _bits, canonical_key, find_induced,
-                              standard_graph)
+                              graph_from_json, standard_graph)
 from raagscope.obstructions import (KIND_INDUCED, KIND_TRAIL, Obstruction, builtin_catalog,
                                     find_forbidden_induced)
 from raagscope.ops import (CliqueSplit, _component_masks, co_contract_edge, complement,
@@ -575,3 +575,49 @@ def reference_parse_graph6(data: bytes) -> Graph:
     if any(bits[t:]):
         raise GraphError("graph6 trailing bits are not zero")
     return Graph(names, edges)
+
+
+def reference_check_chain(obj: dict) -> bool:
+    """A ChainRule node in its JSON form, replayed by name: each name is
+    looked up in the node's own graph, so a name outside it fails the
+    replay. A clique step needs its clique within what is there and not all
+    of it, its separator within the clique and not all of it, the clique
+    complete and no edge from clique less separator to the rest; it removes
+    clique less separator. An edge step needs an edge of what is there,
+    bisimplicial in it (every neighbour of one end equal or adjacent to
+    every neighbour of the other), and deletes it. The child must be what is
+    left, names and rows."""
+    g = graph_from_json(obj["graph"])
+    if len(obj["children"]) != 1 or not obj["steps"]:
+        return False
+    index = {v: i for i, v in enumerate(g.vertices)}
+    rows = list(g.rows)
+    rest = (1 << g.n) - 1
+    for step in obj["steps"]:
+        names = step["edge"] if "edge" in step else step["clique"] + step["separator"]
+        if any(v not in index for v in names):
+            return False
+        if "edge" in step:
+            a, b = (index[v] for v in step["edge"])
+            if not (rest >> a & rest >> b & rows[a] >> b & 1):
+                return False
+            if any(rows[b] & ~(rows[u] | 1 << u) for u in reference_bits(rows[a])):
+                return False
+            rows[a] &= ~(1 << b)
+            rows[b] &= ~(1 << a)
+            continue
+        clique = sum(1 << index[v] for v in set(step["clique"]))
+        sep = sum(1 << index[v] for v in set(step["separator"]))
+        if clique & ~rest or clique == rest or sep & ~clique or sep == clique:
+            return False
+        if not reference_is_clique_mask(rows, clique):
+            return False
+        gone = clique & ~sep
+        if any(rows[u] & rest & ~clique for u in reference_bits(gone)):
+            return False
+        rest &= ~gone
+        rows = [r & ~gone for r in rows]
+    child = graph_from_json(obj["children"][0]["graph"])
+    keep = reference_bits(rest)
+    return (child.vertices == tuple(g.vertices[i] for i in keep)
+            and child.rows == reference_relabel(rows, keep))

@@ -173,6 +173,28 @@ def test_verify_chordal_bipartite_derivation_round_trip(capsys, tmp_path):
     assert code == 1 and out == "invalid\n"
 
 
+def test_verify_answers_a_step_naming_an_absent_vertex_invalid(capsys, tmp_path):
+    # a step that names a vertex its chain's graph lacks is an invalid
+    # certificate, exit 1, not a malformed one, exit 65: in an edge step, a
+    # clique and a separator of the chain of C4 with a triangle hung at v1
+    g = new_graph(["v%d" % i for i in range(1, 7)],
+                  [("v1", "v2"), ("v2", "v3"), ("v3", "v4"), ("v4", "v1"),
+                   ("v1", "v5"), ("v5", "v6"), ("v6", "v1")])
+    g6 = emit_graph6(g).decode()
+    code, out, _ = run(capsys, "classify", "--json", g6)
+    root = json.loads(out)["certificate"]["root"]
+    assert code == 0 and root["rule"] == "ChainRule"
+    cert = tmp_path / "cert.json"
+    edge = next(k for k, step in enumerate(root["steps"]) if "edge" in step)
+    clique = next(k for k, step in enumerate(root["steps"]) if step.get("separator"))
+    for k, key in ((edge, "edge"), (clique, "clique"), (clique, "separator")):
+        obj = json.loads(json.dumps(root))
+        obj["steps"][k][key][0] = "v7"
+        cert.write_text(json.dumps({"certificate_type": "derivation", "root": obj}))
+        code, out, _ = run(capsys, "verify", g6, str(cert))
+        assert (code, out) == (1, "invalid\n"), (k, key)
+
+
 def test_nested_certificates_of_earlier_releases_still_verify(capsys, tmp_path):
     # classify --json reports written before chain nodes existed, one node
     # per peel step and per removed edge: a chordal graph, C4 and K3,3
@@ -520,8 +542,15 @@ def test_catalog_listing(capsys):
     assert "n >= 5" in rows[0] and "n >= 6" in rows[1]
 
 
+# the house, the complement of P5, which the prover derives: refused as an
+# entry, and the base of the malformed entries below
 _HOUSE = {"name": "house(5)", "provenance": "test", "vertices": ["p", "q", "r", "s", "t"],
           "complement_edges": [["p", "q"], ["q", "r"], ["r", "s"], ["s", "t"]]}
+# C5 on p..t plus the vertex u pendant at p, stored as its complement: it
+# holds a hole, so the prover cannot derive it
+_C5_PENDANT = {"name": "c5p(6)", "provenance": "test", "vertices": ["p", "q", "r", "s", "t", "u"],
+               "complement_edges": [["p", "r"], ["p", "s"], ["q", "s"], ["q", "t"], ["r", "t"],
+                                    ["q", "u"], ["r", "u"], ["s", "u"], ["t", "u"]]}
 
 
 def _catalog(tmp_path, *entries):
@@ -531,10 +560,10 @@ def _catalog(tmp_path, *entries):
 
 
 def test_catalog_env_var(capsys, tmp_path, monkeypatch):
-    extra = _catalog(tmp_path, {**_HOUSE, "name": "envtest(5)"})
+    extra = _catalog(tmp_path, {**_C5_PENDANT, "name": "envtest(6)"})
     monkeypatch.setenv("RAAGSCOPE_CATALOG", extra)
     code, out, _ = run(capsys, "catalog")
-    assert code == 0 and "envtest(5)" in out
+    assert code == 0 and "envtest(6)" in out
     # classify picks the env catalog up as well
     code, out, _ = run(capsys, "classify", "--json", C5_G6)
     assert json.loads(out)["parameters"]["catalog"] == extra
@@ -550,7 +579,9 @@ def _refused_at_load(capsys, extra, g6, kind):
 def test_a_chordal_catalog_entry_is_refused_at_load(capsys, tmp_path):
     # K5 - e is chordal, and the paper puts chordal graphs in N', so it cannot
     # be an entry: the catalog is refused before K5 - e itself is classified
-    extra = _catalog(tmp_path, {**_HOUSE, "name": "k5e(5)", "complement_edges": [["p", "q"]]})
+    extra = _catalog(tmp_path, {**_C5_PENDANT, "name": "k5e(5)",
+                                "vertices": ["p", "q", "r", "s", "t"],
+                                "complement_edges": [["p", "q"]]})
     _refused_at_load(capsys, extra, "D^{", "is chordal,")
 
 
@@ -562,6 +593,16 @@ def test_a_chordal_bipartite_catalog_entry_is_refused_at_load(capsys, tmp_path):
         "complement_edges": [["a", "c"], ["b", "d"], ["a", "e"], ["b", "e"], ["c", "e"]]})
     _refused_at_load(capsys, extra, "El__", "is chordal bipartite")
     code, out, _ = run(capsys, "classify", "El__")
+    assert code == 0 and "no_surface_subgroup" in out
+
+
+def test_a_derived_catalog_entry_is_refused_at_load(capsys, tmp_path):
+    # the house, the complement of P5, is neither chordal nor chordal
+    # bipartite, but the prover derives it; as an entry it met itself, with
+    # exit 1, and exit 70 under --cross-check
+    extra = _catalog(tmp_path, _HOUSE)
+    _refused_at_load(capsys, extra, "DUw", "is derived by the prover")
+    code, out, _ = run(capsys, "classify", "DUw")
     assert code == 0 and "no_surface_subgroup" in out
 
 

@@ -322,19 +322,21 @@ def _parse_outcome(parse, data):
 
 
 def test_parse_graph6_matches_the_edge_list_reference():
-    # rows built straight from the bits give the graph the validating
-    # constructor builds from the edge list, on the atlas and on orders 63
-    # to 70, which take the four-byte header
+    # rows built straight from the bits, each graph6 vertex at its position
+    # among the sorted names, give the graph the validating constructor
+    # builds from the edge list: on the atlas, on orders 8 to 62, where the
+    # sorted names v1, v10, ..., v2, ... first differ from graph6 order (at
+    # 10 vertices), and on orders 63 to 70, which take the four-byte header
     rng = random.Random(26)
     values = [emit_graph6(g) for n in range(1, 8) for g in nonisomorphic_graphs(n)]
-    for n in range(63, 71):
+    for n in range(8, 71):
         values += [emit_graph6(random_graph(n, p, rng)) for p in (0.0, 0.1, 0.5, 1.0)]
-    assert len(values) == 1252 + 32
+    assert len(values) == 1252 + 4 * 63
     for data in values:
         expected = reference_parse_graph6(data)
         got = parse_graph6(data)
         assert got == expected and got.vertices == expected.vertices, data
-        assert emit_graph6(got) == data
+        assert list(got.vertices) == sorted(got.vertices) and emit_graph6(got) == data
 
 
 def test_parse_graph6_refuses_what_the_reference_refuses():

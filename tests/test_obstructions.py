@@ -30,7 +30,7 @@ from raagscope.obstructions import (
 )
 from raagscope.ops import co_contract_edge, complement
 from raagscope.prover import (HAS_SURFACE, UNKNOWN, Derivation, _peel, classify,
-                              is_chordal_bipartite)
+                              is_chordal_bipartite, prove_in_f)
 from raagscope.recognize import find_induced_cycle
 
 
@@ -110,10 +110,11 @@ def test_find_forbidden_absent_on_chordal_and_chordal_bipartite():
 _C6_PENDANT = ForbiddenEntry(
     "c6p(7)", Graph("abcdefg", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "f"),
                                 ("f", "a"), ("f", "g")]), "test data")
-# the house, the complement of P5: its roof apex is simplicial
-_HOUSE_ENTRY = ForbiddenEntry(
-    "house(5)", complement(Graph("pqrst", [("p", "q"), ("q", "r"), ("r", "s"), ("s", "t")])),
-    "test data")
+# the complement of P6, which the prover does not derive, plus a vertex
+# pendant at an end of the path: the pendant vertex is simplicial
+_COP6 = complement(Graph("pqrstu", [("p", "q"), ("q", "r"), ("r", "s"), ("s", "t"), ("t", "u")]))
+_COP6_PENDANT = ForbiddenEntry(
+    "cop6p(7)", Graph(_COP6.vertices + ("x",), _COP6.edge_pairs + (("p", "x"),)), "test data")
 
 
 def test_the_scan_finds_the_full_scans_first_hit():
@@ -121,8 +122,8 @@ def test_the_scan_finds_the_full_scans_first_hit():
     # against a scan that runs every search in full: on the atlas, seeded
     # G(n, m) and bipartite graphs on 8-13 vertices, P1(8) with up to three
     # vertices added or beside a C6 or C7; with no extra, a bipartite extra
-    # (C6 plus a pendant vertex) and a 5-vertex one with a triangle (the
-    # house)
+    # (C6 plus a pendant vertex) and a 7-vertex one with a triangle and a
+    # simplicial vertex (the complement of P6 plus a pendant vertex)
     rng = random.Random(30)
     hosts = [g for n in range(5, 8) for g in nonisomorphic_graphs(n)]
     for _ in range(150):
@@ -138,12 +139,12 @@ def test_the_scan_finds_the_full_scans_first_hit():
     # a hole shorter than P1(8) beside it: the hole must win
     hosts += [disjoint_union(p18, standard_graph("cycle", k)) for k in (6, 7)]
     entries = set()
-    for extra in ((), (_C6_PENDANT,), (_HOUSE_ENTRY,)):
+    for extra in ((), (_C6_PENDANT,), (_COP6_PENDANT,)):
         for g in hosts:
             got = find_forbidden_induced(g, extra)
             assert got == reference_find_forbidden_induced(g, extra), g.edge_pairs
             entries.add(None if got is None else _CYCLE_NAME.sub(r"\1n", got.entry))
-    assert entries == {None, "Cn", "coCn", "P1(8)", "house(5)"}
+    assert entries == {None, "Cn", "coCn", "P1(8)", "cop6p(7)"}
 
 
 _CYCLE_NAME = re.compile(r"^(C|coC)\d+$")
@@ -165,12 +166,12 @@ def test_classify_finds_the_whole_graph_scans_first_hit():
             names.append("t%d" % k)
         graphs.append(Graph(names, edges))
     entries = set()
-    for extra in ((), (_C6_PENDANT,), (_HOUSE_ENTRY,)):
+    for extra in ((), (_C6_PENDANT,), (_COP6_PENDANT,)):
         for g in graphs:
             got = classify(g, cocontract_depth=0, catalog=extra).obstruction
             assert got == find_forbidden_induced(g, extra), g.edge_pairs
             entries.add(None if got is None else _CYCLE_NAME.sub(r"\1n", got.entry))
-    assert entries == {None, "Cn", "coCn", "house(5)"}
+    assert entries == {None, "Cn", "coCn", "cop6p(7)"}
 
 
 def test_an_extra_with_a_simplicial_vertex_is_found_in_the_whole_graph():
@@ -409,18 +410,19 @@ def test_obstruction_json_round_trip():
     assert verify_obstruction(q2x, back)
 
 
-_HOUSE = {"name": "house(5)", "provenance": "test data",
-          "vertices": ["p", "q", "r", "s", "t"],
-          "complement_edges": [["p", "q"], ["q", "r"], ["r", "s"], ["s", "t"]]}
+# C5 on p..t plus the vertex u pendant at p, stored as its complement
+_C5_PENDANT = {"name": "c5p(6)", "provenance": "test data",
+               "vertices": ["p", "q", "r", "s", "t", "u"],
+               "complement_edges": [["p", "r"], ["p", "s"], ["q", "s"], ["q", "t"], ["r", "t"],
+                                    ["q", "u"], ["r", "u"], ["s", "u"], ["t", "u"]]}
 
 
 def test_user_catalog_load(tmp_path):
-    # the house, the complement of P5: an induced C4 and a triangle, so it
-    # is neither chordal nor chordal bipartite
+    # C5 plus a pendant vertex holds a hole, so the prover cannot derive it
     path = tmp_path / "extra.json"
-    path.write_text(json.dumps([_HOUSE]))
+    path.write_text(json.dumps([_C5_PENDANT]))
     entries = load_catalog(str(path))
-    assert entries[0].name == "house(5)" and entries[0].graph.n == 5
+    assert entries[0].name == "c5p(6)" and entries[0].graph.n == 6
     host = entries[0].graph
     o = find_forbidden_induced(host, entries)
     assert o is not None
@@ -428,7 +430,7 @@ def test_user_catalog_load(tmp_path):
 
     def refused(entry, match):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps([{**_HOUSE, **entry}]))
+        bad.write_text(json.dumps([{**_C5_PENDANT, **entry}]))
         with pytest.raises(CatalogError, match=match):
             load_catalog(str(bad))
 
@@ -438,20 +440,43 @@ def test_user_catalog_load(tmp_path):
     # the paper's corollaries put these in N': K5 - e is chordal, C4 plus a
     # pendant vertex is chordal bipartite, and so is C4, the one non-chordal
     # graph on at most 4 vertices
-    refused({"name": "k5e(5)", "complement_edges": [["p", "q"]]}, "is chordal,")
+    refused({"name": "k5e(5)", "vertices": ["p", "q", "r", "s", "t"],
+             "complement_edges": [["p", "q"]]}, "is chordal,")
     refused({"name": "c4p(5)", "vertices": ["a", "b", "c", "d", "e"],
              "complement_edges": [["a", "c"], ["b", "d"], ["a", "e"], ["b", "e"], ["c", "e"]]},
             "is chordal bipartite")
     refused({"name": "c4", "vertices": ["a", "b", "c", "d"],
              "complement_edges": [["a", "c"], ["b", "d"]]}, "is chordal bipartite")
+    # the house, the complement of P5, is neither, with a C4 and a triangle,
+    # but the prover derives it, so it lies in N' as well
+    refused({"name": "house(5)", "vertices": ["p", "q", "r", "s", "t"],
+             "complement_edges": [["p", "q"], ["q", "r"], ["r", "s"], ["s", "t"]]},
+            "is derived by the prover")
     two = tmp_path / "two.json"
-    two.write_text(json.dumps([_HOUSE, _HOUSE]))
+    two.write_text(json.dumps([_C5_PENDANT, _C5_PENDANT]))
     with pytest.raises(CatalogError, match="duplicate"):
         load_catalog(str(two))
     # the cycle searches that admit an entry recurse along a path; on a
     # 2000-vertex path they hit the recursion limit, which is a refusal
     with pytest.raises(CatalogError, match="too large to check"):
         ForbiddenEntry("p2000", standard_graph("path", 2000), "test data")
+
+
+def test_an_entry_is_admitted_exactly_when_the_prover_does_not_derive_it():
+    # on the atlas graphs of 5 to 7 vertices; the three refusals name the
+    # cheapest reason
+    admitted = 0
+    for g in (g for n in range(5, 8) for g in nonisomorphic_graphs(n)):
+        derived = prove_in_f(g) is not None
+        try:
+            ForbiddenEntry("e", g, "test data")
+        except CatalogError as exc:
+            assert derived and " is " in str(exc), emit_graph6(g)
+        else:
+            assert not derived, emit_graph6(g)
+            admitted += 1
+    # the atlas's 169 graphs with a surface subgroup and its 32 unknowns
+    assert admitted == 169 + 32
 
 
 def test_fixed_entries_contain_required_witness_structure():

@@ -228,12 +228,15 @@ def test_verify_answers_mutated_chain_steps_with_a_documented_exit(tmp_path_fact
 
 # --- catalogue and homomorphism files under mutation ----------------------------
 
+# two entries the prover does not derive, so the catalogue itself loads: C5
+# plus a pendant vertex, and the complement of P6
 _CATALOG = [
-    {"name": "house(5)", "provenance": "test data", "vertices": ["p", "q", "r", "s", "t"],
-     "complement_edges": [["p", "q"], ["q", "r"], ["r", "s"], ["s", "t"]]},
-    {"name": "prism(6)", "provenance": "test data",
+    {"name": "c5p(6)", "provenance": "test data", "vertices": ["p", "q", "r", "s", "t", "u"],
+     "complement_edges": [["p", "r"], ["p", "s"], ["q", "s"], ["q", "t"], ["r", "t"],
+                          ["q", "u"], ["r", "u"], ["s", "u"], ["t", "u"]]},
+    {"name": "cop6(6)", "provenance": "test data",
      "vertices": ["a", "b", "c", "d", "e", "f"],
-     "complement_edges": [["a", "d"], ["b", "e"], ["c", "f"], ["a", "e"]]},
+     "complement_edges": [["a", "b"], ["b", "c"], ["c", "d"], ["d", "e"], ["e", "f"]]},
 ]
 _HOMS = [
     {"presentation": {"genus": 1, "boundary": 1},
@@ -268,8 +271,8 @@ def test_mutated_catalogs_get_a_documented_exit(tmp_path_factory, data):
     (root / "extra.json").write_text(_mutated_text(data, _CATALOG))
     (root / "g.el").write_bytes(emit_edgelist(parse_graph6(b"EUzo")))
     (root / "cert.json").write_text(json.dumps(
-        {"certificate_type": "obstruction", "kind": "InducedForbidden", "entry": "house(5)",
-         "embedding": {v: "v%d" % i for i, v in enumerate("pqrst", 1)}, "trail": []}))
+        {"certificate_type": "obstruction", "kind": "InducedForbidden", "entry": "c5p(6)",
+         "embedding": {v: "v%d" % i for i, v in enumerate("pqrstu", 1)}, "trail": []}))
     command = data.draw(st.sampled_from([
         ["classify", str(root / "g.el")],
         ["verify", str(root / "g.el"), str(root / "cert.json")],

@@ -7,10 +7,10 @@ from pathlib import Path
 import pytest
 
 from conftest import (add_edge, desk_graph6, random_chordal, random_chordal_bipartite,
-                      random_graph, reference_peel)
+                      random_graph, reference_check_chain, reference_peel)
 from raagscope.generate import nonisomorphic_graphs
-from raagscope.graphs import (Graph, GraphError, emit_graph6, new_graph, parse_graph6,
-                              standard_graph)
+from raagscope.graphs import (Graph, GraphError, canonical_key, emit_graph6, new_graph,
+                              parse_graph6, standard_graph)
 from raagscope.obstructions import (builtin_catalog, entry_graph, find_cocontraction_witness,
                                     find_forbidden_induced, verify_obstruction)
 from raagscope.ops import (co_contract, complement, is_bisimplicial_edge, is_clique,
@@ -58,7 +58,7 @@ def test_complete_graphs_are_leaves():
 def test_path_uses_amalgam_at_cut_vertex():
     # one clique step splits off {a, b} along the cut vertex b
     d = prove_in_f(P3)
-    assert d.rule == RULE_CHAIN and d.steps == ((("a", "b"), ("b",)),)
+    assert d.rule == RULE_CHAIN and d.steps == ((P3.mask("ab"), P3.mask("b")),)
     assert [c.rule for c in d.children] == [RULE_COMPLETE]
     assert d.rules_used() == {RULE_AMALGAM, RULE_COMPLETE}
     assert check_derivation(d, P3)
@@ -69,8 +69,8 @@ def test_c4_uses_bisimplicial_edge():
     c4 = standard_graph("cycle", 4)
     d = prove_in_f(c4)
     assert d.rule == RULE_CHAIN
-    a, b = d.steps[0]
-    assert isinstance(a, str) and c4.has_edge(a, b)
+    edge = d.steps[0]
+    assert isinstance(edge, int) and c4.has_edge(*c4.names(edge))
     assert d.rules_used() == {RULE_BISIMP, RULE_AMALGAM, RULE_COMPLETE}
     assert check_derivation(d, c4)
 
@@ -111,10 +111,10 @@ def test_chordal_graphs_are_derived_without_canonical_labeling(monkeypatch):
         nodes = list(_nodes(v.derivation))
         assert {d.rule for d in nodes} <= {RULE_COMPLETE, RULE_CHAIN}
         assert v.derivation.rules_used() <= {RULE_COMPLETE, RULE_AMALGAM}
-        steps = [step for d in nodes if d.rule == RULE_CHAIN for step in d.steps]
+        steps = [(d, step) for d in nodes if d.rule == RULE_CHAIN for step in d.steps]
         assert len(steps) <= g.n - 1
-        for clique, _ in steps:
-            assert is_clique(g, clique)
+        for d, (clique, _) in steps:
+            assert is_clique(g, d.conclusion.names(clique))
         for leaf in nodes:
             if leaf.rule == RULE_COMPLETE:
                 assert is_clique(g, leaf.conclusion.vertices)
@@ -370,7 +370,7 @@ def test_checker_validates_cocontract_rule():
 def test_checker_rejects_mutations():
     d = prove_in_f(P3)
     # the clique step's clique is the non-clique {a, c}
-    bad = Derivation(d.rule, d.conclusion, d.children, steps=((("a", "c"), ("c",)),))
+    bad = Derivation(d.rule, d.conclusion, d.children, steps=((P3.mask("ac"), P3.mask("c")),))
     assert not check_derivation(bad, P3)
     # the binary amalgam along the non-clique {a, c}
     parts = (prove_in_f(P3.subgraph(0b011)), prove_in_f(P3.subgraph(0b110)))
@@ -383,7 +383,7 @@ def test_checker_rejects_mutations():
 
     c4 = standard_graph("cycle", 4)
     dc4 = prove_in_f(c4)
-    edge = dc4.steps[0]
+    edge = c4.names(dc4.steps[0])
     binary = Derivation(RULE_BISIMP, c4, (prove_in_f(remove_edge_interior(c4, edge)),),
                         edge=edge)
     assert check_derivation(binary, c4)
@@ -392,7 +392,7 @@ def test_checker_rejects_mutations():
     bad3 = Derivation(RULE_BISIMP, fake_conclusion, binary.children, edge=("v1", "v3"))
     assert not check_derivation(bad3, fake_conclusion)
     bad3 = Derivation(RULE_CHAIN, fake_conclusion, dc4.children,
-                      steps=(("v1", "v3"),) + dc4.steps[1:])
+                      steps=(fake_conclusion.mask(("v1", "v3")),) + dc4.steps[1:])
     assert not check_derivation(bad3, fake_conclusion)
     # child mismatch: remove a different edge than cited
     other_edge = next(e for e in c4.edge_pairs if e != edge)
@@ -400,7 +400,8 @@ def test_checker_rejects_mutations():
                       (prove_in_f(remove_edge_interior(c4, other_edge)),),
                       edge=edge)
     assert not check_derivation(bad4, c4)
-    bad4 = Derivation(RULE_CHAIN, c4, dc4.children, steps=(other_edge,) + dc4.steps[1:])
+    bad4 = Derivation(RULE_CHAIN, c4, dc4.children,
+                      steps=(c4.mask(other_edge),) + dc4.steps[1:])
     assert not check_derivation(bad4, c4)
 
 
@@ -444,7 +445,7 @@ def test_checker_matches_an_equal_root_by_the_identity(monkeypatch):
     assert d.conclusion == c4 and d.rule == RULE_CHAIN
     assert check_derivation(d, c4) and calls == []
     # the chain's first step alone leaves a path, forged into a complete-graph leaf
-    path = remove_edge_interior(c4, d.steps[0])
+    path = remove_edge_interior(c4, c4.names(d.steps[0]))
     forged = Derivation(RULE_CHAIN, c4, (Derivation(RULE_COMPLETE, path),), steps=d.steps[:1])
     assert not check_derivation(forged, c4) and calls == []
     relabelled = Graph(["w1", "w2", "w3", "w4"],
@@ -629,7 +630,7 @@ def test_soundness_guard_trips_on_forged_cache_without_obstruction(monkeypatch):
 def test_prover_handles_disconnected_graphs():
     g = Graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
     d = prove_in_f(g)
-    assert d is not None and d.rule == RULE_CHAIN and d.steps == ((("a", "b"), ()),)
+    assert d is not None and d.rule == RULE_CHAIN and d.steps == ((g.mask("ab"), 0),)
     assert check_derivation(d, g)
 
 
@@ -696,7 +697,8 @@ def _has_simplicial_vertex(g):
 def test_the_peel_matches_a_scan_from_scratch_at_every_step():
     # the peel re-tests only the separator after a step; a scan of what is
     # left for its first simplicial vertex must take the same steps, and the
-    # derivation built on them is one chain node of them by name above the core
+    # derivation built on them is one chain node of them, as masks over g's
+    # positions, above the core
     rng = random.Random(83)
     graphs = [g for n in range(1, 8) for g in nonisomorphic_graphs(n)]
     graphs += [random_graph(rng.randint(8, 16), rng.random(), rng) for _ in range(300)]
@@ -708,10 +710,11 @@ def test_the_peel_matches_a_scan_from_scratch_at_every_step():
         assert list(peel.steps) == [(clique, sep) for _, clique, sep in steps], emit_graph6(g)
         assert peel.core == g.subgraph(core), emit_graph6(g)
         leaf = Derivation(RULE_COMPLETE, peel.core)
-        d = _chain(g, peel.named_steps(), leaf)
+        assert peel.rest == core
+        d = _chain(g, peel.steps, leaf)
         if steps:
             assert d.rule == RULE_CHAIN and d.conclusion == g and d.children == (leaf,)
-            assert d.steps == tuple((g.names(clique), g.names(sep)) for clique, sep in peel.steps)
+            assert d.steps == tuple((clique, sep) for _, clique, sep in steps)
         else:
             assert d is leaf
         steps_taken += len(steps)
@@ -729,7 +732,7 @@ def test_a_long_path_is_derived_and_checked_in_process():
     assert d.rule == RULE_CHAIN and len(d.steps) == 398 and d.children[0].rule == RULE_COMPLETE
     # a wrong separator at the last step fails the whole derivation
     clique, _ = d.steps[-1]
-    bad = Derivation(RULE_CHAIN, path, d.children, steps=d.steps[:-1] + ((clique, ()),))
+    bad = Derivation(RULE_CHAIN, path, d.children, steps=d.steps[:-1] + ((clique, 0),))
     assert not check_derivation(bad, path)
 
 
@@ -742,13 +745,24 @@ C4_TRIANGLE_STEPS = ((("a", "e", "f"), ("a",)), ("a", "b"),
                      (("a", "d"), ("d",)), (("b", "c"), ("c",)))
 
 
+def _masks(g, steps):
+    """Named chain steps as masks over g's positions: a pair of name tuples
+    is a clique step, two names an edge step; a mask passes as it is."""
+    def mask(x):
+        return x if isinstance(x, int) else g.mask(x)
+
+    return tuple(mask(step) if isinstance(step, int) or isinstance(step[0], str)
+                 else (mask(step[0]), mask(step[1])) for step in steps)
+
+
 def _with_steps(d, steps, child=None):
-    return Derivation(RULE_CHAIN, d.conclusion, (child or d.children[0],), steps=steps)
+    return Derivation(RULE_CHAIN, d.conclusion, (child or d.children[0],),
+                      steps=_masks(d.conclusion, steps))
 
 
 def test_the_chain_checker_refuses_each_broken_step():
     d = prove_in_f(C4_TRIANGLE)
-    assert d.rule == RULE_CHAIN and d.steps == C4_TRIANGLE_STEPS
+    assert d.rule == RULE_CHAIN and d.steps == _masks(C4_TRIANGLE, C4_TRIANGLE_STEPS)
     assert check_derivation(d, C4_TRIANGLE)
     s0, s1, s2, s3 = C4_TRIANGLE_STEPS
     broken = {
@@ -767,7 +781,13 @@ def test_the_chain_checker_refuses_each_broken_step():
         "an edge with an end already gone": (s0, ("a", "e"), s1, s2, s3),
         # a-b is bisimplicial only once the triangle at a is gone
         "an edge that is not bisimplicial": (s1, s0, s2, s3),
-        "an unknown name": (s0, ("a", "z"), s2, s3),
+        # a mask with a bit past the graph's last position, as
+        # derivation_from_json makes of an unknown name, and negative masks
+        "a vertex outside the graph": (s0, 1 | 1 << 6, s2, s3),
+        "a clique outside the graph": ((1 << 6 | 1, 1), s1, s2, s3),
+        "a negative edge": (s0, -3, s2, s3),
+        "a negative clique": ((-1, 1), s1, s2, s3),
+        "a negative separator": ((0b110001, -1), s1, s2, s3),
     }
     for what, steps in broken.items():
         assert not check_derivation(_with_steps(d, steps), C4_TRIANGLE), what
@@ -782,23 +802,102 @@ def test_the_chain_checker_refuses_each_broken_step():
     two_edges = new_graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
     d = prove_in_f(two_edges)
     ab = (("a", "b"), ())
-    assert d.steps == (ab,) and check_derivation(d, two_edges)
+    assert d.steps == _masks(two_edges, (ab,)) and check_derivation(d, two_edges)
     for steps in ((ab, ("a", "b")), (ab, ab, ab)):
         assert not check_derivation(_with_steps(d, steps), two_edges), steps
+    # an edge step of three bits, whose lowest and highest bits are the
+    # edge the chain deletes first: a-c of C4 on the cycle a-c-b-d
+    c4 = new_graph(["a", "b", "c", "d"], [("a", "c"), ("c", "b"), ("b", "d"), ("d", "a")])
+    d = prove_in_f(c4)
+    assert d.steps[0] == c4.mask("ac") and check_derivation(d, c4)
+    assert not check_derivation(_with_steps(d, (c4.mask("abc"),) + d.steps[1:]), c4)
     edgeless = new_graph(["a", "b", "c"], [])
     d = prove_in_f(edgeless)
     assert check_derivation(d, edgeless)
     assert not check_derivation(_with_steps(d, (("a", "b"), ("a", "b")) + d.steps), edgeless)
+    # a step that is neither a mask nor a pair of masks
+    for step in ((1, 2, 3), "ab", (("a",), ()), 1.5, None):
+        assert not check_derivation(Derivation(RULE_CHAIN, edgeless, d.children,
+                                               steps=(step,) + d.steps), edgeless), step
     # K - S touching rest - K, and K all of what is there, each the one
     # fault: the child is what the step would leave
     p3 = standard_graph("path", 3)
     k1 = prove_in_f(new_graph(["v3"], []))
     assert not check_derivation(Derivation(RULE_CHAIN, p3, (k1,),
-                                           steps=((("v1", "v2"), ()),)), p3)
+                                           steps=((p3.mask(("v1", "v2")), 0),)), p3)
     k2 = standard_graph("complete", 2)
     k1 = prove_in_f(new_graph(["v1"], []))
     assert not check_derivation(Derivation(RULE_CHAIN, k2, (k1,),
-                                           steps=((("v1", "v2"), ("v1",)),)), k2)
+                                           steps=((0b11, 0b01),)), k2)
+
+
+def test_verdicts_are_monotone_under_vertex_deletion_on_the_atlas():
+    # a second oracle beside the census golden: for every graph g on at most
+    # 7 vertices and every vertex v, a surface subgroup of g - v is one of
+    # g, and a derivation of g restricts to g - v (heredity). Only the
+    # budget could break either; the golden pins counts, this pins relations
+    atlas = [Graph([], [])] + [g for n in range(1, 8) for g in nonisomorphic_graphs(n)]
+    status = {canonical_key(g): classify(g).status for g in atlas}
+    pairs = 0
+    for g in atlas:
+        full = (1 << g.n) - 1
+        above = status[canonical_key(g)]
+        for i in range(g.n):
+            below = status[canonical_key(g.subgraph(full ^ 1 << i))]
+            assert below != HAS_SURFACE or above == HAS_SURFACE, (emit_graph6(g), i)
+            assert above != NO_SURFACE or below == NO_SURFACE, (emit_graph6(g), i)
+            pairs += 1
+    assert pairs == 8475
+
+
+def _json_nodes(obj):
+    stack = [obj]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node["children"])
+
+
+def test_every_chain_replays_by_name_through_its_json():
+    # chains hold masks in memory and names in JSON: every derivation on the
+    # atlas and on desk seed 1 replays by name, chain by chain, and comes
+    # back from its JSON as an equal Derivation
+    graphs = [g for n in range(1, 8) for g in nonisomorphic_graphs(n)]
+    graphs += [parse_graph6(text.encode()) for text in desk_graph6(1)]
+    derived = chains = 0
+    for g in graphs:
+        d = classify(g).derivation
+        if d is None:
+            continue
+        derived += 1
+        obj = json.loads(json.dumps(derivation_to_json(d)))
+        for node in _json_nodes(obj):
+            if node["rule"] == RULE_CHAIN:
+                chains += 1
+                assert reference_check_chain(node), emit_graph6(g)
+        assert derivation_from_json(obj) == d, emit_graph6(g)
+    # the atlas's 1051 derived graphs and desk seed 1's 89
+    assert derived == 1051 + 89 and chains == 1260
+
+
+def test_a_step_naming_a_vertex_outside_its_graph_is_invalid_not_malformed():
+    # two C4 glued at a: the root splits at {a} into two chains, and a step
+    # of the first may not name e, a vertex of the root but not of its own
+    # graph, nor a vertex of no graph at all
+    g = new_graph("abcdefg", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"),
+                             ("a", "e"), ("e", "f"), ("f", "g"), ("g", "a")])
+    root = derivation_to_json(prove_in_f(g))
+    assert root["rule"] == RULE_AMALGAM and root["children"][0]["rule"] == RULE_CHAIN
+    chain = root["children"][0]
+    assert "e" not in chain["graph"]["vertices"] and reference_check_chain(chain)
+    for k, step in enumerate(chain["steps"]):
+        for key in step:
+            for name in ("e", "z"):
+                obj = json.loads(json.dumps(root))
+                obj["children"][0]["steps"][k][key] = [name] + step[key][1:]
+                bad = derivation_from_json(obj)
+                assert not reference_check_chain(obj["children"][0])
+                assert not check_derivation(bad, g), (k, key, name)
 
 
 def test_malformed_chain_steps_are_graph_errors():

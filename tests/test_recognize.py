@@ -27,10 +27,11 @@ def _derives(d, g) -> bool:
 
 
 def _chain_length(d: Derivation) -> int:
-    """The number of edge steps of a chain node before its first clique step."""
+    """The number of edge steps (one mask each) of a chain node before its
+    first clique step (a pair of masks)."""
     if d.rule != RULE_CHAIN:
         return 0
-    return next((i for i, (x, _) in enumerate(d.steps) if not isinstance(x, str)), len(d.steps))
+    return next((i for i, step in enumerate(d.steps) if not isinstance(step, int)), len(d.steps))
 
 
 def test_find_induced_cycle_examples():
@@ -189,7 +190,7 @@ def test_validators_reject_garbage():
     child = is_chordal_bipartite(remove_edge_interior(p4, ("v2", "v3")))
     assert _derives(child, remove_edge_interior(p4, ("v2", "v3")))
     assert not check_derivation(Derivation(RULE_BISIMP, p4, (child,), edge=("v2", "v3")), p4)
-    assert not check_derivation(replace(d, steps=(("v2", "v3"),) + d.steps[1:]), p4)
+    assert not check_derivation(replace(d, steps=(p4.mask(("v2", "v3")),) + d.steps[1:]), p4)
     # an amalgam of C4 along the non-clique {v1, v3}, whose parts derive
     left = induced(c4, ["v1", "v2", "v3"])
     right = induced(c4, ["v1", "v3", "v4"])
