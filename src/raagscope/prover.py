@@ -180,8 +180,9 @@ def _is_edge_step(step) -> bool:
 
 def _chain(top: Graph, steps: Sequence, end: Derivation) -> Derivation:
     """The chain node that takes top by steps to the conclusion of end; end
-    itself when there is no step."""
-    return Derivation(RULE_CHAIN, top, (end,), steps=tuple(steps)) if steps else end
+    itself when there is no step. The steps tuple is a shared copy, as its
+    steps are."""
+    return Derivation(RULE_CHAIN, top, (end,), steps=_shared(tuple(steps))) if steps else end
 
 
 def _lift(mask: int, at: Optional[Sequence[int]]) -> int:

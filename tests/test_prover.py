@@ -949,6 +949,36 @@ def test_a_run_of_unary_steps_is_one_shallow_node():
         assert check_derivation(d, k10_10)
 
 
+def _chain_steps(d):
+    out = []
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        if node.rule == RULE_CHAIN:
+            out.append(node.steps)
+        stack.extend(node.children)
+    return out
+
+
+def test_a_second_pass_over_a_batch_shares_the_first_pass_steps():
+    # the desk batch meets more distinct shared values in one pass than a
+    # 512-entry table held, so a cyclic pass evicted each before its reuse
+    # and every pass kept fresh copies of all its steps
+    texts = desk_graph6(1)
+
+    def steps():
+        out = []
+        for text in texts:
+            d = classify(parse_graph6(text.encode("ascii"))).derivation
+            out += _chain_steps(d) if d is not None else []
+        return out
+
+    first, second = steps(), steps()
+    assert len(first) == len(second) > 100
+    assert all(a is b for a, b in zip(first, second))
+    assert all(x is y for a, b in zip(first, second) for x, y in zip(a, b))
+
+
 def test_the_peel_leaves_a_complete_graph_exactly_on_chordal_graphs():
     # the walk stops only at a complete graph or at one with no simplicial
     # vertex, and the first happens exactly when g is chordal
