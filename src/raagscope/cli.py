@@ -44,6 +44,7 @@ from .obstructions import (
     verify_obstruction,
 )
 from .ops import (
+    _maximal_clique_masks,
     co_contract,
     complement,
     iter_clique_splits,
@@ -95,6 +96,9 @@ MAX_WORD_LETTERS = 512
 # shallow, but the prover's search recurses once per core it searches: a run
 # of bisimplicial removals in K24,24 overruns the recursion limit.
 MAX_VERTICES = 256
+# the most vertices of an `ops extend` output, about 2 MiB of rows: a graph
+# under MAX_VERTICES may have exponentially many maximal cliques
+MAX_EXTENSION = 4096
 
 
 class _Refused(Exception):
@@ -324,6 +328,13 @@ def cmd_ops(args) -> int:
     elif args.op == "cocontract":
         out = co_contract(g, [v for v in args.vertices.split(",") if v])
     elif args.op == "extend":
+        # one vertex per vertex of g and per member of each maximal clique
+        order = g.n
+        for clique in _maximal_clique_masks(g.rows):
+            order += clique.bit_count()
+            if order > MAX_EXTENSION:
+                raise GraphError("the simplicial extension has more than %d vertices"
+                                 % MAX_EXTENSION)
         out, _ = simplicial_extension(g)
     else:
         splits = list(iter_clique_splits(g))

@@ -31,7 +31,6 @@ from .graphs import (
     IsoTable,
     _bits,
     _from_sorted,
-    _name_index,
     _relabel,
     _shared,
     _standard_names,
@@ -471,12 +470,17 @@ def _step(g: Graph, i: int, j: int) -> Graph:
     The names are sorted, so the pair is already in the order of the fresh
     name $co(a,b), and the complement of the induced pair is an edge, hence
     connected: neither is looked up or checked. That the fresh name is new
-    is checked, since a graph built with Graph(...) may hold it already.
+    is checked, since a graph built with Graph(...) may hold it already;
+    longer than both names of the pair, it can only equal the kept name at
+    its sorted place.
     """
     verts = g.vertices
     rows = g.rows
     fresh = "$co(%s,%s)" % (verts[i], verts[j])
-    if fresh in _name_index(verts):
+    kept = list(verts)
+    del kept[j], kept[i]
+    at = bisect_left(kept, fresh)
+    if at < len(kept) and kept[at] == fresh:
         raise GraphError("fresh vertex name collision: %r" % (fresh,))
     n = len(verts)
     common = rows[i] & rows[j]
@@ -488,9 +492,6 @@ def _step(g: Graph, i: int, j: int) -> Graph:
     extended.append(common)
     keep = list(range(n))
     del keep[j], keep[i]
-    kept = list(verts)
-    del kept[j], kept[i]
-    at = bisect_left(kept, fresh)
     kept.insert(at, fresh)
     keep.insert(at, n)
     return _from_sorted(tuple(kept), _relabel(extended, keep))

@@ -1,9 +1,9 @@
 """Graph operations underlying the classification rules.
 
-Complement, join, simplicial and bisimplicial tests, maximal cliques, clique
-minimal separators, the simplicial extension, and co-contraction. All
-functions are pure; derived vertices get reserved "$"-prefixed names so they
-can never collide with user input.
+Complement, join, simplicial and bisimplicial tests, the amalgam check,
+maximal cliques, clique minimal separators, the simplicial extension, and
+co-contraction. All functions are pure; derived vertices get reserved
+"$"-prefixed names so they can never collide with user input.
 """
 
 from __future__ import annotations
@@ -24,10 +24,8 @@ __all__ = [
     "is_clique",
     "is_simplicial_vertex",
     "is_bisimplicial_edge",
-    "remove_edge_interior",
     "maximal_cliques",
     "iter_clique_splits",
-    "validate_clique_split",
     "simplicial_extension",
     "co_contract",
     "co_contract_edge",
@@ -67,6 +65,19 @@ def _is_clique_mask(rows: tuple[int, ...], mask: int) -> bool:
     return True
 
 
+def _is_amalgam(rows: tuple[int, ...], rest: int, part: int, sep: int) -> bool:
+    """Whether the graph on the vertex mask rest is the amalgam of its
+    subgraphs on part and on rest - (part - sep) along the clique sep: sep a
+    proper subset of part, part of rest, sep a clique, and no edge from
+    part - sep to rest - part. The derivation checker's one amalgam check."""
+    if part & ~rest or part == rest or sep & ~part or sep == part:
+        return False
+    if not _is_clique_mask(rows, sep):
+        return False
+    outside = rest & ~part
+    return not any(rows[u] & outside for u in _bits(part & ~sep))
+
+
 def _is_bipartite(rows: tuple[int, ...]) -> bool:
     """Whether the graph on these rows has no odd cycle: breadth first from
     the least vertex of each component, no edge joins two vertices of one
@@ -97,13 +108,6 @@ def is_simplicial_vertex(g: Graph, v: str) -> bool:
     return _is_clique_mask(g.rows, g.rows[g.index(v)])
 
 
-def _edge_indices(g: Graph, e: tuple[str, str]) -> tuple[int, int]:
-    a, b = e
-    if not g.has_edge(a, b):
-        raise GraphError("%r is not an edge" % ((a, b),))
-    return g.index(a), g.index(b)
-
-
 def _is_bisimplicial(rows: tuple[int, ...], a: int, b: int) -> bool:
     """is_bisimplicial_edge for the edge between positions a and b."""
     nb = rows[b]
@@ -121,17 +125,10 @@ def _bisimplicial_edges(rows: tuple[int, ...]) -> Iterator[tuple[int, int]]:
 def is_bisimplicial_edge(g: Graph, e: tuple[str, str]) -> bool:
     """True iff every neighbor of one endpoint is equal or adjacent to every
     neighbor of the other."""
-    a, b = _edge_indices(g, e)
-    return _is_bisimplicial(g.rows, a, b)
-
-
-def remove_edge_interior(g: Graph, e: tuple[str, str]) -> Graph:
-    """Delete the edge but keep both endpoints."""
-    a, b = _edge_indices(g, e)
-    rows = list(g.rows)
-    rows[a] ^= 1 << b
-    rows[b] ^= 1 << a
-    return _from_sorted(g.vertices, tuple(rows))
+    a, b = e
+    if not g.has_edge(a, b):
+        raise GraphError("%r is not an edge" % ((a, b),))
+    return _is_bisimplicial(g.rows, g.index(a), g.index(b))
 
 
 def _component_masks(rows: tuple[int, ...], within: int) -> list[int]:
@@ -156,26 +153,29 @@ def connected_components(g: Graph) -> list[tuple[str, ...]]:
     return [g.names(c) for c in _component_masks(g.rows, (1 << g.n) - 1)]
 
 
-def maximal_cliques(g: Graph) -> list[frozenset[str]]:
-    """All maximal cliques, Bron-Kerbosch with pivoting, sorted by
-    (size, members) for stable downstream numbering."""
-    rows = g.rows
-    found: list[int] = []
+def _maximal_clique_masks(rows: tuple[int, ...]) -> Iterator[int]:
+    """The maximal cliques as vertex masks, one at a time, in the order
+    Bron-Kerbosch with pivoting meets them."""
 
-    def bk(r: int, p: int, x: int) -> None:
+    def bk(r: int, p: int, x: int) -> Iterator[int]:
         if not p and not x:
-            found.append(r)
+            yield r
             return
         # pivot: the first vertex with the most neighbours in p
         pivot = max(_bits(p | x), key=lambda u: (rows[u] & p).bit_count())
         for v in _bits(p & ~rows[pivot]):
-            bk(r | 1 << v, p & rows[v], x & rows[v])
+            yield from bk(r | 1 << v, p & rows[v], x & rows[v])
             p &= ~(1 << v)
             x |= 1 << v
 
-    if g.n:
-        bk(0, (1 << g.n) - 1, 0)
-    cliques = [g.names(c) for c in found]
+    if rows:
+        yield from bk(0, (1 << len(rows)) - 1, 0)
+
+
+def maximal_cliques(g: Graph) -> list[frozenset[str]]:
+    """All maximal cliques, Bron-Kerbosch with pivoting, sorted by
+    (size, members) for stable downstream numbering."""
+    cliques = [g.names(c) for c in _maximal_clique_masks(g.rows)]
     return [frozenset(c) for c in sorted(cliques, key=lambda c: (len(c), c))]
 
 
@@ -282,35 +282,6 @@ def iter_clique_splits(g: Graph) -> Iterator[CliqueSplit]:
                 continue
             emitted.add(key)
             yield CliqueSplit(g.subgraph(left), g.subgraph(right), separator)
-
-
-def validate_clique_split(g: Graph, split: CliqueSplit) -> bool:
-    """Re-check every CliqueSplit invariant from scratch, on bitmasks: the
-    parts cover g, meet exactly in the separator, neither is all of g, the
-    separator is a clique, and no edge joins the two parts outside the
-    separator. Each part must be the subgraph of g induced on its vertices:
-    its rows must equal g's rows restricted to the part and renumbered, which
-    is compared row by row without building a graph. A name that is not a
-    vertex of g fails the check."""
-    try:
-        left = g.mask(split.left.vertices)
-        right = g.mask(split.right.vertices)
-        sep = g.mask(split.separator)
-    except GraphError:
-        return False
-    full = (1 << g.n) - 1
-    if left | right != full or left & right != sep:
-        return False
-    if left == full or right == full:
-        return False
-    rows = g.rows
-    if not _is_clique_mask(rows, sep):
-        return False
-    if (_relabel(rows, _bits(left)) != split.left.rows
-            or _relabel(rows, _bits(right)) != split.right.rows):
-        return False
-    only_right = right & ~sep
-    return all(not rows[v] & only_right for v in _bits(left & ~sep))
 
 
 @dataclass(frozen=True)

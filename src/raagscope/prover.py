@@ -37,7 +37,10 @@ steps as vertex masks over the positions of that graph, and its one child
 derives what is left, a complete graph, a clique split or a join. So a
 derivation nests once per split or join, not once per step. Names appear
 only at the edges: derivation_to_json names each mask, and
-derivation_from_json maps the names back.
+derivation_from_json maps the names back, reading a BisimplicialRule node,
+as written before chain nodes existed, as a chain of its one edge step.
+check_derivation has one check per rule, on vertex masks over each node's
+conclusion.
 
 One search holds one memo and one node budget, both over cores: a search
 node is a core, and a chordal graph spends neither, so it is derived even
@@ -101,20 +104,14 @@ from .obstructions import (
     verify_obstruction,
 )
 from .ops import (
-    CliqueSplit,
     _bisimplicial_edges,
+    _component_masks,
+    _is_amalgam,
     _is_bisimplicial,
     _is_clique_mask,
     co_contract,
-    complement,
-    connected_components,
-    induced,
-    is_bisimplicial_edge,
     is_complete,
     iter_clique_splits,
-    join,
-    remove_edge_interior,
-    validate_clique_split,
 )
 from .recognize import CycleWitness, find_induced_cycle, find_triangle_or_long_cycle
 
@@ -153,7 +150,6 @@ class Derivation:
     conclusion: Graph
     children: tuple["Derivation", ...] = ()
     separator: Optional[frozenset[str]] = None
-    edge: Optional[tuple[str, str]] = None
     bipartition: Optional[tuple[frozenset[str], frozenset[str]]] = None
     contracted: Optional[frozenset[str]] = None
     steps: Optional[tuple[Union[int, tuple[int, int]], ...]] = None
@@ -343,34 +339,15 @@ def _check_node(root: Derivation) -> bool:
 
 
 def _check_rule(node: Derivation) -> bool:
-    """The node's rule holds between its conclusion and its children's."""
+    """The node's rule holds between its conclusion c and its children's,
+    checked on vertex masks over c's positions. A join's children are
+    disjoint, every pair across them is adjacent, and its bipartition names
+    them; an amalgam's children meet in its separator, and c is their
+    amalgam along it (ops._is_amalgam). Both cover c, and each child has
+    the rows of c restricted to it and renumbered."""
     c = node.conclusion
     if node.rule == RULE_COMPLETE:
         return not node.children and is_complete(c)
-    if node.rule == RULE_JOIN:
-        if len(node.children) != 2 or node.bipartition is None or len(node.bipartition) != 2:
-            return False
-        a, b = node.bipartition
-        c0 = node.children[0].conclusion
-        c1 = node.children[1].conclusion
-        if set(c0.vertices) != set(a) or set(c1.vertices) != set(b):
-            return False
-        return join(c0, c1) == c
-    if node.rule == RULE_AMALGAM:
-        if len(node.children) != 2 or node.separator is None:
-            return False
-        split = CliqueSplit(node.children[0].conclusion,
-                            node.children[1].conclusion, node.separator)
-        return validate_clique_split(c, split)
-    if node.rule == RULE_BISIMP:
-        if len(node.children) != 1 or node.edge is None:
-            return False
-        e = tuple(node.edge)
-        if len(e) != 2 or not c.has_edge(*e):
-            return False
-        if not is_bisimplicial_edge(c, e):
-            return False
-        return node.children[0].conclusion == remove_edge_interior(c, e)
     if node.rule == RULE_CHAIN:
         return _check_chain(node)
     if node.rule == RULE_COCONTRACT:
@@ -380,19 +357,52 @@ def _check_rule(node: Derivation) -> bool:
         if not node.contracted <= set(child.vertices):
             return False
         return co_contract(child, node.contracted) == c
-    return False
+    if node.rule not in (RULE_JOIN, RULE_AMALGAM) or len(node.children) != 2:
+        return False
+    rows = c.rows
+    full = (1 << c.n) - 1
+    c0, c1 = (child.conclusion for child in node.children)
+    m0 = _mask(c, c0.vertices)
+    m1 = _mask(c, c1.vertices)
+    if m0 | m1 != full:
+        return False
+    if node.rule == RULE_JOIN:
+        if node.bipartition is None or len(node.bipartition) != 2:
+            return False
+        a, b = node.bipartition
+        if m0 & m1 or _mask(c, a) != m0 or _mask(c, b) != m1:
+            return False
+        if any(rows[u] & m1 != m1 for u in _bits(m0)):
+            return False
+    else:
+        if node.separator is None:
+            return False
+        sep = _mask(c, node.separator)
+        if m0 & m1 != sep or not _is_amalgam(rows, full, m0, sep):
+            return False
+    return c0.rows == _relabel(rows, _bits(m0)) and c1.rows == _relabel(rows, _bits(m1))
+
+
+def _mask(g: Graph, names) -> int:
+    """The mask of names over g's positions. A name g lacks sets bit g.n,
+    past the last position, which no check accepts."""
+    index = _name_index(g.vertices)
+    absent = 1 << g.n
+    out = 0
+    for v in names:
+        out |= 1 << index[v] if v in index else absent
+    return out
 
 
 def _check_chain(node: Derivation) -> bool:
     """Replay the chain's steps on one copy of the conclusion's rows, rest the
     mask of the vertices still there; a row of a vertex in rest keeps to
     rest. A mask with a bit outside rest, a negative one among them, is
-    refused. A clique step (K, S) needs K within rest and not all of it, S
-    within K and not all of it, K a clique and no edge from K - S to the rest
-    outside K: what is there is then the amalgam of K and of itself less
-    K - S along the clique S, and it loses K - S. An edge step needs two
-    bits, an edge of what is there, bisimplicial in it, and deletes it. The
-    child must conclude what is left, names and rows."""
+    refused. A clique step (K, S) needs K a clique and what is there the
+    amalgam of K and of itself less K - S along S (ops._is_amalgam), and it
+    loses K - S. An edge step needs two bits, an edge of what is there,
+    bisimplicial in it, and deletes it. The child must conclude what is
+    left, names and rows."""
     if len(node.children) != 1 or not node.steps:
         return False
     c = node.conclusion
@@ -410,14 +420,10 @@ def _check_chain(node: Derivation) -> bool:
             rows[b] ^= 1 << a
             continue
         clique, sep = step
-        if clique & ~rest or clique == rest or sep & ~clique or sep == clique:
-            return False
-        if not _is_clique_mask(rows, clique):
+        # the kernel first: it refuses a bit outside rest before any row is read
+        if not _is_amalgam(rows, rest, clique, sep) or not _is_clique_mask(rows, clique):
             return False
         gone = clique & ~sep
-        outside = rest & ~clique
-        if any(rows[u] & outside for u in _bits(gone)):
-            return False
         rest ^= gone
         for u in _bits(sep):
             rows[u] &= ~gone
@@ -599,16 +605,19 @@ class _Search:
             child = _peel(_from_sorted(h.vertices, tuple(cut)))
             if self._decide(child):
                 return _Decision(RULE_BISIMP, (child,), edge=1 << a | 1 << b)
-        comp_parts = connected_components(complement(h))
-        if len(comp_parts) > 1:
+        # the join: the complement's first component, by least member, and the rest
+        full = (1 << h.n) - 1
+        co_rows = tuple(full ^ r ^ (1 << i) for i, r in enumerate(rows))
+        comps = _component_masks(co_rows, full)
+        if len(comps) > 1:
             self.rules_attempted.add(RULE_JOIN)
-            a = frozenset(comp_parts[0])
-            b = frozenset(h.vertices) - a
-            left = _peel(induced(h, a))
+            first = comps[0]
+            left = _peel(h.subgraph(first))
             if self._decide(left):
-                right = _peel(induced(h, b))
+                right = _peel(h.subgraph(full ^ first))
                 if self._decide(right):
-                    return _Decision(RULE_JOIN, (left, right), bipartition=(a, b))
+                    return _Decision(RULE_JOIN, (left, right), bipartition=(
+                        frozenset(h.names(first)), frozenset(h.names(full ^ first))))
         return None
 
 
@@ -721,8 +730,6 @@ def derivation_to_json(d: Derivation) -> dict:
     out: dict = {"rule": d.rule, "graph": graph_to_json(d.conclusion)}
     if d.separator is not None:
         out["separator"] = sorted(d.separator)
-    if d.edge is not None:
-        out["edge"] = list(d.edge)
     if d.bipartition is not None:
         out["bipartition"] = [sorted(d.bipartition[0]), sorted(d.bipartition[1])]
     if d.contracted is not None:
@@ -737,14 +744,18 @@ def derivation_to_json(d: Derivation) -> dict:
 
 
 def derivation_from_json(obj: dict) -> Derivation:
+    """The derivation a JSON node describes, or a GraphError. A
+    BisimplicialRule node, as written before chain nodes existed, reads as a
+    chain of its one edge step."""
     try:
+        if obj["rule"] == RULE_BISIMP:
+            obj = dict(obj, rule=RULE_CHAIN, steps=[{"edge": obj["edge"]}])
         conclusion = graph_from_json(obj["graph"])
         return Derivation(
             rule=obj["rule"],
             conclusion=conclusion,
             children=tuple(derivation_from_json(ch) for ch in obj.get("children", [])),
             separator=frozenset(obj["separator"]) if "separator" in obj else None,
-            edge=tuple(obj["edge"]) if "edge" in obj else None,
             bipartition=tuple(frozenset(p) for p in obj["bipartition"])
             if "bipartition" in obj else None,
             contracted=frozenset(obj["cocontract_set"]) if "cocontract_set" in obj else None,
@@ -766,25 +777,16 @@ def _steps_from_json(steps, g: Graph) -> tuple[Union[int, tuple[int, int]], ...]
     invalid certificate, not a malformed one."""
     if not isinstance(steps, list):
         raise GraphError("chain steps must be a list")
-    index = _name_index(g.vertices)
-    absent = 1 << g.n
-
-    def mask(names: list) -> int:
-        out = 0
-        for v in names:
-            out |= 1 << index[v] if v in index else absent
-        return out
-
     out = []
     for step in steps:
         if isinstance(step, dict) and step.keys() == {"edge"}:
             edge = step["edge"]
             if _names_list(edge) and len(edge) == 2:
-                out.append(mask(edge))
+                out.append(_mask(g, edge))
                 continue
         elif isinstance(step, dict) and step.keys() == {"clique", "separator"}:
             if _names_list(step["clique"]) and _names_list(step["separator"]):
-                out.append((mask(step["clique"]), mask(step["separator"])))
+                out.append((_mask(g, step["clique"]), _mask(g, step["separator"])))
                 continue
         raise GraphError("bad chain step %d" % len(out))
     return tuple(out)

@@ -93,6 +93,13 @@ def add_edge(g: Graph, e: tuple[str, str]) -> Graph:
     return Graph(g.vertices, g.edge_pairs + ((a, b),))
 
 
+def remove_edge(g: Graph, e: tuple[str, str]) -> Graph:
+    a, b = e
+    if not g.has_edge(a, b):
+        raise GraphError("%r is not an edge" % ((a, b),))
+    return Graph(g.vertices, [p for p in g.edge_pairs if set(p) != {a, b}])
+
+
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     """Side by side, with no edge between; a shared name raises GraphError."""
     return Graph(g.vertices + h.vertices, g.edge_pairs + h.edge_pairs)
@@ -305,7 +312,8 @@ def reference_clique_splits(g: Graph, minimal_only: bool = False):
 
 def reference_validate_clique_split(g: Graph, split: CliqueSplit) -> bool:
     """Every CliqueSplit invariant on name sets, induced subgraphs and edge
-    lists, the answer ops.validate_clique_split must reproduce."""
+    lists, the answer the checker must give on an AmalgamRule node whose
+    children conclude the split's parts."""
     lv = set(split.left.vertices)
     rv = set(split.right.vertices)
     if lv | rv != set(g.vertices):

@@ -9,13 +9,14 @@ import json
 import random
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
 import pytest
 
 from conftest import (enumerate_words, oracle_word_trivial, random_bipartite, random_chordal,
-                      random_graph, trivial_words)
+                      random_graph, remove_edge, trivial_words)
 from raagscope.generate import nonisomorphic_graphs
 from raagscope.graphs import emit_graph6, is_isomorphic, new_graph, standard_graph
 from raagscope.obstructions import (
@@ -351,54 +352,35 @@ def _mutate_derivation(d, rng):
             return replacement
         kids = list(node.children)
         kids[path[0]] = rebuild(kids[path[0]], path[1:], replacement)
-        return Derivation(node.rule, node.conclusion, tuple(kids),
-                          node.separator, node.edge, node.bipartition, node.contracted,
-                          node.steps)
+        return replace(node, children=tuple(kids))
 
     node, path = nodes[rng.randrange(len(nodes))]
     choices = []
-    if node.separator is not None:
-        nonedges = [(u, v) for i, u in enumerate(node.conclusion.vertices)
-                    for v in node.conclusion.vertices[i + 1:]
-                    if not node.conclusion.has_edge(u, v)]
-        if nonedges:
-            pair = nonedges[rng.randrange(len(nonedges))]
-            choices.append(Derivation(node.rule, node.conclusion, node.children,
-                                      frozenset(pair), node.edge,
-                                      node.bipartition, node.contracted, node.steps))
-    if node.edge is not None:
-        others = [e for e in node.conclusion.edge_pairs if e != tuple(node.edge)]
-        if others:
-            choices.append(Derivation(node.rule, node.conclusion, node.children,
-                                      node.separator, others[rng.randrange(len(others))],
-                                      node.bipartition, node.contracted, node.steps))
+    nonedges = [(u, v) for i, u in enumerate(node.conclusion.vertices)
+                for v in node.conclusion.vertices[i + 1:]
+                if not node.conclusion.has_edge(u, v)]
+    if node.separator is not None and nonedges:
+        pair = nonedges[rng.randrange(len(nonedges))]
+        choices.append(replace(node, separator=frozenset(pair)))
+    edge_steps = [k for k, step in enumerate(node.steps or ()) if isinstance(step, int)]
+    if edge_steps and nonedges:
+        # an edge step citing a pair that is never an edge of the replay
+        k = edge_steps[rng.randrange(len(edge_steps))]
+        pair = node.conclusion.mask(nonedges[rng.randrange(len(nonedges))])
+        choices.append(replace(node, steps=node.steps[:k] + (pair,) + node.steps[k + 1:]))
     if node.children:
-        choices.append(Derivation(node.rule, node.conclusion, node.children[1:],
-                                  node.separator, node.edge, node.bipartition,
-                                  node.contracted, node.steps))
+        choices.append(replace(node, children=node.children[1:]))
     if node.bipartition is not None:
-        choices.append(Derivation(node.rule, node.conclusion, node.children,
-                                  node.separator, node.edge,
-                                  (node.bipartition[1], node.bipartition[0]),
-                                  node.contracted, node.steps))
+        choices.append(replace(node, bipartition=(node.bipartition[1], node.bipartition[0])))
     wrong_rule = RULE_AMALGAM if node.rule == RULE_COMPLETE else RULE_COMPLETE
-    choices.append(Derivation(wrong_rule, node.conclusion, node.children,
-                              node.separator, node.edge, node.bipartition,
-                              node.contracted, node.steps))
+    choices.append(replace(node, rule=wrong_rule))
     if node.steps:
         # a chain less any one of its steps never reaches its child
         k = rng.randrange(len(node.steps))
-        choices.append(Derivation(node.rule, node.conclusion, node.children,
-                                  node.separator, node.edge, node.bipartition,
-                                  node.contracted, node.steps[:k] + node.steps[k + 1:]))
+        choices.append(replace(node, steps=node.steps[:k] + node.steps[k + 1:]))
     if node.conclusion.m:
-        from raagscope.ops import remove_edge_interior
-
-        smaller = remove_edge_interior(node.conclusion,
-                                       node.conclusion.edge_pairs[0])
-        choices.append(Derivation(node.rule, smaller, node.children,
-                                  node.separator, node.edge, node.bipartition,
-                                  node.contracted, node.steps))
+        smaller = remove_edge(node.conclusion, node.conclusion.edge_pairs[0])
+        choices.append(replace(node, conclusion=smaller))
     replacement = choices[rng.randrange(len(choices))]
     return rebuild(d, path, replacement)
 

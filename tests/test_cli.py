@@ -6,10 +6,10 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import desk_graph6
+from conftest import desk_graph6, remove_edge
 
 import raagscope
-from raagscope.cli import MAX_VERTICES, main
+from raagscope.cli import MAX_EXTENSION, MAX_VERTICES, main
 from raagscope.generate import nonisomorphic_graphs
 from raagscope.graphs import (
     Graph,
@@ -26,7 +26,7 @@ from raagscope.graphs import (
 from raagscope.obstructions import entry_graph
 from raagscope.ops import complement
 from raagscope.prover import (DEFAULT_BUDGET, DEFAULT_COCONTRACT_DEPTH, derivation_to_json,
-                              is_chordal_bipartite)
+                              is_chordal_bipartite, prove_in_f)
 
 C5_G6 = emit_graph6(standard_graph("cycle", 5)).decode()
 P4_G6 = emit_graph6(standard_graph("path", 4)).decode()
@@ -208,6 +208,44 @@ def test_nested_certificates_of_earlier_releases_still_verify(capsys, tmp_path):
         assert run(capsys, "verify", g6, str(report))[:2] == (0, "valid\n"), g6
 
 
+def _legacy_edge_node(g, edge, child) -> dict:
+    """A BisimplicialRule node as written before chain nodes existed."""
+    return {"rule": "BisimplicialRule", "graph": graph_to_json(g), "edge": edge,
+            "children": [derivation_to_json(prove_in_f(child))]}
+
+
+def test_a_legacy_bisimplicial_node_is_checked_as_a_one_step_chain(capsys, tmp_path):
+    c4 = standard_graph("cycle", 4)
+    p4 = standard_graph("path", 4)
+    cert = tmp_path / "cert.json"
+    cases = [
+        (c4, ["v1", "v2"], remove_edge(c4, ("v1", "v2")), (0, "valid\n")),
+        # v2-v3 of P4 is not bisimplicial, though its child is P4 less it
+        (p4, ["v2", "v3"], remove_edge(p4, ("v2", "v3")), (1, "invalid\n")),
+        (c4, ["v1", "zz"], remove_edge(c4, ("v1", "v2")), (1, "invalid\n")),
+        # the child removes another edge than the node names
+        (c4, ["v1", "v2"], remove_edge(c4, ("v2", "v3")), (1, "invalid\n")),
+    ]
+    for g, edge, child, expected in cases:
+        root = _legacy_edge_node(g, edge, child)
+        cert.write_text(json.dumps({"certificate_type": "derivation", "root": root}))
+        code, out, _ = run(capsys, "verify", emit_graph6(g).decode(), str(cert))
+        assert (code, out) == expected, edge
+
+
+@pytest.mark.parametrize("edge", [["v1"], ["v1", "v2", "v3"], "v1v2", [1, 2], None],
+                         ids=["one name", "three names", "a string", "not names", "null"])
+def test_a_legacy_bisimplicial_node_with_a_malformed_edge_exits_65(capsys, tmp_path, edge):
+    # malformed as a chain's edge step of the same shape is
+    c4 = standard_graph("cycle", 4)
+    root = _legacy_edge_node(c4, edge, remove_edge(c4, ("v1", "v2")))
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"certificate_type": "derivation", "root": root}))
+    code, out, err = run(capsys, "verify", emit_graph6(c4).decode(), str(cert))
+    assert code == 65 and out == ""
+    assert err.count("\n") == 1 and err.startswith("malformed certificate:")
+
+
 def test_k23_23_reports_in_one_line_and_verifies(tmp_path):
     # its derivation removes 529 edges, yet nests two levels deep. The
     # search recurses about once per removed edge, so this runs in a fresh
@@ -307,6 +345,34 @@ def test_ops_extend_and_separators(capsys, tmp_path):
     code, out, _ = run(capsys, "ops", "separators", str(p3), "--json")
     data = json.loads(out)
     assert data[0]["separator"] == ["y"]
+
+
+def _edge_list(names, edges) -> str:
+    return "vertices: %s\n" % " ".join(names) + "".join("%s %s\n" % e for e in edges)
+
+
+def test_ops_extend_refuses_an_extension_past_its_bound_while_counting(capsys, tmp_path):
+    # the complete 20-partite graph with parts of size 3: 60 vertices, under
+    # the vertex cap, but 3^20 maximal cliques, which are never all listed
+    names = ["p%d_%d" % (i, j) for i in range(20) for j in range(3)]
+    graph = tmp_path / "k3x20.el"
+    graph.write_text(_edge_list(names, [(a, b) for a in names for b in names
+                                        if a < b and a.split("_")[0] != b.split("_")[0]]))
+    t0 = time.process_time()
+    code, out, err = run(capsys, "ops", "extend", str(graph))
+    assert time.process_time() - t0 < 5.0
+    assert code == 64 and out == "" and err.count("\n") == 1
+    assert "more than %d vertices" % MAX_EXTENSION in err
+
+
+@pytest.mark.parametrize("kind, order", [("path", 766), ("cycle", 768), ("complete", 512)])
+def test_ops_extend_extends_graphs_at_the_vertex_cap(capsys, tmp_path, kind, order):
+    g = standard_graph(kind, MAX_VERTICES)
+    graph = tmp_path / "g.el"
+    graph.write_bytes(emit_edgelist(g))
+    code, out, _ = run(capsys, "ops", "extend", str(graph))
+    assert code == 0
+    assert len(out.splitlines()[0].split()) - 1 == order
 
 
 def test_ops_join(capsys, tmp_path):

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 from conftest import (add_edge, disjoint_union, is_connected, random_bipartite, random_chordal,
                       random_gnm, random_graph, reference_clique_splits, reference_is_clique_mask,
-                      reference_mcs_m_separators, reference_validate_clique_split)
+                      reference_mcs_m_separators, reference_validate_clique_split, remove_edge)
 
 from raagscope.graphs import Graph, GraphError, is_isomorphic, new_graph, standard_graph
 from raagscope.generate import nonisomorphic_graphs
@@ -26,10 +26,9 @@ from raagscope.ops import (
     iter_clique_splits,
     join,
     maximal_cliques,
-    remove_edge_interior,
     simplicial_extension,
-    validate_clique_split,
 )
+from raagscope.prover import RULE_AMALGAM, RULE_COMPLETE, Derivation, _check_rule
 
 P3 = new_graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
 
@@ -123,20 +122,6 @@ def test_positional_bisimplicial_order_is_the_edge_pairs_order():
     assert found > 3000
 
 
-def test_remove_edge_interior():
-    k2 = standard_graph("complete", 2)
-    assert remove_edge_interior(k2, ("v1", "v2")).m == 0
-    c4 = standard_graph("cycle", 4)
-    assert is_isomorphic(remove_edge_interior(c4, c4.edge_pairs[0]),
-                         standard_graph("path", 4)) is not None
-    for n in (5, 6, 7):
-        cn = standard_graph("cycle", n)
-        pn = remove_edge_interior(cn, cn.edge_pairs[0])
-        assert is_isomorphic(pn, standard_graph("path", n)) is not None
-    with pytest.raises(GraphError):
-        remove_edge_interior(c4, ("v1", "v3"))
-
-
 def test_maximal_cliques():
     assert maximal_cliques(P3) == [frozenset({"a", "b"}), frozenset({"b", "c"})]
     k4 = standard_graph("complete", 4)
@@ -158,6 +143,13 @@ def test_maximal_cliques_brute_force():
         assert got == expected
 
 
+def _amalgam_checks(g, split) -> bool:
+    """The checker's verdict on the AmalgamRule node of split, whose children
+    are leaves concluding its parts: _check_rule checks the node alone."""
+    leaves = (Derivation(RULE_COMPLETE, split.left), Derivation(RULE_COMPLETE, split.right))
+    return _check_rule(Derivation(RULE_AMALGAM, g, leaves, separator=split.separator))
+
+
 def test_clique_separators_examples():
     splits = list(iter_clique_splits(P3))
     assert splits[0].separator == frozenset({"b"})
@@ -172,12 +164,12 @@ def test_clique_separators_validate_and_disconnected():
     splits = list(iter_clique_splits(two))
     assert splits and splits[0].separator == frozenset()
     for s in splits:
-        assert validate_clique_split(two, s)
+        assert _amalgam_checks(two, s)
     rng = random.Random(4)
     for _ in range(25):
         g = random_graph(rng.randint(2, 7), rng.random(), rng)
         for s in iter_clique_splits(g):
-            assert validate_clique_split(g, s)
+            assert _amalgam_checks(g, s)
 
 
 def test_clique_splits_are_the_enumerated_splits_along_minimal_separators():
@@ -220,9 +212,9 @@ def test_validate_clique_split_rejects_bad():
     splits = list(iter_clique_splits(P3))
     good = splits[0]
     bad = CliqueSplit(good.left, good.right, frozenset({"a", "c"}))  # not a clique
-    assert not validate_clique_split(P3, bad)
+    assert not _amalgam_checks(P3, bad)
     bad2 = CliqueSplit(good.left, good.left, good.separator)
-    assert not validate_clique_split(P3, bad2)
+    assert not _amalgam_checks(P3, bad2)
 
 
 def _split_mutations(g, split, rng):
@@ -254,7 +246,7 @@ def _split_mutations(g, split, rng):
         out.append(("cross edge", add_edge(g, (u, v)), split))
     if left.n >= 2:
         e = tuple(rng.sample(left.vertices, 2))
-        toggled = remove_edge_interior(left, e) if left.has_edge(*e) else add_edge(left, e)
+        toggled = remove_edge(left, e) if left.has_edge(*e) else add_edge(left, e)
         out.append(("part rows differ", g, CliqueSplit(toggled, right, sep)))
     stranger = Graph(left.vertices + ("zz",), left.edge_pairs)
     out.append(("unknown vertex", g, CliqueSplit(stranger, right, sep)))
@@ -274,12 +266,12 @@ def test_validate_clique_split_agrees_with_the_set_based_reference():
     refused: dict[str, int] = {}
     for g in graphs:
         for split in iter_clique_splits(g):
-            assert validate_clique_split(g, split)
+            assert _amalgam_checks(g, split)
             assert reference_validate_clique_split(g, split)
             valid += 1
             for kind, host, bad in _split_mutations(g, split, rng):
                 assert not reference_validate_clique_split(host, bad), kind
-                assert not validate_clique_split(host, bad), (kind, g.edge_pairs)
+                assert not _amalgam_checks(host, bad), (kind, g.edge_pairs)
                 refused[kind] = refused.get(kind, 0) + 1
     assert valid > 1000
     assert len(refused) == 7 and min(refused.values()) > 200, refused

@@ -7,15 +7,14 @@ from pathlib import Path
 import pytest
 
 from conftest import (add_edge, desk_graph6, random_chordal, random_chordal_bipartite,
-                      random_graph, reference_check_chain, reference_peel)
+                      random_graph, reference_check_chain, reference_peel, remove_edge)
 from raagscope.generate import nonisomorphic_graphs
 from raagscope.graphs import (Graph, GraphError, canonical_key, emit_graph6, new_graph,
                               parse_graph6, standard_graph)
 from raagscope.obstructions import (builtin_catalog, entry_graph, find_cocontraction_witness,
                                     find_forbidden_induced, verify_obstruction)
 from raagscope.ops import (co_contract, complement, is_bisimplicial_edge, is_clique,
-                           is_complete, is_simplicial_vertex, iter_clique_splits,
-                           remove_edge_interior)
+                           is_complete, is_simplicial_vertex, iter_clique_splits)
 from raagscope.prover import (
     DEFAULT_BUDGET,
     HAS_SURFACE,
@@ -356,6 +355,82 @@ def test_join_rule_reachability_checker_side():
     assert check_derivation(d, k23)
 
 
+# two C4s on a-b-c-d and c-d-e-f that share the edge c-d: the amalgam of
+# the two along the clique {c, d}, and the prover's first split
+_TWO_C4 = new_graph("abcdef", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"),
+                              ("d", "e"), ("e", "f"), ("f", "c")])
+
+
+def _binary(rule, g, parts, **fields):
+    """A binary node concluding g whose children derive the given graphs."""
+    children = tuple(prove_in_f(h) for h in parts)
+    assert all(child is not None for child in children)
+    return Derivation(rule, g, children, **fields)
+
+
+def test_binary_amalgam_and_join_nodes_are_refused_when_mutated():
+    g = _TWO_C4
+    left, right = g.subgraph(g.mask("abcd")), g.subgraph(g.mask("cdef"))
+    cd = frozenset("cd")
+    assert check_derivation(_binary(RULE_AMALGAM, g, (left, right), separator=cd), g)
+    c6 = remove_edge(g, ("c", "d"))
+    with_ae = add_edge(g, ("a", "e"))
+    refused = {
+        # C6 split along the non-clique {c, d}, into two paths
+        "separator not a clique": (c6, (c6.subgraph(c6.mask("abcd")),
+                                        c6.subgraph(c6.mask("cdef"))), cd),
+        "edge across the separator": (with_ae, (left, right), cd),
+        "parts do not cover": (g, (left, g.subgraph(g.mask("cde"))), cd),
+        "parts meet outside the separator": (g, (left, g.subgraph(g.mask("bcdef"))), cd),
+        "left rows doctored": (g, (add_edge(left, ("a", "c")), right), cd),
+        "right rows doctored": (g, (left, add_edge(right, ("c", "e"))), cd),
+        "absent separator name": (g, (left, right), frozenset("cdz")),
+    }
+    for kind, (host, parts, sep) in refused.items():
+        node = _binary(RULE_AMALGAM, host, parts, separator=sep)
+        assert not check_derivation(node, host), kind
+
+    a, b = frozenset({"a1", "a2"}), frozenset({"b1", "b2", "b3"})
+    k23 = new_graph(sorted(a | b), [(u, v) for u in a for v in b])
+    da, db = new_graph(a, []), new_graph(b, [])
+    assert check_derivation(_binary(RULE_JOIN, k23, (da, db), bipartition=(a, b)), k23)
+    missing = remove_edge(k23, ("a1", "b1"))
+    refused = {
+        "missing cross pair": (missing, (da, db), (a, b)),
+        "bipartition swapped": (k23, (da, db), (b, a)),
+        "bipartition not the parts": (k23, (da, db), (a | {"b1"}, b - {"b1"})),
+        "parts do not cover": (k23, (da, new_graph(["b1", "b2"], [])), (a, {"b1", "b2"})),
+        "parts overlap": (k23, (k23.subgraph(k23.mask(["a1", "a2", "b1"])), db),
+                          (a | {"b1"}, b)),
+        "left rows doctored": (k23, (new_graph(a, [("a1", "a2")]), db), (a, b)),
+        "right rows doctored": (k23, (da, new_graph(b, [("b1", "b2")])), (a, b)),
+    }
+    for kind, (host, parts, bipartition) in refused.items():
+        node = _binary(RULE_JOIN, host, parts, bipartition=tuple(map(frozenset, bipartition)))
+        assert not check_derivation(node, host), kind
+
+
+def test_checking_amalgam_and_join_nodes_builds_no_graph(monkeypatch):
+    import raagscope.graphs as graphs
+    import raagscope.ops as ops
+
+    a, b = frozenset({"a1", "a2"}), frozenset({"b1", "b2", "b3"})
+    k23 = new_graph(sorted(a | b), [(u, v) for u in a for v in b])
+    join_d = _binary(RULE_JOIN, k23, (new_graph(a, []), new_graph(b, [])), bipartition=(a, b))
+    amalgam_d = prove_in_f(_TWO_C4)
+    assert amalgam_d.rule == RULE_AMALGAM
+    cases = [(join_d, k23), (amalgam_d, _TWO_C4)]
+
+    def refuse(*args):
+        raise AssertionError("the checker built a graph")
+
+    for name in ("_init", "_from_rows", "_from_sorted"):
+        monkeypatch.setattr(graphs, name, refuse)
+    monkeypatch.setattr(ops, "join", refuse)
+    for d, g in cases:
+        assert check_derivation(d, g)
+
+
 def test_checker_validates_cocontract_rule():
     c4 = standard_graph("cycle", 4)
     child = prove_in_f(c4)
@@ -384,21 +459,21 @@ def test_checker_rejects_mutations():
     c4 = standard_graph("cycle", 4)
     dc4 = prove_in_f(c4)
     edge = c4.names(dc4.steps[0])
-    binary = Derivation(RULE_BISIMP, c4, (prove_in_f(remove_edge_interior(c4, edge)),),
-                        edge=edge)
-    assert check_derivation(binary, c4)
+    one_step = Derivation(RULE_CHAIN, c4, (prove_in_f(remove_edge(c4, edge)),),
+                          steps=dc4.steps[:1])
+    assert check_derivation(one_step, c4)
     # cite an edge that is not bisimplicial in a doctored conclusion
     fake_conclusion = add_edge(c4, ("v1", "v3"))
-    bad3 = Derivation(RULE_BISIMP, fake_conclusion, binary.children, edge=("v1", "v3"))
+    bad3 = Derivation(RULE_CHAIN, fake_conclusion, one_step.children,
+                      steps=(fake_conclusion.mask(("v1", "v3")),))
     assert not check_derivation(bad3, fake_conclusion)
     bad3 = Derivation(RULE_CHAIN, fake_conclusion, dc4.children,
                       steps=(fake_conclusion.mask(("v1", "v3")),) + dc4.steps[1:])
     assert not check_derivation(bad3, fake_conclusion)
     # child mismatch: remove a different edge than cited
     other_edge = next(e for e in c4.edge_pairs if e != edge)
-    bad4 = Derivation(RULE_BISIMP, c4,
-                      (prove_in_f(remove_edge_interior(c4, other_edge)),),
-                      edge=edge)
+    bad4 = Derivation(RULE_CHAIN, c4, (prove_in_f(remove_edge(c4, other_edge)),),
+                      steps=dc4.steps[:1])
     assert not check_derivation(bad4, c4)
     bad4 = Derivation(RULE_CHAIN, c4, dc4.children,
                       steps=(c4.mask(other_edge),) + dc4.steps[1:])
@@ -445,7 +520,7 @@ def test_checker_matches_an_equal_root_by_the_identity(monkeypatch):
     assert d.conclusion == c4 and d.rule == RULE_CHAIN
     assert check_derivation(d, c4) and calls == []
     # the chain's first step alone leaves a path, forged into a complete-graph leaf
-    path = remove_edge_interior(c4, c4.names(d.steps[0]))
+    path = remove_edge(c4, c4.names(d.steps[0]))
     forged = Derivation(RULE_CHAIN, c4, (Derivation(RULE_COMPLETE, path),), steps=d.steps[:1])
     assert not check_derivation(forged, c4) and calls == []
     relabelled = Graph(["w1", "w2", "w3", "w4"],

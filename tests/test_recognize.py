@@ -4,14 +4,13 @@ from itertools import combinations
 
 import pytest
 from conftest import (disjoint_union, random_bipartite, random_chordal, random_graph,
-                      reference_induced_cycle)
+                      reference_induced_cycle, remove_edge)
 
 from raagscope.generate import nonisomorphic_graphs
 from raagscope.graphs import new_graph, standard_graph
-from raagscope.ops import complement, induced, remove_edge_interior
+from raagscope.ops import complement, induced
 from raagscope.prover import (
     RULE_AMALGAM,
-    RULE_BISIMP,
     RULE_CHAIN,
     Derivation,
     check_derivation,
@@ -181,15 +180,16 @@ def test_validators_reject_garbage():
     assert not validate_cycle_witness(p3, CycleWitness(("v1", "v2")), 2)
     assert not validate_cycle_witness(p3, CycleWitness(()), 0)
     assert not validate_cycle_witness(p3, CycleWitness(("v1",)), 1)
-    # a bisimplicial-edge node on v2-v3 of P4, which is not bisimplicial;
-    # its child is the right graph and derives. The chain's first step,
-    # made v2-v3, fails the same way.
+    # a one-step chain removing v2-v3 of P4, which is not bisimplicial; its
+    # child is the right graph and derives. The chain's first step, made
+    # v2-v3, fails the same way.
     p4 = standard_graph("path", 4)
     d = is_chordal_bipartite(p4)
     assert d.rule == RULE_CHAIN and _derives(d, p4)
-    child = is_chordal_bipartite(remove_edge_interior(p4, ("v2", "v3")))
-    assert _derives(child, remove_edge_interior(p4, ("v2", "v3")))
-    assert not check_derivation(Derivation(RULE_BISIMP, p4, (child,), edge=("v2", "v3")), p4)
+    child = is_chordal_bipartite(remove_edge(p4, ("v2", "v3")))
+    assert _derives(child, remove_edge(p4, ("v2", "v3")))
+    one_step = Derivation(RULE_CHAIN, p4, (child,), steps=(p4.mask(("v2", "v3")),))
+    assert not check_derivation(one_step, p4)
     assert not check_derivation(replace(d, steps=(p4.mask(("v2", "v3")),) + d.steps[1:]), p4)
     # an amalgam of C4 along the non-clique {v1, v3}, whose parts derive
     left = induced(c4, ["v1", "v2", "v3"])
