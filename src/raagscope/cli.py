@@ -44,12 +44,12 @@ from .obstructions import (
     verify_obstruction,
 )
 from .ops import (
+    _extension,
     _maximal_clique_masks,
     co_contract,
     complement,
     iter_clique_splits,
     join,
-    simplicial_extension,
 )
 from .prover import (
     DEFAULT_BUDGET,
@@ -330,12 +330,14 @@ def cmd_ops(args) -> int:
     elif args.op == "extend":
         # one vertex per vertex of g and per member of each maximal clique
         order = g.n
+        cliques = []
         for clique in _maximal_clique_masks(g.rows):
             order += clique.bit_count()
             if order > MAX_EXTENSION:
                 raise GraphError("the simplicial extension has more than %d vertices"
                                  % MAX_EXTENSION)
-        out, _ = simplicial_extension(g)
+            cliques.append(clique)
+        out, _ = _extension(g, cliques)
     else:
         splits = list(iter_clique_splits(g))
         if args.json:

@@ -39,8 +39,8 @@ from .graphs import (
     standard_graph,
     verify_vertex_map,
 )
-from .ops import _is_bipartite, co_contract_edge, complement
-from .recognize import _shortest_cycle, find_induced_cycle, find_triangle_or_long_cycle
+from .ops import _is_bipartite, co_contract_edge, complement, is_complete
+from .recognize import _shortest_cycle, find_induced_cycle
 
 KIND_INDUCED = "InducedForbidden"
 KIND_TRAIL = "CoContractionTrail"
@@ -68,7 +68,13 @@ class ForbiddenEntry:
     certify a graph the prover derives: the house (the complement of P5) is
     derived, and as an entry it met itself. A non-chordal graph on at most
     4 vertices is C4, which is chordal bipartite, so every entry has at
-    least 5 vertices."""
+    least 5 vertices.
+
+    The questions are the prover's own, cheapest first. Chordal: the peel
+    (prover._peel) leaves a complete core. Chordal bipartite:
+    prover.is_chordal_bipartite derives it, on a bipartite graph by its
+    greedy pass alone, before any cycle search. That is sound, since a
+    bipartite graph in F has no long hole, so it is chordal bipartite."""
 
     name: str
     graph: Graph
@@ -80,12 +86,12 @@ class ForbiddenEntry:
         if not self.provenance or not isinstance(self.provenance, str):
             raise CatalogError("catalog entry %r needs a provenance string" % (self.name,))
         # imported here: the prover imports this module
-        from .prover import prove_in_f
+        from .prover import Derivation, _peel, is_chordal_bipartite, prove_in_f
 
         try:
-            if find_induced_cycle(self.graph, 4) is None:
+            if is_complete(_peel(self.graph).core):
                 kind = "chordal"
-            elif find_triangle_or_long_cycle(self.graph) is None:
+            elif isinstance(is_chordal_bipartite(self.graph), Derivation):
                 kind = "chordal bipartite"
             elif prove_in_f(self.graph) is not None:
                 kind = "derived by the prover"
@@ -261,7 +267,8 @@ def entry_graph(name: str, extra: Sequence[ForbiddenEntry] = ()) -> Graph:
 # searches
 
 
-def find_forbidden_induced(g: Graph, extra: Sequence[ForbiddenEntry] = ()) -> Optional[Obstruction]:
+def find_forbidden_induced(g: Graph, extra: Sequence[ForbiddenEntry] = (), *,
+                           core: Optional[Graph] = None) -> Optional[Obstruction]:
     """Scan catalog entries no larger than g in increasing size and return the
     first induced embedding.
 
@@ -279,41 +286,39 @@ def find_forbidden_induced(g: Graph, extra: Sequence[ForbiddenEntry] = ()) -> Op
     - A bipartite g holds no antihole of length >= 5: coC5 is C5, which is
       odd, and coCk for k >= 6 holds a triangle. A fixed entry that embeds
       in g is bipartite too, and being admitted it is not chordal
-      bipartite, so it holds an induced cycle of length >= 5 that is no
-      longer than itself; that cycle is one of g, so g's least hole is met
-      first (at the entry's own size only if the entry is that cycle, and
-      then Cn comes first). So a bipartite g returns right after its hole
-      search, with its hole or None. g is tested for being bipartite only
-      when some fixed entry is no larger than g.
+      bipartite: the greedy pass of prover.is_chordal_bipartite, which
+      ForbiddenEntry runs before any cycle search, stalled on it, and it
+      never stalls on a chordal bipartite graph. So the entry holds an
+      induced cycle of length >= 5 that is no longer than itself; that
+      cycle is one of g, so g's least hole is met first (at the entry's own
+      size only if the entry is that cycle, and then Cn comes first). So a
+      bipartite g returns right after its hole search, with its hole or
+      None. g is tested for being bipartite only when some fixed entry is
+      no larger than g.
 
-    prover.classify runs the same scan with both cycle searches on the core
-    of g's peel, the induced subgraph left once the cliques of simplicial
-    vertices are split off one by one (prover._peel); see
-    _find_forbidden_induced. Lemma: every induced cycle of length >= 5 of g,
-    and every antihole, lies in that core. A simplicial vertex lies on no
-    induced cycle of length >= 4 (Dirac, On rigid circuit graphs, 1961), and
-    no vertex of coCk, k >= 5, is simplicial: v sees v+2 and v+3, which are
-    not adjacent to each other. A vertex simplicial in a graph is simplicial
-    in every induced subgraph that holds it, so each peel step, which removes
-    only vertices simplicial in what is left, keeps every hole and antihole
-    of what is left. The core keeps g's position order, so the first hole
-    and antihole by length, start and extensions are the same ones. The
-    fixed entries are still searched in g itself: an entry may have a
-    simplicial vertex, and its copy in g can use vertices the peel removes.
-    H]o~fy?, G]o~fw with a pendant vertex, peels to G]o~fw, which is too
-    small to hold it, so as an entry it is found in itself only on g.
+    core, when given, is the core of g's peel, the induced subgraph left once
+    the cliques of simplicial vertices are split off one by one
+    (prover._peel), and both cycle searches run on it; prover.classify passes
+    it, while --cross-check and a call without it search g whole. Lemma:
+    every induced cycle of length >= 5 of g, and every antihole, lies in that
+    core. A simplicial vertex lies on no induced cycle of length >= 4 (Dirac,
+    On rigid circuit graphs, 1961), and no vertex of coCk, k >= 5, is
+    simplicial: v sees v+2 and v+3, which are not adjacent to each other. A
+    vertex simplicial in a graph is simplicial in every induced subgraph that
+    holds it, so each peel step, which removes only vertices simplicial in
+    what is left, keeps every hole and antihole of what is left. The core
+    keeps g's position order, so the first hole and antihole by length, start
+    and extensions are the same ones. The fixed entries are still searched in
+    g itself: an entry may have a simplicial vertex, and its copy in g can
+    use vertices the peel removes. H]o~fy?, G]o~fw with a pendant vertex,
+    peels to G]o~fw, which is too small to hold it, so as an entry it is
+    found in itself only on g.
     """
-    return _find_forbidden_induced(g, g, extra)
-
-
-def _find_forbidden_induced(g: Graph, core: Graph,
-                            extra: Sequence[ForbiddenEntry]) -> Optional[Obstruction]:
-    """find_forbidden_induced(g, extra), with the hole and antihole searches
-    run on core: g itself, or the core of g's peel, which holds every hole
-    and antihole of g (see find_forbidden_induced)."""
     n = g.n
     if n < 5:
         return None
+    if core is None:
+        core = g
     cyc = find_induced_cycle(core, 5)
     hole = n + 1 if cyc is None else len(cyc.vertices)
     fixed = _fixed_scan_order(extra)

@@ -1,6 +1,6 @@
 """Graph operations underlying the classification rules.
 
-Complement, join, simplicial and bisimplicial tests, the amalgam check,
+Complement, join, the clique and bisimplicial tests, the amalgam check,
 maximal cliques, clique minimal separators, the simplicial extension, and
 co-contraction. All functions are pure; derived vertices get reserved
 "$"-prefixed names so they can never collide with user input.
@@ -18,28 +18,20 @@ __all__ = [
     "CliqueSplit",
     "ExtensionNaming",
     "complement",
-    "induced",
     "join",
     "is_complete",
-    "is_clique",
-    "is_simplicial_vertex",
     "is_bisimplicial_edge",
     "maximal_cliques",
     "iter_clique_splits",
     "simplicial_extension",
     "co_contract",
     "co_contract_edge",
-    "connected_components",
 ]
 
 
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
     return _from_sorted(g.vertices, tuple(full ^ r ^ (1 << i) for i, r in enumerate(g.rows)))
-
-
-def induced(g: Graph, s: Iterable[str]) -> Graph:
-    return g.subgraph(g.mask(s))
 
 
 def join(g: Graph, h: Graph) -> Graph:
@@ -96,16 +88,8 @@ def _is_bipartite(rows: tuple[int, ...]) -> bool:
     return True
 
 
-def is_clique(g: Graph, s: Iterable[str]) -> bool:
-    return _is_clique_mask(g.rows, g.mask(s))
-
-
 def is_complete(g: Graph) -> bool:
     return g.m == g.n * (g.n - 1) // 2
-
-
-def is_simplicial_vertex(g: Graph, v: str) -> bool:
-    return _is_clique_mask(g.rows, g.rows[g.index(v)])
 
 
 def _is_bisimplicial(rows: tuple[int, ...], a: int, b: int) -> bool:
@@ -148,11 +132,6 @@ def _component_masks(rows: tuple[int, ...], within: int) -> list[int]:
     return comps
 
 
-def connected_components(g: Graph) -> list[tuple[str, ...]]:
-    """Components as sorted vertex tuples, ordered by least member."""
-    return [g.names(c) for c in _component_masks(g.rows, (1 << g.n) - 1)]
-
-
 def _maximal_clique_masks(rows: tuple[int, ...]) -> Iterator[int]:
     """The maximal cliques as vertex masks, one at a time, in the order
     Bron-Kerbosch with pivoting meets them."""
@@ -175,7 +154,12 @@ def _maximal_clique_masks(rows: tuple[int, ...]) -> Iterator[int]:
 def maximal_cliques(g: Graph) -> list[frozenset[str]]:
     """All maximal cliques, Bron-Kerbosch with pivoting, sorted by
     (size, members) for stable downstream numbering."""
-    cliques = [g.names(c) for c in _maximal_clique_masks(g.rows)]
+    return _sorted_cliques(g, _maximal_clique_masks(g.rows))
+
+
+def _sorted_cliques(g: Graph, masks: Iterable[int]) -> list[frozenset[str]]:
+    """The cliques given as masks, named and in maximal_cliques' order."""
+    cliques = [g.names(c) for c in masks]
     return [frozenset(c) for c in sorted(cliques, key=lambda c: (len(c), c))]
 
 
@@ -299,7 +283,14 @@ def simplicial_extension(g: Graph) -> tuple[Graph, ExtensionNaming]:
     The original graph is the induced subgraph on its own vertices; all fresh
     vertices are simplicial and pairwise nonadjacent.
     """
-    cliques = tuple(maximal_cliques(g))
+    return _extension(g, _maximal_clique_masks(g.rows))
+
+
+def _extension(g: Graph, masks: Iterable[int]) -> tuple[Graph, ExtensionNaming]:
+    """simplicial_extension(g), given the maximal cliques of g as masks in
+    any order: cli.cmd_ops lists them once, to bound the extension's order
+    before any vertex is built."""
+    cliques = tuple(_sorted_cliques(g, masks))
     names: dict[tuple[int, str], str] = {}
     verts = list(g.vertices)
     edges = list(g.edge_pairs)

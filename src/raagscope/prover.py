@@ -98,7 +98,6 @@ from .graphs import (
 from .obstructions import (
     ForbiddenEntry,
     Obstruction,
-    _find_forbidden_induced,
     _search_below_clean_root,
     find_forbidden_induced,
     verify_obstruction,
@@ -107,13 +106,14 @@ from .ops import (
     _bisimplicial_edges,
     _component_masks,
     _is_amalgam,
+    _is_bipartite,
     _is_bisimplicial,
     _is_clique_mask,
     co_contract,
     is_complete,
     iter_clique_splits,
 )
-from .recognize import CycleWitness, find_induced_cycle, find_triangle_or_long_cycle
+from .recognize import CycleWitness, find_induced_cycle
 
 RULE_COMPLETE = "CompleteBase"
 RULE_JOIN = "JoinRule"
@@ -279,32 +279,47 @@ def is_chordal(g: Graph) -> Union[Derivation, CycleWitness]:
 
 
 def is_chordal_bipartite(g: Graph) -> Union[Derivation, CycleWitness]:
-    """A derivation of a chordal bipartite g, else the witness
-    find_triangle_or_long_cycle returns.
+    """A derivation of a chordal bipartite g, else a triangle or the shortest
+    induced cycle of length >= 5.
 
-    The derivation is one chain node: an edge step per edge, each removing
-    the first bisimplicial edge of what is left in edge_pairs order, then the
-    peel steps of the edgeless graph at its end, above a one-vertex leaf.
-    The edges are removed on one list of rows, with no graph per edge. The
-    removals never stall: a chordal bipartite graph with an edge has a
+    A bipartite g goes straight to the greedy pass: each step removes the
+    first bisimplicial edge of what is left in edge_pairs order, on one list
+    of rows, with no graph per edge. If the pass empties the edges, the
+    derivation is one chain node: an edge step per edge, then the peel steps
+    of the edgeless graph at its end, above a one-vertex leaf. The pass
+    never stalls on a chordal bipartite graph: one with an edge has a
     bisimplicial edge (Golumbic and Goss, Perfect elimination and chordal
     bipartite graphs, J. Graph Theory 1978), and deleting it keeps the graph
     bipartite and creates no induced cycle of length >= 6, since such a
     cycle would pass through both endpoints, each of whose neighbours is
-    adjacent to every neighbour of the other, giving a chord.
+    adjacent to every neighbour of the other, giving a chord. Conversely a
+    graph the pass empties is in F, which is closed under induced subgraphs
+    and holds no cycle of length >= 5, so a bipartite graph in F has no
+    hole: it is chordal bipartite.
+
+    So a cycle is searched for only when g is not chordal bipartite: when g
+    is not bipartite, a triangle, else the shortest induced cycle of length
+    >= 5 (a shortest odd cycle is induced), and when the pass stalls, the
+    shortest induced cycle of length >= 5, of which g then has one. The
+    answer is the one a search for the witness before the pass would give.
     """
-    witness = find_triangle_or_long_cycle(g)
-    if witness is not None:
-        return witness
-    rows = list(g.rows)
-    steps = []
-    while any(rows):
-        a, b = next(_bisimplicial_edges(rows))
-        rows[a] ^= 1 << b
-        rows[b] ^= 1 << a
-        steps.append(_shared(1 << a | 1 << b))
-    peel = _peel(_from_sorted(g.vertices, tuple(rows)))
-    return _chain(g, steps + list(peel.steps), _leaf(peel.core))
+    if _is_bipartite(g.rows):
+        rows = list(g.rows)
+        steps = []
+        while any(rows):
+            edge = next(_bisimplicial_edges(rows), None)
+            if edge is None:
+                return find_induced_cycle(g, 5)
+            a, b = edge
+            rows[a] ^= 1 << b
+            rows[b] ^= 1 << a
+            steps.append(_shared(1 << a | 1 << b))
+        peel = _peel(_from_sorted(g.vertices, tuple(rows)))
+        return _chain(g, steps + list(peel.steps), _leaf(peel.core))
+    triangle = find_induced_cycle(g, 3)
+    if len(triangle.vertices) == 3:
+        return triangle
+    return find_induced_cycle(g, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -688,10 +703,7 @@ def classify(g: Graph, budget: int = DEFAULT_BUDGET,
     peel = _peel(g)
     obs = None
     if cross_check or not is_complete(peel.core):
-        if cross_check:
-            obs = find_forbidden_induced(g, catalog)
-        else:
-            obs = _find_forbidden_induced(g, peel.core, catalog)
+        obs = find_forbidden_induced(g, catalog, core=None if cross_check else peel.core)
         if obs is not None and not verify_obstruction(g, obs, catalog):
             raise SoundnessError("obstruction search emitted an invalid certificate")
     t1 = perf_counter()

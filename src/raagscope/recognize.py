@@ -3,14 +3,15 @@
 find_induced_cycle finds the shortest induced cycle of a given least length,
 and CycleWitness holds one in cyclic order; validate_cycle_witness re-checks a
 witness as an induced embedding of a cycle, the check verify_obstruction
-makes for a C_k entry. find_triangle_or_long_cycle decides chordal
-bipartiteness: a graph is chordal bipartite exactly when it has no triangle
-and no induced cycle of length >= 5.
+makes for a C_k entry.
 
 The recognizers of the paper's two corollaries, prover.is_chordal and
 prover.is_chordal_bipartite, answer with a derivation or with a witness from
 here; they live in prover because prover and obstructions import this module.
-Chordality is decided there, by the prover's own peel of simplicial cliques.
+Both decide there with no cycle search: chordality by the prover's own peel
+of simplicial cliques, chordal bipartiteness by a bipartiteness test and the
+greedy pass of bisimplicial edge removals. A cycle is searched for here only
+as the witness of a graph outside the class.
 """
 
 from __future__ import annotations
@@ -93,19 +94,6 @@ def _extend_cycle(rows, path, interior, allowed, start, min_len, best):
         _extend_cycle(rows, path, interior | (1 << last if k >= 2 else 0),
                       allowed & ~(1 << v), start, min_len, best)
         path.pop()
-
-
-def find_triangle_or_long_cycle(g: Graph) -> Optional[CycleWitness]:
-    """A triangle, else the shortest induced cycle of length >= 5, else None.
-
-    None exactly when g is chordal bipartite: a shortest odd cycle is
-    induced, so with no triangle and no induced cycle of length >= 5 g is
-    bipartite, and its induced cycles all have length 4.
-    """
-    tri = find_induced_cycle(g, 3)
-    if tri is not None and len(tri.vertices) == 3:
-        return tri
-    return find_induced_cycle(g, 5)
 
 
 def validate_cycle_witness(g: Graph, w: CycleWitness, min_len: int = 3) -> bool:

@@ -11,12 +11,13 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from pathlib import Path
 
-from raagscope.graphs import (Graph, GraphError, _bits, canonical_key, find_induced,
-                              graph_from_json, standard_graph)
+from raagscope.graphs import (Graph, GraphError, _bits, _from_sorted, canonical_key,
+                              find_induced, graph_from_json, standard_graph)
 from raagscope.obstructions import (KIND_INDUCED, KIND_TRAIL, Obstruction, builtin_catalog,
                                     find_forbidden_induced)
-from raagscope.ops import (CliqueSplit, _component_masks, co_contract_edge, complement,
-                           connected_components, induced, is_clique, maximal_cliques)
+from raagscope.ops import (CliqueSplit, _bisimplicial_edges, _component_masks, co_contract_edge,
+                           complement, maximal_cliques)
+from raagscope.prover import _chain, _leaf, _peel
 from raagscope.recognize import CycleWitness, find_induced_cycle
 from raagscope.words import _commutation, _cyclic_reduce, _reduce_full
 
@@ -103,6 +104,48 @@ def remove_edge(g: Graph, e: tuple[str, str]) -> Graph:
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     """Side by side, with no edge between; a shared name raises GraphError."""
     return Graph(g.vertices + h.vertices, g.edge_pairs + h.edge_pairs)
+
+
+def ladder(k: int) -> Graph:
+    """P2 x Pk: the paths a1..ak and b1..bk, with the rung ai bi for each
+    i. Chordal bipartite, with exponentially many induced paths."""
+    a = ["a%d" % i for i in range(1, k + 1)]
+    b = ["b%d" % i for i in range(1, k + 1)]
+    return Graph(a + b, list(zip(a, a[1:])) + list(zip(b, b[1:])) + list(zip(a, b)))
+
+
+def induced(g: Graph, s) -> Graph:
+    """The subgraph of g induced on the names in s."""
+    return g.subgraph(g.mask(s))
+
+
+def is_clique(g: Graph, s) -> bool:
+    """Whether the names in s are pairwise adjacent in g, pair by pair."""
+    return all(g.has_edge(a, b) for a, b in combinations(sorted(set(s)), 2))
+
+
+def is_simplicial_vertex(g: Graph, v: str) -> bool:
+    return is_clique(g, g.adj(v))
+
+
+def connected_components(g: Graph) -> list[tuple[str, ...]]:
+    """Components as sorted name tuples, ordered by least member, by a
+    breadth-first search over names."""
+    out = []
+    seen: set[str] = set()
+    for v in g.vertices:
+        if v in seen:
+            continue
+        comp = {v}
+        queue = deque([v])
+        while queue:
+            for w in g.adj(queue.popleft()):
+                if w not in comp:
+                    comp.add(w)
+                    queue.append(w)
+        seen |= comp
+        out.append(tuple(sorted(comp)))
+    return out
 
 
 def is_connected(g: Graph) -> bool:
@@ -629,3 +672,24 @@ def reference_check_chain(obj: dict) -> bool:
     keep = reference_bits(rest)
     return (child.vertices == tuple(g.vertices[i] for i in keep)
             and child.rows == reference_relabel(rows, keep))
+
+
+def reference_is_chordal_bipartite(g: Graph):
+    """prover.is_chordal_bipartite with the witness searched for first: a
+    triangle, else the shortest induced cycle of length >= 5, and the greedy
+    pass of bisimplicial edge removals only when there is neither. The
+    answer the pass-first order must give."""
+    witness = find_induced_cycle(g, 3)
+    if witness is None or len(witness.vertices) != 3:
+        witness = find_induced_cycle(g, 5)
+    if witness is not None:
+        return witness
+    rows = list(g.rows)
+    steps = []
+    while any(rows):
+        a, b = next(_bisimplicial_edges(rows))
+        rows[a] ^= 1 << b
+        rows[b] ^= 1 << a
+        steps.append(1 << a | 1 << b)
+    peel = _peel(_from_sorted(g.vertices, tuple(rows)))
+    return _chain(g, steps + list(peel.steps), _leaf(peel.core))

@@ -1,12 +1,13 @@
 import json
 import random
 import re
+import time
 from pathlib import Path
 
 import pytest
-from conftest import (disjoint_union, random_bipartite, random_chordal, random_gnm, random_graph,
-                      reference_cocontraction_witness, reference_find_forbidden_induced,
-                      reference_induced_cycle)
+from conftest import (disjoint_union, ladder, random_bipartite, random_chordal, random_gnm,
+                      random_graph, reference_cocontraction_witness,
+                      reference_find_forbidden_induced, reference_induced_cycle)
 
 from raagscope.generate import nonisomorphic_graphs
 from raagscope.graphs import (Graph, GraphError, canonical_key, emit_graph6, is_isomorphic,
@@ -456,10 +457,22 @@ def test_user_catalog_load(tmp_path):
     two.write_text(json.dumps([_C5_PENDANT, _C5_PENDANT]))
     with pytest.raises(CatalogError, match="duplicate"):
         load_catalog(str(two))
-    # the cycle searches that admit an entry recurse along a path; on a
-    # 2000-vertex path they hit the recursion limit, which is a refusal
-    with pytest.raises(CatalogError, match="too large to check"):
+    # the peel finds a path chordal with no cycle search
+    with pytest.raises(CatalogError, match="is chordal,"):
         ForbiddenEntry("p2000", standard_graph("path", 2000), "test data")
+    # the witness search of a graph that is not chordal bipartite recurses
+    # along its hole; C2000's hits the recursion limit, which is a refusal
+    with pytest.raises(CatalogError, match="too large to check"):
+        ForbiddenEntry("c2000", standard_graph("cycle", 2000), "test data")
+
+
+def test_a_ladder_entry_is_refused_as_chordal_bipartite_within_seconds():
+    # the 256-vertex ladder has no simplicial vertex, and a cycle search
+    # walks its exponentially many induced paths; the greedy pass derives it
+    t0 = time.perf_counter()
+    with pytest.raises(CatalogError, match="is chordal bipartite"):
+        ForbiddenEntry("ladder(256)", ladder(128), "test data")
+    assert time.perf_counter() - t0 < 10.0
 
 
 def test_an_entry_is_admitted_exactly_when_the_prover_does_not_derive_it():

@@ -2,7 +2,8 @@ import random
 from itertools import combinations
 
 import pytest
-from conftest import (add_edge, disjoint_union, is_connected, random_bipartite, random_chordal,
+from conftest import (add_edge, connected_components, disjoint_union, induced, is_clique,
+                      is_connected, is_simplicial_vertex, random_bipartite, random_chordal,
                       random_gnm, random_graph, reference_clique_splits, reference_is_clique_mask,
                       reference_mcs_m_separators, reference_validate_clique_split, remove_edge)
 
@@ -17,12 +18,8 @@ from raagscope.ops import (
     co_contract,
     co_contract_edge,
     complement,
-    connected_components,
-    induced,
     is_bisimplicial_edge,
-    is_clique,
     is_complete,
-    is_simplicial_vertex,
     iter_clique_splits,
     join,
     maximal_cliques,

@@ -6,15 +6,16 @@ from pathlib import Path
 
 import pytest
 
-from conftest import (add_edge, desk_graph6, random_chordal, random_chordal_bipartite,
-                      random_graph, reference_check_chain, reference_peel, remove_edge)
+from conftest import (add_edge, desk_graph6, is_clique, is_simplicial_vertex, random_chordal,
+                      random_chordal_bipartite, random_graph, reference_check_chain,
+                      reference_peel, remove_edge)
 from raagscope.generate import nonisomorphic_graphs
 from raagscope.graphs import (Graph, GraphError, canonical_key, emit_graph6, new_graph,
                               parse_graph6, standard_graph)
 from raagscope.obstructions import (builtin_catalog, entry_graph, find_cocontraction_witness,
                                     find_forbidden_induced, verify_obstruction)
-from raagscope.ops import (co_contract, complement, is_bisimplicial_edge, is_clique,
-                           is_complete, is_simplicial_vertex, iter_clique_splits)
+from raagscope.ops import (co_contract, complement, is_bisimplicial_edge, is_complete,
+                           iter_clique_splits)
 from raagscope.prover import (
     DEFAULT_BUDGET,
     HAS_SURFACE,
@@ -290,10 +291,34 @@ def test_chordal_graphs_are_never_scanned(monkeypatch):
         raise AssertionError("find_forbidden_induced called on a chordal graph")
 
     monkeypatch.setattr(prover, "find_forbidden_induced", refuse)
-    monkeypatch.setattr(prover, "_find_forbidden_induced", refuse)
     for g in _chordal_inputs():
         v = classify(g)
         assert v.status == NO_SURFACE and check_derivation(v.derivation, g)
+
+
+def test_classify_scans_through_the_public_name_on_the_peels_core(monkeypatch):
+    import raagscope.prover as prover
+
+    calls = []
+
+    def recording(g, extra=(), *, core=None):
+        calls.append((g, core))
+        return find_forbidden_induced(g, extra, core=core)
+
+    monkeypatch.setattr(prover, "find_forbidden_induced", recording)
+    graphs = [g for n in range(5, 8) for g in nonisomorphic_graphs(n)]
+    graphs += [parse_graph6(line.encode()) for line in desk_graph6(1)]
+    scanned = 0
+    for g in graphs:
+        calls.clear()
+        classify(g)
+        core = _peel(g).core
+        if is_complete(core):
+            assert calls == []
+        else:
+            assert len(calls) == 1 and calls[0][0] is g and calls[0][1] == core
+            scanned += 1
+    assert scanned > 500
 
 
 def test_cross_check_still_scans_chordal_graphs(monkeypatch):

@@ -3,12 +3,13 @@ from dataclasses import replace
 from itertools import combinations
 
 import pytest
-from conftest import (disjoint_union, random_bipartite, random_chordal, random_graph,
-                      reference_induced_cycle, remove_edge)
+from conftest import (disjoint_union, induced, ladder, random_bipartite, random_chordal,
+                      random_chordal_bipartite, random_graph, reference_induced_cycle,
+                      reference_is_chordal_bipartite, remove_edge)
 
 from raagscope.generate import nonisomorphic_graphs
 from raagscope.graphs import new_graph, standard_graph
-from raagscope.ops import complement, induced
+from raagscope.ops import complement
 from raagscope.prover import (
     RULE_AMALGAM,
     RULE_CHAIN,
@@ -105,6 +106,7 @@ def test_is_chordal_agrees_with_cycle_search_all_seven_vertex_graphs():
                                for a, b, c in combinations(g.vertices, 3))
             has_long_cycle = find_induced_cycle(g, 5) is not None
             verdict = is_chordal_bipartite(g)
+            assert verdict == reference_is_chordal_bipartite(g)
             if isinstance(verdict, Derivation):
                 assert not has_triangle and not has_long_cycle
                 assert _derives(verdict, g)
@@ -133,6 +135,41 @@ def test_is_chordal_bipartite_examples():
     c6 = standard_graph("cycle", 6)
     res = is_chordal_bipartite(c6)
     assert isinstance(res, CycleWitness) and len(res.vertices) == 6
+
+
+def test_is_chordal_bipartite_derives_with_no_cycle_search(monkeypatch):
+    # the greedy pass alone decides a bipartite graph; the ladder has
+    # exponentially many induced paths for a cycle search to walk
+    import raagscope.prover as prover
+    import raagscope.recognize as recognize
+
+    def refuse(*args):
+        raise AssertionError("cycle search on a chordal bipartite graph")
+
+    monkeypatch.setattr(prover, "find_induced_cycle", refuse)
+    monkeypatch.setattr(recognize, "_shortest_cycle", refuse)
+    rng = random.Random(36)
+    graphs = [random_chordal_bipartite(rng.randint(3, 24), rng) for _ in range(200)]
+    for g in graphs + [ladder(40)]:
+        d = is_chordal_bipartite(g)
+        assert isinstance(d, Derivation) and check_derivation(d, g)
+
+
+def test_is_chordal_bipartite_matches_the_witness_first_reference():
+    # half bipartite, chordal bipartite or not, and half any graph
+    rng = random.Random(37)
+    graphs = []
+    for _ in range(750):
+        graphs.append(random_bipartite(rng.randint(6, 16), 0.2 + 0.4 * rng.random(), rng))
+        graphs.append(random_chordal_bipartite(rng.randint(3, 14), rng))
+        graphs.append(random_graph(rng.randint(1, 11), rng.random(), rng))
+        graphs.append(random_graph(rng.randint(5, 11), 0.15 + 0.3 * rng.random(), rng))
+    derived = 0
+    for g in graphs:
+        got = is_chordal_bipartite(g)
+        assert got == reference_is_chordal_bipartite(g), g.edge_pairs
+        derived += isinstance(got, Derivation)
+    assert 1000 < derived < 2500
 
 
 def test_chordal_bipartite_not_necessarily_chordal():
