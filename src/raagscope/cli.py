@@ -93,8 +93,10 @@ _VERDICT_EXIT = {NO_SURFACE: EXIT_NO, HAS_SURFACE: EXIT_HAS, UNKNOWN: EXIT_UNKNO
 MAX_WORD_LETTERS = 512
 # the most vertices of a graph the CLI reads; the library takes graphs of any
 # order. A derivation nests once per clique split or join, so its JSON stays
-# shallow, but the prover's search recurses once per core it searches: a run
-# of bisimplicial removals in K24,24 overruns the recursion limit.
+# shallow, and a bipartite core is one node of the prover's search, so
+# K64,64 and the 256-vertex ladder classify. The search still recurses once
+# per core on the other graphs: a run of bisimplicial removals in K24,24
+# with one edge added inside a side overruns the recursion limit.
 MAX_VERTICES = 256
 # the most vertices of an `ops extend` output, about 2 MiB of rows: a graph
 # under MAX_VERTICES may have exponentially many maximal cliques

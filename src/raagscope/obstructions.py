@@ -39,7 +39,7 @@ from .graphs import (
     standard_graph,
     verify_vertex_map,
 )
-from .ops import _is_bipartite, co_contract_edge, complement, is_complete
+from .ops import _is_bipartite, co_contract_edge, complement
 from .recognize import _shortest_cycle, find_induced_cycle
 
 KIND_INDUCED = "InducedForbidden"
@@ -64,17 +64,19 @@ class ForbiddenEntry:
     """A fixed catalog entry. The paper's corollaries put chordal and chordal
     bipartite graphs in N', and so does any derivation of prover.prove_in_f,
     so making such a graph an entry raises CatalogError, as does a graph too
-    large for the searches that check it. An admitted entry could otherwise
+    large for the search that checks it. An admitted entry could otherwise
     certify a graph the prover derives: the house (the complement of P5) is
     derived, and as an entry it met itself. A non-chordal graph on at most
     4 vertices is C4, which is chordal bipartite, so every entry has at
     least 5 vertices.
 
-    The questions are the prover's own, cheapest first. Chordal: the peel
-    (prover._peel) leaves a complete core. Chordal bipartite:
-    prover.is_chordal_bipartite derives it, on a bipartite graph by its
-    greedy pass alone, before any cycle search. That is sound, since a
-    bipartite graph in F has no long hole, so it is chordal bipartite."""
+    The one question is prove_in_f's, and the refusal names its answer. A
+    derivation that uses only complete leaves and amalgams derives a chordal
+    graph, since an amalgam of chordal graphs along a clique is chordal.
+    Otherwise a derived bipartite graph is chordal bipartite, since a
+    bipartite graph in F holds no long hole. On a bipartite core the search
+    is the greedy pass alone, one node with no recursion, so only a graph
+    that is not bipartite can be too large to check."""
 
     name: str
     graph: Graph
@@ -86,21 +88,18 @@ class ForbiddenEntry:
         if not self.provenance or not isinstance(self.provenance, str):
             raise CatalogError("catalog entry %r needs a provenance string" % (self.name,))
         # imported here: the prover imports this module
-        from .prover import Derivation, _peel, is_chordal_bipartite, prove_in_f
+        from .prover import RULE_AMALGAM, RULE_COMPLETE, prove_in_f
 
         try:
-            if is_complete(_peel(self.graph).core):
-                kind = "chordal"
-            elif isinstance(is_chordal_bipartite(self.graph), Derivation):
-                kind = "chordal bipartite"
-            elif prove_in_f(self.graph) is not None:
-                kind = "derived by the prover"
-            else:
-                return
+            derivation = prove_in_f(self.graph)
         except RecursionError:
             raise CatalogError("catalog entry %r is too large to check" % (self.name,)) from None
-        raise CatalogError("catalog entry %r is %s, so its graph group contains no "
-                           "hyperbolic surface group" % (self.name, kind))
+        if derivation is not None:
+            kind = ("chordal" if derivation.rules_used() <= {RULE_COMPLETE, RULE_AMALGAM}
+                    else "chordal bipartite" if _is_bipartite(self.graph.rows)
+                    else "derived by the prover")
+            raise CatalogError("catalog entry %r is %s, so its graph group contains no "
+                               "hyperbolic surface group" % (self.name, kind))
 
 
 @dataclass(frozen=True, eq=True, slots=True)
@@ -255,14 +254,6 @@ def _cycle_graph(complemented: bool, n: int) -> Graph:
     return complement(cycle) if complemented else cycle
 
 
-def entry_graph(name: str, extra: Sequence[ForbiddenEntry] = ()) -> Graph:
-    """Resolve a catalog entry name to its graph; cycle families are generated."""
-    family = _cycle_family(name)
-    if family is not None:
-        return _cycle_graph(*family)
-    return _named_entry(name, extra).graph
-
-
 # ---------------------------------------------------------------------------
 # searches
 
@@ -286,9 +277,9 @@ def find_forbidden_induced(g: Graph, extra: Sequence[ForbiddenEntry] = (), *,
     - A bipartite g holds no antihole of length >= 5: coC5 is C5, which is
       odd, and coCk for k >= 6 holds a triangle. A fixed entry that embeds
       in g is bipartite too, and being admitted it is not chordal
-      bipartite: the greedy pass of prover.is_chordal_bipartite, which
-      ForbiddenEntry runs before any cycle search, stalled on it, and it
-      never stalls on a chordal bipartite graph. So the entry holds an
+      bipartite: prover.prove_in_f did not derive it, and on a bipartite
+      graph its search is the greedy pass, which never stalls on a chordal
+      bipartite graph (prover.is_chordal_bipartite). So the entry holds an
       induced cycle of length >= 5 that is no longer than itself; that
       cycle is one of g, so g's least hole is met first (at the entry's own
       size only if the entry is that cycle, and then Cn comes first). So a

@@ -21,13 +21,16 @@ The prover peels, then searches. Every graph it meets is first peeled
 in the paper's proof that chordal graphs lie in N'. Each such split decides,
 and it costs no search. What is left is the core: a complete graph exactly
 when the graph is chordal, and otherwise a graph with no simplicial vertex.
-Only a core that is not complete is searched, by one sequential depth-first
-search over the rules in a fixed order (amalgam split at the first clique
-minimal separator, bisimplicial edge removal, join decomposition), whose
-parts are peeled in turn. The split is decisive: when a part fails, the
-graph fails, and neither a bisimplicial edge nor the join is tried (by
-heredity neither could succeed). Bisimplicial edges still come before the
-join, so a join such as C4 or K2,3 keeps its bisimplicial derivation.
+Only a core that is not complete is searched. A bipartite core is decided
+by the greedy pass alone (_greedy_pass), in one node, with no other rule
+and no recursion: on a bipartite graph, removing the first bisimplicial
+edge never loses F (see is_chordal_bipartite). Any other core goes to one
+sequential depth-first search over the rules in a fixed order (amalgam
+split at the first clique minimal separator, bisimplicial edge removal,
+join decomposition), whose parts are peeled in turn. The split and the join
+are decisive: when a part fails, the graph fails, and after a split neither
+a bisimplicial edge nor the join is tried (by heredity neither could
+succeed). Bisimplicial edges still come before the join.
 
 Both unary rules, a peel step and a bisimplicial edge, come in long runs: a
 chordal graph is all peel steps, a chordal bipartite one all edges and peel
@@ -47,7 +50,7 @@ node is a core, and a chordal graph spends neither, so it is derived even
 after the budget has run out. classify makes one search per call, for the
 graph itself and then for the states of the co-contraction search. The memo
 maps a core, names and rows, to a decision, the rule that closed it with its
-separator, edge or bipartition and its peeled parts, or to None, and the
+separator, edges or bipartition and its peeled parts, or to None, and the
 prover never labels a graph canonically. A search decides first and
 assembles after: only a graph it was asked to prove gets a derivation, built
 once from the decisions, while the states of the co-contraction search are
@@ -65,8 +68,9 @@ using it still validate.
 classify works cheapest first: it peels the graph, and a chordal graph is
 derived by construction with nothing else run on it, since chordal graphs
 lie in N' (the paper's theorem), so no catalog obstruction can embed in one;
-any other graph goes to the induced obstruction scan, then to the search of
-its core, then to the co-contraction search.
+so is a graph whose core is bipartite and derived by the greedy pass. Any
+other graph goes to the induced obstruction scan, then to the search of its
+core, then to the co-contraction search.
 
 is_chordal and is_chordal_bipartite recognize the graphs of the paper's two
 corollaries, which say that chordal and chordal bipartite graphs lie in N'.
@@ -278,24 +282,42 @@ def is_chordal(g: Graph) -> Union[Derivation, CycleWitness]:
     return _chain(g, peel.steps, _leaf(peel.core))
 
 
+def _greedy_pass(g: Graph) -> Optional[tuple[tuple[int, ...], _Peel]]:
+    """Remove the first bisimplicial edge of what is left, in edge_pairs
+    order, until no edge is left, on one list of rows over g's positions,
+    with no graph per edge: the edge steps as masks, shared copies, and the
+    peel of the edgeless graph left, or None when no edge of what is left is
+    bisimplicial. On a bipartite g this decides F (see
+    is_chordal_bipartite)."""
+    rows = list(g.rows)
+    steps = []
+    while any(rows):
+        edge = next(_bisimplicial_edges(rows), None)
+        if edge is None:
+            return None
+        a, b = edge
+        rows[a] ^= 1 << b
+        rows[b] ^= 1 << a
+        steps.append(_shared(1 << a | 1 << b))
+    return tuple(steps), _peel(_from_sorted(g.vertices, tuple(rows)))
+
+
 def is_chordal_bipartite(g: Graph) -> Union[Derivation, CycleWitness]:
     """A derivation of a chordal bipartite g, else a triangle or the shortest
     induced cycle of length >= 5.
 
-    A bipartite g goes straight to the greedy pass: each step removes the
-    first bisimplicial edge of what is left in edge_pairs order, on one list
-    of rows, with no graph per edge. If the pass empties the edges, the
-    derivation is one chain node: an edge step per edge, then the peel steps
-    of the edgeless graph at its end, above a one-vertex leaf. The pass
-    never stalls on a chordal bipartite graph: one with an edge has a
-    bisimplicial edge (Golumbic and Goss, Perfect elimination and chordal
-    bipartite graphs, J. Graph Theory 1978), and deleting it keeps the graph
-    bipartite and creates no induced cycle of length >= 6, since such a
-    cycle would pass through both endpoints, each of whose neighbours is
-    adjacent to every neighbour of the other, giving a chord. Conversely a
-    graph the pass empties is in F, which is closed under induced subgraphs
-    and holds no cycle of length >= 5, so a bipartite graph in F has no
-    hole: it is chordal bipartite.
+    A bipartite g goes straight to the greedy pass (_greedy_pass). If the
+    pass empties the edges, the derivation is one chain node: an edge step
+    per edge, then the peel steps of the edgeless graph at its end, above a
+    one-vertex leaf. The pass never stalls on a chordal bipartite graph: one
+    with an edge has a bisimplicial edge (Golumbic and Goss, Perfect
+    elimination and chordal bipartite graphs, J. Graph Theory 1978), and
+    deleting it keeps the graph bipartite and creates no induced cycle of
+    length >= 6, since such a cycle would pass through both endpoints, each
+    of whose neighbours is adjacent to every neighbour of the other, giving
+    a chord. Conversely a graph the pass empties is in F, which is closed
+    under induced subgraphs and holds no cycle of length >= 5, so a
+    bipartite graph in F has no hole: it is chordal bipartite.
 
     So a cycle is searched for only when g is not chordal bipartite: when g
     is not bipartite, a triangle, else the shortest induced cycle of length
@@ -304,18 +326,11 @@ def is_chordal_bipartite(g: Graph) -> Union[Derivation, CycleWitness]:
     answer is the one a search for the witness before the pass would give.
     """
     if _is_bipartite(g.rows):
-        rows = list(g.rows)
-        steps = []
-        while any(rows):
-            edge = next(_bisimplicial_edges(rows), None)
-            if edge is None:
-                return find_induced_cycle(g, 5)
-            a, b = edge
-            rows[a] ^= 1 << b
-            rows[b] ^= 1 << a
-            steps.append(_shared(1 << a | 1 << b))
-        peel = _peel(_from_sorted(g.vertices, tuple(rows)))
-        return _chain(g, steps + list(peel.steps), _leaf(peel.core))
+        passed = _greedy_pass(g)
+        if passed is None:
+            return find_induced_cycle(g, 5)
+        steps, peel = passed
+        return _chain(g, steps + peel.steps, _leaf(peel.core))
     triangle = find_induced_cycle(g, 3)
     if len(triangle.vertices) == 3:
         return triangle
@@ -483,15 +498,16 @@ class _BudgetExhausted(Exception):
 
 @dataclass(frozen=True, slots=True)
 class _Decision:
-    """How the search closed a core: the rule, its separator, the mask of
-    its bisimplicial edge over the core's positions, or its bipartition,
-    and the peeled parts the rule closed it from, in the order of the
-    derivation's children."""
+    """How the search closed a core: the rule, its separator, the masks of
+    the bisimplicial edges it removes in turn over the core's positions
+    (one, or every edge of a bipartite core), or its bipartition, and the
+    peeled parts the rule closed it from, in the order of the derivation's
+    children."""
 
     rule: str
     parts: tuple[_Peel, ...]
     separator: Optional[frozenset[str]] = None
-    edge: Optional[int] = None
+    edges: tuple[int, ...] = ()
     bipartition: Optional[tuple[frozenset[str], frozenset[str]]] = None
 
 
@@ -501,12 +517,14 @@ class _Search:
     The search decides first and assembles after. _decide and every rule
     take a peeled graph; the memo and the budget see its core alone. A
     complete core, the core of a chordal graph, spends no node and is kept in
-    no memo entry. Every other core costs one node on its first visit; once
-    the budget has run out, a graph is decided only if it is chordal or its
-    core hits the memo. The memo maps each core searched to its _Decision, or to None when
-    no rule closed it, so a graph decided only for a yes or no (the pruning
-    of the co-contraction search) builds no derivation. prove builds the
-    derivation of the graph it was asked about from the decisions, once.
+    no memo entry. Every other core costs one node on its first visit, and a
+    bipartite core costs only that one: the greedy pass decides it whole,
+    and its decision holds every edge the pass removes. Once the budget has
+    run out, a graph is decided only if it is chordal or its core hits the
+    memo. The memo maps each core searched to its _Decision, or to None
+    when no rule closed it, so a graph decided only for a yes or no (the
+    pruning of the co-contraction search) builds no derivation. prove builds
+    the derivation of the graph it was asked about from the decisions, once.
     """
 
     def __init__(self, budget: int):
@@ -561,22 +579,23 @@ class _Search:
     def _build(self, peel: _Peel) -> Derivation:
         """The derivation of a decided peeled graph, whose core is complete or
         has a decision. One chain node holds the peel steps and, while the
-        core was closed by a bisimplicial edge, that edge and the peel steps
-        of what it leaves; the walk ends at a complete core, a clique split
+        core was closed by bisimplicial edges, those edges and the peel steps
+        of what they leave; the walk ends at a complete core, a clique split
         or a join.
 
         Every step is a mask over the top graph's positions. The graph
-        below an edge is the core less that edge, on the core's positions,
-        so its masks are lifted through at, the top position of each core
-        position: bit i goes to at[i]. at starts as the top's own positions
-        and composes with _bits(rest) at every peel that removes a vertex."""
+        below the edges is the core less those edges, on the core's
+        positions, so its masks are lifted through at, the top position of
+        each core position: bit i goes to at[i]. at starts as the top's own
+        positions and composes with _bits(rest) at every peel that removes a
+        vertex."""
         top = peel.graph
         steps = list(peel.steps)
         decision = self.memo.get(peel.core)
         at = None if peel.core is top else _bits(peel.rest)
         while decision is not None and decision.rule == RULE_BISIMP:
             peel = decision.parts[0]
-            steps.append(_shared(_lift(decision.edge, at)))
+            steps += [_shared(_lift(edge, at)) for edge in decision.edges]
             if at is None:
                 steps += peel.steps
             else:
@@ -595,23 +614,20 @@ class _Search:
         return _chain(top, steps, end)
 
     def _expand(self, h: Graph) -> Optional[_Decision]:
-        # h is a core: no simplicial vertex, so not complete. A two-part rule
-        # decides its right part only after its left part closed.
+        # h is a core: no simplicial vertex, so not complete
+        rows = h.rows
+        if _is_bipartite(rows):
+            # decisive: the greedy pass decides a bipartite graph (see
+            # is_chordal_bipartite), in one node and with no other rule
+            self.rules_attempted.add(RULE_BISIMP)
+            run = _greedy_pass(h)
+            return None if run is None else _Decision(RULE_BISIMP, (run[1],), edges=run[0])
         split = next(iter_clique_splits(h), None)
         if split is not None:
-            # decisive: both parts are induced subgraphs of h, so by heredity
-            # h is in F exactly when both are; no other rule is tried
-            self.rules_attempted.add(RULE_AMALGAM)
-            left = _peel(split.left)
-            if not self._decide(left):
-                return None
-            right = _peel(split.right)
-            if not self._decide(right):
-                return None
-            return _Decision(RULE_AMALGAM, (left, right), separator=split.separator)
+            # decisive, so no other rule is tried
+            return self._both(RULE_AMALGAM, split.left, split.right, separator=split.separator)
         # on positions: the child drops the edge from two rows, and only the
         # edge that closes h is named
-        rows = h.rows
         for a, b in _bisimplicial_edges(rows):
             self.rules_attempted.add(RULE_BISIMP)
             cut = list(rows)
@@ -619,20 +635,28 @@ class _Search:
             cut[b] ^= 1 << a
             child = _peel(_from_sorted(h.vertices, tuple(cut)))
             if self._decide(child):
-                return _Decision(RULE_BISIMP, (child,), edge=1 << a | 1 << b)
+                return _Decision(RULE_BISIMP, (child,), edges=(1 << a | 1 << b,))
         # the join: the complement's first component, by least member, and the rest
         full = (1 << h.n) - 1
         co_rows = tuple(full ^ r ^ (1 << i) for i, r in enumerate(rows))
         comps = _component_masks(co_rows, full)
         if len(comps) > 1:
-            self.rules_attempted.add(RULE_JOIN)
-            first = comps[0]
-            left = _peel(h.subgraph(first))
-            if self._decide(left):
-                right = _peel(h.subgraph(full ^ first))
-                if self._decide(right):
-                    return _Decision(RULE_JOIN, (left, right), bipartition=(
-                        frozenset(h.names(first)), frozenset(h.names(full ^ first))))
+            left, right = comps[0], full ^ comps[0]
+            return self._both(RULE_JOIN, h.subgraph(left), h.subgraph(right), bipartition=(
+                frozenset(h.names(left)), frozenset(h.names(right))))
+        return None
+
+    def _both(self, rule: str, left: Graph, right: Graph, **labels) -> Optional[_Decision]:
+        """The decision of a two-part rule, a clique split or a join, from
+        its parts: both are induced subgraphs of the core, so by heredity the
+        core is in F exactly when both are. The right part is decided only
+        after the left closed."""
+        self.rules_attempted.add(rule)
+        first = _peel(left)
+        if self._decide(first):
+            second = _peel(right)
+            if self._decide(second):
+                return _Decision(rule, (first, second), **labels)
         return None
 
 
@@ -662,20 +686,24 @@ def classify(g: Graph, budget: int = DEFAULT_BUDGET,
     back with the independent checkers, and pick a verdict.
 
     The order: g is peeled once, and a chordal g (its core is complete) gets
-    the derivation the peel builds, checked, and nothing else runs; otherwise
-    the induced obstruction scan, its hole and antihole searches run on the
-    peel's core, which holds every hole and antihole of g (see
-    obstructions.find_forbidden_induced); the search of g's core, only if the
-    scan found nothing; the co-contraction search below g, only if neither found
-    a certificate. Whenever that search runs, the scan of g ran and found
-    nothing, so it is _search_below_clean_root, which does not scan g again
-    and scans the states below it for the fixed entries alone. Skipping the
-    scan on a chordal g is sound: chordal graphs lie in N' within N (the
-    paper's theorem; the derivation is its proof), so no obstruction of g can
-    exist, and indeed no catalog entry is chordal (ForbiddenEntry refuses
-    one) while every induced subgraph of a chordal graph is chordal. The
-    peel of g counts as part of the scan phase. The
-    co-contraction search does not expand a state the prover derives
+    the derivation the peel builds, checked, and nothing else runs; so does a
+    g whose core is bipartite and closed by the greedy pass, the search's
+    first node. Otherwise the induced obstruction scan, its hole and antihole
+    searches run on the peel's core, which holds every hole and antihole of
+    g (see obstructions.find_forbidden_induced); the search of g's core, only
+    if the scan found nothing; the co-contraction search below g, only if
+    neither found a certificate. Whenever that search runs, the scan of g ran
+    and found nothing, so it is _search_below_clean_root, which does not scan
+    g again and scans the states below it for the fixed entries alone.
+    Skipping the scan on such a g is sound: g is in F, which lies in N'
+    within N (the paper's theorem; the derivation is its proof), so no
+    obstruction of g can exist. Indeed no catalog entry embeds in g. A copy
+    of one is in F by heredity, and its core is complete or lies within g's
+    core (a vertex simplicial in what is left of g is simplicial in what is
+    left of the copy), so bipartite; prove_in_f derives it, and
+    ForbiddenEntry refuses an entry it derives. The peel of g, and the pass,
+    count as part of the scan phase. The co-contraction search does not
+    expand a state the prover derives
     (see _search_below_clean_root): that state lies in N', so nothing below
     it holds a witness. One derivation search serves g and that pruning, over
     one memo and one budget of at most budget nodes: the pruning expands only
@@ -683,8 +711,9 @@ def classify(g: Graph, budget: int = DEFAULT_BUDGET,
     is expanded. The pruning asks the search for a decision alone
     (_Search.derives), so no derivation of a state is ever assembled.
     Peeling spends no node, so a chordal graph, g or a state, is decided even
-    after the budget has run out, and budget=1 still derives any chordal g. The report of an unknown verdict counts the search of g
-    alone, and its stuck entries are cores. The pruning takes the prover's
+    after the budget has run out, and budget=1 still derives any chordal g.
+    The report of an unknown verdict counts the search of g alone, and its
+    stuck entries are cores. The pruning takes the prover's
     answers on the states unchecked, so a prover that wrongly derived a state
     could hide a witness.
     A budget below 1 raises ValueError, whichever search would run.
@@ -692,17 +721,19 @@ def classify(g: Graph, budget: int = DEFAULT_BUDGET,
     A graph may end up with neither certificate: membership of the derived
     family in the no-surface class is one-sided, so honest Unknowns are
     unavoidable. Holding both verified certificates at once is a bug and
-    raises SoundnessError. cross_check runs the scan on a chordal g too, and
-    with its cycle searches on g whole, so that the guard does not rest on
-    the core lemma; it runs the derivation search even after a found
-    obstruction, and the unpruned co-contraction search even after a found
-    derivation, so that the both-certificates guard sees every search.
+    raises SoundnessError. cross_check runs the scan on every g, chordal or
+    derived by the pass too, with its cycle searches on g whole, so that the
+    guard does not rest on the core lemma; it runs the derivation search even
+    after a found obstruction, and the unpruned co-contraction search even
+    after a found derivation, so that the both-certificates guard sees every
+    search.
     """
     search = _Search(budget)
     t0 = perf_counter()
     peel = _peel(g)
     obs = None
-    if cross_check or not is_complete(peel.core):
+    if cross_check or not (is_complete(peel.core)
+                           or _is_bipartite(peel.core.rows) and search._closes(peel)):
         obs = find_forbidden_induced(g, catalog, core=None if cross_check else peel.core)
         if obs is not None and not verify_obstruction(g, obs, catalog):
             raise SoundnessError("obstruction search emitted an invalid certificate")

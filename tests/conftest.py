@@ -13,7 +13,8 @@ from pathlib import Path
 
 from raagscope.graphs import (Graph, GraphError, _bits, _from_sorted, canonical_key,
                               find_induced, graph_from_json, standard_graph)
-from raagscope.obstructions import (KIND_INDUCED, KIND_TRAIL, Obstruction, builtin_catalog,
+from raagscope.obstructions import (KIND_INDUCED, KIND_TRAIL, Obstruction, _cycle_family,
+                                    _cycle_graph, _named_entry, builtin_catalog,
                                     find_forbidden_induced)
 from raagscope.ops import (CliqueSplit, _bisimplicial_edges, _component_masks, co_contract_edge,
                            complement, maximal_cliques)
@@ -112,6 +113,33 @@ def ladder(k: int) -> Graph:
     a = ["a%d" % i for i in range(1, k + 1)]
     b = ["b%d" % i for i in range(1, k + 1)]
     return Graph(a + b, list(zip(a, a[1:])) + list(zip(b, b[1:])) + list(zip(a, b)))
+
+
+def complete_bipartite(k: int) -> Graph:
+    """K(k,k): every ai adjacent to every bj, i and j from 1 to k."""
+    a = ["a%d" % i for i in range(1, k + 1)]
+    b = ["b%d" % i for i in range(1, k + 1)]
+    return Graph(a + b, [(u, v) for u in a for v in b])
+
+
+def c4_chain(k: int) -> Graph:
+    """k 4-cycles in a row, c(i-1) xi ci yi for i from 1 to k, each meeting
+    the next at the cut vertex ci: 3k + 1 vertices, chordal bipartite."""
+    names = ["c0"]
+    edges = []
+    for i in range(1, k + 1):
+        c, x, y = "c%d" % i, "x%d" % i, "y%d" % i
+        names += [x, y, c]
+        edges += [("c%d" % (i - 1), x), ("c%d" % (i - 1), y), (x, c), (y, c)]
+    return Graph(names, edges)
+
+
+def entry_graph(name: str, extra=()) -> Graph:
+    """The graph of a catalog entry name; the cycle families are generated."""
+    family = _cycle_family(name)
+    if family is not None:
+        return _cycle_graph(*family)
+    return _named_entry(name, extra).graph
 
 
 def induced(g: Graph, s) -> Graph:

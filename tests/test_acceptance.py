@@ -15,8 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import (enumerate_words, oracle_word_trivial, random_bipartite, random_chordal,
-                      random_graph, remove_edge, trivial_words)
+from conftest import (entry_graph, enumerate_words, oracle_word_trivial, random_bipartite,
+                      random_chordal, random_graph, remove_edge, trivial_words)
 from raagscope.generate import nonisomorphic_graphs
 from raagscope.graphs import emit_graph6, is_isomorphic, new_graph, standard_graph
 from raagscope.obstructions import (
@@ -24,7 +24,6 @@ from raagscope.obstructions import (
     KIND_TRAIL,
     Obstruction,
     builtin_catalog,
-    entry_graph,
     find_cocontraction_witness,
     find_forbidden_induced,
     verify_obstruction,

@@ -6,7 +6,7 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import desk_graph6, remove_edge
+from conftest import c4_chain, complete_bipartite, desk_graph6, entry_graph, ladder, remove_edge
 
 import raagscope
 from raagscope.cli import MAX_EXTENSION, MAX_VERTICES, main
@@ -23,7 +23,6 @@ from raagscope.graphs import (
     parse_graph6,
     standard_graph,
 )
-from raagscope.obstructions import entry_graph
 from raagscope.ops import complement
 from raagscope.prover import (DEFAULT_BUDGET, DEFAULT_COCONTRACT_DEPTH, derivation_to_json,
                               is_chordal_bipartite, prove_in_f)
@@ -247,9 +246,8 @@ def test_a_legacy_bisimplicial_node_with_a_malformed_edge_exits_65(capsys, tmp_p
 
 
 def test_k23_23_reports_in_one_line_and_verifies(tmp_path):
-    # its derivation removes 529 edges, yet nests two levels deep. The
-    # search recurses about once per removed edge, so this runs in a fresh
-    # process, as the console script does, not under pytest's deeper stack.
+    # its derivation removes 529 edges, yet nests two levels deep; this runs
+    # in a fresh process, as the console script does
     names = ["a%d" % i for i in range(23)] + ["b%d" % i for i in range(23)]
     graph = tmp_path / "k23_23.el"
     graph.write_bytes(emit_edgelist(
@@ -268,6 +266,22 @@ def test_k23_23_reports_in_one_line_and_verifies(tmp_path):
     report.write_text(proc.stdout)
     proc = cli("verify", str(graph), str(report))
     assert (proc.returncode, proc.stdout) == (0, "valid\n")
+
+
+def test_large_bipartite_graphs_report_and_verify_in_process(capsys, tmp_path):
+    # K24,24 exited 1 with a RecursionError while the search took one stack
+    # frame per removed edge, and the 256-vertex ladder and C4 chain did not
+    # finish; the greedy pass takes each bipartite core in one node
+    for g in (complete_bipartite(24), complete_bipartite(64), ladder(128), c4_chain(85)):
+        graph = tmp_path / "g.el"
+        graph.write_bytes(emit_edgelist(g))
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "classify", "--json", str(graph))
+        assert code == 0 and out.count("\n") == 1 and err == "", g.n
+        report = tmp_path / "report.json"
+        report.write_text(out)
+        assert run(capsys, "verify", str(graph), str(report)) == (0, "valid\n", ""), g.n
+        assert time.perf_counter() - t0 < 5.0, g.n
 
 
 def test_exit_codes_stable_across_runs(capsys):

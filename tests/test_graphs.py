@@ -3,9 +3,9 @@ import time
 
 import pytest
 
-from conftest import (brute_induced, desk_graph6, random_gnm, random_graph, reference_bits,
-                      reference_find_induced, reference_parse_graph6, reference_relabel,
-                      reference_verify_vertex_map)
+from conftest import (brute_induced, desk_graph6, entry_graph, random_gnm, random_graph,
+                      reference_bits, reference_find_induced, reference_parse_graph6,
+                      reference_relabel, reference_verify_vertex_map)
 from raagscope.graphs import (
     Graph,
     GraphError,
@@ -27,7 +27,6 @@ from raagscope.graphs import (
     verify_vertex_map,
 )
 from raagscope.generate import nonisomorphic_graphs
-from raagscope.obstructions import entry_graph
 from raagscope.ops import co_contract_edge, complement
 from raagscope.prover import UNKNOWN, classify
 

@@ -5,8 +5,9 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import (disjoint_union, ladder, random_bipartite, random_chordal, random_gnm,
-                      random_graph, reference_cocontraction_witness,
+from conftest import (add_edge, complete_bipartite, disjoint_union, entry_graph, ladder,
+                      random_bipartite, random_chordal, random_gnm, random_graph,
+                      reference_cocontraction_witness,
                       reference_find_forbidden_induced, reference_induced_cycle)
 
 from raagscope.generate import nonisomorphic_graphs
@@ -21,7 +22,6 @@ from raagscope.obstructions import (
     Obstruction,
     _step,
     builtin_catalog,
-    entry_graph,
     find_cocontraction_witness,
     find_forbidden_induced,
     load_catalog,
@@ -460,10 +460,15 @@ def test_user_catalog_load(tmp_path):
     # the peel finds a path chordal with no cycle search
     with pytest.raises(CatalogError, match="is chordal,"):
         ForbiddenEntry("p2000", standard_graph("path", 2000), "test data")
-    # the witness search of a graph that is not chordal bipartite recurses
-    # along its hole; C2000's hits the recursion limit, which is a refusal
+    # C2000 is bipartite and has no bisimplicial edge: the greedy pass stalls
+    # at once, with no cycle search, and the entry is admitted
+    ForbiddenEntry("c2000", standard_graph("cycle", 2000), "test data")
+    # K24,24 with one edge inside a side is not bipartite, so the general
+    # search recurses once per removed edge and hits the recursion limit,
+    # which is a refusal
+    k2424e = add_edge(complete_bipartite(24), ("a1", "a2"))
     with pytest.raises(CatalogError, match="too large to check"):
-        ForbiddenEntry("c2000", standard_graph("cycle", 2000), "test data")
+        ForbiddenEntry("k2424e", k2424e, "test data")
 
 
 def test_a_ladder_entry_is_refused_as_chordal_bipartite_within_seconds():

@@ -14,7 +14,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from raagscope.cli import main  # noqa: E402
-from conftest import random_chordal, reference_canonical_sort  # noqa: E402
+from conftest import entry_graph, random_chordal, reference_canonical_sort  # noqa: E402
 from raagscope.graphs import (  # noqa: E402
     Graph,
     GraphError,
@@ -24,7 +24,6 @@ from raagscope.graphs import (  # noqa: E402
 )
 from raagscope.obstructions import (  # noqa: E402
     CatalogError,
-    entry_graph,
     obstruction_from_json,
     obstruction_to_json,
     verify_obstruction,

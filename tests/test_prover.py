@@ -6,16 +6,18 @@ from pathlib import Path
 
 import pytest
 
-from conftest import (add_edge, desk_graph6, is_clique, is_simplicial_vertex, random_chordal,
-                      random_chordal_bipartite, random_graph, reference_check_chain,
-                      reference_peel, remove_edge)
+from conftest import (add_edge, c4_chain, complete_bipartite, desk_graph6, disjoint_union,
+                      entry_graph, is_clique, is_simplicial_vertex, ladder, random_bipartite,
+                      random_chordal, random_chordal_bipartite, random_graph,
+                      reference_check_chain, reference_is_chordal_bipartite, reference_peel,
+                      remove_edge)
 from raagscope.generate import nonisomorphic_graphs
 from raagscope.graphs import (Graph, GraphError, canonical_key, emit_graph6, new_graph,
                               parse_graph6, standard_graph)
-from raagscope.obstructions import (builtin_catalog, entry_graph, find_cocontraction_witness,
+from raagscope.obstructions import (builtin_catalog, find_cocontraction_witness,
                                     find_forbidden_induced, verify_obstruction)
-from raagscope.ops import (co_contract, complement, is_bisimplicial_edge, is_complete,
-                           iter_clique_splits)
+from raagscope.ops import (_is_bipartite, co_contract, complement, is_bisimplicial_edge,
+                           is_complete, iter_clique_splits)
 from raagscope.prover import (
     DEFAULT_BUDGET,
     HAS_SURFACE,
@@ -223,6 +225,62 @@ def test_a_chordal_bipartite_graph_is_classified_without_the_fixed_scan(monkeypa
         classify(entry_graph("P1(8)"))
 
 
+def test_large_bipartite_cores_are_derived_by_one_greedy_pass():
+    # K24,24 overran the recursion limit while the search took one node, and
+    # one stack frame, per removed edge; the greedy pass takes a bipartite
+    # core whole, so these derive in process, each in under 10 s
+    for g in (complete_bipartite(24), complete_bipartite(64), ladder(128), c4_chain(85)):
+        t0 = time.perf_counter()
+        v = classify(g)
+        assert v.status == NO_SURFACE and check_derivation(v.derivation, g), g.n
+        obj = json.loads(json.dumps(derivation_to_json(v.derivation)))
+        assert check_derivation(derivation_from_json(obj), g), g.n
+        assert time.perf_counter() - t0 < 10.0, g.n
+
+
+def test_a_bipartite_core_costs_one_node(monkeypatch):
+    expanded = []
+    expand = _Search._expand
+
+    def counting(self, h):
+        expanded.append(h)
+        return expand(self, h)
+
+    monkeypatch.setattr(_Search, "_expand", counting)
+    g = complete_bipartite(24)
+    assert classify(g).status == NO_SURFACE and expanded == [g]
+
+
+def test_the_prover_derives_a_bipartite_graph_exactly_when_it_is_chordal_bipartite():
+    # the pass decides F on a bipartite core; the reference searches for a
+    # hole first and runs the pass only on a graph without one. Besides the
+    # small draws, four dense ones of more than 600 edges: a chain graph on
+    # a1..a30 and b1..b30, each ai seeing a prefix of the b's, so
+    # neighbourhoods nest and it is chordal bipartite, alone and beside a
+    # disjoint C6
+    rng = random.Random(37)
+    graphs = []
+    for i in range(600):
+        if i % 2:
+            graphs.append(random_chordal_bipartite(rng.randint(4, 14), rng))
+        else:
+            graphs.append(random_bipartite(rng.randint(10, 18), rng.uniform(0.3, 0.6), rng))
+    a = ["a%d" % i for i in range(1, 31)]
+    b = ["b%d" % i for i in range(1, 31)]
+    c6 = standard_graph("cycle", 6)
+    for i in range(4):
+        g = Graph(a + b, [(u, b[j]) for u in a for j in range(rng.randint(15, 30))])
+        graphs.append(disjoint_union(g, c6) if i % 2 else g)
+    derived = 0
+    for g in graphs:
+        expected = isinstance(reference_is_chordal_bipartite(g), Derivation)
+        assert (prove_in_f(g) is not None) == expected, emit_graph6(g)
+        derived += expected
+    # the 300 chordal bipartite draws, 164 of the 300 others and the two
+    # chain graphs alone
+    assert derived == 300 + 164 + 2
+
+
 def test_the_pruning_builds_no_derivation(monkeypatch):
     # the co-contraction search asks the prover a yes or no on each state it
     # would expand; an unknown graph, whose states the prover mostly fails,
@@ -308,17 +366,22 @@ def test_classify_scans_through_the_public_name_on_the_peels_core(monkeypatch):
     monkeypatch.setattr(prover, "find_forbidden_induced", recording)
     graphs = [g for n in range(5, 8) for g in nonisomorphic_graphs(n)]
     graphs += [parse_graph6(line.encode()) for line in desk_graph6(1)]
-    scanned = 0
+    # no scan when the core is complete, or bipartite and derived by the
+    # greedy pass
+    scanned = passed = 0
     for g in graphs:
         calls.clear()
         classify(g)
         core = _peel(g).core
         if is_complete(core):
             assert calls == []
+        elif _is_bipartite(core.rows) and isinstance(is_chordal_bipartite(core), Derivation):
+            assert calls == []
+            passed += 1
         else:
             assert len(calls) == 1 and calls[0][0] is g and calls[0][1] == core
             scanned += 1
-    assert scanned > 500
+    assert scanned > 500 and passed > 150
 
 
 def test_cross_check_still_scans_chordal_graphs(monkeypatch):
@@ -381,9 +444,17 @@ def test_join_rule_reachability_checker_side():
 
 
 # two C4s on a-b-c-d and c-d-e-f that share the edge c-d: the amalgam of
-# the two along the clique {c, d}, and the prover's first split
+# the two along the clique {c, d}, and the first clique split
 _TWO_C4 = new_graph("abcdef", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"),
                               ("d", "e"), ("e", "f"), ("f", "c")])
+
+# the wheel W4, hub h and rim a-b-c-d, and the C4 a-e-f-g, glued at a: no
+# simplicial vertex and not bipartite, so the prover splits it at {a}, the
+# wheel first; the wheel's derivation is a chain that removes the
+# bisimplicial rim edge a-b and peels the fan it leaves
+_W4_C4 = new_graph("abcdefgh", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"),
+                               ("h", "a"), ("h", "b"), ("h", "c"), ("h", "d"),
+                               ("a", "e"), ("e", "f"), ("f", "g"), ("g", "a")])
 
 
 def _binary(rule, g, parts, **fields):
@@ -442,9 +513,9 @@ def test_checking_amalgam_and_join_nodes_builds_no_graph(monkeypatch):
     a, b = frozenset({"a1", "a2"}), frozenset({"b1", "b2", "b3"})
     k23 = new_graph(sorted(a | b), [(u, v) for u in a for v in b])
     join_d = _binary(RULE_JOIN, k23, (new_graph(a, []), new_graph(b, [])), bipartition=(a, b))
-    amalgam_d = prove_in_f(_TWO_C4)
+    amalgam_d = prove_in_f(_W4_C4)
     assert amalgam_d.rule == RULE_AMALGAM
-    cases = [(join_d, k23), (amalgam_d, _TWO_C4)]
+    cases = [(join_d, k23), (amalgam_d, _W4_C4)]
 
     def refuse(*args):
         raise AssertionError("the checker built a graph")
@@ -592,15 +663,17 @@ def test_classify_unknown_on_tiny_budget():
     assert v.report is not None
     assert v.obstruction is None and v.derivation is None
     # a decomposable graph genuinely runs out of budget at 1 node: two
-    # disjoint 4-cycles have no simplicial vertex, so the graph is its own
-    # core, and its split leaves a second core for a second node
-    two_c4 = new_graph(["a", "b", "c", "d", "w", "x", "y", "z"],
-                       [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"),
-                        ("w", "x"), ("x", "y"), ("y", "z"), ("z", "w")])
-    v2 = classify(two_c4, budget=1, cocontract_depth=0)
+    # disjoint wheels W4 have no simplicial vertex, so the graph is its own
+    # core, not bipartite, and its split leaves a second core for a second
+    # node
+    rims = ("abcd", "wxyz")
+    two_w4 = new_graph(["a", "b", "c", "d", "h", "w", "x", "y", "z", "k"],
+                       [(rim[i], rim[i - 1]) for rim in rims for i in range(4)]
+                       + [(hub, v) for hub, rim in zip("hk", rims) for v in rim])
+    v2 = classify(two_w4, budget=1, cocontract_depth=0)
     assert v2.status == UNKNOWN and v2.report.budget_exhausted
     # a peel spends no node: a 4-cycle with a pendant vertex peels to the
-    # 4-cycle, whose one node removes a bisimplicial edge and leaves a path
+    # 4-cycle, a bipartite core whose one node is the greedy pass
     c4_pendant = new_graph(["a", "b", "c", "d", "e"],
                            [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "e")])
     v3 = classify(c4_pendant, budget=1, cocontract_depth=0)
@@ -838,11 +911,16 @@ def test_a_long_path_is_derived_and_checked_in_process():
 
 # C4 on a, b, c, d with the triangle a, e, f hung at a: the triangle is
 # split off, a-b is deleted, and the path b-c-d-a is peeled to the edge c-d
-C4_TRIANGLE = Graph(["a", "b", "c", "d", "e", "f"],
+# the wheel W4, hub h and rim a-b-c-d, with the triangle a-e-f: the peel
+# splits the triangle off, the rim edge a-b is then bisimplicial, and the
+# fan it leaves peels to the triangle c-d-h. Not bipartite, so the prover
+# takes one edge and does not run the greedy pass
+W4_TRIANGLE = Graph(["a", "b", "c", "d", "e", "f", "h"],
                     [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"),
+                     ("h", "a"), ("h", "b"), ("h", "c"), ("h", "d"),
                      ("a", "e"), ("e", "f"), ("a", "f")])
-C4_TRIANGLE_STEPS = ((("a", "e", "f"), ("a",)), ("a", "b"),
-                     (("a", "d"), ("d",)), (("b", "c"), ("c",)))
+W4_TRIANGLE_STEPS = ((("a", "e", "f"), ("a",)), ("a", "b"),
+                     (("a", "d", "h"), ("d", "h")), (("b", "c", "h"), ("c", "h")))
 
 
 def _masks(g, steps):
@@ -861,10 +939,10 @@ def _with_steps(d, steps, child=None):
 
 
 def test_the_chain_checker_refuses_each_broken_step():
-    d = prove_in_f(C4_TRIANGLE)
-    assert d.rule == RULE_CHAIN and d.steps == _masks(C4_TRIANGLE, C4_TRIANGLE_STEPS)
-    assert check_derivation(d, C4_TRIANGLE)
-    s0, s1, s2, s3 = C4_TRIANGLE_STEPS
+    d = prove_in_f(W4_TRIANGLE)
+    assert d.rule == RULE_CHAIN and d.steps == _masks(W4_TRIANGLE, W4_TRIANGLE_STEPS)
+    assert check_derivation(d, W4_TRIANGLE)
+    s0, s1, s2, s3 = W4_TRIANGLE_STEPS
     broken = {
         "no step": (),
         "a dropped clique step": (s0, s1, s2),
@@ -875,7 +953,7 @@ def test_the_chain_checker_refuses_each_broken_step():
         # test refuses {a, b, e, f}
         "K not a clique": ((("a", "b", "e", "f"), ("a", "b")), s1, s2, s3),
         "S not within K": ((("a", "e", "f"), ("a", "b")), s1, s2, s3),
-        "S all of K": ((("a", "e", "f"), ("a", "e", "f")),) + C4_TRIANGLE_STEPS,
+        "S all of K": ((("a", "e", "f"), ("a", "e", "f")),) + W4_TRIANGLE_STEPS,
         "K - S touching the rest": ((("a", "e", "f"), ()), s1, s2, s3),
         "an absent edge": (s0, ("a", "c"), s2, s3),
         "an edge with an end already gone": (s0, ("a", "e"), s1, s2, s3),
@@ -883,20 +961,21 @@ def test_the_chain_checker_refuses_each_broken_step():
         "an edge that is not bisimplicial": (s1, s0, s2, s3),
         # a mask with a bit past the graph's last position, as
         # derivation_from_json makes of an unknown name, and negative masks
-        "a vertex outside the graph": (s0, 1 | 1 << 6, s2, s3),
-        "a clique outside the graph": ((1 << 6 | 1, 1), s1, s2, s3),
+        "a vertex outside the graph": (s0, 1 | 1 << 7, s2, s3),
+        "a clique outside the graph": ((1 << 7 | 1, 1), s1, s2, s3),
         "a negative edge": (s0, -3, s2, s3),
         "a negative clique": ((-1, 1), s1, s2, s3),
         "a negative separator": ((0b110001, -1), s1, s2, s3),
     }
     for what, steps in broken.items():
-        assert not check_derivation(_with_steps(d, steps), C4_TRIANGLE), what
-    # the child must conclude what is left: c-d, not c and d apart, nor
-    # c-x; and a chain of no steps is refused even above a derivation
-    # of its own conclusion
-    for child in (new_graph(["c", "d"], []), new_graph(["c", "x"], [("c", "x")])):
-        assert not check_derivation(_with_steps(d, d.steps, prove_in_f(child)), C4_TRIANGLE)
-    assert not check_derivation(_with_steps(d, (), d), C4_TRIANGLE)
+        assert not check_derivation(_with_steps(d, steps), W4_TRIANGLE), what
+    # the child must conclude what is left: the triangle c-d-h, not the
+    # path c-d-h, nor the triangle c-d-x; and a chain of no steps is refused
+    # even above a derivation of its own conclusion
+    for child in (new_graph(["c", "d", "h"], [("c", "d"), ("d", "h")]),
+                  new_graph(["c", "d", "x"], [("c", "d"), ("d", "x"), ("c", "x")])):
+        assert not check_derivation(_with_steps(d, d.steps, prove_in_f(child)), W4_TRIANGLE)
+    assert not check_derivation(_with_steps(d, (), d), W4_TRIANGLE)
     # steps on vertices already gone, and an absent edge deleted twice,
     # which would replay as no-ops if only the end graph were compared
     two_edges = new_graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
@@ -977,15 +1056,14 @@ def test_every_chain_replays_by_name_through_its_json():
                 assert reference_check_chain(node), emit_graph6(g)
         assert derivation_from_json(obj) == d, emit_graph6(g)
     # the atlas's 1051 derived graphs and desk seed 1's 89
-    assert derived == 1051 + 89 and chains == 1260
+    assert derived == 1051 + 89 and chains == 1231
 
 
 def test_a_step_naming_a_vertex_outside_its_graph_is_invalid_not_malformed():
-    # two C4 glued at a: the root splits at {a} into two chains, and a step
-    # of the first may not name e, a vertex of the root but not of its own
-    # graph, nor a vertex of no graph at all
-    g = new_graph("abcdefg", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"),
-                             ("a", "e"), ("e", "f"), ("f", "g"), ("g", "a")])
+    # W4 and C4 glued at a: the root splits at {a} into two chains, and a
+    # step of the first, the wheel's, may not name e, a vertex of the root
+    # but not of its own graph, nor a vertex of no graph at all
+    g = _W4_C4
     root = derivation_to_json(prove_in_f(g))
     assert root["rule"] == RULE_AMALGAM and root["children"][0]["rule"] == RULE_CHAIN
     chain = root["children"][0]
@@ -1001,7 +1079,7 @@ def test_a_step_naming_a_vertex_outside_its_graph_is_invalid_not_malformed():
 
 
 def test_malformed_chain_steps_are_graph_errors():
-    root = derivation_to_json(prove_in_f(C4_TRIANGLE))
+    root = derivation_to_json(prove_in_f(W4_TRIANGLE))
     assert root["steps"][:2] == [{"clique": ["a", "e", "f"], "separator": ["a"]},
                                  {"edge": ["a", "b"]}]
     for bad in ({"edge": ["a"]}, {"edge": ["a", "b", "c"]}, {"edge": ["a", 1]},
