@@ -94,9 +94,10 @@ MAX_WORD_LETTERS = 512
 # the most vertices of a graph the CLI reads; the library takes graphs of any
 # order. A derivation nests once per clique split or join, so its JSON stays
 # shallow, and a bipartite core is one node of the prover's search, so
-# K64,64 and the 256-vertex ladder classify. The search still recurses once
-# per core on the other graphs: a run of bisimplicial removals in K24,24
-# with one edge added inside a side overruns the recursion limit.
+# K64,64 and the 256-vertex ladder classify. The search keeps its open cores
+# on an explicit stack, so a run of bisimplicial removals on another core
+# (K24,24 with one edge added inside a side) costs no Python frame; only
+# assembling a derivation recurses, once per clique split or join.
 MAX_VERTICES = 256
 # the most vertices of an `ops extend` output, about 2 MiB of rows: a graph
 # under MAX_VERTICES may have exponentially many maximal cliques

@@ -39,7 +39,7 @@ from .graphs import (
     standard_graph,
     verify_vertex_map,
 )
-from .ops import _is_bipartite, co_contract_edge, complement
+from .ops import _is_bipartite, co_contract_edge, complement, is_complete
 from .recognize import _shortest_cycle, find_induced_cycle
 
 KIND_INDUCED = "InducedForbidden"
@@ -62,21 +62,21 @@ class CatalogError(ValueError):
 @dataclass(frozen=True)
 class ForbiddenEntry:
     """A fixed catalog entry. The paper's corollaries put chordal and chordal
-    bipartite graphs in N', and so does any derivation of prover.prove_in_f,
-    so making such a graph an entry raises CatalogError, as does a graph too
-    large for the search that checks it. An admitted entry could otherwise
-    certify a graph the prover derives: the house (the complement of P5) is
-    derived, and as an entry it met itself. A non-chordal graph on at most
-    4 vertices is C4, which is chordal bipartite, so every entry has at
-    least 5 vertices.
+    bipartite graphs in N', and so does any graph the prover derives, so
+    making such a graph an entry raises CatalogError, as does a graph whose
+    search runs out of budget. An admitted entry could otherwise certify a
+    graph the prover derives: the house (the complement of P5) is derived,
+    and as an entry it met itself. A non-chordal graph on at most 4 vertices
+    is C4, which is chordal bipartite, so every entry has at least 5
+    vertices.
 
-    The one question is prove_in_f's, and the refusal names its answer. A
-    derivation that uses only complete leaves and amalgams derives a chordal
-    graph, since an amalgam of chordal graphs along a clique is chordal.
+    The one question is the prover's, asked for a decision alone with the
+    default budget, so no derivation is built, and the refusal names the
+    cheapest reason. The peel decides a chordal graph: its core is complete.
     Otherwise a derived bipartite graph is chordal bipartite, since a
-    bipartite graph in F holds no long hole. On a bipartite core the search
-    is the greedy pass alone, one node with no recursion, so only a graph
-    that is not bipartite can be too large to check."""
+    bipartite graph in F holds no long hole. The search runs on an explicit
+    stack, so an entry of any size under the budget is decided; one whose
+    search spends the whole budget undecided is too large to check."""
 
     name: str
     graph: Graph
@@ -88,18 +88,18 @@ class ForbiddenEntry:
         if not self.provenance or not isinstance(self.provenance, str):
             raise CatalogError("catalog entry %r needs a provenance string" % (self.name,))
         # imported here: the prover imports this module
-        from .prover import RULE_AMALGAM, RULE_COMPLETE, prove_in_f
+        from .prover import DEFAULT_BUDGET, _peel, _Search
 
-        try:
-            derivation = prove_in_f(self.graph)
-        except RecursionError:
-            raise CatalogError("catalog entry %r is too large to check" % (self.name,)) from None
-        if derivation is not None:
-            kind = ("chordal" if derivation.rules_used() <= {RULE_COMPLETE, RULE_AMALGAM}
+        search = _Search(DEFAULT_BUDGET)
+        peel = _peel(self.graph)
+        if search._closes(peel):
+            kind = ("chordal" if is_complete(peel.core)
                     else "chordal bipartite" if _is_bipartite(self.graph.rows)
                     else "derived by the prover")
             raise CatalogError("catalog entry %r is %s, so its graph group contains no "
                                "hyperbolic surface group" % (self.name, kind))
+        if search.exhausted:
+            raise CatalogError("catalog entry %r is too large to check" % (self.name,))
 
 
 @dataclass(frozen=True, eq=True, slots=True)
@@ -277,7 +277,7 @@ def find_forbidden_induced(g: Graph, extra: Sequence[ForbiddenEntry] = (), *,
     - A bipartite g holds no antihole of length >= 5: coC5 is C5, which is
       odd, and coCk for k >= 6 holds a triangle. A fixed entry that embeds
       in g is bipartite too, and being admitted it is not chordal
-      bipartite: prover.prove_in_f did not derive it, and on a bipartite
+      bipartite: the prover did not derive it, and on a bipartite
       graph its search is the greedy pass, which never stalls on a chordal
       bipartite graph (prover.is_chordal_bipartite). So the entry holds an
       induced cycle of length >= 5 that is no longer than itself; that

@@ -22,15 +22,17 @@ in the paper's proof that chordal graphs lie in N'. Each such split decides,
 and it costs no search. What is left is the core: a complete graph exactly
 when the graph is chordal, and otherwise a graph with no simplicial vertex.
 Only a core that is not complete is searched. A bipartite core is decided
-by the greedy pass alone (_greedy_pass), in one node, with no other rule
-and no recursion: on a bipartite graph, removing the first bisimplicial
-edge never loses F (see is_chordal_bipartite). Any other core goes to one
-sequential depth-first search over the rules in a fixed order (amalgam
-split at the first clique minimal separator, bisimplicial edge removal,
-join decomposition), whose parts are peeled in turn. The split and the join
-are decisive: when a part fails, the graph fails, and after a split neither
-a bisimplicial edge nor the join is tried (by heredity neither could
-succeed). Bisimplicial edges still come before the join.
+by the greedy pass alone (_greedy_pass), in one node, with no other rule:
+on a bipartite graph, removing the first bisimplicial edge never loses F
+(see is_chordal_bipartite). Any other core goes to one sequential
+depth-first search over the rules in a fixed order (amalgam split at the
+first clique minimal separator, bisimplicial edge removal, join
+decomposition), whose parts are peeled in turn. The split and the join are
+decisive: when a part fails, the graph fails, and after a split neither a
+bisimplicial edge nor the join is tried (by heredity neither could
+succeed). Bisimplicial edges still come before the join. The search is one
+loop over an explicit stack of open cores (_Search._closes), so a long run
+of bisimplicial removals costs stack entries, not Python frames.
 
 Both unary rules, a peel step and a bisimplicial edge, come in long runs: a
 chordal graph is all peel steps, a chordal bipartite one all edges and peel
@@ -83,7 +85,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from time import perf_counter
-from typing import Optional, Sequence, Union
+from typing import Generator, Optional, Sequence, Union
 
 from .graphs import (
     Graph,
@@ -492,10 +494,6 @@ class UnknownReport:
         }
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 @dataclass(frozen=True, slots=True)
 class _Decision:
     """How the search closed a core: the rule, its separator, the masks of
@@ -511,20 +509,29 @@ class _Decision:
     bipartition: Optional[tuple[frozenset[str], frozenset[str]]] = None
 
 
+# a rule in progress: it yields the peeled part it waits on, is sent whether
+# that part closed, and returns its decision
+_Rule = Generator[_Peel, bool, Optional[_Decision]]
+
+
 class _Search:
     """One depth-first derivation search over one memo and one node budget.
 
-    The search decides first and assembles after. _decide and every rule
-    take a peeled graph; the memo and the budget see its core alone. A
-    complete core, the core of a chordal graph, spends no node and is kept in
-    no memo entry. Every other core costs one node on its first visit, and a
-    bipartite core costs only that one: the greedy pass decides it whole,
-    and its decision holds every edge the pass removes. Once the budget has
-    run out, a graph is decided only if it is chordal or its core hits the
-    memo. The memo maps each core searched to its _Decision, or to None
-    when no rule closed it, so a graph decided only for a yes or no (the
-    pruning of the co-contraction search) builds no derivation. prove builds
-    the derivation of the graph it was asked about from the decisions, once.
+    The search decides first and assembles after. _closes decides a peeled
+    graph in one loop over an explicit stack of open cores, each with its
+    rule, a generator (_expand, _both) that yields the peeled part it waits
+    on and is sent that part's answer; the memo and the budget see each
+    core alone. A complete core, the core of a chordal graph, spends no node
+    and is kept in no memo entry. Every other core costs one node on its
+    first visit, and a bipartite core costs only that one: the greedy pass
+    decides it whole, and its decision holds every edge the pass removes.
+    The node past the budget ends the search with False and marks it
+    exhausted; from then on, a graph is decided only if it is chordal or its
+    core hits the memo. The memo maps each core searched to its _Decision,
+    or to None when no rule closed it, so a graph decided only for a yes or
+    no (the pruning of the co-contraction search) builds no derivation.
+    prove builds the derivation of the graph it was asked about from the
+    decisions, once.
     """
 
     def __init__(self, budget: int):
@@ -546,11 +553,38 @@ class _Search:
         return self._closes(_peel(h))
 
     def _closes(self, peel: _Peel) -> bool:
-        try:
-            return self._decide(peel)
-        except _BudgetExhausted:
-            self.exhausted = True
-            return False
+        """Whether the peeled graph is in F. A peeled graph whose core is
+        complete or in the memo is answered at once; any other core spends a
+        node and is pushed with its rule, started by sending None. A rule
+        that returns is popped, its decision goes into the memo, and its
+        answer is sent to the rule below it, or returned from the bottom."""
+        stack = []
+        while True:
+            core = peel.core
+            if is_complete(core):
+                answer = True
+            elif core in self.memo:
+                answer = self.memo[core] is not None
+            else:
+                self.nodes += 1
+                if self.nodes > self.budget:
+                    self.exhausted = True
+                    return False
+                stack.append((core, self._expand(core)))
+                answer = None
+            while stack:
+                core, rule = stack[-1]
+                try:
+                    peel = rule.send(answer)
+                    break
+                except StopIteration as done:
+                    stack.pop()
+                    decision = self.memo[core] = done.value
+                    if decision is None and len(self.stuck) < 32:
+                        self.stuck.append(core)
+                    answer = decision is not None
+            else:
+                return answer
 
     def report(self) -> UnknownReport:
         return UnknownReport(
@@ -561,20 +595,6 @@ class _Search:
                                    " ".join(core.vertices[i] for i in _graph6_order(core)))
                         for core in self.stuck),
         )
-
-    def _decide(self, peel: _Peel) -> bool:
-        core = peel.core
-        if is_complete(core):
-            return True
-        if core in self.memo:
-            return self.memo[core] is not None
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise _BudgetExhausted
-        decision = self.memo[core] = self._expand(core)
-        if decision is None and len(self.stuck) < 32:
-            self.stuck.append(core)
-        return decision is not None
 
     def _build(self, peel: _Peel) -> Derivation:
         """The derivation of a decided peeled graph, whose core is complete or
@@ -613,7 +633,7 @@ class _Search:
                              separator=decision.separator, bipartition=decision.bipartition)
         return _chain(top, steps, end)
 
-    def _expand(self, h: Graph) -> Optional[_Decision]:
+    def _expand(self, h: Graph) -> _Rule:
         # h is a core: no simplicial vertex, so not complete
         rows = h.rows
         if _is_bipartite(rows):
@@ -622,10 +642,10 @@ class _Search:
             self.rules_attempted.add(RULE_BISIMP)
             run = _greedy_pass(h)
             return None if run is None else _Decision(RULE_BISIMP, (run[1],), edges=run[0])
-        split = next(iter_clique_splits(h), None)
-        if split is not None:
-            # decisive, so no other rule is tried
-            return self._both(RULE_AMALGAM, split.left, split.right, separator=split.separator)
+        for split in iter_clique_splits(h):
+            # the first split only: it is decisive, so no other rule is tried
+            return (yield from self._both(RULE_AMALGAM, split.left, split.right,
+                                          separator=split.separator))
         # on positions: the child drops the edge from two rows, and only the
         # edge that closes h is named
         for a, b in _bisimplicial_edges(rows):
@@ -634,28 +654,28 @@ class _Search:
             cut[a] ^= 1 << b
             cut[b] ^= 1 << a
             child = _peel(_from_sorted(h.vertices, tuple(cut)))
-            if self._decide(child):
+            if (yield child):
                 return _Decision(RULE_BISIMP, (child,), edges=(1 << a | 1 << b,))
         # the join: the complement's first component, by least member, and the rest
         full = (1 << h.n) - 1
         co_rows = tuple(full ^ r ^ (1 << i) for i, r in enumerate(rows))
         comps = _component_masks(co_rows, full)
         if len(comps) > 1:
-            left, right = comps[0], full ^ comps[0]
-            return self._both(RULE_JOIN, h.subgraph(left), h.subgraph(right), bipartition=(
-                frozenset(h.names(left)), frozenset(h.names(right))))
+            left, right = h.subgraph(comps[0]), h.subgraph(full ^ comps[0])
+            return (yield from self._both(RULE_JOIN, left, right, bipartition=(
+                frozenset(left.vertices), frozenset(right.vertices))))
         return None
 
-    def _both(self, rule: str, left: Graph, right: Graph, **labels) -> Optional[_Decision]:
+    def _both(self, rule: str, left: Graph, right: Graph, **labels) -> _Rule:
         """The decision of a two-part rule, a clique split or a join, from
         its parts: both are induced subgraphs of the core, so by heredity the
         core is in F exactly when both are. The right part is decided only
         after the left closed."""
         self.rules_attempted.add(rule)
         first = _peel(left)
-        if self._decide(first):
+        if (yield first):
             second = _peel(right)
-            if self._decide(second):
+            if (yield second):
                 return _Decision(rule, (first, second), **labels)
         return None
 

@@ -122,6 +122,14 @@ def complete_bipartite(k: int) -> Graph:
     return Graph(a + b, [(u, v) for u in a for v in b])
 
 
+def hooked_complete_bipartite(k: int) -> Graph:
+    """K(k,k) plus the edge a1 a2 inside a side, plus a vertex x adjacent to
+    a1 and a3: 2k + 1 vertices, not bipartite and not a join, with no clique
+    separator and no simplicial vertex."""
+    g = add_edge(complete_bipartite(k), ("a1", "a2"))
+    return Graph(g.vertices + ("x",), g.edge_pairs + (("x", "a1"), ("x", "a3")))
+
+
 def c4_chain(k: int) -> Graph:
     """k 4-cycles in a row, c(i-1) xi ci yi for i from 1 to k, each meeting
     the next at the cut vertex ci: 3k + 1 vertices, chordal bipartite."""

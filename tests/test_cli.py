@@ -6,7 +6,8 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import c4_chain, complete_bipartite, desk_graph6, entry_graph, ladder, remove_edge
+from conftest import (add_edge, c4_chain, complete_bipartite, desk_graph6, entry_graph,
+                      hooked_complete_bipartite, ladder, remove_edge)
 
 import raagscope
 from raagscope.cli import MAX_EXTENSION, MAX_VERTICES, main
@@ -268,11 +269,14 @@ def test_k23_23_reports_in_one_line_and_verifies(tmp_path):
     assert (proc.returncode, proc.stdout) == (0, "valid\n")
 
 
-def test_large_bipartite_graphs_report_and_verify_in_process(capsys, tmp_path):
+def test_large_graphs_report_and_verify_in_process(capsys, tmp_path):
     # K24,24 exited 1 with a RecursionError while the search took one stack
     # frame per removed edge, and the 256-vertex ladder and C4 chain did not
-    # finish; the greedy pass takes each bipartite core in one node
-    for g in (complete_bipartite(24), complete_bipartite(64), ladder(128), c4_chain(85)):
+    # finish; the greedy pass takes each bipartite core in one node. K24,24
+    # with an edge inside a side, and the hooked K24,24, are not bipartite:
+    # the search removes one edge per node, on its explicit stack
+    for g in (complete_bipartite(24), complete_bipartite(64), ladder(128), c4_chain(85),
+              add_edge(complete_bipartite(24), ("a1", "a2")), hooked_complete_bipartite(24)):
         graph = tmp_path / "g.el"
         graph.write_bytes(emit_edgelist(g))
         t0 = time.perf_counter()

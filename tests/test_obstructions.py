@@ -418,7 +418,7 @@ _C5_PENDANT = {"name": "c5p(6)", "provenance": "test data",
                                     ["q", "u"], ["r", "u"], ["s", "u"], ["t", "u"]]}
 
 
-def test_user_catalog_load(tmp_path):
+def test_user_catalog_load(tmp_path, monkeypatch):
     # C5 plus a pendant vertex holds a hole, so the prover cannot derive it
     path = tmp_path / "extra.json"
     path.write_text(json.dumps([_C5_PENDANT]))
@@ -463,10 +463,15 @@ def test_user_catalog_load(tmp_path):
     # C2000 is bipartite and has no bisimplicial edge: the greedy pass stalls
     # at once, with no cycle search, and the entry is admitted
     ForbiddenEntry("c2000", standard_graph("cycle", 2000), "test data")
-    # K24,24 with one edge inside a side is not bipartite, so the general
-    # search recurses once per removed edge and hits the recursion limit,
-    # which is a refusal
+    # K24,24 with one edge inside a side is not bipartite: the search removes
+    # one bisimplicial edge per node, on its explicit stack, and derives it
     k2424e = add_edge(complete_bipartite(24), ("a1", "a2"))
+    with pytest.raises(CatalogError, match="is derived by the prover"):
+        ForbiddenEntry("k2424e", k2424e, "test data")
+    # the same entry under a budget of 5 nodes runs out: a refusal, since an
+    # entry the search cannot decide may lie in F
+    import raagscope.prover as prover
+    monkeypatch.setattr(prover, "DEFAULT_BUDGET", 5)
     with pytest.raises(CatalogError, match="too large to check"):
         ForbiddenEntry("k2424e", k2424e, "test data")
 

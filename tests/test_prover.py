@@ -1,14 +1,17 @@
 import json
 import random
+import sys
 import time
+from collections import defaultdict
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from conftest import (add_edge, c4_chain, complete_bipartite, desk_graph6, disjoint_union,
-                      entry_graph, is_clique, is_simplicial_vertex, ladder, random_bipartite,
-                      random_chordal, random_chordal_bipartite, random_graph,
+                      entry_graph, hooked_complete_bipartite, is_clique, is_simplicial_vertex,
+                      ladder, random_bipartite, random_chordal, random_chordal_bipartite,
+                      random_graph,
                       reference_check_chain, reference_is_chordal_bipartite, reference_peel,
                       remove_edge)
 from raagscope.generate import nonisomorphic_graphs
@@ -201,6 +204,39 @@ def test_the_co_contraction_search_builds_nothing_on_the_atlas(monkeypatch):
     assert totals == {NO_SURFACE: 1051, HAS_SURFACE: 169, UNKNOWN: 32}
 
 
+def test_the_census_on_8_vertices_matches_the_golden():
+    # every verdict on the 12346 graphs of 8 vertices: the counts exactly,
+    # and the unknowns as isomorphism classes, each matched one to one with a
+    # golden graph by networkx, which shares no code with the canonical
+    # labeling that picks each class's representative; a class is compared
+    # only with the golden graphs of its degree sequence
+    golden = json.loads((Path(__file__).parent / "data" / "census7.json").read_text())["8"]
+    statuses = [(g, classify(g).status) for g in nonisomorphic_graphs(8)]
+    counts = {status: 0 for status in (NO_SURFACE, HAS_SURFACE, UNKNOWN)}
+    for _, status in statuses:
+        counts[status] += 1
+    assert counts == golden["counts"]
+    nx = pytest.importorskip("networkx")
+
+    def degrees(h):
+        return tuple(sorted(d for _, d in h.degree()))
+
+    buckets = defaultdict(list)
+    for text in golden["unknown_graph6"]:
+        e = nx.from_graph6_bytes(text.encode())
+        buckets[degrees(e)].append(e)
+    for g, status in statuses:
+        if status != UNKNOWN:
+            continue
+        h = nx.from_graph6_bytes(emit_graph6(g))
+        bucket = buckets[degrees(h)]
+        # the classes are distinct, so the first hit is the only one
+        hit = next((k for k, e in enumerate(bucket) if nx.is_isomorphic(h, e)), None)
+        assert hit is not None, "unknown %s is no golden class" % emit_graph6(g).decode()
+        del bucket[hit]
+    assert not any(buckets.values())
+
+
 def test_a_chordal_bipartite_graph_is_classified_without_the_fixed_scan(monkeypatch):
     # a bipartite graph's scan ends with its hole search: no fixed entry can
     # come first, so K6,6 and a seeded chordal bipartite graph that is not
@@ -236,6 +272,42 @@ def test_large_bipartite_cores_are_derived_by_one_greedy_pass():
         obj = json.loads(json.dumps(derivation_to_json(v.derivation)))
         assert check_derivation(derivation_from_json(obj), g), g.n
         assert time.perf_counter() - t0 < 10.0, g.n
+
+
+def test_long_runs_of_bisimplicial_removals_are_derived():
+    # each of these cores is not bipartite, and the search removes one
+    # bisimplicial edge per node until what is left is; the parent of the
+    # explicit stack spent two Python frames per removal and overran the
+    # recursion limit on all three. The hooked graphs are not joins.
+    for g in (add_edge(complete_bipartite(24), ("a1", "a2")),
+              hooked_complete_bipartite(24), hooked_complete_bipartite(32)):
+        v = classify(g)
+        assert v.status == NO_SURFACE and check_derivation(v.derivation, g), g.n
+        obj = json.loads(json.dumps(derivation_to_json(v.derivation)))
+        assert check_derivation(derivation_from_json(obj), g), g.n
+
+
+def test_the_search_depth_does_not_grow_with_the_run_of_removals(monkeypatch):
+    # the Python frame depth at each bisimplicial-edge scan stays flat over
+    # the hooked K24,24's long run of removals (over 500 scans): the search
+    # spends a stack entry per open core, not a frame
+    import raagscope.prover as prover
+
+    depths = []
+    edges = prover._bisimplicial_edges
+
+    def recording(rows):
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        depths.append(depth)
+        return edges(rows)
+
+    builtin_catalog()  # its entries are checked by a search of their own
+    monkeypatch.setattr(prover, "_bisimplicial_edges", recording)
+    g = hooked_complete_bipartite(24)
+    assert classify(g).status == NO_SURFACE
+    assert len(depths) > 400 and max(depths) - min(depths) <= 3
 
 
 def test_a_bipartite_core_costs_one_node(monkeypatch):
