@@ -348,36 +348,28 @@ def _fixed_scan_order(extra: Sequence[ForbiddenEntry]) -> list[ForbiddenEntry]:
 
 
 def find_cocontraction_witness(g: Graph, max_depth: int,
-                               extra: Sequence[ForbiddenEntry] = ()) -> Optional[Obstruction]:
-    """The first forbidden induced subgraph of g, or else of a state reached
-    by at most max_depth complement-edge contractions: the induced scan of g,
-    then _search_below_clean_root with no pruning."""
-    if max_depth < 0:
-        raise ValueError("max_depth must be nonnegative")
-    hit = find_forbidden_induced(g, extra)
-    if hit is not None:
-        return hit
-    return _search_below_clean_root(g, max_depth, extra)
-
-
-def _search_below_clean_root(g: Graph, max_depth: int,
-                            extra: Sequence[ForbiddenEntry] = (), *,
-                            derived: Optional[Callable[[Graph], bool]] = None) -> Optional[Obstruction]:
+                               extra: Sequence[ForbiddenEntry] = (), *,
+                               derived: Optional[Callable[[Graph], bool]] = None) -> Optional[Obstruction]:
     """Breadth-first search over complement-edge contraction sequences of
-    length at most max_depth below a g that find_forbidden_induced scanned
-    clean; the first state holding a fixed entry (P1(8) or an extra) wins,
-    with its trail. Each state is built by _step on the positions of its
-    parent's pair; verify_obstruction replays the trail by name through
-    ops.co_contract_edge, so the search and the checker share no
-    co-contraction code.
+    length at most max_depth below g; the first state holding a fixed entry
+    (P1(8) or an extra) wins, with its trail. A max_depth below 0 raises
+    ValueError, and depth 0 builds no state.
 
-    Lemma: every state is weakly chordal, that is, neither it nor its
-    complement holds an induced cycle of length >= 5 (Hayward, Weakly
-    triangulated graphs, JCTB 1985). g is, since it scanned clean; by
-    induction it suffices that one contraction s of a weakly chordal graph,
-    at the non-adjacent pair a, b with merged vertex w and N(w) = N(a) & N(b),
-    is weakly chordal. s less w is g less a and b, an induced subgraph of g,
-    so a long hole or antihole of s passes through w.
+    g itself is not scanned: `find_forbidden_induced(g, extra) or
+    find_cocontraction_witness(g, d, extra)` is the search that scans every
+    state in full, g included, so when g holds no catalog entry the first
+    hit here is that search's, trail and embedding alike. Each state is
+    built by _step on the positions of its parent's pair; verify_obstruction
+    replays the trail by name through ops.co_contract_edge, so the search
+    and the checker share no co-contraction code.
+
+    Lemma: if g holds no catalog entry, every state is weakly chordal, that
+    is, neither it nor its complement holds an induced cycle of length >= 5
+    (Hayward, Weakly triangulated graphs, JCTB 1985). g is, since it holds no
+    hole or antihole; by induction it suffices that one contraction s of a
+    weakly chordal graph, at the non-adjacent pair a, b with merged vertex w
+    and N(w) = N(a) & N(b), is weakly chordal. s less w is g less a and b, an
+    induced subgraph of g, so a long hole or antihole of s passes through w.
 
     - Hole w x1 ... x(k-1), k >= 5. Its ends x1 and x(k-1) see both a and b;
       each middle vertex sees at most one of them. Two consecutive neighbours
@@ -415,19 +407,22 @@ def _search_below_clean_root(g: Graph, max_depth: int,
     isomorphism, so the first hit stays the same.
 
     A derived predicate, when given, prunes the search: a state at depth >= 1
-    is not expanded if derived(state) holds. This returns the same first hit
-    with the same trail, provided derived(h) holds only for graphs whose
-    groups contain no hyperbolic surface group (such as the graphs the prover
-    derives, which lie in N' within N) and every catalog entry's group does
-    contain one. Contracting a complement edge embeds the smaller graph group
-    into the larger, so every state below a derived one has a group without a
-    surface subgroup and holds no witness. A witness state below no derived
-    state is reached along the same chain of first-discovering parents as
-    without pruning, none of which is below a derived state either, and the
-    states kept leave the queue in the same order; only states below a
-    derived one are dropped or met later. The predicate is trusted: one that
-    holds wrongly can hide a witness.
+    is not expanded if derived(state) holds; g is not asked, since classify
+    calls this only on a g its prover did not derive. This returns the same
+    first hit with the same trail, provided derived(h) holds only for graphs
+    whose groups contain no hyperbolic surface group (such as the graphs the
+    prover derives, which lie in N' within N) and every catalog entry's group
+    does contain one. Contracting a complement edge embeds the smaller graph
+    group into the larger, so every state below a derived one has a group
+    without a surface subgroup and holds no witness. A witness state below no
+    derived state is reached along the same chain of first-discovering parents
+    as without pruning, none of which is below a derived state either, and the
+    states kept leave the queue in the same order; only states below a derived
+    one are dropped or met later. The predicate is trusted: one that holds
+    wrongly can hide a witness.
     """
+    if max_depth < 0:
+        raise ValueError("max_depth must be nonnegative")
     fixed = _fixed_scan_order(extra)
     depth = min(max_depth, g.n - fixed[0].graph.n)
     if depth <= 0:

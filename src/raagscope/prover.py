@@ -104,7 +104,7 @@ from .graphs import (
 from .obstructions import (
     ForbiddenEntry,
     Obstruction,
-    _search_below_clean_root,
+    find_cocontraction_witness,
     find_forbidden_induced,
     verify_obstruction,
 )
@@ -713,8 +713,9 @@ def classify(g: Graph, budget: int = DEFAULT_BUDGET,
     g (see obstructions.find_forbidden_induced); the search of g's core, only
     if the scan found nothing; the co-contraction search below g, only if
     neither found a certificate. Whenever that search runs, the scan of g ran
-    and found nothing, so it is _search_below_clean_root, which does not scan
-    g again and scans the states below it for the fixed entries alone.
+    and found nothing, so it is find_cocontraction_witness, which does not
+    scan g again and scans the states below it for the fixed entries alone;
+    at depth 0 it builds no state.
     Skipping the scan on such a g is sound: g is in F, which lies in N'
     within N (the paper's theorem; the derivation is its proof), so no
     obstruction of g can exist. Indeed no catalog entry embeds in g. A copy
@@ -724,7 +725,7 @@ def classify(g: Graph, budget: int = DEFAULT_BUDGET,
     ForbiddenEntry refuses an entry it derives. The peel of g, and the pass,
     count as part of the scan phase. The co-contraction search does not
     expand a state the prover derives
-    (see _search_below_clean_root): that state lies in N', so nothing below
+    (see find_cocontraction_witness): that state lies in N', so nothing below
     it holds a witness. One derivation search serves g and that pruning, over
     one memo and one budget of at most budget nodes: the pruning expands only
     the nodes the search of g left, and a state it cannot decide within them
@@ -736,7 +737,8 @@ def classify(g: Graph, budget: int = DEFAULT_BUDGET,
     stuck entries are cores. The pruning takes the prover's
     answers on the states unchecked, so a prover that wrongly derived a state
     could hide a witness.
-    A budget below 1 raises ValueError, whichever search would run.
+    A budget below 1 or a negative cocontract_depth raises ValueError before
+    any search runs.
 
     A graph may end up with neither certificate: membership of the derived
     family in the no-surface class is one-sided, so honest Unknowns are
@@ -748,6 +750,8 @@ def classify(g: Graph, budget: int = DEFAULT_BUDGET,
     after a found derivation, so that the both-certificates guard sees every
     search.
     """
+    if cocontract_depth < 0:
+        raise ValueError("cocontract_depth must be nonnegative")
     search = _Search(budget)
     t0 = perf_counter()
     peel = _peel(g)
@@ -765,9 +769,9 @@ def classify(g: Graph, budget: int = DEFAULT_BUDGET,
         if deriv is not None and not check_derivation(deriv, g):
             raise SoundnessError("prover emitted an invalid derivation")
     t2 = perf_counter()
-    if obs is None and cocontract_depth > 0 and (deriv is None or cross_check):
+    if obs is None and (deriv is None or cross_check):
         derived = None if cross_check else search.derives
-        obs = _search_below_clean_root(g, cocontract_depth, catalog, derived=derived)
+        obs = find_cocontraction_witness(g, cocontract_depth, catalog, derived=derived)
         if obs is not None and not verify_obstruction(g, obs, catalog):
             raise SoundnessError("co-contraction search emitted an invalid certificate")
     if timings is not None:

@@ -24,6 +24,7 @@ from raagscope.graphs import (
     parse_graph6,
     standard_graph,
 )
+from raagscope.obstructions import CatalogError, load_catalog
 from raagscope.ops import complement
 from raagscope.prover import (DEFAULT_BUDGET, DEFAULT_COCONTRACT_DEPTH, derivation_to_json,
                               is_chordal_bipartite, prove_in_f)
@@ -688,6 +689,15 @@ def test_a_derived_catalog_entry_is_refused_at_load(capsys, tmp_path):
     _refused_at_load(capsys, extra, "DUw", "is derived by the prover")
     code, out, _ = run(capsys, "classify", "DUw")
     assert code == 0 and "no_surface_subgroup" in out
+
+
+def test_a_catalog_object_is_refused_at_load(capsys, tmp_path):
+    # a JSON object holding the entries, not an array of them
+    extra = tmp_path / "extra.json"
+    extra.write_text(json.dumps({"entries": [_C5_PENDANT]}))
+    with pytest.raises(CatalogError, match="must hold a JSON array"):
+        load_catalog(str(extra))
+    _refused_at_load(capsys, str(extra), C5_G6, "must hold a JSON array")
 
 
 def test_classify_rejects_nonpositive_budget(capsys):

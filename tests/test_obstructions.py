@@ -210,8 +210,9 @@ def _one_vertex_extension(g, mask):
 
 def test_rooted_state_scans_keep_the_full_scan_witness():
     # states below g are scanned only for the fixed entries, and those at the
-    # last depth are not deduplicated; the witness must be the full scan's,
-    # entry, trail and embedding alike, and verify. Hosts: seeded one-vertex extensions of Q1(9) and Q2(10),
+    # last depth are not deduplicated; the scan of g followed by the search
+    # below it must give the full scan's witness, entry, trail and embedding
+    # alike, and verify. Hosts: seeded one-vertex extensions of Q1(9) and Q2(10),
     # whose witnesses are mostly trails, seeded 10-vertex graphs with no
     # induced obstruction, which the search explores to full depth, and the
     # 32 unknowns on at most 7 vertices of the census golden.
@@ -229,7 +230,7 @@ def test_rooted_state_scans_keep_the_full_scan_witness():
             hosts.append(g)
     trails = 0
     for g in hosts:
-        got = find_cocontraction_witness(g, 2)
+        got = find_forbidden_induced(g) or find_cocontraction_witness(g, 2)
         want = reference_cocontraction_witness(g, 2)
         assert (got is None) == (want is None)
         if got is not None:
@@ -239,9 +240,9 @@ def test_rooted_state_scans_keep_the_full_scan_witness():
 
 
 def test_each_state_is_scanned_for_the_fixed_entries_only(monkeypatch):
-    # the input is scanned in full once; every state below it, which holds a
-    # merged vertex of its own, only for P1(8), the one fixed built-in entry;
-    # Q2(10) reaches its witness at depth 2
+    # the input is not scanned; every state below it, which holds a merged
+    # vertex of its own, is scanned only for P1(8), the one fixed built-in
+    # entry; Q2(10) reaches its witness at depth 2
     import raagscope.obstructions as obstructions
 
     full, fixed = [], []
@@ -259,13 +260,11 @@ def test_each_state_is_scanned_for_the_fixed_entries_only(monkeypatch):
     monkeypatch.setattr(obstructions, "find_induced", recording_induced)
     q2x = entry_graph("Q2(10)")
     assert find_cocontraction_witness(q2x, 2).trail[0] == ("c", "d")
-    assert full == [q2x]
+    assert full == []
     p18 = entry_graph("P1(8)")
-    states = [host for pattern, host in fixed if host is not q2x]
-    assert len(states) > 10
+    assert len(fixed) > 10
     for pattern, host in fixed:
         assert pattern.n == 8 and is_isomorphic(pattern, p18)
-    for host in states:
         assert 8 <= host.n < q2x.n and any(v.startswith("$co(") for v in host.vertices)
 
 
@@ -348,15 +347,42 @@ def test_co_contractions_of_a_clean_root_hold_no_long_hole_or_antihole():
     assert atlas_roots == 1083 and states > 1000
 
 
-def test_cocontraction_depth_zero_equals_induced_search():
+def test_cocontraction_depth_zero_builds_no_state(monkeypatch):
+    # depth 0 is the empty search below g: g is not scanned, so even a g
+    # with an induced hit or a depth-1 trail gives None, and no state is built
+    import raagscope.obstructions as obstructions
+
+    steps = []
+    step = obstructions._step
+    monkeypatch.setattr(obstructions, "_step", lambda *a: steps.append(a) or step(*a))
     rng = random.Random(42)
-    for _ in range(40):
-        g = random_graph(rng.randint(1, 8), rng.random(), rng)
-        a = find_forbidden_induced(g)
-        b = find_cocontraction_witness(g, 0)
-        assert (a is None) == (b is None)
-        if a is not None:
-            assert a == b
+    graphs = [random_graph(rng.randint(1, 12), rng.random(), rng) for _ in range(40)]
+    graphs += [standard_graph("cycle", 5), entry_graph("Q1(9)"), entry_graph("Q2(10)")]
+    for g in graphs:
+        assert find_cocontraction_witness(g, 0) is None
+    assert steps == []
+    assert find_cocontraction_witness(entry_graph("Q1(9)"), 1) is not None and steps
+    with pytest.raises(ValueError, match="nonnegative"):
+        find_cocontraction_witness(entry_graph("Q1(9)"), -1)
+
+
+def test_the_search_skips_an_extra_larger_than_a_state():
+    # Q2(10) as a 10-vertex extra beside P1(8): at depth 1 each 9-vertex
+    # state is scanned for P1(8) alone. Hosts: seeded 10-vertex one-vertex
+    # extensions of Q1(9); the scan of g and the search below it must give
+    # the full scan's witness
+    extra = (ForbiddenEntry("q2copy(10)", entry_graph("Q2(10)"), "test data"),)
+    q19 = entry_graph("Q1(9)")
+    rng = random.Random(39)
+    trails = 0
+    for mask in rng.sample(range(1 << q19.n), 40):
+        g = _one_vertex_extension(q19, mask)
+        got = (find_forbidden_induced(g, extra)
+               or find_cocontraction_witness(g, 2, extra))
+        assert got == reference_cocontraction_witness(g, 2, extra)
+        assert got is None or verify_obstruction(g, got, extra)
+        trails += got is not None and got.kind == KIND_TRAIL
+    assert trails > 10
 
 
 def test_cocontraction_absent_on_complete():

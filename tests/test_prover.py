@@ -17,7 +17,7 @@ from conftest import (add_edge, c4_chain, complete_bipartite, desk_graph6, disjo
 from raagscope.generate import nonisomorphic_graphs
 from raagscope.graphs import (Graph, GraphError, canonical_key, emit_graph6, new_graph,
                               parse_graph6, standard_graph)
-from raagscope.obstructions import (builtin_catalog, find_cocontraction_witness,
+from raagscope.obstructions import (KIND_TRAIL, builtin_catalog, find_cocontraction_witness,
                                     find_forbidden_induced, verify_obstruction)
 from raagscope.ops import (_is_bipartite, co_contract, complement, is_bisimplicial_edge,
                            is_complete, iter_clique_splits)
@@ -610,6 +610,25 @@ def test_checker_validates_cocontract_rule():
     assert not check_derivation(bad, c4)
 
 
+def test_the_checker_refuses_rule_nodes_without_their_fields():
+    # a co-contraction node with no contracted set or one naming a vertex
+    # its child lacks, and an amalgam node with no separator: each is
+    # invalid, not an error
+    c4 = standard_graph("cycle", 4)
+    child = prove_in_f(c4)
+    conclusion = co_contract(c4, {"v1", "v3"})
+    g = _TWO_C4
+    parts = (g.subgraph(g.mask("abcd")), g.subgraph(g.mask("cdef")))
+    refused = [
+        (Derivation(RULE_COCONTRACT, conclusion, (child,)), conclusion),
+        (Derivation(RULE_COCONTRACT, conclusion, (child,), contracted=frozenset({"v1", "zz"})),
+         conclusion),
+        (_binary(RULE_AMALGAM, g, parts), g),
+    ]
+    for node, host in refused:
+        assert check_derivation(node, host) is False
+
+
 def test_checker_rejects_mutations():
     d = prove_in_f(P3)
     # the clique step's clique is the non-clique {a, c}
@@ -716,6 +735,36 @@ def test_classify_refuses_a_budget_below_one_whatever_the_scan_finds():
     for g in (standard_graph("cycle", 5), standard_graph("complete", 3)):
         with pytest.raises(ValueError):
             classify(g, budget=0)
+
+
+def test_classify_refuses_a_negative_cocontraction_depth():
+    # before any search runs, as for a budget below 1: P4 is chordal, C4 is
+    # derived by the greedy pass, C5 is a scan hit and G]o~fw is unknown
+    for g in (standard_graph("path", 4), standard_graph("cycle", 4),
+              standard_graph("cycle", 5), parse_graph6(b"G]o~fw")):
+        with pytest.raises(ValueError, match="cocontract_depth"):
+            classify(g, cocontract_depth=-1)
+
+
+def test_classify_searches_below_its_root_through_the_public_name(monkeypatch):
+    # Q1(9) is decided neither by the scan nor by the prover, and its
+    # witness is a trail; a chordal graph, one the greedy pass derives and
+    # one the search of its core derives never reach the search
+    import raagscope.prover as prover
+
+    calls = []
+
+    def recording(g, max_depth, extra=(), *, derived=None):
+        calls.append(g)
+        return find_cocontraction_witness(g, max_depth, extra, derived=derived)
+
+    monkeypatch.setattr(prover, "find_cocontraction_witness", recording)
+    q19 = entry_graph("Q1(9)")
+    v = classify(q19)
+    assert calls == [q19] and v.status == HAS_SURFACE and v.obstruction.kind == KIND_TRAIL
+    for g in (standard_graph("path", 6), standard_graph("cycle", 4), _W4_C4):
+        calls.clear()
+        assert classify(g).status == NO_SURFACE and calls == []
 
 
 def test_classify_examples():
@@ -1099,6 +1148,21 @@ def test_verdicts_are_monotone_under_vertex_deletion_on_the_atlas():
             assert above != NO_SURFACE or below == NO_SURFACE, (emit_graph6(g), i)
             pairs += 1
     assert pairs == 8475
+
+
+def test_verdicts_are_monotone_under_vertex_deletion_on_8_vertices():
+    # the atlas relations on every pair (g, g - v) with g on 8 vertices: each
+    # g - v is looked up by canonical key among the 7-vertex classes
+    below = {canonical_key(h): classify(h).status for h in nonisomorphic_graphs(7)}
+    pairs = 0
+    for g in nonisomorphic_graphs(8):
+        above = classify(g).status
+        for i in range(8):
+            status = below[canonical_key(g.subgraph(0xFF ^ 1 << i))]
+            assert status != HAS_SURFACE or above == HAS_SURFACE, (emit_graph6(g), i)
+            assert above != NO_SURFACE or status == NO_SURFACE, (emit_graph6(g), i)
+            pairs += 1
+    assert pairs == 98768
 
 
 def _json_nodes(obj):

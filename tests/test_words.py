@@ -408,6 +408,13 @@ def test_kernel_search_closed_surface():
         kernel_search(P3, not_hyp, {g: () for g in not_hyp.generators}, 3)
 
 
+def test_kernel_search_on_a_disk_finds_nothing():
+    # a disk's group is trivial: with one boundary and no handles no
+    # generator is left, so no word is tried, whatever the length
+    disk = SurfacePresentation(genus=0, boundary=1)
+    assert kernel_search(EDGE, disk, {"d1": ()}, 10 ** 18) is None
+
+
 def test_kernel_search_refuses_lengths_past_the_word_cap():
     # the count 1 + sum 2r(2r-1)^(k-1) is that of the enumeration itself
     for rank in (1, 2, 3):
