@@ -40,7 +40,7 @@ from .graphs import (
     verify_vertex_map,
 )
 from .ops import _is_bipartite, co_contract_edge, complement, is_complete
-from .recognize import _shortest_cycle, find_induced_cycle
+from .recognize import find_induced_cycle
 
 KIND_INDUCED = "InducedForbidden"
 KIND_TRAIL = "CoContractionTrail"
@@ -272,14 +272,14 @@ def find_forbidden_induced(g: Graph, extra: Sequence[ForbiddenEntry] = (), *,
     - The hole of g, once found, bounds the search of the complement: only a
       shorter antihole comes first, since at an equal size Cn wins. A 5-hole
       of the complement is one of g (C5 is self-complementary), so after a
-      C5 of g nothing else is searched, and otherwise the complement is searched from
-      length 6, on its rows, with no complement graph built.
+      C5 of g nothing else is searched, and otherwise the complement is
+      searched from length 6 up to one less than g's hole.
     - A bipartite g holds no antihole of length >= 5: coC5 is C5, which is
       odd, and coCk for k >= 6 holds a triangle. A fixed entry that embeds
       in g is bipartite too, and being admitted it is not chordal
       bipartite: the prover did not derive it, and on a bipartite
       graph its search is the greedy pass, which never stalls on a chordal
-      bipartite graph (prover.is_chordal_bipartite). So the entry holds an
+      bipartite graph (prover._Search._expand). So the entry holds an
       induced cycle of length >= 5 that is no longer than itself; that
       cycle is one of g, so g's least hole is met first (at the entry's own
       size only if the entry is that cycle, and then Cn comes first). So a
@@ -314,12 +314,11 @@ def find_forbidden_induced(g: Graph, extra: Sequence[ForbiddenEntry] = (), *,
     hole = n + 1 if cyc is None else len(cyc.vertices)
     fixed = _fixed_scan_order(extra)
     if hole > 5 and not (fixed[0].graph.n <= n and _is_bipartite(g.rows)):
-        full = (1 << core.n) - 1
-        co = _shortest_cycle([full ^ r ^ (1 << i) for i, r in enumerate(core.rows)], 6, hole)
-        antihole = n + 1 if co is None else len(co)
+        co = find_induced_cycle(complement(core), 6, hole - 1)
+        antihole = n + 1 if co is None else len(co.vertices)
         for size in range(5, hole):
             if size == antihole:
-                return _cycle_hit("coC", tuple(core.vertices[v] for v in co))
+                return _cycle_hit("coC", co.vertices)
             for e in fixed:
                 if e.graph.n != size:
                     continue
@@ -443,8 +442,6 @@ def find_cocontraction_witness(g: Graph, max_depth: int,
                 if not last and not seen.add(child):
                     continue
                 for e in fixed:
-                    if e.graph.n > child.n:
-                        break
                     hit = find_induced(e.graph, child)
                     if hit is not None:
                         return Obstruction(KIND_TRAIL, e.name, _embedding(hit),

@@ -22,9 +22,9 @@ in the paper's proof that chordal graphs lie in N'. Each such split decides,
 and it costs no search. What is left is the core: a complete graph exactly
 when the graph is chordal, and otherwise a graph with no simplicial vertex.
 Only a core that is not complete is searched. A bipartite core is decided
-by the greedy pass alone (_greedy_pass), in one node, with no other rule:
-on a bipartite graph, removing the first bisimplicial edge never loses F
-(see is_chordal_bipartite). Any other core goes to one sequential
+by the greedy pass alone, in one node, with no other rule: on a bipartite
+graph, removing the first bisimplicial edge never loses F (the argument is
+at the pass, in _Search._expand). Any other core goes to one sequential
 depth-first search over the rules in a fixed order (amalgam split at the
 first clique minimal separator, bisimplicial edge removal, join
 decomposition), whose parts are peeled in turn. The split and the join are
@@ -77,7 +77,9 @@ core, then to the co-contraction search.
 is_chordal and is_chordal_bipartite recognize the graphs of the paper's two
 corollaries, which say that chordal and chordal bipartite graphs lie in N'.
 Each answers with a derivation, so check_derivation is the one checker of
-both, or with an induced-cycle witness from recognize.
+both, or with an induced-cycle witness from recognize. Neither assembles a
+derivation of its own: is_chordal takes the peel's, and is_chordal_bipartite
+the search's, so each derivation is the one classify returns.
 """
 
 from __future__ import annotations
@@ -284,55 +286,22 @@ def is_chordal(g: Graph) -> Union[Derivation, CycleWitness]:
     return _chain(g, peel.steps, _leaf(peel.core))
 
 
-def _greedy_pass(g: Graph) -> Optional[tuple[tuple[int, ...], _Peel]]:
-    """Remove the first bisimplicial edge of what is left, in edge_pairs
-    order, until no edge is left, on one list of rows over g's positions,
-    with no graph per edge: the edge steps as masks, shared copies, and the
-    peel of the edgeless graph left, or None when no edge of what is left is
-    bisimplicial. On a bipartite g this decides F (see
-    is_chordal_bipartite)."""
-    rows = list(g.rows)
-    steps = []
-    while any(rows):
-        edge = next(_bisimplicial_edges(rows), None)
-        if edge is None:
-            return None
-        a, b = edge
-        rows[a] ^= 1 << b
-        rows[b] ^= 1 << a
-        steps.append(_shared(1 << a | 1 << b))
-    return tuple(steps), _peel(_from_sorted(g.vertices, tuple(rows)))
-
-
 def is_chordal_bipartite(g: Graph) -> Union[Derivation, CycleWitness]:
-    """A derivation of a chordal bipartite g, else a triangle or the shortest
-    induced cycle of length >= 5.
+    """The derivation of a chordal bipartite g that classify builds, else a
+    triangle or the shortest induced cycle of length >= 5.
 
-    A bipartite g goes straight to the greedy pass (_greedy_pass). If the
-    pass empties the edges, the derivation is one chain node: an edge step
-    per edge, then the peel steps of the edgeless graph at its end, above a
-    one-vertex leaf. The pass never stalls on a chordal bipartite graph: one
-    with an edge has a bisimplicial edge (Golumbic and Goss, Perfect
-    elimination and chordal bipartite graphs, J. Graph Theory 1978), and
-    deleting it keeps the graph bipartite and creates no induced cycle of
-    length >= 6, since such a cycle would pass through both endpoints, each
-    of whose neighbours is adjacent to every neighbour of the other, giving
-    a chord. Conversely a graph the pass empties is in F, which is closed
-    under induced subgraphs and holds no cycle of length >= 5, so a
-    bipartite graph in F has no hole: it is chordal bipartite.
-
-    So a cycle is searched for only when g is not chordal bipartite: when g
-    is not bipartite, a triangle, else the shortest induced cycle of length
-    >= 5 (a shortest odd cycle is induced), and when the pass stalls, the
-    shortest induced cycle of length >= 5, of which g then has one. The
-    answer is the one a search for the witness before the pass would give.
+    A bipartite g goes straight to the prover (prove_in_f): its core is
+    bipartite, so the search decides it in one node by the greedy pass
+    (_Search._expand), and the default budget never runs out. The pass
+    derives g exactly when g is chordal bipartite, so a cycle is searched
+    for only when g is not: when g is not bipartite, a triangle, else the
+    shortest induced cycle of length >= 5 (a shortest odd cycle is induced),
+    and when the pass stalls, the shortest induced cycle of length >= 5, of
+    which g then has one. The answer is the one a search for the witness
+    before the pass would give.
     """
     if _is_bipartite(g.rows):
-        passed = _greedy_pass(g)
-        if passed is None:
-            return find_induced_cycle(g, 5)
-        steps, peel = passed
-        return _chain(g, steps + peel.steps, _leaf(peel.core))
+        return prove_in_f(g) or find_induced_cycle(g, 5)
     triangle = find_induced_cycle(g, 3)
     if len(triangle.vertices) == 3:
         return triangle
@@ -637,11 +606,33 @@ class _Search:
         # h is a core: no simplicial vertex, so not complete
         rows = h.rows
         if _is_bipartite(rows):
-            # decisive: the greedy pass decides a bipartite graph (see
-            # is_chordal_bipartite), in one node and with no other rule
+            # decisive, in one node and with no other rule: the greedy pass
+            # removes the first bisimplicial edge, in edge_pairs order, until
+            # no edge is left, on one list of rows with no graph per edge.
+            # It never stalls on a chordal bipartite graph: one with an edge
+            # has a bisimplicial edge (Golumbic and Goss, Perfect elimination
+            # and chordal bipartite graphs, J. Graph Theory 1978), and
+            # deleting it keeps the graph bipartite and creates no induced
+            # cycle of length >= 6, since such a cycle would pass through
+            # both ends, each of whose neighbours is adjacent to every
+            # neighbour of the other, giving a chord. Conversely a bipartite
+            # graph in F has no hole, since F is hereditary and holds no
+            # cycle of length >= 5: it is chordal bipartite. So the pass
+            # decides F on a bipartite graph, and when it stalls h holds an
+            # induced cycle of length >= 6.
             self.rules_attempted.add(RULE_BISIMP)
-            run = _greedy_pass(h)
-            return None if run is None else _Decision(RULE_BISIMP, (run[1],), edges=run[0])
+            cut = list(rows)
+            edges = []
+            while any(cut):
+                edge = next(_bisimplicial_edges(cut), None)
+                if edge is None:
+                    return None
+                a, b = edge
+                cut[a] ^= 1 << b
+                cut[b] ^= 1 << a
+                edges.append(_shared(1 << a | 1 << b))
+            rest = _peel(_from_sorted(h.vertices, tuple(cut)))
+            return _Decision(RULE_BISIMP, (rest,), edges=tuple(edges))
         for split in iter_clique_splits(h):
             # the first split only: it is decisive, so no other rule is tried
             return (yield from self._both(RULE_AMALGAM, split.left, split.right,

@@ -1,17 +1,21 @@
 """Induced cycles.
 
 find_induced_cycle finds the shortest induced cycle of a given least length,
-and CycleWitness holds one in cyclic order; validate_cycle_witness re-checks a
-witness as an induced embedding of a cycle, the check verify_obstruction
-makes for a C_k entry.
+optionally no longer than a given most, and CycleWitness holds one in cyclic
+order; validate_cycle_witness re-checks a witness as an induced embedding of
+a cycle, the check verify_obstruction makes for a C_k entry.
+find_induced_cycle is the library's one cycle search: the obstruction scan
+runs it for holes on g, or on the peel's core under classify, and for
+antiholes on the complement of the same graph, bounded by the hole.
 
 The recognizers of the paper's two corollaries, prover.is_chordal and
 prover.is_chordal_bipartite, answer with a derivation or with a witness from
 here; they live in prover because prover and obstructions import this module.
 Both decide there with no cycle search: chordality by the prover's own peel
 of simplicial cliques, chordal bipartiteness by a bipartiteness test and the
-greedy pass of bisimplicial edge removals. A cycle is searched for here only
-as the witness of a graph outside the class.
+prover's search, which decides a bipartite core by the greedy pass of
+bisimplicial edge removals. A cycle is searched for here only as the witness
+of a graph outside the class.
 """
 
 from __future__ import annotations
@@ -29,8 +33,10 @@ class CycleWitness:
     vertices: tuple[str, ...]
 
 
-def find_induced_cycle(g: Graph, min_len: int) -> Optional[CycleWitness]:
-    """Shortest induced cycle of length >= min_len, or None.
+def find_induced_cycle(g: Graph, min_len: int,
+                       max_len: Optional[int] = None) -> Optional[CycleWitness]:
+    """Shortest induced cycle of length >= min_len, or None; with max_len,
+    that cycle only if it has at most max_len vertices, else None.
 
     Deterministic: the cycle returned is the first by length, then by its
     smallest vertex (the start), then by ascending extensions. One depth-first
@@ -38,31 +44,25 @@ def find_induced_cycle(g: Graph, min_len: int) -> Optional[CycleWitness]:
     so far as a bound, records a closing only below it and extends a path only
     while a strictly shorter cycle can still close. A later start needs a
     strictly shorter cycle to win, and no start past n - min_len leaves room
-    for one.
+    for one. max_len sets the bound before any path is extended, so it
+    prunes from the first start on; the bound only ever drops to a length
+    met, so the first cycle by length, start and extensions is never pruned
+    while it has at most max_len vertices. obstructions.find_forbidden_induced
+    bounds its antihole search, on the complement, by the hole it found.
     """
     if min_len < 3:
         raise ValueError("min_len must be at least 3")
-    cycle = _shortest_cycle(g.rows, min_len, g.n + 1)
-    if cycle is None:
-        return None
-    return CycleWitness(tuple(g.vertices[v] for v in cycle))
-
-
-def _shortest_cycle(rows, min_len, bound):
-    """find_induced_cycle on adjacency rows, as a list of positions, counting
-    only cycles shorter than bound: the cycle find_induced_cycle returns if
-    it is shorter than bound, else None. The bound is the search's own from
-    the start, so it prunes from the start; the cycle first by length, start
-    and extensions is never pruned while the bound exceeds its length.
-    obstructions.find_forbidden_induced runs it on complemented rows."""
-    n = len(rows)
-    best = [bound, None]  # [bound, cycle]: only lengths below the bound count
+    n = g.n
+    best = [n + 1 if max_len is None else max_len + 1, None]  # [bound, cycle]
     for start in range(n - min_len + 1):
         if best[0] <= min_len:
             break
         later = ((1 << n) - 1) & ~((2 << start) - 1)
-        _extend_cycle(rows, [start], 0, later, start, min_len, best)
-    return best[1]
+        _extend_cycle(g.rows, [start], 0, later, start, min_len, best)
+    cycle = best[1]
+    if cycle is None:
+        return None
+    return CycleWitness(tuple(g.vertices[v] for v in cycle))
 
 
 def _extend_cycle(rows, path, interior, allowed, start, min_len, best):

@@ -713,8 +713,10 @@ def reference_check_chain(obj: dict) -> bool:
 def reference_is_chordal_bipartite(g: Graph):
     """prover.is_chordal_bipartite with the witness searched for first: a
     triangle, else the shortest induced cycle of length >= 5, and the greedy
-    pass of bisimplicial edge removals only when there is neither. The
-    answer the pass-first order must give."""
+    pass of bisimplicial edge removals, on the whole graph, only when there
+    is neither. Its witness is the one the pass-first order must give; its
+    derivation, a chain of every edge step and then the peel steps, decides
+    F independently of the prover's search, whose derivation peels first."""
     witness = find_induced_cycle(g, 3)
     if witness is None or len(witness.vertices) != 3:
         witness = find_induced_cycle(g, 5)

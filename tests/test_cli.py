@@ -59,6 +59,28 @@ def test_classify_exit_codes(capsys, tmp_path):
     assert "edge endpoint not in vertex list" in err
 
 
+def test_classify_refuses_an_edge_line_with_three_names(capsys, tmp_path):
+    bad = tmp_path / "bad.el"
+    bad.write_text("vertices: a b c\na b c\n")
+    code, out, err = run(capsys, "classify", str(bad))
+    assert code == 64 and out == ""
+    assert err == "parse error: bad edge line 'a b c'\n"
+
+
+def test_classify_reads_a_graph6_header_value_on_the_command_line(capsys):
+    # ">>graph6<<Dhc" names no file, and after its header it is C5
+    code, out, _ = run(capsys, "classify", ">>graph6<<" + C5_G6)
+    assert code == 1 and "entry=C5" in out
+
+
+def test_text_classify_prints_the_trail(capsys):
+    # Q1(9) on v1..v9 contracts the pair v1, v2 onto P1(8)
+    code, out, _ = run(capsys, "classify", "H]ohdt|")
+    assert code == 1
+    assert "obstruction: CoContractionTrail entry=P1(8)" in out.splitlines()
+    assert "trail: {v1,v2}" in out.splitlines()
+
+
 def test_classify_json_report_and_verify_round_trip(capsys, tmp_path):
     code, out, _ = run(capsys, "classify", "--json", C5_G6)
     assert code == 1
@@ -459,6 +481,26 @@ def test_surf_commands(capsys, tmp_path):
     }))
     code, out, _ = run(capsys, "surf", "relative", "-g", str(p3), str(pants))
     assert out.strip().startswith("false") and "3" in out
+
+
+def test_surf_kernel_refuses_a_negative_genus_and_a_non_homomorphism(capsys, tmp_path):
+    # each is one error line and exit 64, before any word is enumerated
+    edge = tmp_path / "edge.el"
+    edge.write_text("vertices: a b\na b\n")
+    docs = {
+        "genus and boundary count must be nonnegative":
+            {"presentation": {"genus": -1, "boundary": 1}, "images": {"d1": "a"}},
+        # [a, b] d1 is a, not the identity
+        "images do not define a homomorphism":
+            {"presentation": {"genus": 1, "boundary": 1},
+             "images": {"x1": "a", "y1": "b", "d1": "a"}},
+    }
+    for message, doc in docs.items():
+        hom = tmp_path / "hom.json"
+        hom.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "surf", "kernel", "-g", str(edge), str(hom))
+        assert code == 64 and out == ""
+        assert err == "error: %s\n" % message
 
 
 def test_surf_relative_refuses_a_closed_surface(capsys, tmp_path):

@@ -95,6 +95,27 @@ def test_find_forbidden_induced_cycles():
     assert verify_obstruction(co8, o)
 
 
+def test_the_antihole_search_runs_through_find_induced_cycle(monkeypatch):
+    # the scan has one cycle search: its antihole search is find_induced_cycle
+    # on the complement of the core, from length 6 and below g's hole
+    import raagscope.obstructions as obstructions
+    import raagscope.recognize as recognize
+
+    assert not [name for name, value in vars(obstructions).items()
+                if name.startswith("_") and getattr(value, "__module__", None) == recognize.__name__]
+    calls = []
+
+    def recording(g, min_len, max_len=None):
+        calls.append((g.n, min_len, max_len))
+        return find_induced_cycle(g, min_len, max_len)
+
+    monkeypatch.setattr(obstructions, "find_induced_cycle", recording)
+    g = complement(standard_graph("cycle", 7))
+    verdict = classify(g)
+    assert verdict.status == HAS_SURFACE and verdict.obstruction.entry == "coC7"
+    assert (7, 5, None) in calls and (7, 6, 7) in calls
+
+
 def test_find_forbidden_absent_on_chordal_and_chordal_bipartite():
     rng = random.Random(41)
     for _ in range(60):
@@ -366,23 +387,33 @@ def test_cocontraction_depth_zero_builds_no_state(monkeypatch):
         find_cocontraction_witness(entry_graph("Q1(9)"), -1)
 
 
-def test_the_search_skips_an_extra_larger_than_a_state():
-    # Q2(10) as a 10-vertex extra beside P1(8): at depth 1 each 9-vertex
-    # state is scanned for P1(8) alone. Hosts: seeded 10-vertex one-vertex
-    # extensions of Q1(9); the scan of g and the search below it must give
-    # the full scan's witness
+def test_the_search_skips_an_extra_larger_than_a_state(monkeypatch):
+    # Q2(10) as a 10-vertex extra beside P1(8), over seeded 10-vertex hosts
+    # with no induced obstruction whose states hold no entry: every 9- and
+    # 8-vertex state is scanned for P1(8), misses it and is offered the
+    # extra, which graphs.find_induced refuses at once. The search below g
+    # must give the full scan's answer
+    import raagscope.obstructions as obstructions
+
     extra = (ForbiddenEntry("q2copy(10)", entry_graph("Q2(10)"), "test data"),)
-    q19 = entry_graph("Q1(9)")
+    offers = []
+    real = obstructions.find_induced
+
+    def recording(pattern, host):
+        offers.append(pattern.n > host.n)
+        return real(pattern, host)
+
+    monkeypatch.setattr(obstructions, "find_induced", recording)
     rng = random.Random(39)
-    trails = 0
-    for mask in rng.sample(range(1 << q19.n), 40):
-        g = _one_vertex_extension(q19, mask)
-        got = (find_forbidden_induced(g, extra)
-               or find_cocontraction_witness(g, 2, extra))
-        assert got == reference_cocontraction_witness(g, 2, extra)
-        assert got is None or verify_obstruction(g, got, extra)
-        trails += got is not None and got.kind == KIND_TRAIL
-    assert trails > 10
+    hosts = 0
+    while hosts < 12:
+        g = random_graph(10, rng.random(), rng)
+        if find_forbidden_induced(g, extra) is not None:
+            continue
+        hosts += 1
+        got = find_cocontraction_witness(g, 2, extra)
+        assert got is None and got == reference_cocontraction_witness(g, 2, extra)
+    assert any(offers)
 
 
 def test_cocontraction_absent_on_complete():

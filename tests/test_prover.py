@@ -17,8 +17,9 @@ from conftest import (add_edge, c4_chain, complete_bipartite, desk_graph6, disjo
 from raagscope.generate import nonisomorphic_graphs
 from raagscope.graphs import (Graph, GraphError, canonical_key, emit_graph6, new_graph,
                               parse_graph6, standard_graph)
-from raagscope.obstructions import (KIND_TRAIL, builtin_catalog, find_cocontraction_witness,
-                                    find_forbidden_induced, verify_obstruction)
+from raagscope.obstructions import (KIND_INDUCED, KIND_TRAIL, Obstruction, builtin_catalog,
+                                    find_cocontraction_witness, find_forbidden_induced,
+                                    verify_obstruction)
 from raagscope.ops import (_is_bipartite, co_contract, complement, is_bisimplicial_edge,
                            is_complete, iter_clique_splits)
 from raagscope.prover import (
@@ -919,6 +920,54 @@ def test_soundness_guard_trips_on_forged_cache_without_obstruction(monkeypatch):
     _forge_prover(monkeypatch, Derivation(RULE_COMPLETE, standard_graph("complete", 6)))
     with pytest.raises(SoundnessError):
         classify(g)
+
+
+def _forged_obstruction(kind, entry, names, trail=()):
+    return Obstruction(kind, entry, tuple((v, v) for v in names), trail)
+
+
+def test_soundness_guard_trips_on_a_forged_scan_obstruction(monkeypatch):
+    # a scan that names C5 in P4, which has four vertices; cross_check runs
+    # the scan on the chordal P4, and the checker refuses the certificate
+    import raagscope.prover as prover
+
+    forged = _forged_obstruction(KIND_INDUCED, "C5", ("v1", "v2", "v3", "v4", "v5"))
+    monkeypatch.setattr(prover, "find_forbidden_induced", lambda *args, **kwargs: forged)
+    with pytest.raises(SoundnessError, match="obstruction search emitted"):
+        classify(standard_graph("path", 4), cross_check=True)
+
+
+def test_soundness_guard_trips_on_a_forged_cocontraction_trail(monkeypatch):
+    # G]o~fw is unknown, so the co-contraction search runs below it; a trail
+    # through the edge v1-v3 cannot be replayed
+    import raagscope.prover as prover
+
+    g = parse_graph6(b"G]o~fw")
+    assert g.has_edge("v1", "v3") and classify(g).status == UNKNOWN
+    forged = _forged_obstruction(KIND_TRAIL, "P1(8)", g.vertices, (("v1", "v3"),))
+    monkeypatch.setattr(prover, "find_cocontraction_witness", lambda *args, **kwargs: forged)
+    with pytest.raises(SoundnessError, match="co-contraction search emitted"):
+        classify(g)
+
+
+def test_soundness_guard_trips_on_both_certificates(monkeypatch, capsys):
+    # a forged scan hit that the checker is made to accept, on P4, which the
+    # prover derives: cross_check runs both, and both verify. The CLI maps the
+    # violation to exit 70 with one stderr line and no report
+    import raagscope.prover as prover
+    from raagscope.cli import main
+
+    forged = _forged_obstruction(KIND_INDUCED, "C5", ("v1", "v2", "v3", "v4", "v5"))
+    monkeypatch.setattr(prover, "find_forbidden_induced", lambda *args, **kwargs: forged)
+    monkeypatch.setattr(prover, "verify_obstruction", lambda *args: True)
+    p4 = standard_graph("path", 4)
+    assert classify(p4).status == NO_SURFACE
+    with pytest.raises(SoundnessError, match="both"):
+        classify(p4, cross_check=True)
+    assert main(["classify", "--cross-check", "Ch"]) == 70
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+    assert out.err.startswith("internal soundness violation")
 
 
 def test_prover_handles_disconnected_graphs():

@@ -75,6 +75,22 @@ def test_find_induced_cycle_matches_iterative_deepening_oracle():
                 assert find_induced_cycle(h, min_len) == reference_induced_cycle(h, min_len)
 
 
+def test_find_induced_cycle_with_max_len_is_the_bounded_unbounded_answer():
+    # the shortest cycle when it has at most max_len vertices, else None
+    graphs = [g for n in range(1, 8) for g in nonisomorphic_graphs(n)]
+    rng = random.Random(40)
+    graphs += [random_graph(rng.randint(8, 13), rng.uniform(0.15, 0.85), rng)
+               for _ in range(150)]
+    for g in graphs:
+        for h in (g, complement(g)):
+            for min_len in (3, 5, 6):
+                want = reference_induced_cycle(h, min_len)
+                length = h.n + 1 if want is None else len(want.vertices)
+                for max_len in range(min_len - 1, h.n + 2):
+                    got = find_induced_cycle(h, min_len, max_len)
+                    assert got == (want if length <= max_len else None)
+
+
 def test_is_chordal_examples():
     tree = standard_graph("path", 6)
     assert _derives(is_chordal(tree), tree)
@@ -87,13 +103,15 @@ def test_is_chordal_examples():
 
 
 def test_is_chordal_agrees_with_cycle_search_all_seven_vertex_graphs():
-    count = 0
+    # each recognizer's derivation is classify's, one derivation per graph
+    count = chordal = chordal_bipartite = 0
     for n in range(1, 8):
         for g in nonisomorphic_graphs(n):
             count += 1
             verdict = is_chordal(g)
             has_cycle = find_induced_cycle(g, 4) is not None
             if isinstance(verdict, Derivation):
+                chordal += 1
                 assert not has_cycle
                 assert _derives(verdict, g)
                 assert verdict == classify(g).derivation
@@ -106,16 +124,18 @@ def test_is_chordal_agrees_with_cycle_search_all_seven_vertex_graphs():
                                for a, b, c in combinations(g.vertices, 3))
             has_long_cycle = find_induced_cycle(g, 5) is not None
             verdict = is_chordal_bipartite(g)
-            assert verdict == reference_is_chordal_bipartite(g)
             if isinstance(verdict, Derivation):
+                chordal_bipartite += 1
                 assert not has_triangle and not has_long_cycle
                 assert _derives(verdict, g)
-                assert _chain_length(verdict) == g.m
+                assert verdict == classify(g).derivation
             else:
+                assert verdict == reference_is_chordal_bipartite(g)
                 assert has_triangle or has_long_cycle
                 assert len(verdict.vertices) == 3 or len(verdict.vertices) >= 5
                 assert validate_cycle_witness(g, verdict, 3)
     assert count == 1 + 2 + 4 + 11 + 34 + 156 + 1044
+    assert (chordal, chordal_bipartite) == (531, 144)
 
 
 def test_random_chordal_generator_is_chordal():
@@ -147,7 +167,7 @@ def test_is_chordal_bipartite_derives_with_no_cycle_search(monkeypatch):
         raise AssertionError("cycle search on a chordal bipartite graph")
 
     monkeypatch.setattr(prover, "find_induced_cycle", refuse)
-    monkeypatch.setattr(recognize, "_shortest_cycle", refuse)
+    monkeypatch.setattr(recognize, "_extend_cycle", refuse)
     rng = random.Random(36)
     graphs = [random_chordal_bipartite(rng.randint(3, 24), rng) for _ in range(200)]
     for g in graphs + [ladder(40)]:
@@ -167,8 +187,11 @@ def test_is_chordal_bipartite_matches_the_witness_first_reference():
     derived = 0
     for g in graphs:
         got = is_chordal_bipartite(g)
-        assert got == reference_is_chordal_bipartite(g), g.edge_pairs
-        derived += isinstance(got, Derivation)
+        if isinstance(got, Derivation):
+            derived += 1
+            assert got == classify(g).derivation, g.edge_pairs
+        else:
+            assert got == reference_is_chordal_bipartite(g), g.edge_pairs
     assert 1000 < derived < 2500
 
 
@@ -194,7 +217,7 @@ def test_bipartite_reformulation():
         long_even = find_induced_cycle(g, 6)
         if isinstance(verdict, Derivation):
             assert long_even is None
-            assert _derives(verdict, g) and _chain_length(verdict) == g.m
+            assert _derives(verdict, g) and verdict == classify(g).derivation
         else:
             assert long_even is not None
             assert validate_cycle_witness(g, verdict, 6)
@@ -204,7 +227,7 @@ def test_disconnected_inputs():
     g = disjoint_union(standard_graph("cycle", 4),
                        new_graph(["z1", "z2"], [("z1", "z2")]))
     res = is_chordal_bipartite(g)
-    assert _derives(res, g) and _chain_length(res) == 5
+    assert _derives(res, g) and res == classify(g).derivation
     res2 = is_chordal(g)
     assert isinstance(res2, CycleWitness)
 
